@@ -8,7 +8,7 @@ reduction for P followed by matrix Horner for B.  Both produce the same
 from dataclasses import dataclass
 
 from .errors import InternalConsistencyError, UnsupportedFieldError
-from .matrix import Matrix, MatPoly, mat_mul
+from .matrix import Matrix, MatPoly
 from .poly import Poly
 
 
@@ -19,8 +19,42 @@ class CharData:
     method: str      # "faddeev" or "hessenberg_horner"
 
 
+def _matrix_horner(a, e, coeff):
+    """B_0 = I, B_k = A*B_{k-1} + c_k*I for k = 1..n, in the field's integer
+    model: with A = A'/d, the integral B'_0 = e*I and
+    B'_k = A'*B'_{k-1} + c'_k*I stand for B_k = B'_k/(e*d^k), where
+    ``coeff(k, A'*B'_{k-1}, d^k)`` returns c'_k = e*d^k*c_k.
+
+    Returns ([c'_1, ..., c'_n], d, B as a MatPoly in lambda, B_n == 0);
+    B_n = P(A) for P = lambda^n + c_1*lambda^(n-1) + ... + c_n.
+    """
+    f = a.field
+    n = a.rows
+    ai, d = f.lift(a.data)
+    b = [[e if i == j else 0 for j in range(n)] for i in range(n)]
+    b_desc = [Matrix.identity(f, n)]
+    cs = []
+    dk = 1
+    for k in range(1, n + 1):
+        b = f.int_matmul(ai, b)
+        dk *= d
+        c = coeff(k, b, dk)
+        for i in range(n):
+            b[i][i] += c
+        cs.append(c)
+        if k < n:
+            b_desc.append(Matrix(f, f.lower(b, e * dk)))
+    vanishes = Matrix(f, f.lower(b, e * dk)).is_zero()
+    return cs, d, MatPoly(f, list(reversed(b_desc))), vanishes
+
+
 def faddeev(a):
-    """Trace recurrence: A_k = A*B_{k-1}, p_k = -tr(A_k)/k, B_k = A_k + p_k*I."""
+    """Trace recurrence: A_k = A*B_{k-1}, p_k = -tr(A_k)/k, B_k = A_k + p_k*I.
+
+    Over QQ it runs on A' = d*A (d the common denominator of A), where
+    p'_k = d^k*p_k and B'_k = d^k*B_k are integral and the division by k is
+    exact; p_k and B_k become field elements only on the way out.
+    """
     if not a.is_square:
         raise ValueError("matrix must be square")
     f = a.field
@@ -28,22 +62,15 @@ def faddeev(a):
     if 0 < f.char <= n:
         raise UnsupportedFieldError(
             f"Faddeev needs characteristic 0 or > {n}; use the Hessenberg route")
-    ident = Matrix.identity(f, n)
-    b_list = [ident]                       # B_0 = I
-    p_desc = [f.one]                       # p_0 = 1 (leading coefficient)
-    b_prev = ident
-    for k in range(1, n + 1):
-        a_k = mat_mul(a, b_prev)
-        p_k = f.neg(f.div(a_k.trace(), f.from_int(k)))
-        p_desc.append(p_k)
-        b_prev = a_k + ident.scale(p_k)    # B_k; B_n must vanish
-        if k < n:
-            b_list.append(b_prev)
-    if not b_prev.is_zero():
+
+    def coeff(k, a_k, _dk):
+        return f.exact_div(-sum(a_k[i][i] for i in range(n)), k)
+
+    cs, d, b, vanishes = _matrix_horner(a, 1, coeff)
+    if not vanishes:
         raise InternalConsistencyError("Faddeev terminal matrix B_n is nonzero")
-    p = Poly(f, list(reversed(p_desc)))
-    b = MatPoly(f, list(reversed(b_list)))
-    return CharData(p=p, b=b, method="faddeev")
+    p_desc = [f.one] + [f.lower([[c]], d ** k)[0][0] for k, c in enumerate(cs, 1)]
+    return CharData(p=Poly(f, list(reversed(p_desc))), b=b, method="faddeev")
 
 
 def hessenberg_reduce(a):
@@ -101,23 +128,19 @@ def hessenberg_charpoly(a):
 
 
 def comatrix_from_charpoly(a, p):
-    """Matrix Horner: B_0 = I, B_k = A*B_{k-1} + p_k*I; verifies Eq-style
-    identity (lambda*I - A) * B = P * I before returning."""
+    """Matrix Horner: B_0 = I, B_k = A*B_{k-1} + p_k*I (coefficients of p
+    from the top), so (lambda*I - A) * B = P * I holds coefficientwise by
+    construction except for the constant term, A*B_{n-1} + p_0*I = P(A).
+    That one is checked: it is zero exactly when P annihilates A."""
     f = a.field
     n = a.rows
     if p.degree != n or not p.is_monic:
         raise ValueError("p must be the monic characteristic polynomial")
-    ident = Matrix.identity(f, n)
-    b_list = [ident]
-    for k in range(1, n):
-        p_k = p.coeff(n - k)
-        b_list.append(mat_mul(a, b_list[-1]) + ident.scale(p_k))
-    b = MatPoly(f, list(reversed(b_list)))
-    lhs = MatPoly.lambda_i_minus(a).mul_matpoly(b)
-    rhs = MatPoly(f, [ident.scale(c) for c in p.coeffs])
-    if lhs != rhs:
+    (pi,), e = f.lift([p.coeffs])
+    _, _, b, vanishes = _matrix_horner(a, e, lambda k, _, dk: dk * pi[n - k])
+    if not vanishes:
         raise InternalConsistencyError(
-            "comatrix identity failed; the supplied polynomial is not charpoly(A)")
+            "P(A) != 0: the supplied polynomial does not annihilate A")
     return b
 
 

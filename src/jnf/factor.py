@@ -3,16 +3,21 @@
 The built-in path handles what the Jordan machinery needs over the
 rationals: squarefree decomposition, rational roots, and quadratics split
 by discriminant.  Anything harder (degree >= 3 irreducible parts, finite
-fields) must come in through factor hints; hinted irreducibility is trusted
-and recorded as "asserted".
+fields) must come in through factor hints.  Hinted factors are checked to
+be squarefree, pairwise coprime and, over QQ, free of rational roots beyond
+degree 1; the rest of their irreducibility is trusted and recorded as
+"asserted".
 """
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InvalidHintError, NeedsFactorizationError, ParseError
-from .poly import Poly, poly_euclid_div, squarefree_decomposition
+from .errors import (InternalConsistencyError, InvalidHintError,
+                     NeedsFactorizationError, ParseError)
+from .poly import (Poly, poly_derivative, poly_euclid_div, poly_gcd,
+                   squarefree_decomposition)
 
 # Trial division gives up past this bound; bigger constants need hints.
 _TRIAL_LIMIT = 1_000_000
@@ -38,6 +43,20 @@ class FactoredCharPoly:
 
     def total_degree(self):
         return sum(q.degree * m for q, m in self.factors)
+
+    @contextmanager
+    def blame(self, q, mult):
+        """Cycle collection for the factor q: when q came from a hint, a
+        failed invariant means the hint was wrong (a reducible factor), so
+        it is reported as an invalid hint naming q."""
+        try:
+            yield
+        except InternalConsistencyError as exc:
+            if self.irreducibility != "asserted":
+                raise
+            raise InvalidHintError(
+                f"hinted factor '{format_factor_hint(q, mult)}' is not "
+                f"irreducible (cycle collection failed: {exc})") from exc
 
 
 def _factor_int(n):
@@ -169,6 +188,7 @@ def factor_charpoly(p, hint=None):
             prod = prod * q.pow(m)
         if prod != p:
             raise InvalidHintError("hinted factors do not multiply back to the polynomial")
+        _check_hinted_factors(hint)
         return FactoredCharPoly(canonical_factor_order(f, list(hint)), f,
                                 irreducibility="asserted")
     if f.char > 0:
@@ -183,6 +203,27 @@ def factor_charpoly(p, hint=None):
     out = FactoredCharPoly(canonical_factor_order(f, factors), f)
     assert out.total_degree() == p.degree
     return out
+
+
+def _check_hinted_factors(hint):
+    """Reject hinted factors that are not squarefree, not pairwise coprime,
+    or (over QQ, degree >= 2) have a rational root."""
+    for i, (q, m) in enumerate(hint):
+        name = f"hinted factor '{format_factor_hint(q, m)}'"
+        if poly_gcd(q, poly_derivative(q)).degree > 0:
+            raise InvalidHintError(f"{name} is not squarefree")
+        for r, k in hint[:i]:
+            if poly_gcd(q, r).degree > 0:
+                raise InvalidHintError(
+                    f"{name} is not coprime to '{format_factor_hint(r, k)}'")
+        if q.field.char == 0 and q.degree >= 2:
+            try:
+                roots = _rational_roots(q)
+            except NeedsFactorizationError:
+                roots = []    # constant term too large to search; trusted
+            if roots:
+                raise InvalidHintError(
+                    f"{name} is reducible: it has the rational root {roots[0]}")
 
 
 def parse_factor_hints(text, field):

@@ -1,12 +1,27 @@
-"""Exact coefficient fields: the rationals and prime fields F_p.
+"""Exact coefficient fields and the bulk arithmetic kernels built on them.
 
 Field elements are plain canonical values (``Fraction``/``mpq`` for the
-rationals, ints in ``[0, p)`` for F_p); a ``Field`` object supplies the
-arithmetic.  Keeping elements raw instead of wrapped makes the inner loops
-of the matrix routines considerably cheaper.
+rationals, ints in ``[0, p)`` for F_p), falsy exactly when zero; a ``Field``
+object supplies the arithmetic.  Keeping elements raw instead of wrapped
+makes loops over them considerably cheaper.
+
+Kernel layer.  Everything matrix-sized goes through a few bulk methods:
+``matmul``, row reduction (``rref`` and ``rank``, fraction-free) and
+``expand``, the repeated synthetic division of a whole matrix polynomial by
+a monic polynomial (Taylor shifts when it is linear, Q-adic expansion
+otherwise).  They run on the field's integer model: ``lift`` writes a block
+of values as integers over one common denominator (rationals) or as
+residues over 1 (F_p), and ``lower`` turns integers over a denominator back
+into field elements.  Over QQ the inner loops therefore multiply Python ints
+instead of normalising a Fraction per operation; over F_p they reduce
+modulo p once per dot product or combined entry instead of once per
+operation.  ``int_matmul`` and ``exact_div`` let a recurrence stay in the
+model across many steps (Faddeev, matrix Horner).
 """
 
+import math
 from fractions import Fraction
+from operator import mul
 
 from .errors import FieldMismatchError, ParseError, UnsupportedFieldError
 
@@ -71,6 +86,108 @@ class Field:
             acc = self.add(acc, v)
         return acc
 
+    # -- kernel layer; matrices are lists of rows of field elements --------
+
+    def matmul(self, a, b):
+        """The product of matrices ``a`` and ``b``."""
+        ai, da = self.lift(a)
+        bi, db = self.lift(b)
+        return self.lower(self.int_matmul(ai, bi), da * db)
+
+    def rref(self, rows):
+        """Reduced row echelon form with pivots normalised to 1; returns
+        (rows, rank, [(row, column) of each pivot]).
+
+        Fraction-free Gauss-Jordan: a row is replaced by pv*row - e*pivot_row
+        (made primitive again over QQ), and each pivot row is divided by its
+        pivot once at the end.  The RREF is unique, so the result does not
+        depend on how the rows were scaled on the way.
+        """
+        data = self._primitive_rows(rows)
+        nrows = len(data)
+        ncols = len(data[0]) if data else 0
+        pivots = []
+        r = 0
+        for c in range(ncols):
+            if r >= nrows:
+                break
+            pr = next((i for i in range(r, nrows) if data[i][c]), None)
+            if pr is None:
+                continue
+            data[pr], data[r] = data[r], data[pr]
+            prow = data[r]
+            pv = prow[c]
+            for i in range(nrows):
+                e = data[i][c]
+                if e and i != r:
+                    data[i] = self._combine(pv, data[i], e, prow)
+            pivots.append((r, c))
+            r += 1
+        out = [self.lower([data[i]], data[i][c])[0] for i, c in pivots]
+        out += [[self.zero] * ncols for _ in range(nrows - r)]
+        return out, r, pivots
+
+    def rank(self, rows):
+        """Rank by fraction-free forward elimination; each step drops the
+        pivot column and the rows that became zero."""
+        data = [row for row in self._primitive_rows(rows) if any(row)]
+        rk = 0
+        while data:
+            pr = next((i for i, row in enumerate(data) if row[0]), None)
+            if pr is None:
+                data = [row[1:] for row in data]
+                continue
+            prow = data.pop(pr)
+            pv, tail = prow[0], prow[1:]
+            rk += 1
+            rest = []
+            for row in data:
+                row = self._combine(pv, row[1:], row[0], tail) if row[0] else row[1:]
+                if any(row):
+                    rest.append(row)
+            data = rest
+        return rk
+
+    def expand(self, coeffs, q, count):
+        """The first ``count`` coefficients C_0, C_1, ... of the q-adic
+        expansion sum_t C_t(x) q(x)^t of the matrix polynomial
+        sum_k coeffs[k] x^k, i.e. the remainders of ``count`` repeated
+        divisions by the monic q.
+
+        ``coeffs`` holds at least one flat list of entries per coefficient,
+        lowest degree first; ``q`` is monic of degree d, lowest degree first.
+        Returns ``count`` lists of d flat entry lists.
+
+        With s the common denominator of q, substitute x = y/s: for M of
+        nominal degree N, M^(y) = s^N M(y/s) is integral and
+        q^(y) = s^d q(y/s) is monic and integral, and dividing M^ by q^
+        gives the same transform of the quotient (at degree N - d) and
+        s^N R(y/s) as remainder.  So the quotient stays in the integer model
+        through all divisions and only the remainders become field elements.
+        """
+        d = len(q) - 1
+        (qi,), s = self.lift([q])
+        qhat = [(j, qi[j] * s ** (d - j - 1)) for j in range(d) if qi[j]]
+        rem, den = self.lift(coeffs)
+        top = len(rem) - 1
+        if s != 1:
+            rem = [[x * sk for x in c]
+                   for c, sk in zip(rem, [s ** (top - k) for k in range(top + 1)])]
+        zero_row = [self.zero] * len(coeffs[0])
+        out = []
+        for _ in range(count):
+            quot = []
+            for k in range(top, d - 1, -1):
+                lead = rem[k]
+                quot.append(lead)
+                for j, c in qhat:
+                    rem[k - d + j] = self._sub_mul(rem[k - d + j], c, lead)
+            out.append([self.lower([rem[j]], den * s ** (top - j))[0]
+                        if j < len(rem) else zero_row for j in range(d)])
+            rem = quot[::-1]
+            top -= d
+        return out
+
 
 class Rationals(Field):
     """Arbitrary-precision reduced fractions."""
@@ -120,6 +237,44 @@ class Rationals(Field):
 
     def fmt(self, a):
         return str(a)
+
+    # -- integer model: integers over one common denominator --------------
+
+    def lift(self, rows):
+        """(integer rows, den) with rows == integer rows / den."""
+        den = math.lcm(*(x.denominator for row in rows for x in row))
+        return [[x.numerator * (den // x.denominator) for x in row]
+                for row in rows], den
+
+    def lower(self, rows, den):
+        zero = self.zero
+        return [[_ratio(x, den) if x else zero for x in row] for row in rows]
+
+    def int_matmul(self, a, b):
+        cols = list(zip(*b))
+        return [[sum(map(mul, row, col)) for col in cols] for row in a]
+
+    def exact_div(self, x, k):
+        """x/k where k divides x."""
+        return x // k
+
+    def _primitive_rows(self, rows):
+        """Each row scaled to coprime integers; row scaling changes neither
+        the RREF nor the rank."""
+        return [_primitive(self.lift([row])[0][0]) for row in rows]
+
+    def _combine(self, pv, row, e, prow):
+        g = math.gcd(pv, e)
+        pv, e = pv // g, e // g
+        return _primitive([pv * x - e * y for x, y in zip(row, prow)])
+
+    def _sub_mul(self, row, c, lead):
+        return [x - c * y for x, y in zip(row, lead)]
+
+
+def _primitive(row):
+    g = math.gcd(*row)
+    return [x // g for x in row] if g > 1 else row
 
 
 class PrimeField(Field):
@@ -175,9 +330,44 @@ class PrimeField(Field):
     def fmt(self, a):
         return str(a)
 
+    # -- integer model: residues over 1, reduced once per combined entry --
+
+    def lift(self, rows):
+        return [list(row) for row in rows], 1
+
+    def lower(self, rows, den):
+        p = self.p
+        inv = pow(den, -1, p)
+        return [[x * inv % p for x in row] for row in rows]
+
+    def int_matmul(self, a, b):
+        p = self.p
+        cols = list(zip(*b))
+        return [[sum(map(mul, row, col)) % p for col in cols] for row in a]
+
+    def exact_div(self, x, k):
+        return x * pow(k, -1, self.p) % self.p
+
+    def _primitive_rows(self, rows):
+        return [list(row) for row in rows]
+
+    def _combine(self, pv, row, e, prow):
+        p = self.p
+        return [(pv * x - e * y) % p for x, y in zip(row, prow)]
+
+    def _sub_mul(self, row, c, lead):
+        p = self.p
+        return [(x - c * y) % p for x, y in zip(row, lead)]
+
 
 class CountingField(Field):
-    """Wraps a field and counts operations; used by the complexity checks."""
+    """Wraps a field and counts operations; used by the complexity checks.
+
+    Scalar operations count one each.  Kernels delegate to the base field
+    and count the operations they stand for: a length-k dot product is k
+    mul + k add, an elimination step or a division step on a row of length
+    w is w mul + w add.
+    """
 
     def __init__(self, base):
         self.base = base
@@ -225,6 +415,43 @@ class CountingField(Field):
 
     def fmt(self, a):
         return self.base.fmt(a)
+
+    def _count(self, mul_add, inv=0):
+        self.counts["mul"] += mul_add
+        self.counts["add"] += mul_add
+        self.counts["inv"] += inv
+
+    def lift(self, rows):
+        return self.base.lift(rows)
+
+    def lower(self, rows, den):
+        return self.base.lower(rows, den)
+
+    def int_matmul(self, a, b):
+        self._count(len(a) * len(b) * (len(b[0]) if b else 0))
+        return self.base.int_matmul(a, b)
+
+    def exact_div(self, x, k):
+        self._count(1, inv=1)
+        return self.base.exact_div(x, k)
+
+    def rref(self, rows):
+        out, rk, pivots = self.base.rref(rows)
+        self._count(rk * len(rows) * (len(rows[0]) if rows else 0), inv=rk)
+        return out, rk, pivots
+
+    def rank(self, rows):
+        rk = self.base.rank(rows)
+        self._count(rk * len(rows) * (len(rows[0]) if rows else 0))
+        return rk
+
+    def expand(self, coeffs, q, count):
+        d = len(q) - 1
+        top = len(coeffs) - 1
+        for _ in range(count):
+            self._count(max(top - d + 1, 0) * d * len(coeffs[0]))
+            top -= d
+        return self.base.expand(coeffs, q, count)
 
 
 QQ = Rationals()

@@ -41,12 +41,7 @@ def taylor_blocks(b, lam, mult):
     no derivatives or factorials, so valid in any characteristic."""
     if mult < 1:
         raise ValueError("multiplicity must be >= 1")
-    out = []
-    current = b
-    for _ in range(mult):
-        current, remainder = horner_shift(current, lam)
-        out.append(remainder)
-    return out
+    return horner_shift(b, lam, mult)
 
 
 def collect_cycles(blocks, total_needed, accept, enforce_single_top=False):
@@ -62,7 +57,7 @@ def collect_cycles(blocks, total_needed, accept, enforce_single_top=False):
     total = 0
     first_pass = True
     while total < total_needed and stack.levels >= 1:
-        stack, top_idx, _ = stack.reduce()
+        stack, top_idx = stack.reduce()
         if enforce_single_top and first_pass and len(top_idx) > 1:
             # one full-length cycle already fills the characteristic space
             raise InternalConsistencyError(
@@ -96,7 +91,7 @@ def extract_cycles(a, lam, mult, blocks):
 
     def accept(segs):
         cand = accepted_vectors + segs
-        if rank(Matrix.from_columns(f, cand, rows=a.rows)) != len(cand):
+        if rank(Matrix(f, cand)) != len(cand):
             return False
         accepted_vectors.extend(segs)
         return True
@@ -133,6 +128,7 @@ def split_jordan(a, factorization, orientation="lower", chardata=None):
     structures = []
     for q, mult in factorization.factors:
         lam = a.field.neg(q.coeffs[0])
-        blocks = taylor_blocks(cd.b, lam, mult)
-        structures.append(extract_cycles(a, lam, mult, blocks))
+        with factorization.blame(q, mult):
+            blocks = taylor_blocks(cd.b, lam, mult)
+            structures.append(extract_cycles(a, lam, mult, blocks))
     return assemble_split_jordan(a, structures, orientation=orientation)

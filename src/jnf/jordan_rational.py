@@ -44,13 +44,8 @@ class RationalCycle:
 def q_adic_blocks(a, b, q_poly, mult):
     """Expand B(lambda) in increasing powers of Q by iterated euclidean
     division and validate the Q(A)-chain between the C_k."""
-    f = a.field
     qa = poly_at_matrix(q_poly, a)
-    c_blocks = []
-    current = b
-    for _ in range(mult):
-        current, remainder = matpoly_div_q(current, q_poly)
-        c_blocks.append(remainder)
+    c_blocks = matpoly_div_q(b, q_poly, mult)
     d = q_poly.degree
     for t in range(d):
         if not mat_mul(qa, c_blocks[0].coeff(t)).is_zero():
@@ -76,7 +71,7 @@ def expand_cycle(segs, a, q_poly):
             row.append(a.mul_vector(row[-1]))
         grid.append(row)
     flat = [v for row in grid for v in row]
-    if rank(Matrix.from_columns(f, flat, rows=a.rows)) != len(flat):
+    if rank(Matrix(f, flat)) != len(flat):
         raise InternalConsistencyError("expanded cycle vectors are dependent")
     return RationalCycle(factor=q_poly,
                          q_cycle=list(reversed(segs)), expanded=grid)
@@ -103,7 +98,7 @@ def extract_q_cycles(a, data):
                 row.append(a.mul_vector(row[-1]))
             grid.extend(row)
         cand = collected_expanded + grid
-        if rank(Matrix.from_columns(f, cand, rows=a.rows)) != len(cand):
+        if rank(Matrix(f, cand)) != len(cand):
             return False
         collected_expanded.extend(grid)
         return True
@@ -191,20 +186,20 @@ def _factor_cycle_groups(a, cd, factorization, form):
     """Per-factor cycle groups for the requested form."""
     factor_cycles = []
     for q_poly, mult in factorization.factors:
-        d = q_poly.degree
-        if d == 1:
-            lam = a.field.neg(q_poly.coeffs[0])
-            blocks = taylor_blocks(cd.b, lam, mult)
-            structure = extract_cycles(a, lam, mult, blocks)
-            groups = [[[v] for v in cy.chain()] for cy in structure.cycles]
-            factor_cycles.append((q_poly, groups))
-            continue
-        data = q_adic_blocks(a, cd.b, q_poly, mult)
-        cycles = extract_q_cycles(a, data)
-        if form == "rational":
-            groups = [convert_cycle_to_rational(a, q_poly, cy) for cy in cycles]
-        else:
-            groups = [_pseudo_groups(cy) for cy in cycles]
+        with factorization.blame(q_poly, mult):
+            if q_poly.degree == 1:
+                lam = a.field.neg(q_poly.coeffs[0])
+                blocks = taylor_blocks(cd.b, lam, mult)
+                structure = extract_cycles(a, lam, mult, blocks)
+                groups = [[[v] for v in cy.chain()] for cy in structure.cycles]
+            else:
+                data = q_adic_blocks(a, cd.b, q_poly, mult)
+                cycles = extract_q_cycles(a, data)
+                if form == "rational":
+                    groups = [convert_cycle_to_rational(a, q_poly, cy)
+                              for cy in cycles]
+                else:
+                    groups = [_pseudo_groups(cy) for cy in cycles]
         factor_cycles.append((q_poly, groups))
     return factor_cycles
 

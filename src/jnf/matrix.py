@@ -1,13 +1,15 @@
 """Dense exact matrices, matrix-coefficient polynomials, and the
 column-tracking reduction stack used by the cycle-collection algorithms.
 
-Column reduction is realized everywhere as row reduction of the transpose;
-there is exactly one reduction engine (``rref_with_ops``).
+Products, row reduction and the synthetic division of matrix polynomials
+are the field's bulk kernels (see ``fields``); this module only shapes the
+data for them.  Column reduction is realized everywhere as row reduction of
+the transpose by one fraction-free elimination kernel: ``rref``, or
+``rank`` where only the rank is needed.
 """
 
 from .errors import (FieldMismatchError, InternalConsistencyError,
-                     NonMonicDivisorError, SingularMatrixError)
-from .poly import Poly
+                     NonMonicDivisorError)
 
 
 class Matrix:
@@ -71,8 +73,7 @@ class Matrix:
         return [self.column(j) for j in range(self.cols)]
 
     def is_zero(self):
-        f = self.field
-        return all(f.is_zero(x) for row in self.data for x in row)
+        return not any(map(any, self.data))
 
     def _check(self, other):
         if not isinstance(other, Matrix):
@@ -107,16 +108,9 @@ class Matrix:
         return mat_mul(self, other)
 
     def mul_vector(self, v):
-        f = self.field
         if len(v) != self.cols:
             raise ValueError("shape mismatch")
-        out = []
-        for row in self.data:
-            acc = f.zero
-            for a, b in zip(row, v):
-                acc = f.add(acc, f.mul(a, b))
-            out.append(acc)
-        return out
+        return [row[0] for row in self.field.matmul(self.data, [[x] for x in v])]
 
     def transpose(self):
         return Matrix(self.field, [self.column(j) for j in range(self.cols)])
@@ -152,134 +146,28 @@ def mat_mul(a, b):
     a._check(b)
     if a.cols != b.rows:
         raise ValueError("shape mismatch")
-    f = a.field
-    bt = b.transpose().data
-    out = []
-    for ra in a.data:
-        row = []
-        for cb in bt:
-            acc = f.zero
-            for x, y in zip(ra, cb):
-                acc = f.add(acc, f.mul(x, y))
-            row.append(acc)
-        out.append(row)
-    return Matrix(f, out)
+    return Matrix(a.field, a.field.matmul(a.data, b.data))
 
 
-def rref_with_ops(m):
+def rref(m):
     """Reduced row echelon form with pivots normalized to 1.
 
     Pivot selection scans top-to-bottom for the first nonzero entry (the
     arithmetic is exact, so no magnitude pivoting).  Returns
-    (reduced, ops, rank, pivots) where ``ops`` replays the reduction:
-    ('swap', i, j), ('scale', i, c), ('addmul', i, j, c) meaning
-    row_i += c * row_j.
+    (reduced, rank, pivots) with pivots the (row, column) of each pivot.
     """
-    f = m.field
-    data = [list(row) for row in m.data]
-    rows, cols = m.rows, m.cols
-    ops = []
-    pivots = []
-    r = 0
-    for c in range(cols):
-        if r >= rows:
-            break
-        pr = None
-        for i in range(r, rows):
-            if not f.is_zero(data[i][c]):
-                pr = i
-                break
-        if pr is None:
-            continue
-        if pr != r:
-            data[pr], data[r] = data[r], data[pr]
-            ops.append(("swap", pr, r))
-        piv = data[r][c]
-        if piv != f.one:
-            inv = f.inv(piv)
-            data[r] = [f.mul(inv, x) for x in data[r]]
-            ops.append(("scale", r, inv))
-        for i in range(rows):
-            if i == r or f.is_zero(data[i][c]):
-                continue
-            factor = f.neg(data[i][c])
-            data[i] = [f.add(x, f.mul(factor, y)) for x, y in zip(data[i], data[r])]
-            ops.append(("addmul", i, r, factor))
-        pivots.append((r, c))
-        r += 1
-    return Matrix(f, data), ops, r, pivots
-
-
-def replay_ops(m, ops):
-    """Apply a recorded op list to a matrix with the same row count."""
-    f = m.field
-    data = [list(row) for row in m.data]
-    for op in ops:
-        if op[0] == "swap":
-            _, i, j = op
-            data[i], data[j] = data[j], data[i]
-        elif op[0] == "scale":
-            _, i, c = op
-            data[i] = [f.mul(c, x) for x in data[i]]
-        else:
-            _, i, j, c = op
-            data[i] = [f.add(x, f.mul(c, y)) for x, y in zip(data[i], data[j])]
-    return Matrix(f, data)
+    rows, rk, pivots = m.field.rref(m.data)
+    return Matrix(m.field, rows), rk, pivots
 
 
 def rank(m):
-    return rref_with_ops(m)[2]
-
-
-def det(m):
-    """Determinant by fraction-full Gaussian elimination."""
-    if not m.is_square:
-        raise ValueError("determinant of non-square matrix")
-    f = m.field
-    data = [list(row) for row in m.data]
-    n = m.rows
-    sign_flip = False
-    acc = f.one
-    for c in range(n):
-        pr = None
-        for i in range(c, n):
-            if not f.is_zero(data[i][c]):
-                pr = i
-                break
-        if pr is None:
-            return f.zero
-        if pr != c:
-            data[pr], data[c] = data[c], data[pr]
-            sign_flip = not sign_flip
-        piv = data[c][c]
-        acc = f.mul(acc, piv)
-        inv = f.inv(piv)
-        for i in range(c + 1, n):
-            if f.is_zero(data[i][c]):
-                continue
-            factor = f.neg(f.mul(inv, data[i][c]))
-            data[i] = [f.add(x, f.mul(factor, y)) for x, y in zip(data[i], data[c])]
-    return f.neg(acc) if sign_flip else acc
-
-
-def mat_inverse(m):
-    """Exact inverse via Gauss-Jordan on [m | I]."""
-    if not m.is_square:
-        raise ValueError("inverse of non-square matrix")
-    n = m.rows
-    aug = m.hstack(Matrix.identity(m.field, n))
-    reduced, _, _, pivots = rref_with_ops(aug)
-    # invertible iff every pivot of the augmented reduction stays in the
-    # left half (the identity half always completes the rank)
-    if [c for _, c in pivots[:n]] != list(range(n)):
-        raise SingularMatrixError("matrix is singular")
-    return Matrix(m.field, [row[n:] for row in reduced.data])
+    return m.field.rank(m.data)
 
 
 def kernel_basis(m):
     """Basis of the right null space as a list of column vectors."""
     f = m.field
-    reduced, _, _, pivots = rref_with_ops(m)
+    reduced, _, pivots = rref(m)
     pivot_cols = {c: r for r, c in pivots}
     free_cols = [c for c in range(m.cols) if c not in pivot_cols]
     basis = []
@@ -387,77 +275,40 @@ class MatPoly:
                 out[i + j] = out[i + j] + mat_mul(a, b)
         return MatPoly(self.field, out)
 
-    def shift_degree(self, k):
-        if self.is_zero:
-            return self
-        zero = Matrix.zeros(self.field, self.size, self.size)
-        return MatPoly(self.field, [zero] * k + self.coeffs)
+
+def _expand(mp, q_coeffs, count):
+    """The field's ``expand`` kernel on a MatPoly: ``count`` remainders,
+    each a list of deg(q) coefficient matrices."""
+    f = mp.field
+    n = mp.size
+    flat = [[x for row in m.data for x in row] for m in mp.coeffs]
+    rems = f.expand(flat or [[f.zero] * (n * n)], q_coeffs, count)
+    return [[Matrix(f, [r[i * n:(i + 1) * n] for i in range(n)]) for r in rem]
+            for rem in rems]
 
 
-def horner_eval(mp, a):
-    """Evaluate at a scalar by Horner: one scaling + addition per degree."""
-    if mp.is_zero:
-        raise ValueError("cannot size the value of an empty matrix polynomial")
-    acc = mp.coeffs[-1]
-    for k in range(len(mp.coeffs) - 2, -1, -1):
-        acc = acc.scale(a) + mp.coeffs[k]
-    return acc
+def horner_shift(mp, a, count):
+    """Taylor coefficients [M(a), M^1(a), ..., M^{count-1}(a)] of mp at a:
+    the remainders of ``count`` iterated synthetic divisions by (lambda - a).
 
-
-def horner_shift(mp, a):
-    """Synthetic division by (lambda - a): mp = (lambda - a)*quotient + rem.
-
-    Iterating on the quotient yields the Taylor coefficients at ``a``
-    without any factorial division, so it is valid in any characteristic.
+    No derivatives or factorials are involved, so this is valid in any
+    characteristic.
     """
     f = mp.field
-    if mp.is_zero:
-        return MatPoly.zero(f), Matrix.zeros(f, mp.size, mp.size)
-    if mp.degree == 0:
-        return MatPoly.zero(f), mp.coeffs[0]
-    quot = [None] * (len(mp.coeffs) - 1)
-    carry = mp.coeffs[-1]
-    for k in range(len(mp.coeffs) - 2, -1, -1):
-        quot[k] = carry
-        carry = mp.coeffs[k] + carry.scale(a)
-    return MatPoly(f, quot), carry
+    return [rem[0] for rem in _expand(mp, [f.neg(a), f.one], count)]
 
 
-def matpoly_reconstruct_shifts(shifts, a, field, size):
-    """Rebuild sum_k shifts[k] * (lambda - a)^k; oracle helper."""
-    lin = Poly.x_minus(field, a)
-    acc = MatPoly.zero(field)
-    power = Poly.one(field)
-    for mat in shifts:
-        acc = acc + MatPoly(field, [mat]).mul_poly(power)
-        power = power * lin
-    return acc
+def matpoly_div_q(mp, q, count):
+    """Q-adic coefficients [C_0, ..., C_{count-1}] of mp, each of degree
+    below deg(q): mp = sum_k C_k * q^k + q^count * (rest).
 
-
-def matpoly_div_q(mp, q):
-    """Divide a matrix polynomial by a monic scalar polynomial.
-
-    Returns (quotient, remainder) with mp = quotient*q + remainder and
-    deg(remainder) < deg(q); no coefficient division happens since q is
-    monic.
+    They are the remainders of ``count`` iterated divisions by the monic q;
+    no coefficient division happens since q is monic.
     """
     if q.is_zero or not q.is_monic:
         raise NonMonicDivisorError("divisor must be monic and nonzero")
     mp.field.check_same(q.field)
-    f = mp.field
-    d = q.degree
-    if mp.is_zero or mp.degree < d:
-        return MatPoly.zero(f), mp
-    size = mp.size
-    zero = Matrix.zeros(f, size, size)
-    rem = list(mp.coeffs)
-    quot = [zero] * (len(rem) - d)
-    for k in range(len(rem) - 1, d - 1, -1):
-        lead = rem[k]
-        quot[k - d] = lead
-        for j in range(d + 1):
-            rem[k - d + j] = rem[k - d + j] - lead.scale(q.coeffs[j])
-    return MatPoly(f, quot), MatPoly(f, rem[:d])
+    return [MatPoly(mp.field, rem) for rem in _expand(mp, q.coeffs, count)]
 
 
 def poly_at_matrix(p, a):
@@ -532,14 +383,13 @@ class ReducedStack:
     def reduce(self):
         """Row-reduce the chain matrix (full RREF, pivots scanned left to
         right so the top block is reduced first).  Returns (new stack,
-        indices of chains whose pivot lies in the top block, ops)."""
+        indices of chains whose pivot lies in the top block)."""
         if not self.chain_rows:
-            return self, [], []
-        m = Matrix(self.field, self.chain_rows)
-        reduced, ops, _, pivots = rref_with_ops(m)
-        new = ReducedStack(self.field, self.seg_len, self.levels, reduced.data)
+            return self, []
+        rows, _, pivots = self.field.rref(self.chain_rows)
+        new = ReducedStack(self.field, self.seg_len, self.levels, rows)
         top = [r for r, c in pivots if c < self.seg_len]
-        return new, top, ops
+        return new, top
 
     def shift_down(self, idx):
         """Move chain ``idx`` one block lower: the deepest segment drops
@@ -554,16 +404,13 @@ class ReducedStack:
         self.chain_rows[idx] = [f.zero] * n + row[:(self.levels - 1) * n]
 
     def drop_zero_chains(self):
-        f = self.field
-        self.chain_rows = [r for r in self.chain_rows
-                           if any(not f.is_zero(x) for x in r)]
+        self.chain_rows = [r for r in self.chain_rows if any(r)]
 
     def cut_top(self):
         """Remove the (all-zero) top block; the chain length shrinks by 1."""
-        f = self.field
         n = self.seg_len
         for row in self.chain_rows:
-            if any(not f.is_zero(x) for x in row[:n]):
+            if any(row[:n]):
                 raise InternalConsistencyError("cut_top with nonzero top segment")
         self.chain_rows = [row[n:] for row in self.chain_rows]
         self.levels -= 1

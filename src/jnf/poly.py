@@ -117,12 +117,6 @@ class Poly:
             acc = f.add(f.mul(acc, a), c)
         return acc
 
-    def shift_degree(self, k):
-        """Multiply by x**k."""
-        if self.is_zero:
-            return self
-        return Poly(self.field, [self.field.zero] * k + self.coeffs)
-
 
 def poly_euclid_div(a, b):
     """Euclidean division of ``a`` by a monic ``b``; no coefficient division.

@@ -3,8 +3,9 @@ import random
 import pytest
 
 from jnf.decomposition import cycle_block_matrix
+from jnf.errors import SingularMatrixError
 from jnf.fields import QQ
-from jnf.matrix import Matrix, mat_mul, mat_inverse
+from jnf.matrix import MatPoly, Matrix, mat_mul, rref
 from jnf.poly import Poly
 
 
@@ -90,6 +91,76 @@ def adjugate_oracle(a):
             cof = det_oracle(sub) if n > 1 else f.one
             out.data[j][i] = cof if (i + j) % 2 == 0 else f.neg(cof)
     return out
+
+
+def det(m):
+    """Determinant by fraction-full Gaussian elimination."""
+    if not m.is_square:
+        raise ValueError("determinant of non-square matrix")
+    f = m.field
+    data = [list(row) for row in m.data]
+    n = m.rows
+    sign_flip = False
+    acc = f.one
+    for c in range(n):
+        pr = None
+        for i in range(c, n):
+            if not f.is_zero(data[i][c]):
+                pr = i
+                break
+        if pr is None:
+            return f.zero
+        if pr != c:
+            data[pr], data[c] = data[c], data[pr]
+            sign_flip = not sign_flip
+        piv = data[c][c]
+        acc = f.mul(acc, piv)
+        inv = f.inv(piv)
+        for i in range(c + 1, n):
+            if f.is_zero(data[i][c]):
+                continue
+            factor = f.neg(f.mul(inv, data[i][c]))
+            data[i] = [f.add(x, f.mul(factor, y)) for x, y in zip(data[i], data[c])]
+    return f.neg(acc) if sign_flip else acc
+
+
+def mat_inverse(m):
+    """Exact inverse via Gauss-Jordan on [m | I]."""
+    if not m.is_square:
+        raise ValueError("inverse of non-square matrix")
+    n = m.rows
+    reduced, _, pivots = rref(m.hstack(Matrix.identity(m.field, n)))
+    # invertible iff every pivot of the augmented reduction stays in the
+    # left half (the identity half always completes the rank)
+    if [c for _, c in pivots[:n]] != list(range(n)):
+        raise SingularMatrixError("matrix is singular")
+    return Matrix(m.field, [row[n:] for row in reduced.data])
+
+
+def horner_eval(mp, a):
+    """Evaluate a matrix polynomial at a scalar by Horner."""
+    if mp.is_zero:
+        raise ValueError("cannot size the value of an empty matrix polynomial")
+    acc = mp.coeffs[-1]
+    for k in range(len(mp.coeffs) - 2, -1, -1):
+        acc = acc.scale(a) + mp.coeffs[k]
+    return acc
+
+
+def matpoly_reconstruct_shifts(shifts, a, field):
+    """Rebuild sum_k shifts[k] * (lambda - a)^k."""
+    return matpoly_reconstruct_q_adic(
+        [MatPoly(field, [m]) for m in shifts], Poly.x_minus(field, a), field)
+
+
+def matpoly_reconstruct_q_adic(c_blocks, q, field):
+    """Rebuild sum_k c_blocks[k] * q^k."""
+    acc = MatPoly.zero(field)
+    power = Poly.one(field)
+    for c in c_blocks:
+        acc = acc + c.mul_poly(power)
+        power = power * q
+    return acc
 
 
 def rand_matrix(rng, field, n, lo=-5, hi=5):

@@ -1,12 +1,12 @@
 import pytest
 
 from conftest import (adjugate_oracle, charpoly_oracle, det_oracle,
-                      make_fixture_m6, rand_matrix, rng_for)
+                      horner_eval, make_fixture_m6, rand_matrix, rng_for)
 from jnf.charpoly import (char_data, comatrix_from_charpoly, faddeev,
                           hessenberg_charpoly, hessenberg_reduce)
 from jnf.errors import InternalConsistencyError, UnsupportedFieldError
 from jnf.fields import QQ, PrimeField
-from jnf.matrix import MatPoly, Matrix, horner_eval, poly_at_matrix
+from jnf.matrix import MatPoly, Matrix, poly_at_matrix
 from jnf.poly import Poly, poly_derivative
 
 

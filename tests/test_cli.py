@@ -144,3 +144,24 @@ def test_max_n_guard(a_file, capsys, monkeypatch):
     assert "JNF_MAX_N" in capsys.readouterr().err
     monkeypatch.setenv("JNF_MAX_N", "3")
     assert main([a_file, "--form", "split"]) == EXIT_OK
+
+
+@pytest.mark.parametrize("matrix, field, hint, message", [
+    # reducible x^2 - 1: exited 5 ("cycle collection exhausted the stack")
+    ("2 2\n1 0\n0 -1\n", "q", "1 : -1 0 1\n", "rational root"),
+    # reducible x^2 - 1: returned a "rational" form built on it, exit 0
+    ("2 2\n0 1\n1 0\n", "q", "1 : -1 0 1\n", "rational root"),
+    # x^2 - 1 over F_5 passes the hint checks; cycle collection catches it
+    ("2 2\n1 0\n0 4\n", "fp:5", "1 : 4 0 1\n", "not irreducible"),
+    ("2 2\n1 0\n0 1\n", "q", "1 : 1 -2 1\n", "not squarefree"),
+    ("2 2\n1 0\n0 1\n", "q", "1 : -1 1\n1 : -1 1\n", "not coprime"),
+])
+def test_misleading_hint_rejected(tmp_path, capsys, matrix, field, hint, message):
+    path = tmp_path / "m.txt"
+    path.write_text(matrix)
+    hints = tmp_path / "hints.txt"
+    hints.write_text(hint)
+    assert main([str(path), "--field", field, "--factors", str(hints)]) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert message in err
+    assert "hinted factor '1 : " in err

@@ -1,0 +1,206 @@
+"""The field kernels (``matmul``, ``rref``, ``rank``, ``expand``) against
+per-operation oracles written here with the scalar field methods only."""
+
+import random
+
+import pytest
+
+from conftest import rng_for
+from jnf.charpoly import char_data
+from jnf.decomposition import cycle_block_matrix
+from jnf.fields import QQ, CountingField, PrimeField
+from jnf.jordan_rational import q_adic_blocks
+from jnf.matrix import MatPoly, Matrix, horner_shift
+from jnf.poly import Poly
+
+FIELDS = [QQ, PrimeField(2), PrimeField(7), PrimeField(2**61 - 1)]
+IDS = ["QQ", "GF2", "GF7", "GF(2^61-1)"]
+
+
+def oracle_matmul(f, a, b):
+    out = []
+    for row in a:
+        out_row = []
+        for j in range(len(b[0]) if b else 0):
+            acc = f.zero
+            for k, x in enumerate(row):
+                acc = f.add(acc, f.mul(x, b[k][j]))
+            out_row.append(acc)
+        out.append(out_row)
+    return out
+
+
+def oracle_rref(f, rows):
+    data = [list(r) for r in rows]
+    ncols = len(data[0]) if data else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, len(data)) if not f.is_zero(data[i][c])), None)
+        if pr is None:
+            continue
+        data[pr], data[r] = data[r], data[pr]
+        inv = f.inv(data[r][c])
+        data[r] = [f.mul(inv, x) for x in data[r]]
+        for i in range(len(data)):
+            if i != r and not f.is_zero(data[i][c]):
+                e = f.neg(data[i][c])
+                data[i] = [f.add(x, f.mul(e, y)) for x, y in zip(data[i], data[r])]
+        pivots.append((r, c))
+        r += 1
+    return data, r, pivots
+
+
+def oracle_expand(f, coeffs, q, count):
+    """Repeated synthetic division, one field operation at a time."""
+    d = len(q) - 1
+    cur = [list(c) for c in coeffs]
+    width = len(coeffs[0])
+    out = []
+    for _ in range(count):
+        quot = []
+        for k in range(len(cur) - 1, d - 1, -1):
+            lead = cur[k]
+            quot.append(lead)
+            for j in range(d):
+                cur[k - d + j] = [f.sub(x, f.mul(q[j], y))
+                                  for x, y in zip(cur[k - d + j], lead)]
+        out.append([cur[j] if j < len(cur) else [f.zero] * width for j in range(d)])
+        cur = quot[::-1]
+    return out
+
+
+def elem(rng, f, big=False):
+    """Mixed entries: zeros, small ints, and (over QQ) fractions with
+    negative and, with ``big``, 100-bit numerators."""
+    kind = rng.random()
+    if kind < 0.25:
+        return f.zero
+    if f.char or kind < 0.5:
+        return f.from_int(rng.randint(-9, 9))
+    top = 2**100 if big else 30
+    return QQ.fraction(rng.randint(-top, top), rng.randint(1, 40))
+
+
+def rand_rows(rng, f, rows, cols, big=False):
+    return [[elem(rng, f, big) for _ in range(cols)] for _ in range(rows)]
+
+
+def deficient(rng, f, rows, cols, rank):
+    """A rows x cols matrix of rank at most ``rank``."""
+    left = rand_rows(rng, f, rows, rank)
+    right = rand_rows(rng, f, rank, cols)
+    return oracle_matmul(f, left, right) if rank else [[f.zero] * cols] * rows
+
+
+def shapes(rng, f):
+    yield [[f.from_int(3)]]                       # 1 x 1
+    yield [[f.zero]]
+    yield [[f.zero] * 4 for _ in range(3)]        # zero
+    yield [[], []]                                # no columns
+    yield []                                      # no rows
+    for _ in range(12):
+        r, c = rng.randint(1, 6), rng.randint(1, 6)
+        yield rand_rows(rng, f, r, c, big=rng.random() < 0.5)
+        yield deficient(rng, f, r, c, rng.randint(0, min(r, c)))
+
+
+@pytest.mark.parametrize("f", FIELDS, ids=IDS)
+def test_matmul_matches_oracle(f):
+    rng = rng_for(f"kernel-matmul-{f.char}")
+    for a in shapes(rng, f):
+        cols = rng.randint(1, 4)
+        b = rand_rows(rng, f, len(a[0]) if a else 0, cols, big=True)
+        expect = oracle_matmul(f, a, b) if b else [[] for _ in a]
+        assert f.matmul(a, b) == expect
+
+
+@pytest.mark.parametrize("f", FIELDS, ids=IDS)
+def test_rref_and_rank_match_oracle(f):
+    rng = rng_for(f"kernel-rref-{f.char}")
+    for rows in shapes(rng, f):
+        expect = oracle_rref(f, rows)
+        assert f.rref(rows) == expect
+        assert f.rank(rows) == expect[1]
+
+
+def test_rref_large_mixed_rationals():
+    rng = rng_for("kernel-rref-big")
+    for _ in range(10):
+        rows = deficient(rng, QQ, 6, 8, 4)
+        rows = [[QQ.mul(x, QQ.fraction(-(2**80) - 1, 3)) for x in r] for r in rows]
+        assert QQ.rref(rows) == oracle_rref(QQ, rows)
+        assert QQ.rank(rows) <= 4
+
+
+@pytest.mark.parametrize("f", FIELDS, ids=IDS)
+def test_expand_matches_oracle(f):
+    rng = rng_for(f"kernel-expand-{f.char}")
+    for _ in range(10):
+        width = rng.randint(1, 5)
+        coeffs = rand_rows(rng, f, rng.randint(1, 7), width, big=True)
+        d = rng.randint(1, 3)
+        q = [elem(rng, f) for _ in range(d)] + [f.one]
+        count = rng.randint(1, 5)
+        assert f.expand(coeffs, q, count) == oracle_expand(f, coeffs, q, count)
+
+
+def test_taylor_shifts_at_non_integer_point():
+    rng = rng_for("kernel-taylor-3/2")
+    a = QQ.fraction(-3, 2)
+    for _ in range(5):
+        mp = MatPoly(QQ, [Matrix(QQ, rand_rows(rng, QQ, 3, 3, big=True))
+                          for _ in range(6)])
+        shifts = horner_shift(mp, a, 4)
+        # per-op Horner, one shift at a time
+        cur = mp.coeffs
+        for got in shifts:
+            carry = cur[-1]
+            quot = []
+            for k in range(len(cur) - 2, -1, -1):
+                quot.append(carry)
+                carry = cur[k] + carry.scale(a)
+            assert got == carry
+            cur = quot[::-1]
+
+
+@pytest.mark.parametrize("f", FIELDS, ids=IDS)
+def test_lift_lower_round_trip(f):
+    rng = rng_for(f"kernel-lift-{f.char}")
+    rows = rand_rows(rng, f, 4, 5, big=True)
+    ints, den = f.lift(rows)
+    assert all(isinstance(x, int) for row in ints for x in row)
+    assert f.lower(ints, den) == rows
+
+
+def test_prime_field_delayed_reduction_big_intermediates():
+    # with p = 2^61 - 1 every product is ~122 bits before the one reduction
+    f = PrimeField(2**61 - 1)
+    rng = random.Random(7)
+    a = [[rng.randrange(f.p) for _ in range(8)] for _ in range(8)]
+    b = [[rng.randrange(f.p) for _ in range(8)] for _ in range(8)]
+    got = f.matmul(a, b)
+    assert got == oracle_matmul(f, a, b)
+    assert all(0 <= x < f.p for row in got for x in row)
+
+
+@pytest.mark.parametrize("f", [QQ, PrimeField(101), PrimeField(5)],
+                         ids=["QQ", "GF101", "GF5"])
+def test_counting_field_counts_char_data_and_q_adic(f):
+    # GF(5) has characteristic <= n, so it takes the Hessenberg route
+    q = Poly.from_ints(f, [-2, 0, 1])
+    a = cycle_block_matrix(q, 3, "rational", "upper")
+    plain = char_data(a)
+    totals = []
+    for _ in range(2):
+        cf = CountingField(f)
+        counted = char_data(Matrix(cf, a.data))
+        assert counted.p.coeffs == plain.p.coeffs
+        assert counted.b.coeffs == plain.b.coeffs
+        charpoly_ops = cf.total
+        cf = CountingField(f)
+        b = MatPoly(cf, [Matrix(cf, m.data) for m in plain.b.coeffs])
+        q_adic_blocks(Matrix(cf, a.data), b, Poly(cf, q.coeffs), 3)
+        totals.append((charpoly_ops, cf.total))
+    assert totals[0] == totals[1]
+    assert totals[0][0] > 0 and totals[0][1] > 0
