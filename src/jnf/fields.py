@@ -13,13 +13,26 @@ otherwise).  They run on the field's integer model: ``lift`` writes a block
 of values as integers over one common denominator (rationals) or as
 residues over 1 (F_p), and ``lower`` turns integers over a denominator back
 into field elements.  Over QQ the inner loops therefore multiply Python ints
-instead of normalising a Fraction per operation; over F_p they reduce
-modulo p once per dot product or combined entry instead of once per
-operation.  ``int_matmul`` and ``exact_div`` let a recurrence stay in the
-model across many steps (Faddeev, matrix Horner).
+instead of normalising a Fraction per operation.  ``int_matmul`` and
+``exact_div`` let a recurrence stay in the model across many steps
+(Faddeev, matrix Horner).
+
+Over F_p the product packs rows: each row of the right factor becomes one
+Python int, its entries in fixed-width slots (the row evaluated at 2^w,
+Kronecker substitution), so a row of the product is one C-level sum of
+small-times-big products, read back slot by slot and reduced modulo p once
+per entry.  The slot width is the narrowest that holds the largest possible
+dot product of the actual entries; when no 64-bit slot holds it (at n = 32,
+primes above about 2^29), the product takes one dot product per entry.
+
+``expand`` is linear in the matrix coefficients, so it runs the synthetic
+division once on the identity, on rows as wide as the number of
+coefficients, and applies the resulting transition matrix to all the data
+with a single ``int_matmul``.
 """
 
 import math
+import struct
 from fractions import Fraction
 from operator import mul
 
@@ -29,6 +42,18 @@ try:  # gmpy2 rationals are drop-in compatible and much faster
     from gmpy2 import mpq as _ratio
 except ImportError:  # pragma: no cover
     _ratio = Fraction
+
+
+# Packed-row slots for the F_p product, narrowest first: struct codes of
+# unsigned integers and their sizes in bytes.
+_SLOTS = [("B", 1), ("H", 2), ("I", 4), ("Q", 8)]
+
+
+def _slot(bound):
+    """The narrowest (struct code, bytes) whose unsigned slots hold every
+    value up to ``bound``, or None when no slot is wide enough."""
+    return next(((code, size) for code, size in _SLOTS
+                 if bound < 1 << (8 * size)), None)
 
 
 def is_prime(n):
@@ -164,17 +189,20 @@ class Field:
         gives the same transform of the quotient (at degree N - d) and
         s^N R(y/s) as remainder.  So the quotient stays in the integer model
         through all divisions and only the remainders become field elements.
+
+        Every remainder entry is a fixed combination of the N + 1 entries at
+        the same position in the coefficients, so the division runs on the
+        identity (row k standing for coeffs[k]); its remainder rows form a
+        transition matrix W, and one product W * coeffs gives them all.
         """
         d = len(q) - 1
         (qi,), s = self.lift([q])
         qhat = [(j, qi[j] * s ** (d - j - 1)) for j in range(d) if qi[j]]
-        rem, den = self.lift(coeffs)
-        top = len(rem) - 1
-        if s != 1:
-            rem = [[x * sk for x in c]
-                   for c, sk in zip(rem, [s ** (top - k) for k in range(top + 1)])]
-        zero_row = [self.zero] * len(coeffs[0])
-        out = []
+        top = len(coeffs) - 1
+        rem = [[0] * (top + 1) for _ in range(top + 1)]
+        for k, row in enumerate(rem):
+            row[k] = s ** (top - k)
+        weights, dens, shape = [], [], []
         for _ in range(count):
             quot = []
             for k in range(top, d - 1, -1):
@@ -182,11 +210,18 @@ class Field:
                 quot.append(lead)
                 for j, c in qhat:
                     rem[k - d + j] = self._sub_mul(rem[k - d + j], c, lead)
-            out.append([self.lower([rem[j]], den * s ** (top - j))[0]
-                        if j < len(rem) else zero_row for j in range(d)])
+            live = min(d, len(rem))
+            weights += rem[:live]
+            dens += [s ** (top - j) for j in range(live)]
+            shape.append(live)
             rem = quot[::-1]
             top -= d
-        return out
+        data, den = self.lift(coeffs)
+        rows = iter([self.lower([row], den * sj)[0] for row, sj in
+                     zip(self.int_matmul(weights, data), dens)])
+        zero_row = [self.zero] * len(coeffs[0])
+        return [[next(rows) for _ in range(live)] + [zero_row] * (d - live)
+                for live in shape]
 
 
 class Rationals(Field):
@@ -333,17 +368,40 @@ class PrimeField(Field):
     # -- integer model: residues over 1, reduced once per combined entry --
 
     def lift(self, rows):
-        return [list(row) for row in rows], 1
+        # residues are their own integer model: the rows are shared, not
+        # copied, so callers only read what lift returns
+        return rows, 1
 
     def lower(self, rows, den):
         p = self.p
         inv = pow(den, -1, p)
         return [[x * inv % p for x in row] for row in rows]
 
+    def matmul(self, a, b):
+        # residues are their own integer model, and the product is reduced
+        return self.int_matmul(a, b)
+
     def int_matmul(self, a, b):
+        """Product of matrices of nonnegative integers (residues, possibly
+        unreduced), reduced modulo p.  With more than one column, each row
+        of ``b`` is packed into one int (Kronecker substitution), so a row
+        of the product is one sum."""
         p = self.p
-        cols = list(zip(*b))
-        return [[sum(map(mul, row, col)) % p for col in cols] for row in a]
+        width = len(b[0]) if b else 0
+        slot = None
+        if width > 1 and a:
+            # the slots hold the entries of b and every dot product
+            slot = _slot(len(b) * max(max(map(max, a)), 1) * max(map(max, b)))
+        if slot is None:
+            cols = list(zip(*b))
+            return [[sum(map(mul, row, col)) % p for col in cols] for row in a]
+        code, size = slot
+        size *= width
+        slots = struct.Struct(f"<{width}{code}")
+        packed = [int.from_bytes(slots.pack(*row), "little") for row in b]
+        return [[x % p for x in slots.unpack(sum(map(mul, row, packed))
+                                             .to_bytes(size, "little"))]
+                for row in a]
 
     def exact_div(self, x, k):
         return x * pow(k, -1, self.p) % self.p
@@ -366,7 +424,8 @@ class CountingField(Field):
     Scalar operations count one each.  Kernels delegate to the base field
     and count the operations they stand for: a length-k dot product is k
     mul + k add, an elimination step or a division step on a row of length
-    w is w mul + w add.
+    w is w mul + w add.  ``expand`` runs the generic algorithm on this
+    field, so it counts its division steps on the identity and its product.
     """
 
     def __init__(self, base):
@@ -445,13 +504,9 @@ class CountingField(Field):
         self._count(rk * len(rows) * (len(rows[0]) if rows else 0))
         return rk
 
-    def expand(self, coeffs, q, count):
-        d = len(q) - 1
-        top = len(coeffs) - 1
-        for _ in range(count):
-            self._count(max(top - d + 1, 0) * d * len(coeffs[0]))
-            top -= d
-        return self.base.expand(coeffs, q, count)
+    def _sub_mul(self, row, c, lead):
+        self._count(len(row))
+        return self.base._sub_mul(row, c, lead)
 
 
 QQ = Rationals()

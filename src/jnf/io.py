@@ -2,12 +2,41 @@
 stable-key JSON document for decompositions."""
 
 import json
+import re
 
 from .decomposition import CycleBlock, JordanDecomposition
 from .errors import ParseError
 from .fields import PrimeField, QQ
 from .matrix import Matrix
 from .poly import Poly
+
+
+# Largest bit length accepted for the numerator or the denominator of an
+# input entry.  The entries of B carry about n times the input bits, so
+# inputs anywhere near this size would not finish; rejecting them here also
+# keeps the rational-root search from factoring them.
+MAX_ENTRY_BITS = 4096
+
+# a decimal exponent, which the rational parser raises 10 to
+_EXPONENT = re.compile(r"[eE][-+]?(\d[\d_]*)\s*$")
+
+
+def _parse_entry(field, token, row, col):
+    """One matrix entry, refused when its numerator or denominator exceeds
+    MAX_ENTRY_BITS; an exponent above MAX_ENTRY_BITS is refused before 10
+    is raised to it.  Errors name the row and the column."""
+    exp = _EXPONENT.search(token)
+    if exp is None or (len(exp.group(1)) < 10
+                       and int(exp.group(1).replace("_", "")) <= MAX_ENTRY_BITS):
+        try:
+            x = field.parse(token)
+        except ParseError as exc:
+            raise ParseError(f"entry at row {row}, column {col}: {exc}") from exc
+        if (x.numerator.bit_length() <= MAX_ENTRY_BITS
+                and x.denominator.bit_length() <= MAX_ENTRY_BITS):
+            return x
+    raise ParseError(f"entry at row {row}, column {col} exceeds {MAX_ENTRY_BITS} "
+                     "bits in numerator or denominator")
 
 
 def parse_matrix(text, field):
@@ -28,11 +57,11 @@ def parse_matrix(text, field):
     if len(lines) - 1 != rows:
         raise ParseError(f"expected {rows} rows, got {len(lines) - 1}")
     data = []
-    for ln in lines[1:]:
+    for i, ln in enumerate(lines[1:], 1):
         tokens = ln.split()
         if len(tokens) != cols:
             raise ParseError(f"expected {cols} entries in row: {ln!r}")
-        data.append([field.parse(t) for t in tokens])
+        data.append([_parse_entry(field, t, i, j) for j, t in enumerate(tokens, 1)])
     return Matrix(field, data)
 
 

@@ -8,6 +8,8 @@ the transpose by one fraction-free elimination kernel: ``rref``, or
 ``rank`` where only the rank is needed.
 """
 
+from itertools import chain
+
 from .errors import (FieldMismatchError, InternalConsistencyError,
                      NonMonicDivisorError)
 
@@ -281,7 +283,7 @@ def _expand(mp, q_coeffs, count):
     each a list of deg(q) coefficient matrices."""
     f = mp.field
     n = mp.size
-    flat = [[x for row in m.data for x in row] for m in mp.coeffs]
+    flat = [list(chain.from_iterable(m.data)) for m in mp.coeffs]
     rems = f.expand(flat or [[f.zero] * (n * n)], q_coeffs, count)
     return [[Matrix(f, [r[i * n:(i + 1) * n] for i in range(n)]) for r in rem]
             for rem in rems]

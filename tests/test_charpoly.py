@@ -146,3 +146,28 @@ def test_char_data_small_char_random():
         cd = char_data(a)
         assert cd.p == charpoly_oracle(a)
         check_comatrix_identity(a, cd)
+
+
+def test_char_data_gf11_2x2_unreduced_diagonal():
+    # matrix Horner adds c_k to the diagonal unreduced, so the next product
+    # sees entries up to 2p - 2; a packed product whose slots were sized
+    # from (p - 1)^2 overflowed on 2 of 200 such inputs
+    f = PrimeField(11)
+    rng = rng_for("char-data-gf11-2x2")
+    for _ in range(200):
+        a = rand_matrix(rng, f, 2, lo=0, hi=10)
+        check_comatrix_identity(a, char_data(a))
+
+
+@pytest.mark.parametrize("field", [PrimeField(11), PrimeField(101),
+                                   PrimeField(2**61 - 1)])
+def test_methods_agree_over_prime_fields(field):
+    # p > n, so both routes apply: Faddeev against Hessenberg + matrix Horner
+    rng = rng_for(f"method-agreement-{field.char}")
+    for _ in range(10):
+        a = rand_matrix(rng, field, rng.randint(1, 8), lo=0, hi=field.char - 1)
+        cd = faddeev(a)
+        p = hessenberg_charpoly(a)
+        assert p == cd.p
+        assert comatrix_from_charpoly(a, p) == cd.b
+        check_comatrix_identity(a, cd)

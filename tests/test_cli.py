@@ -151,10 +151,14 @@ def test_max_n_guard(a_file, capsys, monkeypatch):
     ("2 2\n1 0\n0 -1\n", "q", "1 : -1 0 1\n", "rational root"),
     # reducible x^2 - 1: returned a "rational" form built on it, exit 0
     ("2 2\n0 1\n1 0\n", "q", "1 : -1 0 1\n", "rational root"),
-    # x^2 - 1 over F_5 passes the hint checks; cycle collection catches it
+    # x^2 - 1 over F_5: Rabin's test rejects it
     ("2 2\n1 0\n0 4\n", "fp:5", "1 : 4 0 1\n", "not irreducible"),
+    # x^2 - 1 over F_5: returned a "rational" form built on it, exit 0
+    ("2 2\n0 1\n1 0\n", "fp:5", "1 : 4 0 1\n", "not irreducible"),
     ("2 2\n1 0\n0 1\n", "q", "1 : 1 -2 1\n", "not squarefree"),
     ("2 2\n1 0\n0 1\n", "q", "1 : -1 1\n1 : -1 1\n", "not coprime"),
+    # over F_p, factors that pass Rabin's test must be distinct
+    ("2 2\n1 0\n0 1\n", "fp:5", "1 : 4 1\n1 : 4 1\n", "not coprime"),
 ])
 def test_misleading_hint_rejected(tmp_path, capsys, matrix, field, hint, message):
     path = tmp_path / "m.txt"
@@ -165,3 +169,11 @@ def test_misleading_hint_rejected(tmp_path, capsys, matrix, field, hint, message
     err = capsys.readouterr().err
     assert message in err
     assert "hinted factor '1 : " in err
+
+
+def test_oversized_entry_rejected_at_parse(tmp_path, capsys):
+    # 10^200000 is a 664k-bit entry; the root search used to try to factor it
+    path = tmp_path / "m.txt"
+    path.write_text("1 1\n1e200000\n")
+    assert main([str(path)]) == EXIT_PARSE
+    assert "row 1, column 1" in capsys.readouterr().err

@@ -1,11 +1,16 @@
+import itertools
+import math
+import time
+
 import pytest
 
 from conftest import IRREDUCIBLE_QUADRATICS, rng_for
 from jnf.errors import InvalidHintError, NeedsFactorizationError, ParseError
-from jnf.factor import (canonical_factor_order, factor_charpoly,
+from jnf.factor import (_ROOT_CANDIDATE_LIMIT, _is_irreducible_mod_p,
+                        canonical_factor_order, factor_charpoly,
                         format_factor_hint, parse_factor_hints)
 from jnf.fields import QQ, PrimeField
-from jnf.poly import Poly
+from jnf.poly import Poly, poly_euclid_div
 
 
 def P(*ints):
@@ -61,6 +66,64 @@ def test_needs_factorization_residual_excludes_found_roots():
     with pytest.raises(NeedsFactorizationError) as exc:
         factor_charpoly(p)
     assert exc.value.residual == P(-2, 0, 0, 1)
+
+
+def test_roots_with_large_common_denominator():
+    # prod (x - k/30): the search over y = lcm*x took 17.5 s; candidates
+    # u/v with u | c_0 and v | c_n of the primitive polynomial take ms
+    roots = [QQ.fraction(k, 30) for k in range(1, 9)]
+    p = Poly.one(QQ)
+    for r in roots:
+        p = p * Poly.x_minus(QQ, r)
+    start = time.perf_counter()
+    fc = factor_charpoly(p)
+    assert time.perf_counter() - start < 1.0
+    assert sorted(QQ.neg(q.coeffs[0]) for q, _ in fc.factors) == roots
+    assert all(q.degree == 1 and m == 1 for q, m in fc.factors)
+
+
+def test_roots_of_highly_composite_constant():
+    # (x - N)(x - 1), N = 2*3*5*...*59: 2 * 2^17 candidates, and P(1) = 0
+    # leaves the point m = 1 useless as a filter
+    n = math.prod(q for q in range(2, 60) if all(q % d for d in range(2, q)))
+    start = time.perf_counter()
+    fc = factor_charpoly(P(-n, 1) * P(-1, 1))
+    assert time.perf_counter() - start < 1.0
+    assert sorted(QQ.neg(q.coeffs[0]) for q, _ in fc.factors) == [1, n]
+
+
+def test_too_many_root_candidates_needs_hint():
+    # 17^5 19^5 23^5 x^2 + (2*3*5*7*11*13)^3: 2 * 4^6 * 6^3 candidates
+    lead = (17 * 19 * 23) ** 5
+    p = Poly(QQ, [QQ.fraction((2 * 3 * 5 * 7 * 11 * 13) ** 3, lead), QQ.zero, QQ.one])
+    assert 2 * 4**6 * 6**3 > _ROOT_CANDIDATE_LIMIT
+    with pytest.raises(NeedsFactorizationError, match="candidates"):
+        factor_charpoly(p)
+    # the residual is reported with its multiplicity, as a usable hint line
+    with pytest.raises(NeedsFactorizationError) as exc:
+        factor_charpoly(p * p * P(-1, 1))
+    assert (exc.value.residual, exc.value.multiplicity) == (p, 2)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_rabin_matches_brute_force(p):
+    f = PrimeField(p)
+    monic = {d: [Poly(f, list(c) + [1]) for c in itertools.product(range(p), repeat=d)]
+             for d in range(1, 6)}
+    for d in range(2, 6):
+        for q in monic[d]:
+            reducible = any(not poly_euclid_div(q, r)[1].coeffs
+                            for k in range(1, d // 2 + 1) for r in monic[k])
+            assert _is_irreducible_mod_p(q) == (not reducible), q
+
+
+def test_prime_field_hint_must_be_irreducible():
+    f5 = PrimeField(5)
+    q = Poly.from_ints(f5, [2, 0, 1])              # x^2 + 2: irreducible mod 5
+    assert factor_charpoly(q, hint=[(q, 1)]).irreducibility == "asserted"
+    r = Poly.from_ints(f5, [1, 0, 0, 0, 1])        # x^4 + 1 = (x^2 + 2)(x^2 + 3)
+    with pytest.raises(InvalidHintError, match="not irreducible"):
+        factor_charpoly(r, hint=[(r, 1)])
 
 
 def test_hint_validated_by_multiply_back():

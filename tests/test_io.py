@@ -5,8 +5,8 @@ from jnf.charpoly import char_data
 from jnf.errors import ParseError
 from jnf.factor import factor_charpoly
 from jnf.fields import QQ, PrimeField
-from jnf.io import (emit_json, field_from_tag, field_tag, format_matrix,
-                    parse_json, parse_matrix)
+from jnf.io import (MAX_ENTRY_BITS, emit_json, field_from_tag, field_tag,
+                    format_matrix, parse_json, parse_matrix)
 from jnf.jordan_rational import rational_jordan
 from jnf.matrix import Matrix
 
@@ -34,6 +34,32 @@ def test_parse_matrix_errors():
         parse_matrix("1 2\n1\n", QQ)             # short row
     with pytest.raises(ParseError):
         parse_matrix("0 0\n", QQ)
+
+
+@pytest.mark.parametrize("token", [
+    str(2**MAX_ENTRY_BITS),                  # numerator one bit too long
+    f"1/{2**MAX_ENTRY_BITS}",                # denominator one bit too long
+    "1e200000", "-3.5e-200000",              # refused before 10^200000 is built
+    f"1e{MAX_ENTRY_BITS + 1}",
+])
+def test_parse_matrix_caps_entry_size(token):
+    with pytest.raises(ParseError, match="row 2, column 1"):
+        parse_matrix(f"2 2\n1 2\n{token} 4\n", QQ)
+
+
+@pytest.mark.parametrize("token", ["1e_", "1e_5", "1e5_", "1/0", "x"])
+def test_parse_matrix_names_bad_literal(token):
+    for field in (QQ, PrimeField(7)):
+        with pytest.raises(ParseError, match="row 2, column 1: bad"):
+            parse_matrix(f"2 2\n1 2\n{token} 4\n", field)
+
+
+def test_parse_matrix_accepts_entries_at_the_cap():
+    top = 2**MAX_ENTRY_BITS - 1
+    m = parse_matrix(f"1 2\n{top} -1/{top}\n", QQ)
+    assert m.data[0] == [QQ.from_int(top), QQ.fraction(-1, top)]
+    # over F_p the cap applies to the residue, not to the written integer
+    assert parse_matrix(f"1 1\n{2**MAX_ENTRY_BITS}\n", PrimeField(7)).data == [[2]]
 
 
 def test_format_parse_roundtrip():

@@ -8,13 +8,15 @@ import pytest
 from conftest import rng_for
 from jnf.charpoly import char_data
 from jnf.decomposition import cycle_block_matrix
-from jnf.fields import QQ, CountingField, PrimeField
+from jnf.fields import QQ, CountingField, PrimeField, _slot, is_prime
 from jnf.jordan_rational import q_adic_blocks
 from jnf.matrix import MatPoly, Matrix, horner_shift
 from jnf.poly import Poly
 
-FIELDS = [QQ, PrimeField(2), PrimeField(7), PrimeField(2**61 - 1)]
-IDS = ["QQ", "GF2", "GF7", "GF(2^61-1)"]
+# 2^31 - 1 puts the packed product's dot bound on both sides of 64 bits
+FIELDS = [QQ, PrimeField(2), PrimeField(7), PrimeField(2**31 - 1),
+          PrimeField(2**61 - 1)]
+IDS = ["QQ", "GF2", "GF7", "GF(2^31-1)", "GF(2^61-1)"]
 
 
 def oracle_matmul(f, a, b):
@@ -143,6 +145,14 @@ def test_expand_matches_oracle(f):
         q = [elem(rng, f) for _ in range(d)] + [f.one]
         count = rng.randint(1, 5)
         assert f.expand(coeffs, q, count) == oracle_expand(f, coeffs, q, count)
+    # top < d - 1: fewer coefficients than the divisor's degree, from the
+    # start (one or two of them) or after one division (five of them)
+    q = [f.from_int(2), f.zero, f.from_int(-1), f.one]
+    if f == QQ:
+        q[0] = QQ.fraction(2, 3)
+    for ncoeffs in (1, 2, 5):
+        coeffs = rand_rows(rng, f, ncoeffs, 3, big=True)
+        assert f.expand(coeffs, q, 3) == oracle_expand(f, coeffs, q, 3)
 
 
 def test_taylor_shifts_at_non_integer_point():
@@ -182,6 +192,67 @@ def test_prime_field_delayed_reduction_big_intermediates():
     got = f.matmul(a, b)
     assert got == oracle_matmul(f, a, b)
     assert all(0 <= x < f.p for row in got for x in row)
+
+
+def next_prime(n):
+    while not is_prime(n):
+        n += 1
+    return n
+
+
+# (slot bits, k, max a, max b): the dot bound k * max a * max b is 2^bits - 1
+# (the widest value a slot of that width holds) or 2^bits (one too many)
+BOUNDARIES = [
+    (8, 3, 5, 17), (8, 4, 8, 8),
+    (16, 3, 5, 17 * 257), (16, 4, 2**7, 2**7),
+    (32, 15, 17 * 257, 65537), (32, 4, 2**15, 2**15),
+    (64, 15, 17 * 257 * 641, 65537 * 6700417), (64, 16, 2**30, 2**30),
+]
+
+
+@pytest.mark.parametrize("bits, k, hi_a, hi_b", BOUNDARIES)
+def test_prime_matmul_at_slot_boundaries(bits, k, hi_a, hi_b):
+    bound = k * hi_a * hi_b
+    slot = _slot(bound)
+    if bound < 2**bits:
+        assert slot[1] * 8 == bits
+    else:
+        assert slot is None if bits == 64 else slot[1] * 8 == 2 * bits
+    f = PrimeField(next_prime(hi_b + 1))
+    rng = rng_for(f"kernel-slots-{bits}-{bound}")
+    # row 0 of a and column 0 of b reach the bound exactly
+    a = [[hi_a] * k] + [[rng.randint(0, hi_a) for _ in range(k)] for _ in range(2)]
+    b = [[hi_b] + [rng.randint(0, hi_b) for _ in range(3)] for _ in range(k)]
+    assert f.int_matmul(a, b) == oracle_matmul(f, a, b)
+
+
+@pytest.mark.parametrize("p", [2, 11, 251, 65521, 2**31 - 1, 2**61 - 1])
+def test_prime_matmul_unreduced_inputs(p):
+    # entries up to 2p - 2, as matrix Horner's diagonal produces them
+    f = PrimeField(p)
+    rng = rng_for(f"kernel-unreduced-{p}")
+    for _ in range(10):
+        k, w = rng.randint(1, 8), rng.randint(2, 8)
+        a = [[rng.randint(0, 2 * p - 2) for _ in range(k)] for _ in range(rng.randint(1, 5))]
+        b = [[rng.randint(0, 2 * p - 2) for _ in range(w)] for _ in range(k)]
+        b[0][0] = 2 * p - 2
+        reduced = [[x % p for x in row] for row in b]
+        got = f.int_matmul(a, b)
+        assert got == oracle_matmul(f, [[x % p for x in row] for row in a], reduced)
+        assert all(0 <= x < p for row in got for x in row)
+
+
+@pytest.mark.parametrize("p", [7, 2**61 - 1])
+def test_prime_matmul_narrow_shapes(p):
+    f = PrimeField(p)
+    rng = rng_for(f"kernel-narrow-{p}")
+    a = rand_rows(rng, f, 4, 5)
+    v = [elem(rng, f) for _ in range(5)]
+    got = Matrix(f, a).mul_vector(v)
+    assert got == [row[0] for row in oracle_matmul(f, a, [[x] for x in v])]
+    assert f.int_matmul(a, [[] for _ in range(5)]) == [[] for _ in range(4)]
+    assert f.int_matmul([[], []], []) == [[], []]
+    assert f.int_matmul([], rand_rows(rng, f, 3, 2)) == []
 
 
 @pytest.mark.parametrize("f", [QQ, PrimeField(101), PrimeField(5)],
