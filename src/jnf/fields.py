@@ -8,14 +8,15 @@ makes loops over them considerably cheaper.
 Kernel layer.  Everything matrix-sized goes through a few bulk methods:
 ``matmul``, row reduction (``rref`` and ``rank``, fraction-free) and
 ``expand``, the repeated synthetic division of a whole matrix polynomial by
-a monic polynomial (Taylor shifts when it is linear, Q-adic expansion
+monic polynomials (Taylor shifts when they are linear, Q-adic expansion
 otherwise).  They run on the field's integer model: ``lift`` writes a block
 of values as integers over one common denominator (rationals) or as
 residues over 1 (F_p), and ``lower`` turns integers over a denominator back
 into field elements.  Over QQ the inner loops therefore multiply Python ints
-instead of normalising a Fraction per operation.  ``int_matmul`` and
-``exact_div`` let a recurrence stay in the model across many steps
-(Faddeev, matrix Horner).
+instead of normalising a Fraction per operation.  ``int_matmul``,
+``int_rref`` and ``exact_div`` let a computation stay in the model across
+many steps (Faddeev, matrix Horner, the stacked reductions of cycle
+collection).
 
 Over F_p the product packs rows: each row of the right factor becomes one
 Python int, its entries in fixed-width slots (the row evaluated at 2^w,
@@ -26,9 +27,11 @@ dot product of the actual entries; when no 64-bit slot holds it (at n = 32,
 primes above about 2^29), the product takes one dot product per entry.
 
 ``expand`` is linear in the matrix coefficients, so it runs the synthetic
-division once on the identity, on rows as wide as the number of
-coefficients, and applies the resulting transition matrix to all the data
-with a single ``int_matmul``.
+division on the identity, on rows as wide as the number of coefficients,
+once per divisor, stacks the resulting transition matrices and applies them
+to all the data with a single ``int_matmul``: one call expands a matrix
+polynomial at every linear factor of a characteristic polynomial, lifting
+its coefficients once.
 """
 
 import math
@@ -119,14 +122,16 @@ class Field:
         bi, db = self.lift(b)
         return self.lower(self.int_matmul(ai, bi), da * db)
 
-    def rref(self, rows):
-        """Reduced row echelon form with pivots normalised to 1; returns
-        (rows, rank, [(row, column) of each pivot]).
+    def int_rref(self, rows):
+        """Fraction-free Gauss-Jordan on rows of the integer model; returns
+        (rows, [(row, column) of each pivot]).  Each pivot row divided by
+        its pivot value is a row of the reduced row echelon form; the rows
+        after the last pivot are zero.
 
-        Fraction-free Gauss-Jordan: a row is replaced by pv*row - e*pivot_row
-        (made primitive again over QQ), and each pivot row is divided by its
-        pivot once at the end.  The RREF is unique, so the result does not
-        depend on how the rows were scaled on the way.
+        A row is replaced by pv*row - e*pivot_row (made primitive again over
+        QQ).  The RREF is unique, so the result does not depend on how the
+        rows were scaled, on the way or on entry: a row stands for every
+        nonzero multiple of itself, and its denominator plays no part.
         """
         data = self._primitive_rows(rows)
         nrows = len(data)
@@ -148,14 +153,22 @@ class Field:
                     data[i] = self._combine(pv, data[i], e, prow)
             pivots.append((r, c))
             r += 1
+        return data, pivots
+
+    def rref(self, rows):
+        """Reduced row echelon form with pivots normalised to 1; returns
+        (rows, rank, [(row, column) of each pivot]): ``int_rref`` on the
+        lifted rows, each pivot row divided by its pivot once at the end."""
+        data, pivots = self.int_rref(self.lift(rows)[0])
+        ncols = len(rows[0]) if rows else 0
         out = [self.lower([data[i]], data[i][c])[0] for i, c in pivots]
-        out += [[self.zero] * ncols for _ in range(nrows - r)]
-        return out, r, pivots
+        out += [[self.zero] * ncols for _ in range(len(rows) - len(pivots))]
+        return out, len(pivots), pivots
 
     def rank(self, rows):
         """Rank by fraction-free forward elimination; each step drops the
         pivot column and the rows that became zero."""
-        data = [row for row in self._primitive_rows(rows) if any(row)]
+        data = [row for row in self._primitive_rows(self.lift(rows)[0]) if any(row)]
         rk = 0
         while data:
             pr = next((i for i, row in enumerate(data) if row[0]), None)
@@ -173,15 +186,15 @@ class Field:
             data = rest
         return rk
 
-    def expand(self, coeffs, q, count):
-        """The first ``count`` coefficients C_0, C_1, ... of the q-adic
-        expansion sum_t C_t(x) q(x)^t of the matrix polynomial
-        sum_k coeffs[k] x^k, i.e. the remainders of ``count`` repeated
-        divisions by the monic q.
+    def expand(self, coeffs, divisors):
+        """For each ``(q, count)`` in ``divisors``, the first ``count``
+        coefficients C_0, C_1, ... of the q-adic expansion
+        sum_t C_t(x) q(x)^t of the matrix polynomial sum_k coeffs[k] x^k,
+        i.e. the remainders of ``count`` repeated divisions by the monic q.
 
         ``coeffs`` holds at least one flat list of entries per coefficient,
-        lowest degree first; ``q`` is monic of degree d, lowest degree first.
-        Returns ``count`` lists of d flat entry lists.
+        lowest degree first; each q is monic of degree d, lowest degree
+        first.  Returns, per divisor, ``count`` lists of d flat entry lists.
 
         With s the common denominator of q, substitute x = y/s: for M of
         nominal degree N, M^(y) = s^N M(y/s) is integral and
@@ -191,18 +204,51 @@ class Field:
         through all divisions and only the remainders become field elements.
 
         Every remainder entry is a fixed combination of the N + 1 entries at
-        the same position in the coefficients, so the division runs on the
-        identity (row k standing for coeffs[k]); its remainder rows form a
-        transition matrix W, and one product W * coeffs gives them all.
+        the same position in the coefficients, so each division runs on the
+        identity (row k standing for coeffs[k]).  The remainder rows of all
+        divisors stack into one transition matrix W, each row with its own
+        denominator, so divisors with different s share it; the
+        coefficients are lifted once and one product W * coeffs gives every
+        remainder.
         """
+        top = len(coeffs) - 1
+        weights, dens, shapes = [], [], []
+        for q, count in divisors:
+            q_rows, q_dens, live = self._division_rows(q, count, top)
+            weights += q_rows
+            dens += q_dens
+            shapes.append((len(q) - 1, live))
+        width = len(coeffs[0])
+        data, den = self.lift(coeffs)
+        # only the integer model is used from here on; a list the caller
+        # built for this call is freed here (over QQ, where lift copies)
+        del coeffs
+        product = self.int_matmul(weights, data)
+        del data
+
+        def lowered():
+            # each product row is dropped as soon as it is lowered
+            for i, sj in enumerate(dens):
+                row, product[i] = product[i], None
+                yield self.lower([row], den * sj)[0]
+
+        rows = lowered()
+        zero_row = [self.zero] * width
+        return [[[next(rows) for _ in range(k)] + [zero_row] * (d - k)
+                 for k in live] for d, live in shapes]
+
+    def _division_rows(self, q, count, top):
+        """``count`` divisions by q run on the identity of size top + 1 in
+        the x = y/s transform.  Returns (remainder rows, their denominators
+        s^(top - j), how many rows each division left): fewer than deg q
+        once the quotient runs short, the missing rows being zero."""
         d = len(q) - 1
         (qi,), s = self.lift([q])
         qhat = [(j, qi[j] * s ** (d - j - 1)) for j in range(d) if qi[j]]
-        top = len(coeffs) - 1
         rem = [[0] * (top + 1) for _ in range(top + 1)]
         for k, row in enumerate(rem):
             row[k] = s ** (top - k)
-        weights, dens, shape = [], [], []
+        weights, dens, live = [], [], []
         for _ in range(count):
             quot = []
             for k in range(top, d - 1, -1):
@@ -210,18 +256,13 @@ class Field:
                 quot.append(lead)
                 for j, c in qhat:
                     rem[k - d + j] = self._sub_mul(rem[k - d + j], c, lead)
-            live = min(d, len(rem))
-            weights += rem[:live]
-            dens += [s ** (top - j) for j in range(live)]
-            shape.append(live)
+            n_live = min(d, len(rem))
+            weights += rem[:n_live]
+            dens += [s ** (top - j) for j in range(n_live)]
+            live.append(n_live)
             rem = quot[::-1]
             top -= d
-        data, den = self.lift(coeffs)
-        rows = iter([self.lower([row], den * sj)[0] for row, sj in
-                     zip(self.int_matmul(weights, data), dens)])
-        zero_row = [self.zero] * len(coeffs[0])
-        return [[next(rows) for _ in range(live)] + [zero_row] * (d - live)
-                for live in shape]
+        return weights, dens, live
 
 
 class Rationals(Field):
@@ -294,9 +335,9 @@ class Rationals(Field):
         return x // k
 
     def _primitive_rows(self, rows):
-        """Each row scaled to coprime integers; row scaling changes neither
-        the RREF nor the rank."""
-        return [_primitive(self.lift([row])[0][0]) for row in rows]
+        """Each integer row scaled to coprime integers; row scaling changes
+        neither the RREF nor the rank."""
+        return [_primitive(row) for row in rows]
 
     def _combine(self, pv, row, e, prow):
         g = math.gcd(pv, e)
@@ -407,7 +448,8 @@ class PrimeField(Field):
         return x * pow(k, -1, self.p) % self.p
 
     def _primitive_rows(self, rows):
-        return [list(row) for row in rows]
+        # the kernels replace rows and never write into one
+        return list(rows)
 
     def _combine(self, pv, row, e, prow):
         p = self.p
@@ -494,10 +536,11 @@ class CountingField(Field):
         self._count(1, inv=1)
         return self.base.exact_div(x, k)
 
-    def rref(self, rows):
-        out, rk, pivots = self.base.rref(rows)
+    def int_rref(self, rows):
+        out, pivots = self.base.int_rref(rows)
+        rk = len(pivots)
         self._count(rk * len(rows) * (len(rows[0]) if rows else 0), inv=rk)
-        return out, rk, pivots
+        return out, pivots
 
     def rank(self, rows):
         rk = self.base.rank(rows)

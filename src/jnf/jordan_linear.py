@@ -39,9 +39,19 @@ class EigenStructure:
 def taylor_blocks(b, lam, mult):
     """[B(lam), B^1(lam), ..., B^{mult-1}(lam)] by iterated Horner shifts;
     no derivatives or factorials, so valid in any characteristic."""
-    if mult < 1:
-        raise ValueError("multiplicity must be >= 1")
-    return horner_shift(b, lam, mult)
+    return horner_shift(b, [(lam, mult)])[0]
+
+
+def linear_taylor_blocks(b, factors):
+    """Taylor blocks of B at the root of every linear factor in
+    ``factors`` [(q, mult), ...], in their order, from one expansion of B:
+    {q's index: (eigenvalue, blocks)}."""
+    f = b.field
+    linear = [(i, f.neg(q.coeffs[0]), mult)
+              for i, (q, mult) in enumerate(factors) if q.degree == 1]
+    expansions = horner_shift(b, [(lam, mult) for _, lam, mult in linear])
+    return {i: (lam, blocks)
+            for (i, lam, _), blocks in zip(linear, expansions)}
 
 
 def collect_cycles(blocks, total_needed, accept, enforce_single_top=False):
@@ -125,10 +135,10 @@ def split_jordan(a, factorization, orientation="lower", chardata=None):
                 "split Jordan form needs a fully split characteristic polynomial; "
                 f"stuck on a degree-{q.degree} factor",
                 residual=q)
+    taylor = linear_taylor_blocks(cd.b, factorization.factors)
     structures = []
-    for q, mult in factorization.factors:
-        lam = a.field.neg(q.coeffs[0])
+    for i, (q, mult) in enumerate(factorization.factors):
+        lam, blocks = taylor.pop(i)
         with factorization.blame(q, mult):
-            blocks = taylor_blocks(cd.b, lam, mult)
             structures.append(extract_cycles(a, lam, mult, blocks))
     return assemble_split_jordan(a, structures, orientation=orientation)

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from .charpoly import char_data
 from .decomposition import assemble, cycle_block_matrix
 from .errors import InternalConsistencyError, InvalidHintError
-from .jordan_linear import collect_cycles, extract_cycles, taylor_blocks
-from .matrix import Matrix, mat_mul, matpoly_div_q, poly_at_matrix, rank
+from .jordan_linear import collect_cycles, extract_cycles, linear_taylor_blocks
+from .matrix import Matrix, matpoly_div_q, poly_at_matrix, rank
 from .poly import binomial
 
 
@@ -47,29 +47,45 @@ def q_adic_blocks(a, b, q_poly, mult):
     qa = poly_at_matrix(q_poly, a)
     c_blocks = matpoly_div_q(b, q_poly, mult)
     d = q_poly.degree
+    n = a.rows
+    # Q(A) times every C_k coefficient at once: they sit side by side, the
+    # one for C_k's lambda^t at column offset (k*d + t)*n
+    coeffs = [c.coeff(t).data for c in c_blocks for t in range(d)]
+    product = a.field.matmul(
+        qa.data, [[x for m in coeffs for x in m[i]] for i in range(n)])
+
+    def image(k, t):
+        j = (k * d + t) * n
+        return [row[j:j + n] for row in product]
+
     for t in range(d):
-        if not mat_mul(qa, c_blocks[0].coeff(t)).is_zero():
+        if any(map(any, image(0, t))):
             raise InternalConsistencyError("Q(A)*C_0 != 0; bad factorization input")
     for k in range(mult - 1):
         for t in range(d):
-            if mat_mul(qa, c_blocks[k + 1].coeff(t)) != c_blocks[k].coeff(t):
+            if image(k + 1, t) != coeffs[k * d + t]:
                 raise InternalConsistencyError("C_k != Q(A)*C_{k+1}")
     return QAdicData(factor=q_poly, multiplicity=mult, degree=d,
                      c_blocks=c_blocks, qa=qa)
 
 
-def expand_cycle(segs, a, q_poly):
-    """Grid of A^i-images of a Q(A)-cycle given end-vector first; the
-    irreducibility of Q guarantees (and the rank check enforces) that the
-    k*d expanded vectors are independent."""
+def _power_grid(f, a_t, vectors, d):
+    """[[w, A*w, ..., A^{d-1}*w] for w in vectors], given the rows of A's
+    transpose: each power of A takes one product for all the vectors."""
+    powers = [vectors]
+    for _ in range(d - 1):
+        powers.append(f.matmul(powers[-1], a_t))
+    return [list(images) for images in zip(*powers)]
+
+
+def expand_cycle(segs, a, q_poly, grid=None):
+    """Grid of A^i-images of a Q(A)-cycle given end-vector first (built
+    here unless ``grid`` already holds it); the irreducibility of Q
+    guarantees (and the rank check enforces) that the k*d expanded vectors
+    are independent."""
     f = a.field
-    d = q_poly.degree
-    grid = []
-    for w in segs:
-        row = [w]
-        for _ in range(d - 1):
-            row.append(a.mul_vector(row[-1]))
-        grid.append(row)
+    if grid is None:
+        grid = _power_grid(f, a.transpose().data, segs, q_poly.degree)
     flat = [v for row in grid for v in row]
     if rank(Matrix(f, flat)) != len(flat):
         raise InternalConsistencyError("expanded cycle vectors are dependent")
@@ -81,6 +97,7 @@ def extract_q_cycles(a, data):
     """Collect Q(A)-Jordan cycles from the C_k candidate columns."""
     f = a.field
     d = data.degree
+    a_t = a.transpose().data
     stack_blocks = []
     for c_k in data.c_blocks:
         block = c_k.coeff(0)
@@ -88,25 +105,21 @@ def extract_q_cycles(a, data):
             block = block.hstack(c_k.coeff(t))
         stack_blocks.append(block)
     collected_expanded = []
-    cycles = []
+    grids = []           # the grid of each accepted chain, in order
 
     def accept(segs):
-        grid = []
-        for w in segs:
-            row = [w]
-            for _ in range(d - 1):
-                row.append(a.mul_vector(row[-1]))
-            grid.extend(row)
-        cand = collected_expanded + grid
+        grid = _power_grid(f, a_t, segs, d)
+        flat = [v for row in grid for v in row]
+        cand = collected_expanded + flat
         if rank(Matrix(f, cand)) != len(cand):
             return False
-        collected_expanded.extend(grid)
+        collected_expanded.extend(flat)
+        grids.append(grid)
         return True
 
     chains = collect_cycles(stack_blocks, data.multiplicity, accept)
-    for segs in chains:
-        cycles.append(expand_cycle(segs, a, data.factor))
-    return cycles
+    return [expand_cycle(segs, a, data.factor, grid)
+            for segs, grid in zip(chains, grids)]
 
 
 def _pseudo_groups(cycle):
@@ -184,12 +197,16 @@ def convert_cycle_to_rational(a, q_poly, cycle):
 
 def _factor_cycle_groups(a, cd, factorization, form):
     """Per-factor cycle groups for the requested form."""
+    taylor = None
     factor_cycles = []
-    for q_poly, mult in factorization.factors:
+    for i, (q_poly, mult) in enumerate(factorization.factors):
+        if q_poly.degree == 1 and taylor is None:
+            # one expansion for every linear factor; the factors come in
+            # decreasing degree, so the Q-adic data is no longer held
+            taylor = linear_taylor_blocks(cd.b, factorization.factors)
         with factorization.blame(q_poly, mult):
             if q_poly.degree == 1:
-                lam = a.field.neg(q_poly.coeffs[0])
-                blocks = taylor_blocks(cd.b, lam, mult)
+                lam, blocks = taylor.pop(i)
                 structure = extract_cycles(a, lam, mult, blocks)
                 groups = [[[v] for v in cy.chain()] for cy in structure.cycles]
             else:

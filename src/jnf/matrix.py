@@ -27,6 +27,15 @@ class Matrix:
                 raise ValueError("ragged rows")
 
     @classmethod
+    def _own(cls, field, rows):
+        """A matrix that takes ``rows`` (fresh, equal-length lists) as its
+        data without copying them."""
+        m = cls.__new__(cls)
+        m.field, m.data = field, rows
+        m.rows, m.cols = len(rows), len(rows[0]) if rows else 0
+        return m
+
+    @classmethod
     def from_ints(cls, field, rows):
         return cls(field, [[field.from_int(x) for x in row] for row in rows])
 
@@ -278,26 +287,32 @@ class MatPoly:
         return MatPoly(self.field, out)
 
 
-def _expand(mp, q_coeffs, count):
-    """The field's ``expand`` kernel on a MatPoly: ``count`` remainders,
-    each a list of deg(q) coefficient matrices."""
+def _expand(mp, divisors):
+    """The field's ``expand`` kernel on a MatPoly: per (q coefficients,
+    count) divisor, ``count`` remainders, each a list of deg(q)
+    coefficient matrices."""
     f = mp.field
     n = mp.size
-    flat = [list(chain.from_iterable(m.data)) for m in mp.coeffs]
-    rems = f.expand(flat or [[f.zero] * (n * n)], q_coeffs, count)
-    return [[Matrix(f, [r[i * n:(i + 1) * n] for i in range(n)]) for r in rem]
-            for rem in rems]
+    # the flattened copy is passed without a name, so expand can drop it
+    rems = f.expand([list(chain.from_iterable(m.data)) for m in mp.coeffs]
+                    or [[f.zero] * (n * n)], divisors)
+    return [[[Matrix._own(f, [r[i * n:(i + 1) * n] for i in range(n)])
+              for r in rem] for rem in per_divisor] for per_divisor in rems]
 
 
-def horner_shift(mp, a, count):
-    """Taylor coefficients [M(a), M^1(a), ..., M^{count-1}(a)] of mp at a:
-    the remainders of ``count`` iterated synthetic divisions by (lambda - a).
+def horner_shift(mp, points):
+    """Taylor coefficients at several points in one expansion: for each
+    (a, count) in ``points``, [M(a), M^1(a), ..., M^{count-1}(a)], the
+    remainders of ``count`` iterated synthetic divisions by (lambda - a).
 
     No derivatives or factorials are involved, so this is valid in any
     characteristic.
     """
     f = mp.field
-    return [rem[0] for rem in _expand(mp, [f.neg(a), f.one], count)]
+    if any(count < 1 for _, count in points):
+        raise ValueError("multiplicity must be >= 1")
+    divisors = [([f.neg(a), f.one], count) for a, count in points]
+    return [[rem[0] for rem in rems] for rems in _expand(mp, divisors)]
 
 
 def matpoly_div_q(mp, q, count):
@@ -310,7 +325,8 @@ def matpoly_div_q(mp, q, count):
     if q.is_zero or not q.is_monic:
         raise NonMonicDivisorError("divisor must be monic and nonzero")
     mp.field.check_same(q.field)
-    return [MatPoly(mp.field, rem) for rem in _expand(mp, q.coeffs, count)]
+    rems, = _expand(mp, [(q.coeffs, count)])
+    return [MatPoly(mp.field, rem) for rem in rems]
 
 
 def poly_at_matrix(p, a):
@@ -327,18 +343,26 @@ def poly_at_matrix(p, a):
 class ReducedStack:
     """Blocks stacked one under another, columns aligned.
 
-    Internally each column chain is one row of ``chain_matrix`` (the
+    Internally each column chain is one row of the chain matrix (the
     transpose of the stacked picture): row j = (s_0 | s_1 | ... | s_{L-1})
     where s_t is the chain's segment in block t, block 0 on top.  Every
     elementary operation acts on whole rows, so it hits all blocks at once,
     which is what preserves the inter-block chain relations.
+
+    Rows stay in the field's integer model: ``chain_rows[j]`` is a row of
+    integers and ``dens[j]`` its denominator; after ``reduce`` a row's
+    denominator is its pivot value.  Reduction, shifts, cuts and dropping
+    zero chains act on the integers (none of them depends on a row's
+    scale), and a row becomes field elements only when it is read through
+    ``chain_segments`` or ``blocks``.
     """
 
-    def __init__(self, field, seg_len, levels, chain_rows):
+    def __init__(self, field, seg_len, levels, chain_rows, dens):
         self.field = field
         self.seg_len = seg_len
         self.levels = levels
-        self.chain_rows = [list(r) for r in chain_rows]
+        self.chain_rows = list(chain_rows)
+        self.dens = list(dens)
         for r in self.chain_rows:
             if len(r) != seg_len * levels:
                 raise ValueError("bad chain row length")
@@ -361,24 +385,29 @@ class ReducedStack:
             for b in blocks:
                 row.extend(b.column(j))
             rows.append(row)
-        return cls(field, seg_len, len(blocks), rows)
+        ints, den = field.lift(rows)
+        return cls(field, seg_len, len(blocks), ints, [den] * len(ints))
 
     @property
     def num_chains(self):
         return len(self.chain_rows)
 
+    def _lowered(self, idx):
+        return self.field.lower([self.chain_rows[idx]], self.dens[idx])[0]
+
     def chain_segments(self, idx):
         """Segments [s_0, ..., s_{L-1}] of one chain."""
         n = self.seg_len
-        row = self.chain_rows[idx]
+        row = self._lowered(idx)
         return [row[t * n:(t + 1) * n] for t in range(self.levels)]
 
     def blocks(self):
         """The stacked-matrix view: list of L matrices, block 0 first."""
         n = self.seg_len
+        rows = [self._lowered(idx) for idx in range(self.num_chains)]
         out = []
         for t in range(self.levels):
-            cols = [row[t * n:(t + 1) * n] for row in self.chain_rows]
+            cols = [row[t * n:(t + 1) * n] for row in rows]
             out.append(Matrix.from_columns(self.field, cols, rows=n))
         return out
 
@@ -388,8 +417,9 @@ class ReducedStack:
         indices of chains whose pivot lies in the top block)."""
         if not self.chain_rows:
             return self, []
-        rows, _, pivots = self.field.rref(self.chain_rows)
-        new = ReducedStack(self.field, self.seg_len, self.levels, rows)
+        rows, pivots = self.field.int_rref(self.chain_rows)
+        dens = [rows[i][c] for i, c in pivots] + [1] * (len(rows) - len(pivots))
+        new = ReducedStack(self.field, self.seg_len, self.levels, rows, dens)
         top = [r for r, c in pivots if c < self.seg_len]
         return new, top
 
@@ -397,16 +427,18 @@ class ReducedStack:
         """Move chain ``idx`` one block lower: the deepest segment drops
         off and a zero segment enters on top.  A single-level chain is
         retired (removed)."""
-        f = self.field
         n = self.seg_len
         if self.levels == 1:
             del self.chain_rows[idx]
+            del self.dens[idx]
             return
         row = self.chain_rows[idx]
-        self.chain_rows[idx] = [f.zero] * n + row[:(self.levels - 1) * n]
+        self.chain_rows[idx] = [0] * n + row[:(self.levels - 1) * n]
 
     def drop_zero_chains(self):
-        self.chain_rows = [r for r in self.chain_rows if any(r)]
+        kept = [(r, den) for r, den in zip(self.chain_rows, self.dens) if any(r)]
+        self.chain_rows = [r for r, _ in kept]
+        self.dens = [den for _, den in kept]
 
     def cut_top(self):
         """Remove the (all-zero) top block; the chain length shrinks by 1."""

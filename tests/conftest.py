@@ -230,10 +230,20 @@ def random_normal_form(rng, field, n_max=10):
     if not pieces:
         lam = field.from_int(linear_pool.pop())
         pieces = [(Poly.x_minus(field, lam), [1])]
+    multiset = {}
+    for q, lengths in pieces:
+        for k in lengths:
+            key = (tuple(q.coeffs), k)
+            multiset[key] = multiset.get(key, 0) + 1
+    return normal_form(field, pieces), multiset
+
+
+def normal_form(field, pieces):
+    """Block-diagonal rational normal form from [(factor Poly, [cycle
+    lengths])], blocks in the order given."""
     n = sum(q.degree * k for q, ls in pieces for k in ls)
     j = Matrix.zeros(field, n, n)
     offset = 0
-    multiset = {}
     for q, lengths in pieces:
         for k in lengths:
             blk = cycle_block_matrix(q, k, "rational", "upper")
@@ -241,9 +251,7 @@ def random_normal_form(rng, field, n_max=10):
                 for c in range(blk.cols):
                     j.data[offset + r][offset + c] = blk.data[r][c]
             offset += blk.rows
-            key = (tuple(q.coeffs), k)
-            multiset[key] = multiset.get(key, 0) + 1
-    return j, multiset
+    return j
 
 
 def conjugate_random(rng, j):

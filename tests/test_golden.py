@@ -1,0 +1,63 @@
+"""Golden outputs: the SHA-256 of ``--output json`` for a few fixed-seed
+conjugated normal forms.  A kernel change that claims byte-identical output
+must leave every digest as it is; a change that means to alter the output
+updates the digests and says why."""
+
+import hashlib
+
+import pytest
+
+from conftest import conjugate_random, normal_form, rng_for
+from jnf.cli import EXIT_OK, JobConfig, run
+from jnf.fields import QQ, PrimeField
+from jnf.io import format_matrix
+from jnf.poly import Poly
+
+GF7 = PrimeField(7)
+
+
+def lin(f, num, den=1):
+    return Poly.x_minus(f, f.div(f.from_int(num), f.from_int(den)))
+
+
+# name -> (field spec, form, [(factor, [cycle lengths])], hinted)
+CASES = {
+    # eigenvalues with denominators 1, 2 and 3 share one Taylor expansion
+    "qq_split": ("q", "split",
+                 [(lin(QQ, 2), [3, 1]), (lin(QQ, -1), [2, 2]),
+                  (lin(QQ, 1, 2), [2]), (lin(QQ, -2, 3), [1])], False),
+    # one quadratic factor found without hints, next to linear ones
+    "qq_rational": ("q", "rational",
+                    [(Poly.from_ints(QQ, [-2, 0, 1]), [2, 1]),
+                     (lin(QQ, 1), [2]), (lin(QQ, -1, 3), [1])], False),
+    # n = 10 > 7 takes the Hessenberg route; x^2 + 1 is irreducible mod 7
+    "gf7_hessenberg": ("fp:7", "rational",
+                       [(Poly.from_ints(GF7, [1, 0, 1]), [2, 1]),
+                        (lin(GF7, 3), [2, 1]), (lin(GF7, 5), [1])], True),
+}
+
+DIGESTS = {
+    "qq_split": "e6464a7049f166655ee59f05353126a45419a47a61bab2d94543df8f9391b91e",
+    "qq_rational": "ada759313f171f270d07099f93e5dd9ac70f9b2e968d8045f5e5aa2102395f8d",
+    "gf7_hessenberg": "a75ae3cf02c179ecd2811c0a1aed114d6106ca9735ee0cd1daaceea09b548a4b",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_json_output_is_unchanged(name, tmp_path):
+    spec, form, pieces, hinted = CASES[name]
+    field = pieces[0][0].field
+    a = conjugate_random(rng_for(f"golden-{name}"), normal_form(field, pieces))
+    mat = tmp_path / "a.txt"
+    mat.write_text(format_matrix(a) + "\n")
+    hints = None
+    if hinted:
+        hints = tmp_path / "a.hint"
+        hints.write_text("".join(
+            f"{sum(ls)} : " + " ".join(field.fmt(c) for c in q.coeffs) + "\n"
+            for q, ls in pieces))
+    code, report = run(JobConfig(input_path=str(mat), field_spec=spec, form=form,
+                                 factors_path=str(hints) if hints else None,
+                                 output="json"))
+    assert code == EXIT_OK
+    assert hashlib.sha256(report.encode()).hexdigest() == DIGESTS[name]

@@ -4,13 +4,13 @@ from conftest import (block_multiset, conjugate_random,
                       random_normal_form, rng_for)
 from jnf.charpoly import char_data
 from jnf.decomposition import block_diagonal_part, verify
-from jnf.errors import InvalidHintError
+from jnf.errors import InternalConsistencyError, InvalidHintError
 from jnf.factor import factor_charpoly
 from jnf.fields import QQ
 from jnf.jordan_rational import (assemble_pseudo_rational,
                                  convert_cycle_to_rational, extract_q_cycles,
                                  q_adic_blocks, rational_jordan)
-from jnf.matrix import Matrix, mat_mul, matpoly_div_q, poly_at_matrix
+from jnf.matrix import MatPoly, Matrix, mat_mul, matpoly_div_q, poly_at_matrix
 from jnf.poly import Poly
 
 
@@ -37,6 +37,17 @@ def test_q_adic_blocks_m6(fixture_m6):
     # every C_k has lambda-degree below deg Q
     for c_k in data.c_blocks:
         assert c_k.is_zero or c_k.degree < 2
+
+
+def test_q_adic_blocks_checks_the_chain(fixture_m6):
+    # B + I moves only C_0, so Q(A)*C_0 = Q(A) != 0; B + Q*I moves only
+    # C_1, so Q(A)*C_1 = C_0 + Q(A) breaks the chain
+    cd = char_data(fixture_m6)
+    ident = MatPoly(QQ, [Matrix.identity(QQ, 6)])
+    with pytest.raises(InternalConsistencyError, match=r"Q\(A\)\*C_0 != 0"):
+        q_adic_blocks(fixture_m6, cd.b + ident, X2M2, 2)
+    with pytest.raises(InternalConsistencyError, match=r"C_k != Q\(A\)\*C_\{k\+1\}"):
+        q_adic_blocks(fixture_m6, cd.b + ident.mul_poly(X2M2), X2M2, 2)
 
 
 def test_extract_q_cycles_m6(fixture_m6):

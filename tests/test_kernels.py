@@ -5,12 +5,13 @@ import random
 
 import pytest
 
-from conftest import rng_for
+from conftest import conjugate_random, normal_form, rng_for
 from jnf.charpoly import char_data
 from jnf.decomposition import cycle_block_matrix
+from jnf.factor import FactoredCharPoly
 from jnf.fields import QQ, CountingField, PrimeField, _slot, is_prime
-from jnf.jordan_rational import q_adic_blocks
-from jnf.matrix import MatPoly, Matrix, horner_shift
+from jnf.jordan_rational import q_adic_blocks, rational_jordan
+from jnf.matrix import MatPoly, Matrix, ReducedStack, horner_shift
 from jnf.poly import Poly
 
 # 2^31 - 1 puts the packed product's dot bound on both sides of 64 bits
@@ -144,7 +145,7 @@ def test_expand_matches_oracle(f):
         d = rng.randint(1, 3)
         q = [elem(rng, f) for _ in range(d)] + [f.one]
         count = rng.randint(1, 5)
-        assert f.expand(coeffs, q, count) == oracle_expand(f, coeffs, q, count)
+        assert f.expand(coeffs, [(q, count)]) == [oracle_expand(f, coeffs, q, count)]
     # top < d - 1: fewer coefficients than the divisor's degree, from the
     # start (one or two of them) or after one division (five of them)
     q = [f.from_int(2), f.zero, f.from_int(-1), f.one]
@@ -152,7 +153,25 @@ def test_expand_matches_oracle(f):
         q[0] = QQ.fraction(2, 3)
     for ncoeffs in (1, 2, 5):
         coeffs = rand_rows(rng, f, ncoeffs, 3, big=True)
-        assert f.expand(coeffs, q, 3) == oracle_expand(f, coeffs, q, 3)
+        assert f.expand(coeffs, [(q, 3)]) == [oracle_expand(f, coeffs, q, 3)]
+
+
+@pytest.mark.parametrize("f", FIELDS, ids=IDS)
+def test_expand_many_divisors_matches_oracle(f):
+    # one product for several divisors: linear and quadratic ones with
+    # different denominators over QQ, a divisor given twice, count 1, and
+    # enough divisions that the quotient runs short
+    rng = rng_for(f"kernel-expand-many-{f.char}")
+    for _ in range(6):
+        coeffs = rand_rows(rng, f, rng.randint(1, 8), rng.randint(1, 4), big=True)
+        lin = [elem(rng, f, big=True), f.one]
+        quad = [elem(rng, f), elem(rng, f), f.one]
+        divisors = [(lin, rng.randint(1, 4)), (quad, rng.randint(1, 5)),
+                    ([elem(rng, f), f.one], 1), (lin, rng.randint(1, 3)),
+                    ([elem(rng, f) for _ in range(3)] + [f.one], 1)]
+        got = f.expand(coeffs, divisors)
+        assert got == [oracle_expand(f, coeffs, q, count) for q, count in divisors]
+    assert f.expand([[f.one]], []) == []
 
 
 def test_taylor_shifts_at_non_integer_point():
@@ -161,7 +180,7 @@ def test_taylor_shifts_at_non_integer_point():
     for _ in range(5):
         mp = MatPoly(QQ, [Matrix(QQ, rand_rows(rng, QQ, 3, 3, big=True))
                           for _ in range(6)])
-        shifts = horner_shift(mp, a, 4)
+        shifts, = horner_shift(mp, [(a, 4)])
         # per-op Horner, one shift at a time
         cur = mp.coeffs
         for got in shifts:
@@ -275,3 +294,76 @@ def test_counting_field_counts_char_data_and_q_adic(f):
         totals.append((charpoly_ops, cf.total))
     assert totals[0] == totals[1]
     assert totals[0][0] > 0 and totals[0][1] > 0
+
+
+@pytest.mark.parametrize("f", [QQ, PrimeField(7)], ids=["QQ", "GF7"])
+def test_reduced_stack_matches_rref(f):
+    # the stack keeps integer rows; read back, every level's top chains
+    # must be the rows of the RREF of what the stack held before reducing
+    rng = rng_for(f"kernel-stack-{f.char}")
+    for _ in range(12):
+        n, width, levels = rng.randint(1, 4), rng.randint(1, 5), rng.randint(1, 4)
+        blocks = [Matrix(f, rand_rows(rng, f, n, width, big=True)
+                         if rng.random() < 0.5 else
+                         deficient(rng, f, n, width, rng.randint(0, min(n, width))))
+                  for _ in range(levels)]
+        for b in blocks:                       # a zero chain, often not last
+            for row in b.data:
+                row[0] = f.zero
+        stack = ReducedStack.from_blocks(blocks)
+        assert stack.blocks() == blocks
+        chains = [sum((b.column(j) for b in blocks), []) for j in range(width)]
+        stack.drop_zero_chains()
+        assert [sum(stack.chain_segments(j), []) for j in range(stack.num_chains)] == [
+            c for c in chains if any(c)]
+        while stack.levels and stack.num_chains:
+            held = [sum(stack.chain_segments(j), []) for j in range(stack.num_chains)]
+            expect, _, pivots = f.rref(held)
+            stack, top = stack.reduce()
+            assert top == [r for r, c in pivots if c < n]
+            for i in range(stack.num_chains):
+                assert sum(stack.chain_segments(i), []) == expect[i]
+            assert [sum(b.columns(), []) for b in stack.blocks()] == [
+                [x for row in expect for x in row[t * n:(t + 1) * n]]
+                for t in range(stack.levels)]
+            # shifted top chains (retired at the last level), zero chains
+            # dropped, top segment cut: on the rows read back above
+            kept = []
+            for i, row in enumerate(expect):
+                if i in top:
+                    if stack.levels == 1:
+                        continue
+                    row = [f.zero] * n + row[:-n]
+                if any(row):
+                    kept.append(row[n:])
+            for i in sorted(top, reverse=True):
+                stack.shift_down(i)
+            stack.drop_zero_chains()
+            stack.cut_top()
+            assert [sum(stack.chain_segments(j), [])
+                    for j in range(stack.num_chains)] == kept
+
+
+@pytest.mark.parametrize("f", [QQ, PrimeField(7)], ids=["QQ", "GF7"])
+def test_counting_field_counts_cycle_collection(f):
+    # linear factors (Taylor blocks) and a quadratic one (Q-adic blocks)
+    # both run collect_cycles, and with it every kernel, on the counting
+    # field; GF(7) at n = 8 takes the Hessenberg route
+    quad = Poly.from_ints(f, [1, 0, 1] if f.char else [-2, 0, 1])
+    pieces = [(quad, [2]), (Poly.x_minus(f, f.from_int(2)), [2, 1]),
+              (Poly.x_minus(f, f.from_int(-1)), [1])]
+    a = conjugate_random(rng_for(f"kernel-count-cycles-{f.char}"),
+                         normal_form(f, pieces))
+    plain = rational_jordan(a, FactoredCharPoly(
+        [(q, sum(ls)) for q, ls in pieces], f))
+    counts = []
+    for _ in range(2):
+        cf = CountingField(f)
+        a_c = Matrix(cf, a.data)
+        cd = char_data(a_c)
+        before = cf.total
+        dec = rational_jordan(a_c, FactoredCharPoly(
+            [(Poly(cf, q.coeffs), sum(ls)) for q, ls in pieces], cf), chardata=cd)
+        counts.append(cf.total - before)
+        assert dec.p.data == plain.p.data and dec.j.data == plain.j.data
+    assert counts[0] == counts[1] > 0

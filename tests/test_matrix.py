@@ -125,7 +125,7 @@ def test_horner_shift_reconstructs():
     for _ in range(10):
         mp = MatPoly(QQ, [rand_matrix(rng, QQ, 2) for _ in range(5)])
         a = QQ.from_int(rng.randint(-3, 3))
-        shifts = horner_shift(mp, a, mp.degree + 1)
+        shifts, = horner_shift(mp, [(a, mp.degree + 1)])
         assert matpoly_reconstruct_shifts(shifts, a, QQ) == mp
 
 
