@@ -26,13 +26,14 @@ def _matrix_horner(a, e, coeff):
     ``coeff(k, A'*B'_{k-1}, d^k)`` returns c'_k = e*d^k*c_k.
 
     Returns ([c'_1, ..., c'_n], d, B as a MatPoly in lambda, B_n == 0);
-    B_n = P(A) for P = lambda^n + c_1*lambda^(n-1) + ... + c_n.
+    B_n = P(A) for P = lambda^n + c_1*lambda^(n-1) + ... + c_n.  B's
+    coefficients stay in the integer model (B'_k over e*d^k) until read.
     """
     f = a.field
     n = a.rows
     ai, d = f.lift(a.data)
     b = [[e if i == j else 0 for j in range(n)] for i in range(n)]
-    b_desc = [Matrix.identity(f, n)]
+    b_desc = [Matrix.from_lifted(f, b, e)]
     cs = []
     dk = 1
     for k in range(1, n + 1):
@@ -43,9 +44,8 @@ def _matrix_horner(a, e, coeff):
             b[i][i] += c
         cs.append(c)
         if k < n:
-            b_desc.append(Matrix(f, f.lower(b, e * dk)))
-    vanishes = Matrix(f, f.lower(b, e * dk)).is_zero()
-    return cs, d, MatPoly(f, list(reversed(b_desc))), vanishes
+            b_desc.append(Matrix.from_lifted(f, b, e * dk))
+    return cs, d, MatPoly(f, list(reversed(b_desc))), f.int_is_zero(b)
 
 
 def faddeev(a):
@@ -53,7 +53,7 @@ def faddeev(a):
 
     Over QQ it runs on A' = d*A (d the common denominator of A), where
     p'_k = d^k*p_k and B'_k = d^k*B_k are integral and the division by k is
-    exact; p_k and B_k become field elements only on the way out.
+    exact; p_k become field elements on the way out, B_k only when read.
     """
     if not a.is_square:
         raise ValueError("matrix must be square")

@@ -49,6 +49,17 @@ def _make_field(spec):
     raise ParseError(f"bad field spec {spec!r}; use 'q' or 'fp:<p>'")
 
 
+def _max_n():
+    """The largest accepted matrix size: JNF_MAX_N, a positive integer."""
+    raw = os.environ.get("JNF_MAX_N", str(DEFAULT_MAX_N))
+    try:
+        if int(raw) >= 1:
+            return int(raw)
+    except ValueError:
+        pass
+    raise ParseError(f"JNF_MAX_N must be a positive integer, got {raw!r}")
+
+
 def _default_orientation(form):
     # split form follows the classical subdiagonal display; the rational
     # forms follow the companion-block display with couplings above
@@ -65,7 +76,7 @@ def run(config):
         raise ParseError(f"cannot read {config.input_path}: {exc}") from exc
     if not a.is_square:
         raise ParseError("input matrix must be square")
-    max_n = int(os.environ.get("JNF_MAX_N", DEFAULT_MAX_N))
+    max_n = _max_n()
     if a.rows > max_n:
         raise ParseError(f"matrix size {a.rows} exceeds JNF_MAX_N={max_n}")
 

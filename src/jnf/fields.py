@@ -14,29 +14,40 @@ of values as integers over one common denominator (rationals) or as
 residues over 1 (F_p), and ``lower`` turns integers over a denominator back
 into field elements.  Over QQ the inner loops therefore multiply Python ints
 instead of normalising a Fraction per operation.  ``int_matmul``,
-``int_rref`` and ``exact_div`` let a computation stay in the model across
-many steps (Faddeev, matrix Horner, the stacked reductions of cycle
-collection).
+``int_rref``, ``expand`` and ``exact_div`` take and return the model, so a
+computation stays in it across many steps: Faddeev and matrix Horner, the
+expansions of B(lambda) and the stacked reductions of cycle collection.
+Blocks with different denominators are brought to one by ``to_common``.
 
-Over F_p the product packs rows: each row of the right factor becomes one
-Python int, its entries in fixed-width slots (the row evaluated at 2^w,
-Kronecker substitution), so a row of the product is one C-level sum of
-small-times-big products, read back slot by slot and reduced modulo p once
-per entry.  The slot width is the narrowest that holds the largest possible
-dot product of the actual entries; when no 64-bit slot holds it (at n = 32,
-primes above about 2^29), the product takes one dot product per entry.
+One product kernel serves both fields.  It packs rows: each row of the
+right factor becomes one Python int, its entries in fixed-width slots (the
+row evaluated at 2^w, Kronecker substitution), so a row of the product is
+one C-level sum of small-times-big products, read back slot by slot.  The
+slot is the narrowest that holds the largest possible dot product of the
+actual entries: 1, 2, 4 or 8 bytes (packed with ``struct``), or as many
+bytes as needed beyond that.  Over F_p the slots are unsigned and each is
+reduced modulo p as it is read.  Over QQ the entries are signed: every
+slot is biased by half its range, which the sum starts from and the read
+subtracts, so no slot ever borrows from its neighbour.  When the left
+factor has much larger entries than the right one, the product is taken
+as (B^T A^T)^T, so the packed side is always the one with the larger
+entries.  Slots wider than 8 bytes and than 3 bytes per term of the dot
+products (at n = 16, entries of about 190 bits on both sides) make one dot
+product per entry faster, and the kernel takes that instead; it does the
+same for products with one column (matrix times vector).
 
 ``expand`` is linear in the matrix coefficients, so it runs the synthetic
 division on the identity, on rows as wide as the number of coefficients,
 once per divisor, stacks the resulting transition matrices and applies them
 to all the data with a single ``int_matmul``: one call expands a matrix
-polynomial at every linear factor of a characteristic polynomial, lifting
-its coefficients once.
+polynomial at every linear factor of a characteristic polynomial.
 """
 
 import math
 import struct
 from fractions import Fraction
+from functools import lru_cache
+from itertools import chain, repeat
 from operator import mul
 
 from .errors import FieldMismatchError, ParseError, UnsupportedFieldError
@@ -47,16 +58,47 @@ except ImportError:  # pragma: no cover
     _ratio = Fraction
 
 
-# Packed-row slots for the F_p product, narrowest first: struct codes of
-# unsigned integers and their sizes in bytes.
-_SLOTS = [("B", 1), ("H", 2), ("I", 4), ("Q", 8)]
+# Packed-row slot widths in bytes that struct packs, and their codes
+# (unsigned integers); _ROUND_UP[k] is the narrowest of them with k bytes.
+_STRUCT_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
+_ROUND_UP = (1, 1, 2, 4, 4, 8, 8, 8, 8)
+
+# A packed product pays per slot byte (in its big multiplications and to
+# pack and read the slots), a dot product per term: past the struct widths
+# and above this many slot bytes per term, dot products measured faster
+# (n = 8 to 32).
+_SLOT_BYTES_PER_TERM = 3
 
 
-def _slot(bound):
-    """The narrowest (struct code, bytes) whose unsigned slots hold every
-    value up to ``bound``, or None when no slot is wide enough."""
-    return next(((code, size) for code, size in _SLOTS
-                 if bound < 1 << (8 * size)), None)
+def _slot_bytes(bound):
+    """Bytes per slot for unsigned values up to ``bound``: the narrowest
+    struct width that holds them, else exactly as many bytes as needed."""
+    size = (bound.bit_length() + 7) // 8
+    return _ROUND_UP[size] if size <= 8 else size
+
+
+@lru_cache(maxsize=64)
+def _packer(size, width):
+    """(pack, unpack) for rows of ``width`` nonnegative ints in slots of
+    ``size`` bytes: pack turns each of some rows into one int (the row
+    evaluated at 2^(8*size)), unpack reads each of some such ints back into
+    its slots."""
+    nbytes = size * width
+    code = _STRUCT_CODES.get(size)
+    if code:
+        slots = struct.Struct(f"<{width}{code}")
+        return ((lambda rows: [int.from_bytes(slots.pack(*row), "little")
+                               for row in rows]),
+                lambda values: map(slots.unpack, map(
+                    int.to_bytes, values, repeat(nbytes), repeat("little"))))
+    # wider slots: struct cuts the bytes, int.from_bytes reads each slot
+    slots = struct.Struct("<" + f"{size}s" * width)
+    return ((lambda rows: [int.from_bytes(
+                b"".join([x.to_bytes(size, "little") for x in row]), "little")
+                           for row in rows]),
+            lambda values: (map(int.from_bytes, cut, repeat("little"))
+                            for cut in map(slots.unpack, map(
+                                int.to_bytes, values, repeat(nbytes), repeat("little")))))
 
 
 def is_prime(n):
@@ -122,6 +164,29 @@ class Field:
         bi, db = self.lift(b)
         return self.lower(self.int_matmul(ai, bi), da * db)
 
+    def int_matmul(self, a, b):
+        """Product of matrices in the integer model, with packed rows while
+        the slots are narrow enough (see the module docstring)."""
+        width = len(b[0]) if b else 0
+        if width > 1 and a:
+            hi_a, hi_b = self._magnitude(a), self._magnitude(b)
+            size = _slot_bytes(
+                len(b) * max(hi_a, 1) * max(hi_b, 1) << self._sign_bits)
+            if size <= max(8, _SLOT_BYTES_PER_TERM * len(b)):
+                if len(a) > 1 and hi_a.bit_length() > 2 * hi_b.bit_length():
+                    # pack the factor with the larger entries: (B^T A^T)^T
+                    return [list(row) for row in zip(
+                        *self._packed(list(zip(*b)), list(zip(*a)), size))]
+                return self._packed(a, b, size)
+        return self._dot(a, list(zip(*b)))
+
+    def to_common(self, blocks):
+        """Blocks [(integer rows, den), ...] brought to one denominator:
+        (the rows of each block, den).  Rows already over it are shared."""
+        den, scales = self.common_den([d for _, d in blocks])
+        return [rows if s == 1 else self._scaled(rows, s)
+                for (rows, _), s in zip(blocks, scales)], den
+
     def int_rref(self, rows):
         """Fraction-free Gauss-Jordan on rows of the integer model; returns
         (rows, [(row, column) of each pivot]).  Each pivot row divided by
@@ -186,55 +251,47 @@ class Field:
             data = rest
         return rk
 
-    def expand(self, coeffs, divisors):
+    def expand(self, rows, dens, divisors):
         """For each ``(q, count)`` in ``divisors``, the first ``count``
         coefficients C_0, C_1, ... of the q-adic expansion
-        sum_t C_t(x) q(x)^t of the matrix polynomial sum_k coeffs[k] x^k,
+        sum_t C_t(x) q(x)^t of the matrix polynomial sum_k M_k x^k,
         i.e. the remainders of ``count`` repeated divisions by the monic q.
 
-        ``coeffs`` holds at least one flat list of entries per coefficient,
-        lowest degree first; each q is monic of degree d, lowest degree
-        first.  Returns, per divisor, ``count`` lists of d flat entry lists.
+        The M_k are given in the integer model: ``rows[k]`` is the flat
+        integer row of M_k's entries and ``dens[k]`` its denominator, at
+        least one of them, lowest degree first; each q is monic of degree d
+        (field elements, lowest degree first).  Returns, per divisor,
+        ``count`` lists of d (flat integer row, denominator) pairs.
 
         With s the common denominator of q, substitute x = y/s: for M of
         nominal degree N, M^(y) = s^N M(y/s) is integral and
         q^(y) = s^d q(y/s) is monic and integral, and dividing M^ by q^
         gives the same transform of the quotient (at degree N - d) and
-        s^N R(y/s) as remainder.  So the quotient stays in the integer model
-        through all divisions and only the remainders become field elements.
+        s^N R(y/s) as remainder.  So the quotient stays integral through
+        all divisions, and remainder coefficient j comes out as integers
+        over s^(N - j) times the denominator of the M_k.
 
         Every remainder entry is a fixed combination of the N + 1 entries at
         the same position in the coefficients, so each division runs on the
-        identity (row k standing for coeffs[k]).  The remainder rows of all
+        identity (row k standing for M_k).  The remainder rows of all
         divisors stack into one transition matrix W, each row with its own
-        denominator, so divisors with different s share it; the
-        coefficients are lifted once and one product W * coeffs gives every
-        remainder.
+        denominator, so divisors with different s share it; W's column k is
+        scaled to bring M_k to the common denominator of the M_k, and one
+        product W * rows gives every remainder.
         """
-        top = len(coeffs) - 1
-        weights, dens, shapes = [], [], []
+        top = len(rows) - 1
+        weights, w_dens, shapes = [], [], []
         for q, count in divisors:
             q_rows, q_dens, live = self._division_rows(q, count, top)
             weights += q_rows
-            dens += q_dens
+            w_dens += q_dens
             shapes.append((len(q) - 1, live))
-        width = len(coeffs[0])
-        data, den = self.lift(coeffs)
-        # only the integer model is used from here on; a list the caller
-        # built for this call is freed here (over QQ, where lift copies)
-        del coeffs
-        product = self.int_matmul(weights, data)
-        del data
-
-        def lowered():
-            # each product row is dropped as soon as it is lowered
-            for i, sj in enumerate(dens):
-                row, product[i] = product[i], None
-                yield self.lower([row], den * sj)[0]
-
-        rows = lowered()
-        zero_row = [self.zero] * width
-        return [[[next(rows) for _ in range(k)] + [zero_row] * (d - k)
+        den, scales = self.common_den(dens)
+        if any(s != 1 for s in scales):
+            weights = [list(map(mul, w, scales)) for w in weights]
+        remainders = zip(self.int_matmul(weights, rows), [den * s for s in w_dens])
+        zero = ([0] * len(rows[0]), 1)
+        return [[[next(remainders) for _ in range(k)] + [zero] * (d - k)
                  for k in live] for d, live in shapes]
 
     def _division_rows(self, q, count, top):
@@ -318,7 +375,9 @@ class Rationals(Field):
 
     def lift(self, rows):
         """(integer rows, den) with rows == integer rows / den."""
-        den = math.lcm(*(x.denominator for row in rows for x in row))
+        den = math.lcm(*{x.denominator for row in rows for x in row})
+        if den == 1:
+            return [[x.numerator for x in row] for row in rows], 1
         return [[x.numerator * (den // x.denominator) for x in row]
                 for row in rows], den
 
@@ -326,8 +385,34 @@ class Rationals(Field):
         zero = self.zero
         return [[_ratio(x, den) if x else zero for x in row] for row in rows]
 
-    def int_matmul(self, a, b):
-        cols = list(zip(*b))
+    def common_den(self, dens):
+        """(D, [D / den for den in dens]): integers over den times D / den
+        are over D."""
+        den = math.lcm(*dens)
+        return den, [den // d for d in dens]
+
+    def _scaled(self, rows, k):
+        return [[x * k for x in row] for row in rows]
+
+    def int_is_zero(self, rows):
+        return not any(map(any, rows))
+
+    # a slot holds -bound..bound, biased by half its range
+    _sign_bits = 1
+
+    def _magnitude(self, rows):
+        return max(map(abs, chain.from_iterable(rows)))
+
+    def _packed(self, a, b, size):
+        width = len(b[0])
+        pack, unpack = _packer(size, width)
+        half = 1 << (8 * size - 1)
+        bias, = pack([[half] * width])
+        packed = [v - bias for v in pack([x + half for x in row] for row in b)]
+        return [[x - half for x in row] for row in
+                unpack([sum(map(mul, row, packed), bias) for row in a])]
+
+    def _dot(self, a, cols):
         return [[sum(map(mul, row, col)) for col in cols] for row in a]
 
     def exact_div(self, x, k):
@@ -422,27 +507,36 @@ class PrimeField(Field):
         # residues are their own integer model, and the product is reduced
         return self.int_matmul(a, b)
 
-    def int_matmul(self, a, b):
-        """Product of matrices of nonnegative integers (residues, possibly
-        unreduced), reduced modulo p.  With more than one column, each row
-        of ``b`` is packed into one int (Kronecker substitution), so a row
-        of the product is one sum."""
+    def common_den(self, dens):
         p = self.p
-        width = len(b[0]) if b else 0
-        slot = None
-        if width > 1 and a:
-            # the slots hold the entries of b and every dot product
-            slot = _slot(len(b) * max(max(map(max, a)), 1) * max(map(max, b)))
-        if slot is None:
-            cols = list(zip(*b))
-            return [[sum(map(mul, row, col)) % p for col in cols] for row in a]
-        code, size = slot
-        size *= width
-        slots = struct.Struct(f"<{width}{code}")
-        packed = [int.from_bytes(slots.pack(*row), "little") for row in b]
-        return [[x % p for x in slots.unpack(sum(map(mul, row, packed))
-                                             .to_bytes(size, "little"))]
-                for row in a]
+        return 1, [pow(d, -1, p) for d in dens]
+
+    def _scaled(self, rows, k):
+        p = self.p
+        return [[x * k % p for x in row] for row in rows]
+
+    def int_is_zero(self, rows):
+        # matrix Horner leaves unreduced residues (up to 2p - 2) behind
+        p = self.p
+        return not any(x % p for row in rows for x in row)
+
+    # int_matmul takes nonnegative integers (residues, possibly unreduced)
+    # and returns them reduced; slots are unsigned
+    _sign_bits = 0
+
+    def _magnitude(self, rows):
+        return max(map(max, rows))
+
+    def _packed(self, a, b, size):
+        p = self.p
+        pack, unpack = _packer(size, len(b[0]))
+        packed = pack(b)
+        return [[x % p for x in row] for row in
+                unpack([sum(map(mul, row, packed)) for row in a])]
+
+    def _dot(self, a, cols):
+        p = self.p
+        return [[sum(map(mul, row, col)) % p for col in cols] for row in a]
 
     def exact_div(self, x, k):
         return x * pow(k, -1, self.p) % self.p
@@ -527,6 +621,15 @@ class CountingField(Field):
 
     def lower(self, rows, den):
         return self.base.lower(rows, den)
+
+    def common_den(self, dens):
+        return self.base.common_den(dens)
+
+    def _scaled(self, rows, k):
+        return self.base._scaled(rows, k)
+
+    def int_is_zero(self, rows):
+        return self.base.int_is_zero(rows)
 
     def int_matmul(self, a, b):
         self._count(len(a) * len(b) * (len(b[0]) if b else 0))

@@ -19,10 +19,6 @@ class JordanCycle:
     def __len__(self):
         return len(self.vectors)
 
-    @property
-    def end_vector(self):
-        return self.vectors[-1]
-
     def chain(self):
         """Vectors ordered v_0 first (the order the stack produced them)."""
         return list(reversed(self.vectors))
@@ -33,7 +29,6 @@ class EigenStructure:
     eigenvalue: object
     multiplicity: int
     cycles: list         # [JordanCycle, ...] in discovery order
-    taylor_blocks: list  # [B(lam), B^1(lam), ..., B^{mult-1}(lam)]
 
 
 def taylor_blocks(b, lam, mult):
@@ -109,8 +104,7 @@ def extract_cycles(a, lam, mult, blocks):
     chains = collect_cycles(blocks, mult, accept, enforce_single_top=True)
     cycles = [JordanCycle(eigenvalue=lam, vectors=list(reversed(segs)))
               for segs in chains]
-    return EigenStructure(eigenvalue=lam, multiplicity=mult,
-                          cycles=cycles, taylor_blocks=blocks)
+    return EigenStructure(eigenvalue=lam, multiplicity=mult, cycles=cycles)
 
 
 def assemble_split_jordan(a, structures, orientation="lower"):

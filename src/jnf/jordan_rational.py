@@ -44,27 +44,23 @@ class RationalCycle:
 def q_adic_blocks(a, b, q_poly, mult):
     """Expand B(lambda) in increasing powers of Q by iterated euclidean
     division and validate the Q(A)-chain between the C_k."""
+    f = a.field
+    d = q_poly.degree
     qa = poly_at_matrix(q_poly, a)
     c_blocks = matpoly_div_q(b, q_poly, mult)
-    d = q_poly.degree
-    n = a.rows
-    # Q(A) times every C_k coefficient at once: they sit side by side, the
-    # one for C_k's lambda^t at column offset (k*d + t)*n
-    coeffs = [c.coeff(t).data for c in c_blocks for t in range(d)]
-    product = a.field.matmul(
-        qa.data, [[x for m in coeffs for x in m[i]] for i in range(n)])
-
-    def image(k, t):
-        j = (k * d + t) * n
-        return [row[j:j + n] for row in product]
-
-    for t in range(d):
-        if any(map(any, image(0, t))):
-            raise InternalConsistencyError("Q(A)*C_0 != 0; bad factorization input")
-    for k in range(mult - 1):
-        for t in range(d):
-            if image(k + 1, t) != coeffs[k * d + t]:
-                raise InternalConsistencyError("C_k != Q(A)*C_{k+1}")
+    # Q(A) times every C_k coefficient at once, in the integer model: they
+    # sit side by side, the one for C_k's lambda^t at column offset
+    # (k*d + t)*n, so C_k's columns start at k*d*n
+    first, *rest = [c.coeff(t) for c in c_blocks for t in range(d)]
+    coeffs, den = first.hstack(*rest).lifted()
+    qa_rows, qa_den = qa.lifted()
+    (product, coeffs), _ = f.to_common(
+        [(f.int_matmul(qa_rows, coeffs), qa_den * den), (coeffs, den)])
+    step = d * a.rows
+    if any(any(row[:step]) for row in product):
+        raise InternalConsistencyError("Q(A)*C_0 != 0; bad factorization input")
+    if [row[step:] for row in product] != [row[:-step] for row in coeffs]:
+        raise InternalConsistencyError("C_k != Q(A)*C_{k+1}")
     return QAdicData(factor=q_poly, multiplicity=mult, degree=d,
                      c_blocks=c_blocks, qa=qa)
 
@@ -98,12 +94,8 @@ def extract_q_cycles(a, data):
     f = a.field
     d = data.degree
     a_t = a.transpose().data
-    stack_blocks = []
-    for c_k in data.c_blocks:
-        block = c_k.coeff(0)
-        for t in range(1, d):
-            block = block.hstack(c_k.coeff(t))
-        stack_blocks.append(block)
+    stack_blocks = [c_k.coeff(0).hstack(*[c_k.coeff(t) for t in range(1, d)])
+                    for c_k in data.c_blocks]
     collected_expanded = []
     grids = []           # the grid of each accepted chain, in order
 

@@ -15,10 +15,18 @@ from .errors import (FieldMismatchError, InternalConsistencyError,
 
 
 class Matrix:
-    __slots__ = ("field", "rows", "cols", "data")
+    """A dense matrix of field elements, ``data`` being its list of rows.
+
+    A matrix built by ``from_lifted`` is held in the field's integer model
+    instead, and lowered to field elements when ``data`` is first read;
+    kernels read either form through ``lifted``.
+    """
+
+    __slots__ = ("field", "rows", "cols", "data", "_lifted")
 
     def __init__(self, field, data):
         self.field = field
+        self._lifted = None
         self.data = [list(row) for row in data]
         self.rows = len(self.data)
         self.cols = len(self.data[0]) if self.data else 0
@@ -27,13 +35,28 @@ class Matrix:
                 raise ValueError("ragged rows")
 
     @classmethod
-    def _own(cls, field, rows):
-        """A matrix that takes ``rows`` (fresh, equal-length lists) as its
-        data without copying them."""
+    def from_lifted(cls, field, rows, den):
+        """The matrix of integer ``rows`` over ``den`` in the field's
+        integer model, held as such; the rows are not copied."""
         m = cls.__new__(cls)
-        m.field, m.data = field, rows
+        m.field, m._lifted = field, (rows, den)
         m.rows, m.cols = len(rows), len(rows[0]) if rows else 0
         return m
+
+    def __getattr__(self, name):
+        # reached only for an unset slot: the data of a matrix held in the
+        # integer model, lowered once on first read
+        if name != "data" or self._lifted is None:
+            raise AttributeError(name)
+        rows, den = self._lifted
+        self.data = self.field.lower(rows, den)
+        self._lifted = None
+        return self.data
+
+    def lifted(self):
+        """(integer rows, den) in the field's integer model; shared with
+        the matrix, so callers only read them."""
+        return self._lifted or self.field.lift(self.data)
 
     @classmethod
     def from_ints(cls, field, rows):
@@ -84,6 +107,8 @@ class Matrix:
         return [self.column(j) for j in range(self.cols)]
 
     def is_zero(self):
+        if self._lifted:
+            return self.field.int_is_zero(self._lifted[0])
         return not any(map(any, self.data))
 
     def _check(self, other):
@@ -126,11 +151,17 @@ class Matrix:
     def transpose(self):
         return Matrix(self.field, [self.column(j) for j in range(self.cols)])
 
-    def hstack(self, other):
-        self._check(other)
-        if self.rows != other.rows:
-            raise ValueError("shape mismatch")
-        return Matrix(self.field, [ra + rb for ra, rb in zip(self.data, other.data)])
+    def hstack(self, *others):
+        """This matrix with ``others`` to its right, held in the integer
+        model over one denominator."""
+        for other in others:
+            self._check(other)
+            if self.rows != other.rows:
+                raise ValueError("shape mismatch")
+        f = self.field
+        parts, den = f.to_common([m.lifted() for m in (self, *others)])
+        return Matrix.from_lifted(
+            f, [list(chain.from_iterable(row)) for row in zip(*parts)], den)
 
     def vstack(self, other):
         self._check(other)
@@ -290,14 +321,14 @@ class MatPoly:
 def _expand(mp, divisors):
     """The field's ``expand`` kernel on a MatPoly: per (q coefficients,
     count) divisor, ``count`` remainders, each a list of deg(q)
-    coefficient matrices."""
+    coefficient matrices, held in the integer model."""
     f = mp.field
     n = mp.size
-    # the flattened copy is passed without a name, so expand can drop it
-    rems = f.expand([list(chain.from_iterable(m.data)) for m in mp.coeffs]
-                    or [[f.zero] * (n * n)], divisors)
-    return [[[Matrix._own(f, [r[i * n:(i + 1) * n] for i in range(n)])
-              for r in rem] for rem in per_divisor] for per_divisor in rems]
+    lifted = [m.lifted() for m in mp.coeffs] or [([[0] * n] * n, 1)]
+    rems = f.expand([list(chain.from_iterable(rows)) for rows, _ in lifted],
+                    [den for _, den in lifted], divisors)
+    return [[[Matrix.from_lifted(f, [r[i * n:(i + 1) * n] for i in range(n)], den)
+              for r, den in rem] for rem in per_divisor] for per_divisor in rems]
 
 
 def horner_shift(mp, points):
@@ -370,7 +401,8 @@ class ReducedStack:
     @classmethod
     def from_blocks(cls, blocks):
         """Build from matrices [block_0, ..., block_{L-1}], block 0 on top.
-        Chains are the aligned columns."""
+        Chains are the aligned columns, taken from the blocks' integer
+        model once the blocks are over one denominator."""
         if not blocks:
             raise ValueError("empty stack")
         field = blocks[0].field
@@ -379,14 +411,11 @@ class ReducedStack:
         for b in blocks:
             if b.rows != seg_len or b.cols != width or b.field != field:
                 raise ValueError("blocks must agree in shape and field")
-        rows = []
-        for j in range(width):
-            row = []
-            for b in blocks:
-                row.extend(b.column(j))
-            rows.append(row)
-        ints, den = field.lift(rows)
-        return cls(field, seg_len, len(blocks), ints, [den] * len(ints))
+        parts, den = field.to_common([b.lifted() for b in blocks])
+        columns = [list(zip(*rows)) for rows in parts]
+        chains = [list(chain.from_iterable(cols[j] for cols in columns))
+                  for j in range(width)]
+        return cls(field, seg_len, len(blocks), chains, [den] * width)
 
     @property
     def num_chains(self):

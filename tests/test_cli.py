@@ -146,6 +146,15 @@ def test_max_n_guard(a_file, capsys, monkeypatch):
     assert main([a_file, "--form", "split"]) == EXIT_OK
 
 
+@pytest.mark.parametrize("value", ["abc", "", "2.5", "0", "-3"])
+def test_max_n_must_be_a_positive_integer(a_file, capsys, monkeypatch, value):
+    # a bad value exits 2 with a message naming the variable, not a bare
+    # "invalid literal for int()"
+    monkeypatch.setenv("JNF_MAX_N", value)
+    assert main([a_file]) == EXIT_PARSE
+    assert f"JNF_MAX_N must be a positive integer, got {value!r}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("matrix, field, hint, message", [
     # reducible x^2 - 1: exited 5 ("cycle collection exhausted the stack")
     ("2 2\n1 0\n0 -1\n", "q", "1 : -1 0 1\n", "rational root"),

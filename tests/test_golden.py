@@ -26,6 +26,10 @@ CASES = {
     "qq_split": ("q", "split",
                  [(lin(QQ, 2), [3, 1]), (lin(QQ, -1), [2, 2]),
                   (lin(QQ, 1, 2), [2]), (lin(QQ, -2, 3), [1])], False),
+    # entries k/30: B's coefficients sit over growing powers of 30
+    "qq_split_den30": ("q", "split",
+                       [(lin(QQ, 7, 30), [3, 1]), (lin(QQ, -1, 30), [2]),
+                        (lin(QQ, 1, 3), [2, 1])], False),
     # one quadratic factor found without hints, next to linear ones
     "qq_rational": ("q", "rational",
                     [(Poly.from_ints(QQ, [-2, 0, 1]), [2, 1]),
@@ -38,6 +42,7 @@ CASES = {
 
 DIGESTS = {
     "qq_split": "e6464a7049f166655ee59f05353126a45419a47a61bab2d94543df8f9391b91e",
+    "qq_split_den30": "b58b01f5902309a973796e74db8a66d278df5b4560acc67fb7281392e4a03c49",
     "qq_rational": "ada759313f171f270d07099f93e5dd9ac70f9b2e968d8045f5e5aa2102395f8d",
     "gf7_hessenberg": "a75ae3cf02c179ecd2811c0a1aed114d6106ca9735ee0cd1daaceea09b548a4b",
 }

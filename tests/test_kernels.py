@@ -8,8 +8,9 @@ import pytest
 from conftest import conjugate_random, normal_form, rng_for
 from jnf.charpoly import char_data
 from jnf.decomposition import cycle_block_matrix
-from jnf.factor import FactoredCharPoly
-from jnf.fields import QQ, CountingField, PrimeField, _slot, is_prime
+from jnf.factor import FactoredCharPoly, factor_charpoly
+from jnf.fields import QQ, CountingField, PrimeField, Rationals, _slot_bytes, is_prime
+from jnf.jordan_linear import split_jordan
 from jnf.jordan_rational import q_adic_blocks, rational_jordan
 from jnf.matrix import MatPoly, Matrix, ReducedStack, horner_shift
 from jnf.poly import Poly
@@ -71,6 +72,16 @@ def oracle_expand(f, coeffs, q, count):
         out.append([cur[j] if j < len(cur) else [f.zero] * width for j in range(d)])
         cur = quot[::-1]
     return out
+
+
+def expand_lowered(f, coeffs, divisors):
+    """``Field.expand`` on rows of field elements, each coefficient lifted
+    on its own (so their denominators differ) and every remainder lowered."""
+    lifted = [f.lift([c]) for c in coeffs]
+    out = f.expand([rows[0] for rows, _ in lifted], [den for _, den in lifted],
+                   divisors)
+    return [[[f.lower([row], den)[0] for row, den in rem] for rem in per]
+            for per in out]
 
 
 def elem(rng, f, big=False):
@@ -145,7 +156,8 @@ def test_expand_matches_oracle(f):
         d = rng.randint(1, 3)
         q = [elem(rng, f) for _ in range(d)] + [f.one]
         count = rng.randint(1, 5)
-        assert f.expand(coeffs, [(q, count)]) == [oracle_expand(f, coeffs, q, count)]
+        assert expand_lowered(f, coeffs, [(q, count)]) == [
+            oracle_expand(f, coeffs, q, count)]
     # top < d - 1: fewer coefficients than the divisor's degree, from the
     # start (one or two of them) or after one division (five of them)
     q = [f.from_int(2), f.zero, f.from_int(-1), f.one]
@@ -153,7 +165,7 @@ def test_expand_matches_oracle(f):
         q[0] = QQ.fraction(2, 3)
     for ncoeffs in (1, 2, 5):
         coeffs = rand_rows(rng, f, ncoeffs, 3, big=True)
-        assert f.expand(coeffs, [(q, 3)]) == [oracle_expand(f, coeffs, q, 3)]
+        assert expand_lowered(f, coeffs, [(q, 3)]) == [oracle_expand(f, coeffs, q, 3)]
 
 
 @pytest.mark.parametrize("f", FIELDS, ids=IDS)
@@ -169,9 +181,9 @@ def test_expand_many_divisors_matches_oracle(f):
         divisors = [(lin, rng.randint(1, 4)), (quad, rng.randint(1, 5)),
                     ([elem(rng, f), f.one], 1), (lin, rng.randint(1, 3)),
                     ([elem(rng, f) for _ in range(3)] + [f.one], 1)]
-        got = f.expand(coeffs, divisors)
+        got = expand_lowered(f, coeffs, divisors)
         assert got == [oracle_expand(f, coeffs, q, count) for q, count in divisors]
-    assert f.expand([[f.one]], []) == []
+    assert expand_lowered(f, [[f.one]], []) == []
 
 
 def test_taylor_shifts_at_non_integer_point():
@@ -232,17 +244,144 @@ BOUNDARIES = [
 @pytest.mark.parametrize("bits, k, hi_a, hi_b", BOUNDARIES)
 def test_prime_matmul_at_slot_boundaries(bits, k, hi_a, hi_b):
     bound = k * hi_a * hi_b
-    slot = _slot(bound)
+    size = _slot_bytes(bound)
     if bound < 2**bits:
-        assert slot[1] * 8 == bits
+        assert size * 8 == bits
     else:
-        assert slot is None if bits == 64 else slot[1] * 8 == 2 * bits
+        # one past 8 bytes is a 9-byte slot, no longer a dot product
+        assert size * 8 == (2 * bits if bits < 64 else 72)
     f = PrimeField(next_prime(hi_b + 1))
     rng = rng_for(f"kernel-slots-{bits}-{bound}")
     # row 0 of a and column 0 of b reach the bound exactly
     a = [[hi_a] * k] + [[rng.randint(0, hi_a) for _ in range(k)] for _ in range(2)]
     b = [[hi_b] + [rng.randint(0, hi_b) for _ in range(3)] for _ in range(k)]
     assert f.int_matmul(a, b) == oracle_matmul(f, a, b)
+
+
+def spy_paths(monkeypatch, f):
+    """Record which product path (packed or dot) ``f``'s kernel takes."""
+    taken = []
+    for path in ("_packed", "_dot"):
+        orig = getattr(type(f), path)
+
+        def spy(self, *args, orig=orig, path=path):
+            taken.append(path)
+            return orig(self, *args)
+        monkeypatch.setattr(type(f), path, spy)
+    return taken
+
+
+def largest_divisor(bound, limit=40):
+    return next(k for k in range(limit, 0, -1) if bound % k == 0)
+
+
+# a QQ slot of s bytes holds |x| < 2^(8s - 1) (biased by half its range),
+# an F_p slot x < 2^(8s)
+SLOT_FIELDS = [QQ, PrimeField(7), PrimeField(2**61 - 1)]
+SLOT_IDS = ["QQ", "GF7", "GF(2^61-1)"]
+
+
+@pytest.mark.parametrize("f", [QQ, PrimeField(7)], ids=["QQ", "GF7"])
+@pytest.mark.parametrize("size", [1, 2, 4, 8, 12])
+@pytest.mark.parametrize("over", [False, True], ids=["fits", "one-over"])
+def test_matmul_at_slot_boundaries(f, size, over, monkeypatch):
+    # the dot bound k * max|a| * max|b| is exactly the largest value a slot
+    # of ``size`` bytes holds, or one more; row 0 of the product reaches it
+    # (and over QQ row 1 reaches its negative).  Over F_p the entries are
+    # unreduced, as matrix Horner's are, and a 12-byte slot is covered.
+    bound = 2 ** (8 * size - (f.char == 0)) - 1 + over
+    k = largest_divisor(bound)
+    hi = bound // k
+    assert _slot_bytes(bound << (f.char == 0)) == (
+        size if not over else {1: 2, 2: 4, 4: 8, 8: 9, 12: 13}[size])
+    rng = rng_for(f"kernel-slots-{f.char}-{size}-{over}")
+    lo = -hi if f.char == 0 else 0
+    a = [[1] * k, [-1 if f.char == 0 else 0] * k, [rng.randint(-1 if lo else 0, 1)
+                                                   for _ in range(k)]]
+    b = [[hi] + [rng.randint(lo, hi) for _ in range(3)] for _ in range(k)]
+    taken = spy_paths(monkeypatch, f)
+    got = f.int_matmul(a, b)
+    assert taken == ["_packed"]
+    reduce = (lambda m: m) if f.char == 0 else (
+        lambda m: [[x % f.p for x in row] for row in m])
+    assert got == oracle_matmul(f, reduce(a), reduce(b))
+    assert got[0][0] == bound % (f.p if f.char else bound + 1)
+
+
+def signed_cases(rng, f):
+    """(name, a, b) products with all-negative, mixed-sign and zero
+    factors (the largest residues stand in for negatives over F_p), and
+    with one column."""
+    if f.char:
+        def neg():
+            return f.p - 1 - rng.randrange(min(9, f.p))
+
+        def mixed():
+            return rng.randrange(f.p)
+    else:
+        def neg():
+            return -rng.randint(1, 2**70)
+
+        def mixed():
+            return rng.randint(-2**70, 2**70)
+    for k in (1, 5):
+        yield "negative", [[neg() for _ in range(k)] for _ in range(4)], [
+            [neg() for _ in range(6)] for _ in range(k)]
+        yield "mixed", [[mixed() for _ in range(k)] for _ in range(4)], [
+            [mixed() for _ in range(6)] for _ in range(k)]
+        yield "negative times mixed", [[neg() for _ in range(k)] for _ in range(3)], [
+            [mixed() for _ in range(5)] for _ in range(k)]
+        yield "zero left", [[0] * k for _ in range(3)], [[mixed() for _ in range(4)]
+                                                       for _ in range(k)]
+        yield "zero right", [[mixed() for _ in range(k)] for _ in range(3)], [
+            [0] * 4 for _ in range(k)]
+        yield "one column", [[mixed() for _ in range(k)] for _ in range(4)], [
+            [neg()] for _ in range(k)]
+
+
+@pytest.mark.parametrize("f", SLOT_FIELDS, ids=SLOT_IDS)
+def test_matmul_signs_zeros_and_one_column(f):
+    rng = rng_for(f"kernel-signs-{f.char}")
+    for name, a, b in signed_cases(rng, f):
+        assert f.int_matmul(a, b) == oracle_matmul(f, a, b), name
+
+
+@pytest.mark.parametrize("f", SLOT_FIELDS, ids=SLOT_IDS)
+def test_matmul_both_sides_of_the_dot_crossover(f, monkeypatch):
+    # k = 4 terms: slots up to max(8, 3 * 4) = 12 bytes are packed, wider
+    # ones take a dot product per entry; entries up to 2^46 a side give
+    # 12-byte slots, up to 2^47 13-byte ones
+    rng = rng_for(f"kernel-crossover-{f.char}")
+    p = f.p if f.char else 0
+    for bits, path in ((46, "_packed"), (47, "_dot"), (200, "_dot")):
+        hi = 2 ** bits
+        sample = (lambda: rng.randint(0, hi)) if p else (lambda: rng.randint(-hi, hi))
+        a = [[sample() for _ in range(4)] for _ in range(5)]
+        b = [[sample() for _ in range(6)] for _ in range(4)]
+        a[0][0] = b[0][0] = hi
+        taken = spy_paths(monkeypatch, f)
+        got = f.int_matmul(a, b)
+        assert taken == [path], bits
+        monkeypatch.undo()
+        reduce = (lambda m: m) if not p else (lambda m: [[x % p for x in row] for row in m])
+        assert got == oracle_matmul(f, reduce(a), reduce(b))
+
+
+def test_matmul_packs_the_factor_with_larger_entries(monkeypatch):
+    # big-by-small products run as (B^T A^T)^T, so the big entries are the
+    # packed ones; the result is the same product
+    rng = rng_for("kernel-flip")
+    a = [[rng.randint(-2**60, 2**60) for _ in range(6)] for _ in range(5)]
+    b = [[rng.randint(-3, 3) for _ in range(4)] for _ in range(6)]
+    shapes = []
+    orig = type(QQ)._packed
+
+    def packed(self, x, y, size):
+        shapes.append((len(x), len(y), len(y[0])))
+        return orig(self, x, y, size)
+    monkeypatch.setattr(type(QQ), "_packed", packed)
+    assert QQ.int_matmul(a, b) == oracle_matmul(QQ, a, b)
+    assert shapes == [(4, 6, 5)]
 
 
 @pytest.mark.parametrize("p", [2, 11, 251, 65521, 2**31 - 1, 2**61 - 1])
@@ -367,3 +506,33 @@ def test_counting_field_counts_cycle_collection(f):
         counts.append(cf.total - before)
         assert dec.p.data == plain.p.data and dec.j.data == plain.j.data
     assert counts[0] == counts[1] > 0
+
+
+def test_b_stays_in_the_integer_model_through_a_solve(monkeypatch):
+    # B (n coefficients of n^2 entries), its Taylor and Q-adic coefficients
+    # and the stacked chains are never lowered to field elements and lifted
+    # back: what a solve lowers is the chains it reads, P's certificate
+    # products and P's coefficients, O(n^2) entries in all
+    lowered = []
+    for cls in (Rationals, PrimeField):
+        def lower(self, rows, den, orig=cls.lower):
+            lowered.append(sum(map(len, rows)))
+            return orig(self, rows, den)
+        monkeypatch.setattr(cls, "lower", lower)
+    gf7 = PrimeField(7)
+    split_pieces = [(Poly.x_minus(QQ, QQ.fraction(1, 2)), [3, 2]),
+                    (Poly.x_minus(QQ, QQ.fraction(-2, 3)), [2, 1]),
+                    (Poly.x_minus(QQ, QQ.from_int(3)), [2, 1, 1])]
+    rational_pieces = [(Poly.from_ints(gf7, [1, 0, 1]), [2, 1]),
+                       (Poly.x_minus(gf7, gf7.from_int(3)), [3, 1]),
+                       (Poly.x_minus(gf7, gf7.from_int(5)), [2])]
+    for f, pieces, solve in ((QQ, split_pieces, split_jordan),
+                             (gf7, rational_pieces, rational_jordan)):
+        a = conjugate_random(rng_for(f"kernel-no-round-trip-{f.char}"),
+                             normal_form(f, pieces))
+        hint = [(q, sum(ls)) for q, ls in pieces]
+        factors = (factor_charpoly(char_data(a).p) if f.char == 0
+                   else FactoredCharPoly(hint, f))
+        lowered.clear()
+        solve(a, factors)
+        assert sum(lowered) <= 6 * a.rows ** 2, (f, sum(lowered) / a.rows ** 2)
