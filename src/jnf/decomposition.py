@@ -1,11 +1,14 @@
-"""Assembly of transformation matrix P and normal form J from cycles.
+"""Assembly of transformation matrix P and normal form J from cycles, and
+the certificate every result carries.
 
-A cycle arrives as an ordered list of *groups*; group j holds the d column
-vectors (w_j, A*w_j, ..., A^{d-1}*w_j) attached to the j-th link of a
-Q(A)-Jordan chain (d = 1 collapses to the classical linear case).  The
+A cycle arrives as an ordered list of *groups*, as the one cycle extractor
+returns it for every factor; group j holds the d column vectors
+(w_j, A*w_j, ..., A^{d-1}*w_j) attached to the j-th link of a Q(A)-Jordan
+chain, and a linear factor is the case d = 1, one vector per group.  The
 per-cycle block is companion matrices of the factor on the diagonal plus a
 coupling block between consecutive links: a single top-right 1 for the
 pseudo-rational form, the identity for the rational (and split) forms.
+``assemble`` ends with ``verify``: A*P = P*J exactly and P nonsingular.
 """
 
 from dataclasses import dataclass
@@ -77,7 +80,8 @@ def cycle_block_matrix(q, k, form, orientation):
 
 
 def assemble(a, factor_cycles, form, orientation):
-    """Build P and J from per-factor cycle groups and verify A*P = P*J.
+    """Build P and J from per-factor cycle groups and certify them with
+    ``verify``.
 
     ``factor_cycles``: ordered [(factor, cycles)], each cycle a list of
     groups, each group a list of column vectors.  Cycles are laid out per
@@ -108,29 +112,10 @@ def assemble(a, factor_cycles, form, orientation):
     if len(columns) != n:
         raise InternalConsistencyError(
             f"collected {len(columns)} basis vectors for dimension {n}")
-    p = Matrix.from_columns(f, columns, rows=n)
-    if rank(p) != n:
-        raise InternalConsistencyError("transformation matrix is singular")
-    if mat_mul(a, p) != mat_mul(p, j):
-        raise InternalConsistencyError("A*P != P*J after assembly")
-    return JordanDecomposition(p=p, j=j, form=form, blocks=blocks, field=f)
-
-
-def block_diagonal_part(dec):
-    """The companion block-diagonal D of J (the N = J - D part carries the
-    couplings)."""
-    f = dec.field
-    n = dec.j.rows
-    d_mat = Matrix.zeros(f, n, n)
-    for blk in dec.blocks:
-        comp = companion(blk.factor)
-        d = blk.factor.degree
-        for g in range(blk.cycle_length):
-            base = blk.offset + g * d
-            for r in range(d):
-                for c in range(d):
-                    d_mat.data[base + r][base + c] = comp.data[r][c]
-    return d_mat
+    dec = JordanDecomposition(p=Matrix.from_columns(f, columns, rows=n), j=j,
+                              form=form, blocks=blocks, field=f)
+    verify(a, dec)
+    return dec
 
 
 def verify(a, dec):

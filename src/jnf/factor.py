@@ -37,10 +37,6 @@ class FactoredCharPoly:
     field: object
     irreducibility: str = "computed"  # or "asserted" when built from hints
 
-    @property
-    def field_characteristic(self):
-        return self.field.char
-
     def product(self):
         acc = Poly.one(self.field)
         for q, m in self.factors:

@@ -1,34 +1,17 @@
-"""Jordan cycles for linear factors (lambda - lam)^mult of the
-characteristic polynomial, via Taylor shifts of B(lambda) and the stacked
-reduce/shift collection loop.
+"""The cycle engine every factor runs through, and the split Jordan form.
+
+For a factor Q of degree d, the stack blocks are the Q-adic coefficients
+C_k of B(lambda), their d lambda-coefficients side by side; the stacked
+reduce/shift loop reads candidate chains off them, and one extractor
+accepts a chain when the chain with all its A^i-images is independent of
+everything taken so far.  A linear factor lambda - lam is the d = 1 case:
+its C_k are the Taylor coefficients of B at lam, and a chain's images are
+the chain itself.  A cycle is returned as its list of groups, group j
+holding (w_j, A*w_j, ..., A^{d-1}*w_j), which is what ``assemble`` takes.
 """
 
-from dataclasses import dataclass
-
-from .decomposition import assemble
 from .errors import InternalConsistencyError, NeedsFactorizationError
 from .matrix import Matrix, ReducedStack, rank, horner_shift
-from .poly import Poly
-
-
-@dataclass
-class JordanCycle:
-    eigenvalue: object
-    vectors: list        # [v_{k-1}, ..., v_0]; v_0 is the eigenvector
-
-    def __len__(self):
-        return len(self.vectors)
-
-    def chain(self):
-        """Vectors ordered v_0 first (the order the stack produced them)."""
-        return list(reversed(self.vectors))
-
-
-@dataclass
-class EigenStructure:
-    eigenvalue: object
-    multiplicity: int
-    cycles: list         # [JordanCycle, ...] in discovery order
 
 
 def taylor_blocks(b, lam, mult):
@@ -37,28 +20,15 @@ def taylor_blocks(b, lam, mult):
     return horner_shift(b, [(lam, mult)])[0]
 
 
-def linear_taylor_blocks(b, factors):
-    """Taylor blocks of B at the root of every linear factor in
-    ``factors`` [(q, mult), ...], in their order, from one expansion of B:
-    {q's index: (eigenvalue, blocks)}."""
-    f = b.field
-    linear = [(i, f.neg(q.coeffs[0]), mult)
-              for i, (q, mult) in enumerate(factors) if q.degree == 1]
-    expansions = horner_shift(b, [(lam, mult) for _, lam, mult in linear])
-    return {i: (lam, blocks)
-            for (i, lam, _), blocks in zip(linear, expansions)}
-
-
 def collect_cycles(blocks, total_needed, accept, enforce_single_top=False):
     """Generic stacked reduce/collect/shift loop.
 
     ``blocks`` are the stack blocks (block 0 on top, chain relations between
     consecutive blocks).  ``accept`` sees a candidate chain [v_0, ..., v_{L-1}]
-    and must return True only for chains independent of everything collected
-    so far.  Returns the accepted chains, each ordered v_0 first.
+    and must return True, keeping the chain, only for chains independent of
+    everything kept so far.
     """
     stack = ReducedStack.from_blocks(blocks)
-    collected = []
     total = 0
     first_pass = True
     while total < total_needed and stack.levels >= 1:
@@ -70,12 +40,10 @@ def collect_cycles(blocks, total_needed, accept, enforce_single_top=False):
         first_pass = False
         level = stack.levels
         for idx in top_idx:
-            segs = stack.chain_segments(idx)
-            if accept(segs):
+            if accept(stack.chain_segments(idx)):
                 if total + level > total_needed:
                     raise InternalConsistencyError(
                         "independent cycles exceed the factor multiplicity")
-                collected.append(segs)
                 total += level
         if total >= total_needed:
             break
@@ -86,41 +54,57 @@ def collect_cycles(blocks, total_needed, accept, enforce_single_top=False):
     if total != total_needed:
         raise InternalConsistencyError(
             "cycle collection exhausted the stack before reaching the multiplicity")
-    return collected
+
+
+def _power_grid(f, a_t, vectors, d):
+    """[[w, A*w, ..., A^{d-1}*w] for w in vectors], given the rows of A's
+    transpose: each power of A takes one product for all the vectors."""
+    powers = [vectors]
+    for _ in range(d - 1):
+        powers.append(f.matmul(powers[-1], a_t))
+    return [list(images) for images in zip(*powers)]
+
+
+def cycle_groups(a, d, mult, blocks):
+    """The cycles of a degree-d factor of multiplicity ``mult`` from its
+    stack blocks, in discovery order, each a list of groups
+    [w_j, A*w_j, ..., A^{d-1}*w_j] with w_0's group first.
+
+    A candidate chain is taken when its k*d vectors and those of every
+    cycle taken before are independent, so the cycles span a direct sum.
+    For d = 1 the grid is the chain itself and no product is made.
+    """
+    f = a.field
+    a_t = a.transpose().data
+    taken = []           # every vector of every accepted grid
+    cycles = []
+
+    def accept(segs):
+        grid = _power_grid(f, a_t, segs, d)
+        flat = [v for group in grid for v in group]
+        cand = taken + flat
+        if rank(Matrix(f, cand)) != len(cand):
+            return False
+        taken.extend(flat)
+        cycles.append(grid)
+        return True
+
+    collect_cycles(blocks, mult, accept, enforce_single_top=(d == 1))
+    return cycles
 
 
 def extract_cycles(a, lam, mult, blocks):
-    """Collect Jordan cycles for one eigenvalue from its Taylor blocks."""
-    f = a.field
-    accepted_vectors = []
-
-    def accept(segs):
-        cand = accepted_vectors + segs
-        if rank(Matrix(f, cand)) != len(cand):
-            return False
-        accepted_vectors.extend(segs)
-        return True
-
-    chains = collect_cycles(blocks, mult, accept, enforce_single_top=True)
-    cycles = [JordanCycle(eigenvalue=lam, vectors=list(reversed(segs)))
-              for segs in chains]
-    return EigenStructure(eigenvalue=lam, multiplicity=mult, cycles=cycles)
-
-
-def assemble_split_jordan(a, structures, orientation="lower"):
-    """P from all cycle vectors, J block diagonal with the eigenvalue on the
-    diagonal and the 1s on the sub- (or super-) diagonal of each block."""
-    f = a.field
-    factor_cycles = []
-    for st in structures:
-        groups_per_cycle = [[[v] for v in cy.chain()] for cy in st.cycles]
-        factor_cycles.append((Poly.x_minus(f, st.eigenvalue), groups_per_cycle))
-    return assemble(a, factor_cycles, form="split", orientation=orientation)
+    """Jordan cycles of the eigenvalue ``lam`` from its Taylor blocks
+    [B(lam), ..., B^{mult-1}(lam)]: the degree-1 case of the extractor,
+    each cycle a list of one-vector groups [[v_0], ..., [v_{k-1}]] with v_0
+    the eigenvector.  The blocks already sit at ``lam``."""
+    return cycle_groups(a, 1, mult, blocks)
 
 
 def split_jordan(a, factorization, orientation="lower", chardata=None):
     """Split-field Jordan form driver; every factor must be linear."""
     from .charpoly import char_data
+    from .jordan_rational import decompose   # which imports this module
 
     cd = chardata if chardata is not None else char_data(a)
     for q, _ in factorization.factors:
@@ -129,10 +113,4 @@ def split_jordan(a, factorization, orientation="lower", chardata=None):
                 "split Jordan form needs a fully split characteristic polynomial; "
                 f"stuck on a degree-{q.degree} factor",
                 residual=q)
-    taylor = linear_taylor_blocks(cd.b, factorization.factors)
-    structures = []
-    for i, (q, mult) in enumerate(factorization.factors):
-        lam, blocks = taylor.pop(i)
-        with factorization.blame(q, mult):
-            structures.append(extract_cycles(a, lam, mult, blocks))
-    return assemble_split_jordan(a, structures, orientation=orientation)
+    return decompose(a, cd.b, factorization, "split", orientation)

@@ -1,59 +1,34 @@
-"""Rational Jordan cycles for irreducible factors Q of degree d >= 1.
+"""Rational Jordan cycles for irreducible factors Q of any degree d.
 
-For each factor the comatrix polynomial is expanded Q-adically; the C_k
-coefficient matrices feed the same stacked reduce/shift engine as the
-linear case, but with Q(A) playing the role of A - lambda*I and with the
-strengthened independence test against all A^i-images of collected cycles.
-The pseudo-rational form is assembled from those cycles and then converted
-to the true rational Jordan form by the binomial recurrences.
+B(lambda) is expanded once per solve at every factor (``matpoly_div_q``).
+For d >= 2 the Q(A)-chain C_k = Q(A)*C_{k+1} between its Q-adic
+coefficients is checked; then every factor, linear ones as d = 1, goes
+through the one extractor of ``jordan_linear``.  The pseudo-rational form
+is assembled from those cycles as they come; the rational form first
+converts each cycle of a factor of degree >= 2 by the binomial
+recurrences.
 """
-
-from dataclasses import dataclass
 
 from .charpoly import char_data
 from .decomposition import assemble, cycle_block_matrix
 from .errors import InternalConsistencyError, InvalidHintError
-from .jordan_linear import collect_cycles, extract_cycles, linear_taylor_blocks
-from .matrix import Matrix, matpoly_div_q, poly_at_matrix, rank
+from .jordan_linear import cycle_groups
+from .matrix import Matrix, matpoly_div_q, poly_at_matrix
 from .poly import binomial
 
 
-@dataclass
-class QAdicData:
-    factor: object       # monic irreducible Poly Q, degree d
-    multiplicity: int    # q
-    degree: int          # d
-    c_blocks: list       # [C_0, ..., C_{q-1}] MatPolys of lambda-degree < d
-    qa: Matrix           # Q(A)
-
-
-@dataclass
-class RationalCycle:
-    factor: object
-    q_cycle: list        # [w_{k-1}, ..., w_0]; Q(A)*w_t = w_{t-1}
-    expanded: list       # grid[j][i] = A^i * w_j, j = 0..k-1, i = 0..d-1
-
-    def __len__(self):
-        return len(self.q_cycle)
-
-    def chain(self):
-        """w_0 first."""
-        return list(reversed(self.q_cycle))
-
-
-def q_adic_blocks(a, b, q_poly, mult):
-    """Expand B(lambda) in increasing powers of Q by iterated euclidean
-    division and validate the Q(A)-chain between the C_k."""
+def _check_chain(a, q_poly, c_blocks):
+    """Q(A)*C_0 = 0 and C_k = Q(A)*C_{k+1} for the Q-adic coefficients of
+    B; a failure means Q is not a factor of the characteristic polynomial
+    as given, or not irreducible."""
     f = a.field
     d = q_poly.degree
-    qa = poly_at_matrix(q_poly, a)
-    c_blocks = matpoly_div_q(b, q_poly, mult)
     # Q(A) times every C_k coefficient at once, in the integer model: they
     # sit side by side, the one for C_k's lambda^t at column offset
     # (k*d + t)*n, so C_k's columns start at k*d*n
-    first, *rest = [c.coeff(t) for c in c_blocks for t in range(d)]
+    first, *rest = [m for c_k in c_blocks for m in c_k]
     coeffs, den = first.hstack(*rest).lifted()
-    qa_rows, qa_den = qa.lifted()
+    qa_rows, qa_den = poly_at_matrix(q_poly, a).lifted()
     (product, coeffs), _ = f.to_common(
         [(f.int_matmul(qa_rows, coeffs), qa_den * den), (coeffs, den)])
     step = d * a.rows
@@ -61,84 +36,42 @@ def q_adic_blocks(a, b, q_poly, mult):
         raise InternalConsistencyError("Q(A)*C_0 != 0; bad factorization input")
     if [row[step:] for row in product] != [row[:-step] for row in coeffs]:
         raise InternalConsistencyError("C_k != Q(A)*C_{k+1}")
-    return QAdicData(factor=q_poly, multiplicity=mult, degree=d,
-                     c_blocks=c_blocks, qa=qa)
 
 
-def _power_grid(f, a_t, vectors, d):
-    """[[w, A*w, ..., A^{d-1}*w] for w in vectors], given the rows of A's
-    transpose: each power of A takes one product for all the vectors."""
-    powers = [vectors]
-    for _ in range(d - 1):
-        powers.append(f.matmul(powers[-1], a_t))
-    return [list(images) for images in zip(*powers)]
+def q_adic_blocks(a, b, q_poly, mult):
+    """[C_0, ..., C_{mult-1}]: B(lambda) expanded in increasing powers of Q
+    by iterated euclidean division, with the Q(A)-chain between the C_k
+    checked; each C_k is the list of its deg(Q) coefficient matrices."""
+    c_blocks, = matpoly_div_q(b, [(q_poly, mult)])
+    _check_chain(a, q_poly, c_blocks)
+    return c_blocks
 
 
-def expand_cycle(segs, a, q_poly, grid=None):
-    """Grid of A^i-images of a Q(A)-cycle given end-vector first (built
-    here unless ``grid`` already holds it); the irreducibility of Q
-    guarantees (and the rank check enforces) that the k*d expanded vectors
-    are independent."""
-    f = a.field
-    if grid is None:
-        grid = _power_grid(f, a.transpose().data, segs, q_poly.degree)
-    flat = [v for row in grid for v in row]
-    if rank(Matrix(f, flat)) != len(flat):
-        raise InternalConsistencyError("expanded cycle vectors are dependent")
-    return RationalCycle(factor=q_poly,
-                         q_cycle=list(reversed(segs)), expanded=grid)
+def extract_q_cycles(a, q_poly, mult, c_blocks):
+    """Q(A)-Jordan cycles of the factor Q from its Q-adic coefficients,
+    each a list of groups [w_j, A*w_j, ..., A^{d-1}*w_j] with
+    Q(A)*w_j = w_{j-1} and Q(A)*w_0 = 0."""
+    stack_blocks = [first.hstack(*rest) if rest else first
+                    for first, *rest in c_blocks]
+    return cycle_groups(a, q_poly.degree, mult, stack_blocks)
 
 
-def extract_q_cycles(a, data):
-    """Collect Q(A)-Jordan cycles from the C_k candidate columns."""
-    f = a.field
-    d = data.degree
-    a_t = a.transpose().data
-    stack_blocks = [c_k.coeff(0).hstack(*[c_k.coeff(t) for t in range(1, d)])
-                    for c_k in data.c_blocks]
-    collected_expanded = []
-    grids = []           # the grid of each accepted chain, in order
-
-    def accept(segs):
-        grid = _power_grid(f, a_t, segs, d)
-        flat = [v for row in grid for v in row]
-        cand = collected_expanded + flat
-        if rank(Matrix(f, cand)) != len(cand):
-            return False
-        collected_expanded.extend(flat)
-        grids.append(grid)
-        return True
-
-    chains = collect_cycles(stack_blocks, data.multiplicity, accept)
-    return [expand_cycle(segs, a, data.factor, grid)
-            for segs, grid in zip(chains, grids)]
-
-
-def _pseudo_groups(cycle):
-    """Groups for assembly: group j = (w_j, A*w_j, ..., A^{d-1}*w_j)."""
-    return [list(row) for row in cycle.expanded]
-
-
-def pseudo_cycle_matrix(q_poly, k):
-    """Matrix of A on one pseudo-rational cycle basis (companion blocks
-    plus single-1 top-right couplings)."""
-    return cycle_block_matrix(q_poly, k, "pseudo_rational", "upper")
-
-
-def convert_cycle_to_rational(a, q_poly, cycle):
+def convert_cycle_to_rational(a, q_poly, groups):
     """Binomial-recurrence conversion of one cycle to rational-form basis.
 
-    Works in coordinates over the pseudo-rational cycle basis, where Q(A)
-    is a shift of d indices, so its 'inversion' is the opposite shift and
-    no linear system is solved.  Returns groups [v_{j,0..d-1}] for j.
+    ``groups`` is the cycle as the extractor returns it, the
+    pseudo-rational basis [w_j, A*w_j, ..., A^{d-1}*w_j] per link.  Works
+    in coordinates over that basis, where Q(A) is a shift of d indices, so
+    its 'inversion' is the opposite shift and no linear system is solved.
+    Returns groups [v_{j,0..d-1}] for j.
     """
     f = a.field
     d = q_poly.degree
-    k = len(cycle)
+    k = len(groups)
     if k == 1:
-        return _pseudo_groups(cycle)
-    basis = [v for row in cycle.expanded for v in row]   # u_{j,l} at j*d+l
-    jb = pseudo_cycle_matrix(q_poly, k)
+        return groups
+    basis = [v for group in groups for v in group]   # u_{j,l} at j*d+l
+    jb = cycle_block_matrix(q_poly, k, "pseudo_rational", "upper")
     size = k * d
     zero_vec = [f.zero] * size
 
@@ -187,46 +120,37 @@ def convert_cycle_to_rational(a, q_poly, cycle):
     return [[ambient[(j, l)] for l in range(d)] for j in range(k)]
 
 
-def _factor_cycle_groups(a, cd, factorization, form):
-    """Per-factor cycle groups for the requested form."""
-    taylor = None
+def decompose(a, b, factorization, form, orientation):
+    """The driver of all three forms: B expanded once at every factor, each
+    factor's cycles from the one extractor (converted to the rational basis
+    when ``form`` is "rational" and the factor has degree >= 2), then
+    assembled and certified."""
+    expansions = matpoly_div_q(b, factorization.factors)
     factor_cycles = []
-    for i, (q_poly, mult) in enumerate(factorization.factors):
-        if q_poly.degree == 1 and taylor is None:
-            # one expansion for every linear factor; the factors come in
-            # decreasing degree, so the Q-adic data is no longer held
-            taylor = linear_taylor_blocks(cd.b, factorization.factors)
+    for (q_poly, mult), c_blocks in zip(factorization.factors, expansions):
         with factorization.blame(q_poly, mult):
-            if q_poly.degree == 1:
-                lam, blocks = taylor.pop(i)
-                structure = extract_cycles(a, lam, mult, blocks)
-                groups = [[[v] for v in cy.chain()] for cy in structure.cycles]
-            else:
-                data = q_adic_blocks(a, cd.b, q_poly, mult)
-                cycles = extract_q_cycles(a, data)
-                if form == "rational":
-                    groups = [convert_cycle_to_rational(a, q_poly, cy)
-                              for cy in cycles]
-                else:
-                    groups = [_pseudo_groups(cy) for cy in cycles]
-        factor_cycles.append((q_poly, groups))
-    return factor_cycles
+            if q_poly.degree > 1:
+                _check_chain(a, q_poly, c_blocks)
+            cycles = extract_q_cycles(a, q_poly, mult, c_blocks)
+            if form == "rational" and q_poly.degree > 1:
+                cycles = [convert_cycle_to_rational(a, q_poly, groups)
+                          for groups in cycles]
+        factor_cycles.append((q_poly, cycles))
+    return assemble(a, factor_cycles, form=form, orientation=orientation)
 
 
 def assemble_pseudo_rational(a, factorization, orientation="upper", chardata=None):
     """Pseudo-rational form: companion diagonal, single-1 couplings."""
     cd = chardata if chardata is not None else char_data(a)
     _check_factorization(cd, factorization)
-    factor_cycles = _factor_cycle_groups(a, cd, factorization, "pseudo_rational")
-    return assemble(a, factor_cycles, form="pseudo_rational", orientation=orientation)
+    return decompose(a, cd.b, factorization, "pseudo_rational", orientation)
 
 
 def rational_jordan(a, factorization, orientation="upper", chardata=None):
     """End-to-end rational Jordan normal form driver."""
     cd = chardata if chardata is not None else char_data(a)
     _check_factorization(cd, factorization)
-    factor_cycles = _factor_cycle_groups(a, cd, factorization, "rational")
-    return assemble(a, factor_cycles, form="rational", orientation=orientation)
+    return decompose(a, cd.b, factorization, "rational", orientation)
 
 
 def _check_factorization(cd, factorization):

@@ -4,14 +4,17 @@ column-tracking reduction stack used by the cycle-collection algorithms.
 Products, row reduction and the synthetic division of matrix polynomials
 are the field's bulk kernels (see ``fields``); this module only shapes the
 data for them.  Column reduction is realized everywhere as row reduction of
-the transpose by one fraction-free elimination kernel: ``rref``, or
-``rank`` where only the rank is needed.
+the transpose by one fraction-free elimination kernel: ``int_rref`` in the
+stack, or ``rank`` where only the rank is needed.  One ``matpoly_div_q``
+call expands a matrix polynomial at every divisor at once; Taylor shifts
+are its linear-divisor case.
 """
 
 from itertools import chain
 
 from .errors import (FieldMismatchError, InternalConsistencyError,
                      NonMonicDivisorError)
+from .poly import Poly
 
 
 class Matrix:
@@ -97,14 +100,8 @@ class Matrix:
     def __getitem__(self, rc):
         return self.data[rc[0]][rc[1]]
 
-    def copy(self):
-        return Matrix(self.field, self.data)
-
     def column(self, j):
         return [row[j] for row in self.data]
-
-    def columns(self):
-        return [self.column(j) for j in range(self.cols)]
 
     def is_zero(self):
         if self._lifted:
@@ -163,25 +160,6 @@ class Matrix:
         return Matrix.from_lifted(
             f, [list(chain.from_iterable(row)) for row in zip(*parts)], den)
 
-    def vstack(self, other):
-        self._check(other)
-        if self.cols != other.cols:
-            raise ValueError("shape mismatch")
-        return Matrix(self.field, self.data + other.data)
-
-    def trace(self):
-        if not self.is_square:
-            raise ValueError("trace of non-square matrix")
-        return self.field.sum(self.data[i][i] for i in range(self.rows))
-
-    def pow(self, k):
-        if not self.is_square:
-            raise ValueError("power of non-square matrix")
-        acc = Matrix.identity(self.field, self.rows)
-        for _ in range(k):
-            acc = mat_mul(acc, self)
-        return acc
-
 
 def mat_mul(a, b):
     """Classical O(n^3) exact product."""
@@ -191,35 +169,8 @@ def mat_mul(a, b):
     return Matrix(a.field, a.field.matmul(a.data, b.data))
 
 
-def rref(m):
-    """Reduced row echelon form with pivots normalized to 1.
-
-    Pivot selection scans top-to-bottom for the first nonzero entry (the
-    arithmetic is exact, so no magnitude pivoting).  Returns
-    (reduced, rank, pivots) with pivots the (row, column) of each pivot.
-    """
-    rows, rk, pivots = m.field.rref(m.data)
-    return Matrix(m.field, rows), rk, pivots
-
-
 def rank(m):
     return m.field.rank(m.data)
-
-
-def kernel_basis(m):
-    """Basis of the right null space as a list of column vectors."""
-    f = m.field
-    reduced, _, pivots = rref(m)
-    pivot_cols = {c: r for r, c in pivots}
-    free_cols = [c for c in range(m.cols) if c not in pivot_cols]
-    basis = []
-    for fc in free_cols:
-        v = [f.zero] * m.cols
-        v[fc] = f.one
-        for r, c in pivots:
-            v[c] = f.neg(reduced.data[r][fc])
-        basis.append(v)
-    return basis
 
 
 class MatPoly:
@@ -243,15 +194,6 @@ class MatPoly:
             if c.field != field:
                 raise FieldMismatchError("coefficient field mismatch")
 
-    @classmethod
-    def zero(cls, field):
-        return cls(field, [])
-
-    @classmethod
-    def lambda_i_minus(cls, a):
-        """The degree-1 matrix polynomial lambda*I - A."""
-        return cls(a.field, [-a, Matrix.identity(a.field, a.rows)])
-
     @property
     def degree(self):
         return len(self.coeffs) - 1 if self.coeffs else None
@@ -272,61 +214,30 @@ class MatPoly:
     def __repr__(self):
         return f"MatPoly(degree={self.degree}, size={self.size})"
 
-    def __add__(self, other):
-        self.field.check_same(other.field)
-        n = max(len(self.coeffs), len(other.coeffs))
-        size = max(self.size, other.size)
-        zero = Matrix.zeros(self.field, size, size)
-        out = []
-        for k in range(n):
-            a = self.coeffs[k] if k < len(self.coeffs) else zero
-            b = other.coeffs[k] if k < len(other.coeffs) else zero
-            out.append(a + b)
-        return MatPoly(self.field, out)
 
-    def __sub__(self, other):
-        return self + other.scale(self.field.neg(self.field.one))
+def matpoly_div_q(mp, divisors):
+    """Q-adic coefficients of mp at several divisors in one expansion: for
+    each (q, count) in ``divisors``, [C_0, ..., C_{count-1}] with
+    mp = sum_k C_k * q^k + q^count * (rest), each C_k the list of its
+    deg(q) coefficient matrices, lowest degree first.
 
-    def scale(self, c):
-        return MatPoly(self.field, [m.scale(c) for m in self.coeffs])
-
-    def mul_poly(self, p):
-        """Multiply by a scalar polynomial, entrywise."""
-        self.field.check_same(p.field)
-        if self.is_zero or p.is_zero:
-            return MatPoly.zero(self.field)
-        size = self.size
-        out = [Matrix.zeros(self.field, size, size)
-               for _ in range(len(self.coeffs) + len(p.coeffs) - 1)]
-        for i, m in enumerate(self.coeffs):
-            for j, c in enumerate(p.coeffs):
-                if self.field.is_zero(c):
-                    continue
-                out[i + j] = out[i + j] + m.scale(c)
-        return MatPoly(self.field, out)
-
-    def mul_matpoly(self, other):
-        self.field.check_same(other.field)
-        if self.is_zero or other.is_zero:
-            return MatPoly.zero(self.field)
-        size = self.size
-        out = [Matrix.zeros(self.field, size, size)
-               for _ in range(len(self.coeffs) + len(other.coeffs) - 1)]
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + mat_mul(a, b)
-        return MatPoly(self.field, out)
-
-
-def _expand(mp, divisors):
-    """The field's ``expand`` kernel on a MatPoly: per (q coefficients,
-    count) divisor, ``count`` remainders, each a list of deg(q)
-    coefficient matrices, held in the integer model."""
+    They are the remainders of ``count`` iterated divisions by the monic q,
+    all taken by the field's ``expand`` kernel in one product; no
+    coefficient division happens since every q is monic.  The matrices are
+    held in the integer model.
+    """
     f = mp.field
+    for q, count in divisors:
+        if q.is_zero or not q.is_monic:
+            raise NonMonicDivisorError("divisor must be monic and nonzero")
+        f.check_same(q.field)
+        if count < 1:
+            raise ValueError("multiplicity must be >= 1")
     n = mp.size
     lifted = [m.lifted() for m in mp.coeffs] or [([[0] * n] * n, 1)]
     rems = f.expand([list(chain.from_iterable(rows)) for rows, _ in lifted],
-                    [den for _, den in lifted], divisors)
+                    [den for _, den in lifted],
+                    [(q.coeffs, count) for q, count in divisors])
     return [[[Matrix.from_lifted(f, [r[i * n:(i + 1) * n] for i in range(n)], den)
               for r, den in rem] for rem in per_divisor] for per_divisor in rems]
 
@@ -334,30 +245,15 @@ def _expand(mp, divisors):
 def horner_shift(mp, points):
     """Taylor coefficients at several points in one expansion: for each
     (a, count) in ``points``, [M(a), M^1(a), ..., M^{count-1}(a)], the
-    remainders of ``count`` iterated synthetic divisions by (lambda - a).
+    Q-adic coefficients of mp for Q = lambda - a (see ``matpoly_div_q``).
 
     No derivatives or factorials are involved, so this is valid in any
     characteristic.
     """
     f = mp.field
-    if any(count < 1 for _, count in points):
-        raise ValueError("multiplicity must be >= 1")
-    divisors = [([f.neg(a), f.one], count) for a, count in points]
-    return [[rem[0] for rem in rems] for rems in _expand(mp, divisors)]
-
-
-def matpoly_div_q(mp, q, count):
-    """Q-adic coefficients [C_0, ..., C_{count-1}] of mp, each of degree
-    below deg(q): mp = sum_k C_k * q^k + q^count * (rest).
-
-    They are the remainders of ``count`` iterated divisions by the monic q;
-    no coefficient division happens since q is monic.
-    """
-    if q.is_zero or not q.is_monic:
-        raise NonMonicDivisorError("divisor must be monic and nonzero")
-    mp.field.check_same(q.field)
-    rems, = _expand(mp, [(q.coeffs, count)])
-    return [MatPoly(mp.field, rem) for rem in rems]
+    expansions = matpoly_div_q(
+        mp, [(Poly.x_minus(f, a), count) for a, count in points])
+    return [[c_k[0] for c_k in blocks] for blocks in expansions]
 
 
 def poly_at_matrix(p, a):

@@ -110,13 +110,6 @@ class Poly:
         inv = self.field.inv(self.leading)
         return self.scale(inv)
 
-    def eval_at(self, a):
-        f = self.field
-        acc = f.zero
-        for c in reversed(self.coeffs):
-            acc = f.add(f.mul(acc, a), c)
-        return acc
-
 
 def poly_euclid_div(a, b):
     """Euclidean division of ``a`` by a monic ``b``; no coefficient division.

@@ -2,10 +2,10 @@ import random
 
 import pytest
 
-from jnf.decomposition import cycle_block_matrix
-from jnf.errors import SingularMatrixError
+from jnf.decomposition import companion, cycle_block_matrix
+from jnf.errors import InternalConsistencyError, SingularMatrixError
 from jnf.fields import QQ
-from jnf.matrix import MatPoly, Matrix, mat_mul, rref
+from jnf.matrix import MatPoly, Matrix, mat_mul, rank
 from jnf.poly import Poly
 
 
@@ -124,6 +124,141 @@ def det(m):
     return f.neg(acc) if sign_flip else acc
 
 
+def rref(m):
+    """Reduced row echelon form with pivots normalized to 1: (reduced,
+    rank, pivots) with pivots the (row, column) of each pivot."""
+    rows, rk, pivots = m.field.rref(m.data)
+    return Matrix(m.field, rows), rk, pivots
+
+
+def kernel_basis(m):
+    """Basis of the right null space as a list of column vectors."""
+    f = m.field
+    reduced, _, pivots = rref(m)
+    pivot_cols = {c for _, c in pivots}
+    basis = []
+    for fc in (c for c in range(m.cols) if c not in pivot_cols):
+        v = [f.zero] * m.cols
+        v[fc] = f.one
+        for r, c in pivots:
+            v[c] = f.neg(reduced.data[r][fc])
+        basis.append(v)
+    return basis
+
+
+def columns(m):
+    return [m.column(j) for j in range(m.cols)]
+
+
+def vstack(a, b):
+    if a.cols != b.cols:
+        raise ValueError("shape mismatch")
+    return Matrix(a.field, a.data + b.data)
+
+
+def trace(m):
+    if not m.is_square:
+        raise ValueError("trace of non-square matrix")
+    return m.field.sum(m.data[i][i] for i in range(m.rows))
+
+
+def mat_pow(m, k):
+    if not m.is_square:
+        raise ValueError("power of non-square matrix")
+    acc = Matrix.identity(m.field, m.rows)
+    for _ in range(k):
+        acc = mat_mul(acc, m)
+    return acc
+
+
+def poly_eval(p, a):
+    """p(a) for a scalar a, by Horner."""
+    f = p.field
+    acc = f.zero
+    for c in reversed(p.coeffs):
+        acc = f.add(f.mul(acc, a), c)
+    return acc
+
+
+def lambda_i_minus(a):
+    """The degree-1 matrix polynomial lambda*I - A."""
+    return MatPoly(a.field, [-a, Matrix.identity(a.field, a.rows)])
+
+
+def matpoly_add(x, y):
+    x.field.check_same(y.field)
+    size = max(x.size, y.size)
+    zero = Matrix.zeros(x.field, size, size)
+    n = max(len(x.coeffs), len(y.coeffs))
+    return MatPoly(x.field, [(x.coeffs[k] if k < len(x.coeffs) else zero)
+                             + (y.coeffs[k] if k < len(y.coeffs) else zero)
+                             for k in range(n)])
+
+
+def matpoly_sub(x, y):
+    return matpoly_add(x, MatPoly(y.field, [-m for m in y.coeffs]))
+
+
+def matpoly_mul_poly(mp, p):
+    """Multiply by a scalar polynomial, entrywise."""
+    mp.field.check_same(p.field)
+    if mp.is_zero or p.is_zero:
+        return MatPoly(mp.field, [])
+    f = mp.field
+    out = [Matrix.zeros(f, mp.size, mp.size)
+           for _ in range(len(mp.coeffs) + len(p.coeffs) - 1)]
+    for i, m in enumerate(mp.coeffs):
+        for j, c in enumerate(p.coeffs):
+            if not f.is_zero(c):
+                out[i + j] = out[i + j] + m.scale(c)
+    return MatPoly(f, out)
+
+
+def matpoly_mul(x, y):
+    x.field.check_same(y.field)
+    if x.is_zero or y.is_zero:
+        return MatPoly(x.field, [])
+    out = [Matrix.zeros(x.field, x.size, x.size)
+           for _ in range(len(x.coeffs) + len(y.coeffs) - 1)]
+    for i, a in enumerate(x.coeffs):
+        for j, b in enumerate(y.coeffs):
+            out[i + j] = out[i + j] + mat_mul(a, b)
+    return MatPoly(x.field, out)
+
+
+def block_diagonal_part(dec):
+    """The companion block-diagonal D of J (the N = J - D part carries the
+    couplings)."""
+    f = dec.field
+    n = dec.j.rows
+    d_mat = Matrix.zeros(f, n, n)
+    for blk in dec.blocks:
+        comp = companion(blk.factor)
+        d = blk.factor.degree
+        for g in range(blk.cycle_length):
+            base = blk.offset + g * d
+            for r in range(d):
+                for c in range(d):
+                    d_mat.data[base + r][base + c] = comp.data[r][c]
+    return d_mat
+
+
+def expand_cycle(segs, a, q):
+    """The groups [w_j, A*w_j, ..., A^{d-1}*w_j] of a Q(A)-cycle given
+    w_0 first; the irreducibility of Q guarantees (and the rank check
+    enforces) that the k*d vectors are independent."""
+    groups = []
+    for w in segs:
+        group = [w]
+        for _ in range(q.degree - 1):
+            group.append(a.mul_vector(group[-1]))
+        groups.append(group)
+    flat = [v for group in groups for v in group]
+    if rank(Matrix(a.field, flat)) != len(flat):
+        raise InternalConsistencyError("expanded cycle vectors are dependent")
+    return groups
+
+
 def mat_inverse(m):
     """Exact inverse via Gauss-Jordan on [m | I]."""
     if not m.is_square:
@@ -150,15 +285,16 @@ def horner_eval(mp, a):
 def matpoly_reconstruct_shifts(shifts, a, field):
     """Rebuild sum_k shifts[k] * (lambda - a)^k."""
     return matpoly_reconstruct_q_adic(
-        [MatPoly(field, [m]) for m in shifts], Poly.x_minus(field, a), field)
+        [[m] for m in shifts], Poly.x_minus(field, a), field)
 
 
 def matpoly_reconstruct_q_adic(c_blocks, q, field):
-    """Rebuild sum_k c_blocks[k] * q^k."""
-    acc = MatPoly.zero(field)
+    """Rebuild sum_k c_blocks[k] * q^k, each C_k given by its coefficient
+    matrices."""
+    acc = MatPoly(field, [])
     power = Poly.one(field)
     for c in c_blocks:
-        acc = acc + c.mul_poly(power)
+        acc = matpoly_add(acc, matpoly_mul_poly(MatPoly(field, c), power))
         power = power * q
     return acc
 

@@ -9,19 +9,19 @@ import time
 
 import pytest
 
-from conftest import (block_multiset, charpoly_oracle, conjugate_random,
-                      make_fixture_m6, random_normal_form, rng_for)
+from conftest import (block_diagonal_part, block_multiset, charpoly_oracle,
+                      conjugate_random, expand_cycle, kernel_basis,
+                      lambda_i_minus, make_fixture_m6, mat_pow, matpoly_mul,
+                      poly_eval, random_normal_form, rng_for, trace)
 from jnf.charpoly import char_data, faddeev, hessenberg_charpoly
-from jnf.decomposition import block_diagonal_part, cycle_block_matrix, verify
+from jnf.decomposition import cycle_block_matrix, verify
 from jnf.factor import factor_charpoly
 from jnf.fields import QQ, CountingField, PrimeField
 from jnf.jordan_linear import split_jordan, taylor_blocks
 from jnf.jordan_rational import (assemble_pseudo_rational,
-                                 convert_cycle_to_rational, expand_cycle,
-                                 extract_q_cycles, q_adic_blocks,
-                                 rational_jordan)
-from jnf.matrix import (MatPoly, Matrix, kernel_basis, mat_mul,
-                        poly_at_matrix, rank)
+                                 convert_cycle_to_rational, extract_q_cycles,
+                                 q_adic_blocks, rational_jordan)
+from jnf.matrix import MatPoly, Matrix, mat_mul, poly_at_matrix, rank
 from jnf.poly import Poly, poly_derivative, poly_euclid_div
 
 X2M2 = Poly.from_ints(QQ, [-2, 0, 1])
@@ -52,7 +52,7 @@ def rand_matrix(rng, field, n, lo=-5, hi=5):
 
 def check_comatrix_identity(a, cd):
     ident = Matrix.identity(a.field, a.rows)
-    lhs = MatPoly.lambda_i_minus(a).mul_matpoly(cd.b)
+    lhs = matpoly_mul(lambda_i_minus(a), cd.b)
     rhs = MatPoly(a.field, [ident.scale(c) for c in cd.p.coeffs])
     assert lhs == rhs
 
@@ -67,7 +67,7 @@ def integer_roots(p):
     found = []
     for t in range(-40, 41):
         lam = f.from_int(t)
-        if not f.is_zero(p.eval_at(lam)):
+        if not f.is_zero(poly_eval(p, lam)):
             continue
         mult = 0
         q = p
@@ -87,7 +87,7 @@ def field_roots(p):
     found = []
     for t in range(f.char):
         lam = f.from_int(t)
-        if not f.is_zero(p.eval_at(lam)):
+        if not f.is_zero(poly_eval(p, lam)):
             continue
         mult = 0
         q = p
@@ -184,11 +184,9 @@ def test_criterion_3_fixture_m6(run_criterion):
         # the reference pair satisfy the chain relations and span the same
         # 4-dimensional expanded space
         qa = poly_at_matrix(X2M2, a)
-        data = q_adic_blocks(a, cd.b, X2M2, 2)
-        cycles = extract_q_cycles(a, data)
+        cycles = extract_q_cycles(a, X2M2, 2, q_adic_blocks(a, cd.b, X2M2, 2))
         assert len(cycles) == 1 and len(cycles[0]) == 2
-        cy = cycles[0]
-        w1, w0 = cy.q_cycle
+        (w0, _), (w1, _) = cycles[0]
         assert qa.mul_vector(w1) == w0
         assert all(QQ.is_zero(x) for x in qa.mul_vector(w0))
         # reference pair: Q(A) maps (0,0,0,-1,-1,-1) to (1,0,0,-1,-1,-1),
@@ -206,8 +204,8 @@ def test_criterion_3_fixture_m6(run_criterion):
         v00 = [QQ.from_int(k) for k in (4, 24, 12, 32, 8, -4)]
         w10 = [QQ.from_int(k) for k in (0, 4, -4, 8, 4, -4)]
         assert qa.mul_vector(w10) == v00
-        cycle = expand_cycle([v00, w10], a, X2M2)
-        groups = convert_cycle_to_rational(a, X2M2, cycle)
+        groups = convert_cycle_to_rational(a, X2M2,
+                                           expand_cycle([v00, w10], a, X2M2))
         v01 = groups[0][1]
         v10, v11 = groups[1]
         assert groups[0][0] == v00
@@ -231,7 +229,7 @@ def test_criterion_4_identity_oracle_suite(suite4, run_criterion):
                 assert faddeev(a).p == oracle
             assert cd.p == oracle
             check_comatrix_identity(a, cd)                    # Eq. (1)
-            traces = [m.trace() for m in cd.b.coeffs]
+            traces = [trace(m) for m in cd.b.coeffs]
             assert Poly(f, traces) == poly_derivative(cd.p)   # trace identity
             assert poly_at_matrix(cd.p, a).is_zero()          # Cayley-Hamilton
     run_criterion(4, check)
@@ -253,7 +251,7 @@ def test_criterion_6_theorem2_ranks(suite4, suite5, run_criterion):
             f = a.field
             bn = taylor_blocks(cd.b, lam, mult)[mult - 1]
             shifted = a - Matrix.identity(f, a.rows).scale(lam)
-            kernel_cols = kernel_basis(shifted.pow(mult))
+            kernel_cols = kernel_basis(mat_pow(shifted, mult))
             k_mat = Matrix.from_columns(f, kernel_cols, rows=a.rows)
             r_b = rank(bn)
             r_k = len(kernel_cols)

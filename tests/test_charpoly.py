@@ -1,7 +1,8 @@
 import pytest
 
 from conftest import (adjugate_oracle, charpoly_oracle, det_oracle,
-                      horner_eval, make_fixture_m6, rand_matrix, rng_for)
+                      horner_eval, lambda_i_minus, make_fixture_m6,
+                      matpoly_mul, rand_matrix, rng_for, trace)
 from jnf.charpoly import (char_data, comatrix_from_charpoly, faddeev,
                           hessenberg_charpoly, hessenberg_reduce)
 from jnf.errors import InternalConsistencyError, UnsupportedFieldError
@@ -14,7 +15,7 @@ def check_comatrix_identity(a, cd):
     """(lambda*I - A) * B(lambda) = P(lambda) * I, exactly."""
     f = a.field
     ident = Matrix.identity(f, a.rows)
-    lhs = MatPoly.lambda_i_minus(a).mul_matpoly(cd.b)
+    lhs = matpoly_mul(lambda_i_minus(a), cd.b)
     rhs = MatPoly(f, [ident.scale(c) for c in cd.p.coeffs])
     assert lhs == rhs
 
@@ -60,7 +61,7 @@ def test_trace_of_b_is_derivative():
     for _ in range(10):
         a = rand_matrix(rng, QQ, rng.randint(1, 5))
         cd = faddeev(a)
-        traces = [m.trace() for m in cd.b.coeffs]
+        traces = [trace(m) for m in cd.b.coeffs]
         assert Poly(QQ, traces) == poly_derivative(cd.p)
 
 

@@ -39,12 +39,18 @@ CASES = {
                        [(Poly.from_ints(GF7, [1, 0, 1]), [2, 1]),
                         (lin(GF7, 3), [2, 1]), (lin(GF7, 5), [1])], True),
 }
+# the pseudo-rational form on the same pieces, each case conjugated by its
+# own seed: single-1 couplings and no binomial conversion
+CASES["gf7_hessenberg_pseudo"] = ("fp:7", "pseudo") + CASES["gf7_hessenberg"][2:]
+CASES["qq_rational_pseudo"] = ("q", "pseudo") + CASES["qq_rational"][2:]
 
 DIGESTS = {
     "qq_split": "e6464a7049f166655ee59f05353126a45419a47a61bab2d94543df8f9391b91e",
     "qq_split_den30": "b58b01f5902309a973796e74db8a66d278df5b4560acc67fb7281392e4a03c49",
     "qq_rational": "ada759313f171f270d07099f93e5dd9ac70f9b2e968d8045f5e5aa2102395f8d",
     "gf7_hessenberg": "a75ae3cf02c179ecd2811c0a1aed114d6106ca9735ee0cd1daaceea09b548a4b",
+    "gf7_hessenberg_pseudo": "cf11773d5ce2b9233fbc99a0fa4230ee63915fe0b262a1a258a3eee58cc30c1c",
+    "qq_rational_pseudo": "204cc8b35023e5a3350f48f5090fabdd3a9488fa8c953229b793f838448d0b74",
 }
 
 

@@ -22,13 +22,12 @@ def test_taylor_blocks_reconstruct(fixture_a):
 
 def test_fixture_a_cycle_structure(fixture_a):
     cd = char_data(fixture_a)
-    st = extract_cycles(fixture_a, QQ.from_int(2), 2,
-                        taylor_blocks(cd.b, QQ.from_int(2), 2))
-    assert sorted(len(cy) for cy in st.cycles) == [2]
-    cy = st.cycles[0]
+    cycles = extract_cycles(fixture_a, QQ.from_int(2), 2,
+                            taylor_blocks(cd.b, QQ.from_int(2), 2))
+    assert sorted(len(cy) for cy in cycles) == [2]
     # v_0 is an eigenvector, A*v_1 = 2*v_1 + v_0
     two = QQ.from_int(2)
-    v1, v0 = cy.vectors
+    (v0,), (v1,) = cycles[0]
     assert fixture_a.mul_vector(v0) == [QQ.mul(two, x) for x in v0]
     assert fixture_a.mul_vector(v1) == [QQ.add(QQ.mul(two, x), y)
                                       for x, y in zip(v1, v0)]

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from conftest import conjugate_random, normal_form, rng_for
+from conftest import columns, conjugate_random, normal_form, rng_for
 from jnf.charpoly import char_data
 from jnf.decomposition import cycle_block_matrix
 from jnf.factor import FactoredCharPoly, factor_charpoly
@@ -462,7 +462,7 @@ def test_reduced_stack_matches_rref(f):
             assert top == [r for r, c in pivots if c < n]
             for i in range(stack.num_chains):
                 assert sum(stack.chain_segments(i), []) == expect[i]
-            assert [sum(b.columns(), []) for b in stack.blocks()] == [
+            assert [sum(columns(b), []) for b in stack.blocks()] == [
                 [x for row in expect for x in row[t * n:(t + 1) * n]]
                 for t in range(stack.levels)]
             # shifted top chains (retired at the last level), zero chains
