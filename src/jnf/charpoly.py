@@ -8,7 +8,7 @@ reduction for P followed by matrix Horner for B.  Both produce the same
 from dataclasses import dataclass
 
 from .errors import InternalConsistencyError, UnsupportedFieldError
-from .matrix import Matrix, MatPoly
+from .matrix import Matrix, MatPoly, matrix_horner
 from .poly import Poly
 
 
@@ -17,35 +17,6 @@ class CharData:
     p: Poly          # monic, degree n, increasing powers
     b: MatPoly       # degree n-1, leading coefficient I
     method: str      # "faddeev" or "hessenberg_horner"
-
-
-def _matrix_horner(a, e, coeff):
-    """B_0 = I, B_k = A*B_{k-1} + c_k*I for k = 1..n, in the field's integer
-    model: with A = A'/d, the integral B'_0 = e*I and
-    B'_k = A'*B'_{k-1} + c'_k*I stand for B_k = B'_k/(e*d^k), where
-    ``coeff(k, A'*B'_{k-1}, d^k)`` returns c'_k = e*d^k*c_k.
-
-    Returns ([c'_1, ..., c'_n], d, B as a MatPoly in lambda, B_n == 0);
-    B_n = P(A) for P = lambda^n + c_1*lambda^(n-1) + ... + c_n.  B's
-    coefficients stay in the integer model (B'_k over e*d^k) until read.
-    """
-    f = a.field
-    n = a.rows
-    ai, d = f.lift(a.data)
-    b = [[e if i == j else 0 for j in range(n)] for i in range(n)]
-    b_desc = [Matrix.from_lifted(f, b, e)]
-    cs = []
-    dk = 1
-    for k in range(1, n + 1):
-        b = f.int_matmul(ai, b)
-        dk *= d
-        c = coeff(k, b, dk)
-        for i in range(n):
-            b[i][i] += c
-        cs.append(c)
-        if k < n:
-            b_desc.append(Matrix.from_lifted(f, b, e * dk))
-    return cs, d, MatPoly(f, list(reversed(b_desc))), f.int_is_zero(b)
 
 
 def faddeev(a):
@@ -66,11 +37,12 @@ def faddeev(a):
     def coeff(k, a_k, _dk):
         return f.exact_div(-sum(a_k[i][i] for i in range(n)), k)
 
-    cs, d, b, vanishes = _matrix_horner(a, 1, coeff)
-    if not vanishes:
+    cs, d, bs = matrix_horner(a, 1, 1, n, coeff)
+    if not bs.pop().is_zero():
         raise InternalConsistencyError("Faddeev terminal matrix B_n is nonzero")
     p_desc = [f.one] + [f.lower([[c]], d ** k)[0][0] for k, c in enumerate(cs, 1)]
-    return CharData(p=Poly(f, list(reversed(p_desc))), b=b, method="faddeev")
+    return CharData(p=Poly(f, list(reversed(p_desc))), b=MatPoly(f, bs[::-1]),
+                    method="faddeev")
 
 
 def hessenberg_reduce(a):
@@ -137,11 +109,11 @@ def comatrix_from_charpoly(a, p):
     if p.degree != n or not p.is_monic:
         raise ValueError("p must be the monic characteristic polynomial")
     (pi,), e = f.lift([p.coeffs])
-    _, _, b, vanishes = _matrix_horner(a, e, lambda k, _, dk: dk * pi[n - k])
-    if not vanishes:
+    _, _, bs = matrix_horner(a, e, e, n, lambda k, _, dk: dk * pi[n - k])
+    if not bs.pop().is_zero():
         raise InternalConsistencyError(
             "P(A) != 0: the supplied polynomial does not annihilate A")
-    return b
+    return MatPoly(f, bs[::-1])
 
 
 def char_data(a):

@@ -6,7 +6,7 @@ object supplies the arithmetic.  Keeping elements raw instead of wrapped
 makes loops over them considerably cheaper.
 
 Kernel layer.  Everything matrix-sized goes through a few bulk methods:
-``matmul``, row reduction (``rref`` and ``rank``, fraction-free) and
+``matmul``, row reduction (``int_rref`` and ``rank``, fraction-free) and
 ``expand``, the repeated synthetic division of a whole matrix polynomial by
 monic polynomials (Taylor shifts when they are linear, Q-adic expansion
 otherwise).  They run on the field's integer model: ``lift`` writes a block
@@ -150,12 +150,6 @@ class Field:
     def div(self, a, b):
         return self.mul(a, self.inv(b))
 
-    def sum(self, values):
-        acc = self.zero
-        for v in values:
-            acc = self.add(acc, v)
-        return acc
-
     # -- kernel layer; matrices are lists of rows of field elements --------
 
     def matmul(self, a, b):
@@ -219,16 +213,6 @@ class Field:
             pivots.append((r, c))
             r += 1
         return data, pivots
-
-    def rref(self, rows):
-        """Reduced row echelon form with pivots normalised to 1; returns
-        (rows, rank, [(row, column) of each pivot]): ``int_rref`` on the
-        lifted rows, each pivot row divided by its pivot once at the end."""
-        data, pivots = self.int_rref(self.lift(rows)[0])
-        ncols = len(rows[0]) if rows else 0
-        out = [self.lower([data[i]], data[i][c])[0] for i, c in pivots]
-        out += [[self.zero] * ncols for _ in range(len(rows) - len(pivots))]
-        return out, len(pivots), pivots
 
     def rank(self, rows):
         """Rank by fraction-free forward elimination; each step drops the

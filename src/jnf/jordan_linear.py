@@ -1,17 +1,22 @@
 """The cycle engine every factor runs through, and the split Jordan form.
 
 For a factor Q of degree d, the stack blocks are the Q-adic coefficients
-C_k of B(lambda), their d lambda-coefficients side by side; the stacked
-reduce/shift loop reads candidate chains off them, and one extractor
-accepts a chain when the chain with all its A^i-images is independent of
-everything taken so far.  A linear factor lambda - lam is the d = 1 case:
-its C_k are the Taylor coefficients of B at lam, and a chain's images are
-the chain itself.  A cycle is returned as its list of groups, group j
-holding (w_j, A*w_j, ..., A^{d-1}*w_j), which is what ``assemble`` takes.
+C_k of B(lambda), their d lambda-coefficients side by side.  Each column
+of the stacked blocks is one chain, held as one integer row; one loop
+reduces these chain rows, reads the candidate chains off the rows that
+pivot in the top block, shifts those one block down and cuts the top
+block from the rest.  One extractor accepts a chain when the chain with
+all its A^i-images is independent of everything taken so far.  A linear
+factor lambda - lam is the d = 1 case: its C_k are the Taylor
+coefficients of B at lam, and a chain's images are the chain itself.  A
+cycle is returned as its list of groups, group j holding
+(w_j, A*w_j, ..., A^{d-1}*w_j), which is what ``assemble`` takes.
 """
 
+from itertools import chain
+
 from .errors import InternalConsistencyError, NeedsFactorizationError
-from .matrix import Matrix, ReducedStack, rank, horner_shift
+from .matrix import Matrix, rank, horner_shift
 
 
 def taylor_blocks(b, lam, mult):
@@ -21,36 +26,49 @@ def taylor_blocks(b, lam, mult):
 
 
 def collect_cycles(blocks, total_needed, accept, enforce_single_top=False):
-    """Generic stacked reduce/collect/shift loop.
+    """The stacked reduce/collect/shift loop.
 
-    ``blocks`` are the stack blocks (block 0 on top, chain relations between
-    consecutive blocks).  ``accept`` sees a candidate chain [v_0, ..., v_{L-1}]
-    and must return True, keeping the chain, only for chains independent of
-    everything kept so far.
+    ``blocks`` are the stack blocks, block 0 on top, with chain relations
+    between consecutive blocks.  Chain j is column j of every block at
+    once, held as one integer row (s_0 | s_1 | ... | s_{L-1}) over one
+    denominator, so each row operation hits all blocks alike and keeps the
+    relations.  At each level the rows are brought to reduced row echelon
+    form; those with their pivot in the top block are the candidates.
+    ``accept`` sees each candidate's segments [v_0, ..., v_{L-1}] and must
+    return True, keeping the chain, only for chains independent of
+    everything kept so far.  Then each candidate moves one block down (its
+    deepest segment drops off), the all-zero top block of every other row
+    is cut, and rows that became zero are dropped.
     """
-    stack = ReducedStack.from_blocks(blocks)
+    f = blocks[0].field
+    n = blocks[0].rows
+    parts, _ = f.to_common([b.lifted() for b in blocks])
+    rows = [list(c) for c in zip(*chain.from_iterable(parts)) if any(c)]
+    level = len(blocks)
     total = 0
-    first_pass = True
-    while total < total_needed and stack.levels >= 1:
-        stack, top_idx = stack.reduce()
-        if enforce_single_top and first_pass and len(top_idx) > 1:
+    while total < total_needed and rows:
+        rows, pivots = f.int_rref(rows)
+        top = sum(c < n for _, c in pivots)
+        if enforce_single_top and level == len(blocks) and top > 1:
             # one full-length cycle already fills the characteristic space
             raise InternalConsistencyError(
                 "more than one full-length chain survived the first reduction")
-        first_pass = False
-        level = stack.levels
-        for idx in top_idx:
-            if accept(stack.chain_segments(idx)):
+        # pivot i sits in row i, and the top pivots come first
+        for row, (_, c) in zip(rows, pivots[:top]):
+            segs = f.lower([row], row[c])[0]
+            if accept([segs[t:t + n] for t in range(0, level * n, n)]):
                 if total + level > total_needed:
                     raise InternalConsistencyError(
                         "independent cycles exceed the factor multiplicity")
                 total += level
         if total >= total_needed:
             break
-        for idx in sorted(top_idx, reverse=True):
-            stack.shift_down(idx)
-        stack.drop_zero_chains()
-        stack.cut_top()
+        if any(any(row[:n]) for row in rows[top:]):
+            raise InternalConsistencyError(
+                "a chain without a top pivot is nonzero in the top block")
+        shifted = [row[:-n] for row in rows[:top]] + [row[n:] for row in rows[top:]]
+        rows = [row for row in shifted if any(row)]
+        level -= 1
     if total != total_needed:
         raise InternalConsistencyError(
             "cycle collection exhausted the stack before reaching the multiplicity")

@@ -1,19 +1,19 @@
-"""Dense exact matrices, matrix-coefficient polynomials, and the
-column-tracking reduction stack used by the cycle-collection algorithms.
+"""Dense exact matrices, matrix-coefficient polynomials, and the one
+matrix Horner loop.
 
 Products, row reduction and the synthetic division of matrix polynomials
 are the field's bulk kernels (see ``fields``); this module only shapes the
-data for them.  Column reduction is realized everywhere as row reduction of
-the transpose by one fraction-free elimination kernel: ``int_rref`` in the
-stack, or ``rank`` where only the rank is needed.  One ``matpoly_div_q``
-call expands a matrix polynomial at every divisor at once; Taylor shifts
-are its linear-divisor case.
+data for them.  One ``matpoly_div_q`` call expands a matrix polynomial at
+every divisor at once; Taylor shifts are its linear-divisor case.
+``matrix_horner`` computes X_k = A*X_{k-1} + c_k*I in the integer model: it
+builds the comatrix polynomial B(lambda) (Faddeev's trace recurrence, or
+Horner on a given characteristic polynomial) and evaluates a scalar
+polynomial at a matrix.
 """
 
 from itertools import chain
 
-from .errors import (FieldMismatchError, InternalConsistencyError,
-                     NonMonicDivisorError)
+from .errors import FieldMismatchError, NonMonicDivisorError
 from .poly import Poly
 
 
@@ -112,30 +112,6 @@ class Matrix:
         if not isinstance(other, Matrix):
             raise TypeError("expected a Matrix")
         self.field.check_same(other.field)
-
-    def __add__(self, other):
-        self._check(other)
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
-        f = self.field
-        return Matrix(f, [[f.add(a, b) for a, b in zip(ra, rb)]
-                          for ra, rb in zip(self.data, other.data)])
-
-    def __sub__(self, other):
-        self._check(other)
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
-        f = self.field
-        return Matrix(f, [[f.sub(a, b) for a, b in zip(ra, rb)]
-                          for ra, rb in zip(self.data, other.data)])
-
-    def __neg__(self):
-        f = self.field
-        return Matrix(f, [[f.neg(x) for x in row] for row in self.data])
-
-    def scale(self, c):
-        f = self.field
-        return Matrix(f, [[f.mul(c, x) for x in row] for row in self.data])
 
     def __mul__(self, other):
         return mat_mul(self, other)
@@ -256,120 +232,43 @@ def horner_shift(mp, points):
     return [[c_k[0] for c_k in blocks] for blocks in expansions]
 
 
-def poly_at_matrix(p, a):
-    """Evaluate a scalar polynomial at a square matrix (matrix Horner)."""
-    p.field.check_same(a.field)
-    f = a.field
-    acc = Matrix.zeros(f, a.rows, a.rows)
-    ident = Matrix.identity(f, a.rows)
-    for c in reversed(p.coeffs):
-        acc = mat_mul(acc, a) + ident.scale(c)
-    return acc
 
 
-class ReducedStack:
-    """Blocks stacked one under another, columns aligned.
+def matrix_horner(a, lead, den, steps, coeff):
+    """X_0 = lead*I and X_k = A*X_{k-1} + c_k*I for k = 1..steps, in the
+    field's integer model: with A = A'/d, the integral X'_0 = lead*I and
+    X'_k = A'*X'_{k-1} + c'_k*I stand for X_k = X'_k/(den*d^k), where
+    ``coeff(k, A'*X'_{k-1}, d^k)`` returns c'_k = den*d^k*c_k.
 
-    Internally each column chain is one row of the chain matrix (the
-    transpose of the stacked picture): row j = (s_0 | s_1 | ... | s_{L-1})
-    where s_t is the chain's segment in block t, block 0 on top.  Every
-    elementary operation acts on whole rows, so it hits all blocks at once,
-    which is what preserves the inter-block chain relations.
-
-    Rows stay in the field's integer model: ``chain_rows[j]`` is a row of
-    integers and ``dens[j]`` its denominator; after ``reduce`` a row's
-    denominator is its pivot value.  Reduction, shifts, cuts and dropping
-    zero chains act on the integers (none of them depends on a row's
-    scale), and a row becomes field elements only when it is read through
-    ``chain_segments`` or ``blocks``.
+    Returns ([c'_1, ..., c'_steps], d, [X_0, ..., X_steps]), the X_k held
+    in the integer model.  Over F_p the diagonal additions leave unreduced
+    residues behind, which ``int_matmul`` and ``int_is_zero`` accept.
     """
+    f = a.field
+    n = a.rows
+    ai, d = f.lift(a.data)
+    x = [[lead if i == j else 0 for j in range(n)] for i in range(n)]
+    xs = [Matrix.from_lifted(f, x, den)]
+    cs = []
+    dk = 1
+    for k in range(1, steps + 1):
+        x = f.int_matmul(ai, x)
+        dk *= d
+        c = coeff(k, x, dk)
+        for i in range(n):
+            x[i][i] += c
+        cs.append(c)
+        xs.append(Matrix.from_lifted(f, x, den * dk))
+    return cs, d, xs
 
-    def __init__(self, field, seg_len, levels, chain_rows, dens):
-        self.field = field
-        self.seg_len = seg_len
-        self.levels = levels
-        self.chain_rows = list(chain_rows)
-        self.dens = list(dens)
-        for r in self.chain_rows:
-            if len(r) != seg_len * levels:
-                raise ValueError("bad chain row length")
 
-    @classmethod
-    def from_blocks(cls, blocks):
-        """Build from matrices [block_0, ..., block_{L-1}], block 0 on top.
-        Chains are the aligned columns, taken from the blocks' integer
-        model once the blocks are over one denominator."""
-        if not blocks:
-            raise ValueError("empty stack")
-        field = blocks[0].field
-        seg_len = blocks[0].rows
-        width = blocks[0].cols
-        for b in blocks:
-            if b.rows != seg_len or b.cols != width or b.field != field:
-                raise ValueError("blocks must agree in shape and field")
-        parts, den = field.to_common([b.lifted() for b in blocks])
-        columns = [list(zip(*rows)) for rows in parts]
-        chains = [list(chain.from_iterable(cols[j] for cols in columns))
-                  for j in range(width)]
-        return cls(field, seg_len, len(blocks), chains, [den] * width)
-
-    @property
-    def num_chains(self):
-        return len(self.chain_rows)
-
-    def _lowered(self, idx):
-        return self.field.lower([self.chain_rows[idx]], self.dens[idx])[0]
-
-    def chain_segments(self, idx):
-        """Segments [s_0, ..., s_{L-1}] of one chain."""
-        n = self.seg_len
-        row = self._lowered(idx)
-        return [row[t * n:(t + 1) * n] for t in range(self.levels)]
-
-    def blocks(self):
-        """The stacked-matrix view: list of L matrices, block 0 first."""
-        n = self.seg_len
-        rows = [self._lowered(idx) for idx in range(self.num_chains)]
-        out = []
-        for t in range(self.levels):
-            cols = [row[t * n:(t + 1) * n] for row in rows]
-            out.append(Matrix.from_columns(self.field, cols, rows=n))
-        return out
-
-    def reduce(self):
-        """Row-reduce the chain matrix (full RREF, pivots scanned left to
-        right so the top block is reduced first).  Returns (new stack,
-        indices of chains whose pivot lies in the top block)."""
-        if not self.chain_rows:
-            return self, []
-        rows, pivots = self.field.int_rref(self.chain_rows)
-        dens = [rows[i][c] for i, c in pivots] + [1] * (len(rows) - len(pivots))
-        new = ReducedStack(self.field, self.seg_len, self.levels, rows, dens)
-        top = [r for r, c in pivots if c < self.seg_len]
-        return new, top
-
-    def shift_down(self, idx):
-        """Move chain ``idx`` one block lower: the deepest segment drops
-        off and a zero segment enters on top.  A single-level chain is
-        retired (removed)."""
-        n = self.seg_len
-        if self.levels == 1:
-            del self.chain_rows[idx]
-            del self.dens[idx]
-            return
-        row = self.chain_rows[idx]
-        self.chain_rows[idx] = [0] * n + row[:(self.levels - 1) * n]
-
-    def drop_zero_chains(self):
-        kept = [(r, den) for r, den in zip(self.chain_rows, self.dens) if any(r)]
-        self.chain_rows = [r for r, _ in kept]
-        self.dens = [den for _, den in kept]
-
-    def cut_top(self):
-        """Remove the (all-zero) top block; the chain length shrinks by 1."""
-        n = self.seg_len
-        for row in self.chain_rows:
-            if any(row[:n]):
-                raise InternalConsistencyError("cut_top with nonzero top segment")
-        self.chain_rows = [row[n:] for row in self.chain_rows]
-        self.levels -= 1
+def poly_at_matrix(p, a):
+    """p(A) by matrix Horner from p's leading coefficient, held in the
+    integer model."""
+    p.field.check_same(a.field)
+    if p.is_zero:
+        return Matrix.zeros(a.field, a.rows, a.rows)
+    (pi,), e = a.field.lift([p.coeffs])
+    m = p.degree
+    _, _, xs = matrix_horner(a, pi[m], e, m, lambda k, _, dk: dk * pi[m - k])
+    return xs[-1]

@@ -1,3 +1,4 @@
+import functools
 import random
 
 import pytest
@@ -126,9 +127,14 @@ def det(m):
 
 def rref(m):
     """Reduced row echelon form with pivots normalized to 1: (reduced,
-    rank, pivots) with pivots the (row, column) of each pivot."""
-    rows, rk, pivots = m.field.rref(m.data)
-    return Matrix(m.field, rows), rk, pivots
+    rank, pivots) with pivots the (row, column) of each pivot.  It is
+    ``int_rref`` on the lifted rows, each pivot row divided by its pivot
+    once at the end."""
+    f = m.field
+    data, pivots = f.int_rref(f.lift(m.data)[0])
+    out = [f.lower([data[i]], data[i][c])[0] for i, c in pivots]
+    out += [[f.zero] * m.cols for _ in range(m.rows - len(pivots))]
+    return Matrix(f, out), len(pivots), pivots
 
 
 def kernel_basis(m):
@@ -159,7 +165,35 @@ def vstack(a, b):
 def trace(m):
     if not m.is_square:
         raise ValueError("trace of non-square matrix")
-    return m.field.sum(m.data[i][i] for i in range(m.rows))
+    return functools.reduce(m.field.add, (m.data[i][i] for i in range(m.rows)),
+                            m.field.zero)
+
+
+def _entrywise(op, *mats):
+    f = mats[0].field
+    for m in mats[1:]:
+        f.check_same(m.field)
+        if (m.rows, m.cols) != (mats[0].rows, mats[0].cols):
+            raise ValueError("shape mismatch")
+    return Matrix(f, [[op(*xs) for xs in zip(*rows)]
+                      for rows in zip(*(m.data for m in mats))])
+
+
+def mat_add(a, b):
+    return _entrywise(a.field.add, a, b)
+
+
+def mat_sub(a, b):
+    return _entrywise(a.field.sub, a, b)
+
+
+def mat_neg(a):
+    return _entrywise(a.field.neg, a)
+
+
+def mat_scale(a, c):
+    """c * A for a field element c."""
+    return _entrywise(lambda x: a.field.mul(c, x), a)
 
 
 def mat_pow(m, k):
@@ -180,9 +214,20 @@ def poly_eval(p, a):
     return acc
 
 
+def poly_at_matrix_oracle(p, a):
+    """p(A) by matrix Horner on field elements, one entrywise step at a
+    time."""
+    f = a.field
+    acc = Matrix.zeros(f, a.rows, a.rows)
+    ident = Matrix.identity(f, a.rows)
+    for c in reversed(p.coeffs):
+        acc = mat_add(mat_mul(acc, a), mat_scale(ident, c))
+    return acc
+
+
 def lambda_i_minus(a):
     """The degree-1 matrix polynomial lambda*I - A."""
-    return MatPoly(a.field, [-a, Matrix.identity(a.field, a.rows)])
+    return MatPoly(a.field, [mat_neg(a), Matrix.identity(a.field, a.rows)])
 
 
 def matpoly_add(x, y):
@@ -190,13 +235,13 @@ def matpoly_add(x, y):
     size = max(x.size, y.size)
     zero = Matrix.zeros(x.field, size, size)
     n = max(len(x.coeffs), len(y.coeffs))
-    return MatPoly(x.field, [(x.coeffs[k] if k < len(x.coeffs) else zero)
-                             + (y.coeffs[k] if k < len(y.coeffs) else zero)
+    return MatPoly(x.field, [mat_add(x.coeffs[k] if k < len(x.coeffs) else zero,
+                                     y.coeffs[k] if k < len(y.coeffs) else zero)
                              for k in range(n)])
 
 
 def matpoly_sub(x, y):
-    return matpoly_add(x, MatPoly(y.field, [-m for m in y.coeffs]))
+    return matpoly_add(x, MatPoly(y.field, [mat_neg(m) for m in y.coeffs]))
 
 
 def matpoly_mul_poly(mp, p):
@@ -210,7 +255,7 @@ def matpoly_mul_poly(mp, p):
     for i, m in enumerate(mp.coeffs):
         for j, c in enumerate(p.coeffs):
             if not f.is_zero(c):
-                out[i + j] = out[i + j] + m.scale(c)
+                out[i + j] = mat_add(out[i + j], mat_scale(m, c))
     return MatPoly(f, out)
 
 
@@ -222,7 +267,7 @@ def matpoly_mul(x, y):
            for _ in range(len(x.coeffs) + len(y.coeffs) - 1)]
     for i, a in enumerate(x.coeffs):
         for j, b in enumerate(y.coeffs):
-            out[i + j] = out[i + j] + mat_mul(a, b)
+            out[i + j] = mat_add(out[i + j], mat_mul(a, b))
     return MatPoly(x.field, out)
 
 
@@ -278,7 +323,7 @@ def horner_eval(mp, a):
         raise ValueError("cannot size the value of an empty matrix polynomial")
     acc = mp.coeffs[-1]
     for k in range(len(mp.coeffs) - 2, -1, -1):
-        acc = acc.scale(a) + mp.coeffs[k]
+        acc = mat_add(mat_scale(acc, a), mp.coeffs[k])
     return acc
 
 

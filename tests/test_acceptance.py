@@ -11,8 +11,9 @@ import pytest
 
 from conftest import (block_diagonal_part, block_multiset, charpoly_oracle,
                       conjugate_random, expand_cycle, kernel_basis,
-                      lambda_i_minus, make_fixture_m6, mat_pow, matpoly_mul,
-                      poly_eval, random_normal_form, rng_for, trace)
+                      lambda_i_minus, make_fixture_m6, mat_pow, mat_scale,
+                      mat_sub, matpoly_mul, poly_eval, random_normal_form,
+                      rng_for, trace)
 from jnf.charpoly import char_data, faddeev, hessenberg_charpoly
 from jnf.decomposition import cycle_block_matrix, verify
 from jnf.factor import factor_charpoly
@@ -53,7 +54,7 @@ def rand_matrix(rng, field, n, lo=-5, hi=5):
 def check_comatrix_identity(a, cd):
     ident = Matrix.identity(a.field, a.rows)
     lhs = matpoly_mul(lambda_i_minus(a), cd.b)
-    rhs = MatPoly(a.field, [ident.scale(c) for c in cd.p.coeffs])
+    rhs = MatPoly(a.field, [mat_scale(ident, c) for c in cd.p.coeffs])
     assert lhs == rhs
 
 
@@ -250,7 +251,7 @@ def test_criterion_6_theorem2_ranks(suite4, suite5, run_criterion):
         def rank_equalities(a, cd, lam, mult):
             f = a.field
             bn = taylor_blocks(cd.b, lam, mult)[mult - 1]
-            shifted = a - Matrix.identity(f, a.rows).scale(lam)
+            shifted = mat_sub(a, mat_scale(Matrix.identity(f, a.rows), lam))
             kernel_cols = kernel_basis(mat_pow(shifted, mult))
             k_mat = Matrix.from_columns(f, kernel_cols, rows=a.rows)
             r_b = rank(bn)
@@ -280,10 +281,10 @@ def test_criterion_7_commutation(suite5, run_criterion):
     def check():
         for _a, _cd, _truth, rat, pseudo in suite5:
             d = block_diagonal_part(rat)
-            n = rat.j - d
+            n = mat_sub(rat.j, d)
             assert mat_mul(d, n) == mat_mul(n, d)
             dp = block_diagonal_part(pseudo)
-            np_ = pseudo.j - dp
+            np_ = mat_sub(pseudo.j, dp)
             # a single-1 coupling exists exactly when some cycle couples
             # companion blocks of degree >= 2; D = lambda*I on linear blocks
             # always commutes, so that is the honest failure condition

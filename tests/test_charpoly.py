@@ -2,7 +2,8 @@ import pytest
 
 from conftest import (adjugate_oracle, charpoly_oracle, det_oracle,
                       horner_eval, lambda_i_minus, make_fixture_m6,
-                      matpoly_mul, rand_matrix, rng_for, trace)
+                      mat_scale, mat_sub, matpoly_mul, rand_matrix, rng_for,
+                      trace)
 from jnf.charpoly import (char_data, comatrix_from_charpoly, faddeev,
                           hessenberg_charpoly, hessenberg_reduce)
 from jnf.errors import InternalConsistencyError, UnsupportedFieldError
@@ -16,7 +17,7 @@ def check_comatrix_identity(a, cd):
     f = a.field
     ident = Matrix.identity(f, a.rows)
     lhs = matpoly_mul(lambda_i_minus(a), cd.b)
-    rhs = MatPoly(f, [ident.scale(c) for c in cd.p.coeffs])
+    rhs = MatPoly(f, [mat_scale(ident, c) for c in cd.p.coeffs])
     assert lhs == rhs
 
 
@@ -27,7 +28,8 @@ def test_faddeev_known_3x3(fixture_a):
     assert cd.b.degree == 2
     assert cd.b.coeff(2) == Matrix.identity(QQ, 3)
     # B(lambda) = lambda^2 I + lambda (A - 5I) + (A^2 - 5A + 8I)
-    assert cd.b.coeff(1) == fixture_a - Matrix.identity(QQ, 3).scale(QQ.from_int(5))
+    assert cd.b.coeff(1) == mat_sub(fixture_a,
+                                   mat_scale(Matrix.identity(QQ, 3), QQ.from_int(5)))
     assert cd.b.coeff(0) == poly_at_matrix(Poly.from_ints(QQ, [8, -5, 1]), fixture_a)
     check_comatrix_identity(fixture_a, cd)
 
@@ -52,7 +54,7 @@ def test_comatrix_evaluates_to_adjugate():
         a = rand_matrix(rng, QQ, 3)
         cd = faddeev(a)
         x0 = QQ.from_int(rng.randint(-6, 6))
-        shifted = Matrix.identity(QQ, 3).scale(x0) - a
+        shifted = mat_sub(mat_scale(Matrix.identity(QQ, 3), x0), a)
         assert horner_eval(cd.b, x0) == adjugate_oracle(shifted)
 
 

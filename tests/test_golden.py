@@ -43,6 +43,13 @@ CASES = {
 # own seed: single-1 couplings and no binomial conversion
 CASES["gf7_hessenberg_pseudo"] = ("fp:7", "pseudo") + CASES["gf7_hessenberg"][2:]
 CASES["qq_rational_pseudo"] = ("q", "pseudo") + CASES["qq_rational"][2:]
+# deep stacks: one factor whose longest cycle sets 4 to 8 levels of the
+# reduce/collect/shift loop, more than any case above
+CASES["gf7_deep_split"] = ("fp:7", "split", [(lin(GF7, 3), [8, 4, 2, 1, 1])], True)
+CASES["qq_deep_split"] = ("q", "split", [(lin(QQ, 1, 2), [6, 3, 2, 1])], False)
+CASES["gf7_deep_rational"] = ("fp:7", "rational",
+                              [(Poly.from_ints(GF7, [1, 0, 1]), [4, 2]),
+                               (lin(GF7, 2), [1])], True)
 
 DIGESTS = {
     "qq_split": "e6464a7049f166655ee59f05353126a45419a47a61bab2d94543df8f9391b91e",
@@ -51,6 +58,9 @@ DIGESTS = {
     "gf7_hessenberg": "a75ae3cf02c179ecd2811c0a1aed114d6106ca9735ee0cd1daaceea09b548a4b",
     "gf7_hessenberg_pseudo": "cf11773d5ce2b9233fbc99a0fa4230ee63915fe0b262a1a258a3eee58cc30c1c",
     "qq_rational_pseudo": "204cc8b35023e5a3350f48f5090fabdd3a9488fa8c953229b793f838448d0b74",
+    "gf7_deep_split": "c5a2a7eccceac8db7f67dfe51649dcd686cd69a6cee0c37b8e672f9861eb3853",
+    "qq_deep_split": "d2b103e40fb0bd7730f50e9ccd7c24d0f93a81a87b7702b41f4bfab0c534ad11",
+    "gf7_deep_rational": "ca0819c2426acaecd6de7a80a2df35f86b04082e18da0c559fce537c57d656f7",
 }
 
 

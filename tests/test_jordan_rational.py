@@ -1,7 +1,7 @@
 import pytest
 
 from conftest import (block_diagonal_part, block_multiset, conjugate_random,
-                      matpoly_add, matpoly_mul_poly, matpoly_sub,
+                      mat_sub, matpoly_add, matpoly_mul_poly, matpoly_sub,
                       random_normal_form, rng_for)
 from jnf.charpoly import char_data
 from jnf.decomposition import verify
@@ -131,11 +131,11 @@ def test_commutation_rational_vs_pseudo(fixture_m6):
     fc = factor_charpoly(char_data(fixture_m6).p)
     rat = rational_jordan(fixture_m6, fc)
     d = block_diagonal_part(rat)
-    n = rat.j - d
+    n = mat_sub(rat.j, d)
     assert mat_mul(d, n) == mat_mul(n, d)
     pseudo = assemble_pseudo_rational(fixture_m6, fc)
     dp = block_diagonal_part(pseudo)
-    np_ = pseudo.j - dp
+    np_ = mat_sub(pseudo.j, dp)
     assert mat_mul(dp, np_) != mat_mul(np_, dp)
 
 

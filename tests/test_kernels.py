@@ -5,14 +5,16 @@ import random
 
 import pytest
 
-from conftest import columns, conjugate_random, normal_form, rng_for
+from conftest import (conjugate_random, mat_add, mat_scale, normal_form, rng_for,
+                      rref)
 from jnf.charpoly import char_data
 from jnf.decomposition import cycle_block_matrix
+from jnf.errors import InternalConsistencyError
 from jnf.factor import FactoredCharPoly, factor_charpoly
 from jnf.fields import QQ, CountingField, PrimeField, Rationals, _slot_bytes, is_prime
-from jnf.jordan_linear import split_jordan
+from jnf.jordan_linear import collect_cycles, split_jordan
 from jnf.jordan_rational import q_adic_blocks, rational_jordan
-from jnf.matrix import MatPoly, Matrix, ReducedStack, horner_shift
+from jnf.matrix import MatPoly, Matrix, horner_shift
 from jnf.poly import Poly
 
 # 2^31 - 1 puts the packed product's dot bound on both sides of 64 bits
@@ -134,7 +136,8 @@ def test_rref_and_rank_match_oracle(f):
     rng = rng_for(f"kernel-rref-{f.char}")
     for rows in shapes(rng, f):
         expect = oracle_rref(f, rows)
-        assert f.rref(rows) == expect
+        reduced, rk, pivots = rref(Matrix(f, rows))
+        assert (reduced.data, rk, pivots) == expect
         assert f.rank(rows) == expect[1]
 
 
@@ -143,7 +146,8 @@ def test_rref_large_mixed_rationals():
     for _ in range(10):
         rows = deficient(rng, QQ, 6, 8, 4)
         rows = [[QQ.mul(x, QQ.fraction(-(2**80) - 1, 3)) for x in r] for r in rows]
-        assert QQ.rref(rows) == oracle_rref(QQ, rows)
+        reduced, rk, pivots = rref(Matrix(QQ, rows))
+        assert (reduced.data, rk, pivots) == oracle_rref(QQ, rows)
         assert QQ.rank(rows) <= 4
 
 
@@ -200,7 +204,7 @@ def test_taylor_shifts_at_non_integer_point():
             quot = []
             for k in range(len(cur) - 2, -1, -1):
                 quot.append(carry)
-                carry = cur[k] + carry.scale(a)
+                carry = mat_add(cur[k], mat_scale(carry, a))
             assert got == carry
             cur = quot[::-1]
 
@@ -437,8 +441,9 @@ def test_counting_field_counts_char_data_and_q_adic(f):
 
 @pytest.mark.parametrize("f", [QQ, PrimeField(7)], ids=["QQ", "GF7"])
 def test_reduced_stack_matches_rref(f):
-    # the stack keeps integer rows; read back, every level's top chains
-    # must be the rows of the RREF of what the stack held before reducing
+    # collect_cycles keeps integer chain rows; with every candidate refused
+    # it runs every level, and each level's candidates must be the top-block
+    # rows of the RREF of a field-element replay of shift, drop and cut
     rng = rng_for(f"kernel-stack-{f.char}")
     for _ in range(12):
         n, width, levels = rng.randint(1, 4), rng.randint(1, 5), rng.randint(1, 4)
@@ -449,38 +454,31 @@ def test_reduced_stack_matches_rref(f):
         for b in blocks:                       # a zero chain, often not last
             for row in b.data:
                 row[0] = f.zero
-        stack = ReducedStack.from_blocks(blocks)
-        assert stack.blocks() == blocks
-        chains = [sum((b.column(j) for b in blocks), []) for j in range(width)]
-        stack.drop_zero_chains()
-        assert [sum(stack.chain_segments(j), []) for j in range(stack.num_chains)] == [
-            c for c in chains if any(c)]
-        while stack.levels and stack.num_chains:
-            held = [sum(stack.chain_segments(j), []) for j in range(stack.num_chains)]
-            expect, _, pivots = f.rref(held)
-            stack, top = stack.reduce()
-            assert top == [r for r, c in pivots if c < n]
-            for i in range(stack.num_chains):
-                assert sum(stack.chain_segments(i), []) == expect[i]
-            assert [sum(columns(b), []) for b in stack.blocks()] == [
-                [x for row in expect for x in row[t * n:(t + 1) * n]]
-                for t in range(stack.levels)]
-            # shifted top chains (retired at the last level), zero chains
-            # dropped, top segment cut: on the rows read back above
-            kept = []
-            for i, row in enumerate(expect):
-                if i in top:
-                    if stack.levels == 1:
-                        continue
-                    row = [f.zero] * n + row[:-n]
-                if any(row):
-                    kept.append(row[n:])
-            for i in sorted(top, reverse=True):
-                stack.shift_down(i)
-            stack.drop_zero_chains()
-            stack.cut_top()
-            assert [sum(stack.chain_segments(j), [])
-                    for j in range(stack.num_chains)] == kept
+        seen = []
+
+        def refuse(segs):
+            seen.append(segs)
+            return False
+
+        with pytest.raises(InternalConsistencyError, match="exhausted the stack"):
+            collect_cycles(blocks, 1, refuse)
+        expect = []
+        chains = (sum((b.column(j) for b in blocks), []) for j in range(width))
+        held = [c for c in chains if any(c)]
+        while held:
+            reduced, _, pivots = rref(Matrix(f, held))
+            top = [r for r, c in pivots if c < n]
+            level = len(held[0]) // n
+            expect += [[reduced.data[r][t * n:(t + 1) * n] for t in range(level)]
+                       for r in top]
+            # shift the top chains down (retired at the last level), drop
+            # the zero chains, cut the top segment
+            shifted = [[f.zero] * n + row[:-n] if i in top else row
+                       for i, row in enumerate(reduced.data)]
+            kept = [row for row in shifted if any(row)]
+            assert not any(any(row[:n]) for row in kept)
+            held = [row[n:] for row in kept]
+        assert seen == expect
 
 
 @pytest.mark.parametrize("f", [QQ, PrimeField(7)], ids=["QQ", "GF7"])

@@ -1,13 +1,15 @@
 import pytest
 
 from conftest import (adjugate_oracle, columns, det, det_oracle, horner_eval,
-                      kernel_basis, lambda_i_minus, mat_inverse, mat_pow,
+                      kernel_basis, lambda_i_minus, mat_add, mat_inverse,
+                      mat_neg, mat_pow, mat_scale, mat_sub,
                       matpoly_reconstruct_q_adic, matpoly_reconstruct_shifts,
-                      rand_matrix, rand_poly, rng_for, rref, trace, vstack)
+                      poly_at_matrix_oracle, rand_matrix, rand_poly, rng_for,
+                      rref, trace, vstack)
 from jnf.errors import NonMonicDivisorError, SingularMatrixError
 from jnf.fields import QQ, PrimeField
-from jnf.matrix import (MatPoly, Matrix, ReducedStack, horner_shift,
-                        matpoly_div_q, poly_at_matrix, rank)
+from jnf.matrix import (MatPoly, Matrix, horner_shift, matpoly_div_q,
+                        poly_at_matrix, rank)
 from jnf.poly import Poly
 
 
@@ -18,10 +20,10 @@ def M(rows):
 def test_basic_ops():
     a = M([[1, 2], [3, 4]])
     b = M([[0, 1], [1, 0]])
-    assert a + b == M([[1, 3], [4, 4]])
-    assert a - b == M([[1, 1], [2, 4]])
-    assert -a == M([[-1, -2], [-3, -4]])
-    assert a.scale(QQ.from_int(2)) == M([[2, 4], [6, 8]])
+    assert mat_add(a, b) == M([[1, 3], [4, 4]])
+    assert mat_sub(a, b) == M([[1, 1], [2, 4]])
+    assert mat_neg(a) == M([[-1, -2], [-3, -4]])
+    assert mat_scale(a, QQ.from_int(2)) == M([[2, 4], [6, 8]])
     assert a * b == M([[2, 1], [4, 3]])
     assert a.transpose() == M([[1, 3], [2, 4]])
     assert trace(a) == QQ.from_int(5)
@@ -85,7 +87,7 @@ def test_adjugate_oracle_identity():
     rng = rng_for("adjugate")
     for _ in range(10):
         a = rand_matrix(rng, QQ, 3)
-        assert a * adjugate_oracle(a) == Matrix.identity(QQ, 3).scale(det_oracle(a))
+        assert a * adjugate_oracle(a) == mat_scale(Matrix.identity(QQ, 3), det_oracle(a))
 
 
 def test_kernel_basis():
@@ -101,7 +103,7 @@ def test_matpoly_lambda_i_minus():
     a = M([[1, 2], [3, 4]])
     mp = lambda_i_minus(a)
     assert mp.degree == 1
-    assert mp.coeff(0) == -a
+    assert mp.coeff(0) == mat_neg(a)
     assert mp.coeff(1) == Matrix.identity(QQ, 2)
 
 
@@ -114,7 +116,7 @@ def test_horner_eval_matches_direct():
         direct = Matrix.zeros(QQ, 2, 2)
         xk = QQ.one
         for c in coeffs:
-            direct = direct + c.scale(xk)
+            direct = mat_add(direct, mat_scale(c, xk))
             xk = QQ.mul(xk, x)
         assert horner_eval(mp, x) == direct
 
@@ -150,40 +152,41 @@ def test_poly_at_matrix():
     assert poly_at_matrix(char, b).is_zero()
 
 
-def test_reduced_stack_roundtrip_and_reduce():
-    b0 = M([[1, 0, 2], [0, 1, 0]])
-    b1 = M([[0, 0, 0], [1, 0, 2]])
-    st = ReducedStack.from_blocks([b0, b1])
-    assert st.num_chains == 3
-    assert st.blocks() == [b0, b1]
-    assert st.chain_segments(2) == [[QQ.from_int(2), QQ.zero],
-                                    [QQ.zero, QQ.from_int(2)]]
-    reduced, top = st.reduce()
-    # chains 0 and 1 pivot in the top block; chain 2 is dependent on 0 there
-    assert top == [0, 1]
-    assert len(reduced.chain_rows[2]) == 4
+def test_poly_at_matrix_matches_oracle():
+    # denominators in both A and p; non-monic, constant and zero p
+    q = QQ.fraction
+    a = Matrix(QQ, [[q(1, 2), q(-3), q(0)], [q(2, 3), q(5, 4), q(1)],
+                    [q(-7, 6), q(0), q(3, 5)]])
+    for coeffs in ([q(3, 2), q(-1, 5), q(0), q(2, 7)], [q(-5, 3)], []):
+        p = Poly(QQ, coeffs)
+        assert poly_at_matrix(p, a) == poly_at_matrix_oracle(p, a)
+    assert poly_at_matrix(Poly(QQ, [q(-5, 3)]), a) == mat_scale(
+        Matrix.identity(QQ, 3), q(-5, 3))
+    assert poly_at_matrix(Poly.zero(QQ), a) == Matrix.zeros(QQ, 3, 3)
+    rng = rng_for("poly-at-matrix")
+    for _ in range(10):
+        n = rng.randint(1, 4)
+        a = Matrix(QQ, [[q(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(n)]
+                        for _ in range(n)])
+        p = Poly(QQ, [q(rng.randint(-9, 9), rng.randint(1, 6))
+                      for _ in range(rng.randint(0, 5))])
+        assert poly_at_matrix(p, a) == poly_at_matrix_oracle(p, a)
 
 
-def test_reduced_stack_shift_and_cut():
-    b0 = M([[1, 0], [0, 1]])
-    b1 = M([[0, 3], [4, 0]])
-    st = ReducedStack.from_blocks([b0, b1])
-    st.shift_down(0)
-    segs = st.chain_segments(0)
-    assert segs[0] == [QQ.zero, QQ.zero]
-    assert segs[1] == [QQ.one, QQ.zero]   # old top segment moved down
-    st.shift_down(1)
-    assert st.blocks()[0].is_zero()
-    st.cut_top()
-    assert st.levels == 1
-    assert st.blocks()[0] == M([[1, 0], [0, 1]])
-    # single-level shift retires the chain
-    st.shift_down(0)
-    assert st.num_chains == 1
-
-
-def test_reduced_stack_drop_zero_chains():
-    st = ReducedStack.from_blocks([M([[1, 0], [0, 0]])])
-    st.drop_zero_chains()
-    assert st.num_chains == 1
-    assert st.chain_segments(0) == [[QQ.one, QQ.zero]]
+def test_poly_at_matrix_gf7_unreduced_residues():
+    f = PrimeField(7)
+    rng = rng_for("poly-at-matrix-gf7")
+    for _ in range(10):
+        a = rand_matrix(rng, f, rng.randint(1, 5))
+        p = Poly.from_ints(f, [rng.randint(0, 6) for _ in range(rng.randint(0, 5))])
+        got = poly_at_matrix(p, a)
+        assert got.data == poly_at_matrix_oracle(p, a).data
+        assert all(0 <= x < 7 for row in got.data for x in row)
+    # Cayley-Hamilton: x^2 - 5x - 2 is the charpoly of [[1, 2], [3, 4]]; the
+    # last diagonal addition leaves 7s behind, which are zero mod 7
+    a = Matrix.from_ints(f, [[1, 2], [3, 4]])
+    got = poly_at_matrix(Poly.from_ints(f, [-2, -5, 1]), a)
+    rows, _ = got.lifted()
+    assert any(x >= 7 for row in rows for x in row)
+    assert got.is_zero()
+    assert got.data == [[0, 0], [0, 0]]
