@@ -6,7 +6,7 @@ object supplies the arithmetic.  Keeping elements raw instead of wrapped
 makes loops over them considerably cheaper.
 
 Kernel layer.  Everything matrix-sized goes through a few bulk methods:
-``matmul``, row reduction (``int_rref`` and ``rank``, fraction-free) and
+``matmul``, row reduction (``echelon``, which ``rank`` also counts on) and
 ``expand``, the repeated synthetic division of a whole matrix polynomial by
 monic polynomials (Taylor shifts when they are linear, Q-adic expansion
 otherwise).  They run on the field's integer model: ``lift`` writes a block
@@ -14,7 +14,7 @@ of values as integers over one common denominator (rationals) or as
 residues over 1 (F_p), and ``lower`` turns integers over a denominator back
 into field elements.  Over QQ the inner loops therefore multiply Python ints
 instead of normalising a Fraction per operation.  ``int_matmul``,
-``int_rref``, ``expand`` and ``exact_div`` take and return the model, so a
+``echelon``, ``expand`` and ``exact_div`` take and return the model, so a
 computation stays in it across many steps: Faddeev and matrix Horner, the
 expansions of B(lambda) and the stacked reductions of cycle collection.
 Blocks with different denominators are brought to one by ``to_common``.
@@ -41,10 +41,28 @@ division on the identity, on rows as wide as the number of coefficients,
 once per divisor, stacks the resulting transition matrices and applies them
 to all the data with a single ``int_matmul``: one call expands a matrix
 polynomial at every linear factor of a characteristic polynomial.
+
+One echelon kernel does all row reduction.  An echelon holds its pivot
+rows in reduced row echelon form (RREF) and takes rows one at a time: a row
+is reduced against the pivots, becomes a new pivot if anything is left, and
+its pivot column is cleared from the other pivots.  Over QQ a row is a
+primitive integer list that keeps its pivot value.  Over F_p a row is one
+int, a residue per slot of W bits, the slots packed as in the product and
+column 0 lowest; pivot rows are normalized to 1 and fully reduced.  A row
+is eliminated against every pivot at once with no reduction between steps
+(slot c, holding e, gets p - e times the pivot row, which adds less than
+p^2 to each slot) and then one Barrett step reduces all slots together:
+r - p*(((r*m) >> s) & mask), with m = ceil(2^s/p).  With at most ``width``
+pivots a slot never exceeds bound = p + width*p^2, which s = bits(bound) +
+bits(p) makes exact, and W is wide enough for bound*m.  An echelon is kept
+across edits: ``shift`` turns the chain rows of one level of cycle
+collection into those of the next, and ``save``/``restore`` undo a refused
+insertion.
 """
 
 import math
 import struct
+from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, repeat
@@ -178,62 +196,23 @@ class Field:
         """Blocks [(integer rows, den), ...] brought to one denominator:
         (the rows of each block, den).  Rows already over it are shared."""
         den, scales = self.common_den([d for _, d in blocks])
-        return [rows if s == 1 else self._scaled(rows, s)
+        return [rows if s == 1 else self.int_scale(rows, s)
                 for (rows, _), s in zip(blocks, scales)], den
 
-    def int_rref(self, rows):
-        """Fraction-free Gauss-Jordan on rows of the integer model; returns
-        (rows, [(row, column) of each pivot]).  Each pivot row divided by
-        its pivot value is a row of the reduced row echelon form; the rows
-        after the last pivot are zero.
-
-        A row is replaced by pv*row - e*pivot_row (made primitive again over
-        QQ).  The RREF is unique, so the result does not depend on how the
-        rows were scaled, on the way or on entry: a row stands for every
-        nonzero multiple of itself, and its denominator plays no part.
-        """
-        data = self._primitive_rows(rows)
-        nrows = len(data)
-        ncols = len(data[0]) if data else 0
-        pivots = []
-        r = 0
-        for c in range(ncols):
-            if r >= nrows:
-                break
-            pr = next((i for i in range(r, nrows) if data[i][c]), None)
-            if pr is None:
-                continue
-            data[pr], data[r] = data[r], data[pr]
-            prow = data[r]
-            pv = prow[c]
-            for i in range(nrows):
-                e = data[i][c]
-                if e and i != r:
-                    data[i] = self._combine(pv, data[i], e, prow)
-            pivots.append((r, c))
-            r += 1
-        return data, pivots
+    def echelon(self, ncols, width, count=None):
+        """An empty echelon (see the module docstring) for integer-model
+        rows of ``ncols`` columns that will hold at most ``width`` pivots;
+        ``count``, if given, is called as in ``_Echelon``."""
+        raise NotImplementedError
 
     def rank(self, rows):
-        """Rank by fraction-free forward elimination; each step drops the
-        pivot column and the rows that became zero."""
-        data = [row for row in self._primitive_rows(self.lift(rows)[0]) if any(row)]
-        rk = 0
-        while data:
-            pr = next((i for i, row in enumerate(data) if row[0]), None)
-            if pr is None:
-                data = [row[1:] for row in data]
-                continue
-            prow = data.pop(pr)
-            pv, tail = prow[0], prow[1:]
-            rk += 1
-            rest = []
-            for row in data:
-                row = self._combine(pv, row[1:], row[0], tail) if row[0] else row[1:]
-                if any(row):
-                    rest.append(row)
-            data = rest
-        return rk
+        """Rank of rows of field elements: the pivots of an echelon after
+        inserting every row."""
+        ints, _ = self.lift(rows)
+        basis = self.echelon(len(ints[0]) if ints else 0, len(ints))
+        for row in ints:
+            basis.insert(row)
+        return len(basis)
 
     def expand(self, rows, dens, divisors):
         """For each ``(q, count)`` in ``divisors``, the first ``count``
@@ -346,7 +325,14 @@ class Rationals(Field):
         return _ratio(num, den)
 
     def parse(self, token):
+        # ASCII [-+]digits and [-+]digits/digits are read with int(); the
+        # rest (signed denominators, underscores, decimals, exponents,
+        # non-ASCII digits) goes to Fraction, which decides what is valid
+        num, slash, den = token.partition("/")
+        digits = num[1:] if num[:1] in ("+", "-") else num
         try:
+            if token.isascii() and digits.isdigit() and (not slash or den.isdigit()):
+                return _ratio(int(num), int(den)) if slash else _ratio(int(num))
             f = Fraction(token)
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"bad rational {token!r}") from exc
@@ -375,7 +361,8 @@ class Rationals(Field):
         den = math.lcm(*dens)
         return den, [den // d for d in dens]
 
-    def _scaled(self, rows, k):
+    def int_scale(self, rows, k):
+        """The integer rows times k, as new rows (reduced over F_p)."""
         return [[x * k for x in row] for row in rows]
 
     def int_is_zero(self, rows):
@@ -403,15 +390,8 @@ class Rationals(Field):
         """x/k where k divides x."""
         return x // k
 
-    def _primitive_rows(self, rows):
-        """Each integer row scaled to coprime integers; row scaling changes
-        neither the RREF nor the rank."""
-        return [_primitive(row) for row in rows]
-
-    def _combine(self, pv, row, e, prow):
-        g = math.gcd(pv, e)
-        pv, e = pv // g, e // g
-        return _primitive([pv * x - e * y for x, y in zip(row, prow)])
+    def echelon(self, ncols, width, count=None):
+        return _RowEchelon(ncols, count)
 
     def _sub_mul(self, row, c, lead):
         return [x - c * y for x, y in zip(row, lead)]
@@ -420,6 +400,167 @@ class Rationals(Field):
 def _primitive(row):
     g = math.gcd(*row)
     return [x // g for x in row] if g > 1 else row
+
+
+def _combine(pv, row, e, prow):
+    """pv*row - e*prow over their gcd, made primitive: row with the column
+    where prow holds pv and row holds e cleared."""
+    g = math.gcd(pv, e)
+    pv, e = pv // g, e // g
+    return _primitive([pv * x - e * y for x, y in zip(row, prow)])
+
+
+class _Echelon:
+    """Pivot rows in reduced row echelon form, taken one row at a time.
+
+    ``cols`` are the pivot columns in increasing order and ``rows`` their
+    rows in the field's own format.  ``count``, if given, is called after
+    each insertion with w times the elimination steps it ran on rows of w
+    columns (``CountingField``).
+    """
+
+    def __init__(self, ncols, count):
+        self.ncols = ncols
+        self.cols, self.rows = [], []
+        self._count = count
+
+    def __len__(self):
+        return len(self.cols)
+
+    def insert(self, row):
+        """Add a row of the integer model (over F_p, residues in [0, p));
+        True if it was independent of the pivots, and is now one of them."""
+        return self._insert(self._load(row))
+
+    def pivot_rows(self, stop=None):
+        """[(column, integer row)] for the pivots left of column ``stop``
+        (all by default), in column order; a row divided by the value in
+        its pivot column is a row of the RREF."""
+        k = len(self.cols) if stop is None else bisect_left(self.cols, stop)
+        return list(zip(self.cols[:k], self._lists(self.rows[:k])))
+
+    def shift(self, n):
+        """One level of cycle collection: pivot rows left of column n lose
+        their last n columns, the others (zero there) their first n, and the
+        result is reduced again.  The cut rows stay in RREF, so only the
+        truncated ones are inserted anew."""
+        k = bisect_left(self.cols, n)
+        top = self.rows[:k]
+        self.ncols -= n
+        self.cols = [c - n for c in self.cols[k:]]
+        self.rows = self._cut(self.rows[k:], n)
+        for row in top:
+            self._insert(self._truncated(row))
+
+    def save(self):
+        return self.ncols, list(self.cols), list(self.rows)
+
+    def restore(self, state):
+        """Back to the pivots of ``save``; each state is restored once."""
+        self.ncols, self.cols, self.rows = state
+
+
+class _RowEchelon(_Echelon):
+    """The echelon over QQ: primitive integer lists, each pivot row keeping
+    its pivot value (fraction-free)."""
+
+    def _load(self, row):
+        return _primitive(row)
+
+    def _lists(self, rows):
+        return rows
+
+    def _cut(self, rows, n):
+        return [row[n:] for row in rows]
+
+    def _truncated(self, row):
+        return row[:self.ncols]
+
+    def _insert(self, row):
+        cols, rows = self.cols, self.rows
+        steps = 0
+        for c, prow in zip(cols, rows):
+            e = row[c]
+            if e:
+                row = _combine(prow[c], row, e, prow)
+                steps += 1
+        lead = next((c for c, x in enumerate(row) if x), None)
+        if lead is not None:
+            pv = row[lead]
+            k = bisect_left(cols, lead)
+            # only pivot rows left of the new pivot can be nonzero under it
+            for i in range(k):
+                e = rows[i][lead]
+                if e:
+                    rows[i] = _combine(pv, rows[i], e, row)
+                    steps += 1
+            cols.insert(k, lead)
+            rows.insert(k, row)
+        if steps and self._count:
+            self._count(steps * self.ncols)
+        return lead is not None
+
+
+class _PackedEchelon(_Echelon):
+    """The echelon over F_p: each row one int of residues in slots of
+    ``8*size`` bits, column 0 lowest (see the module docstring)."""
+
+    def __init__(self, p, ncols, width, count):
+        super().__init__(ncols, count)
+        bound = p + max(min(width, ncols), 1) * p * p
+        s = bound.bit_length() + p.bit_length()
+        m = -(-(1 << s) // p)
+        self.p = p
+        self.size = _slot_bytes(bound * m)
+        self.w = w = 8 * self.size
+        self._slot = (1 << w) - 1
+        ones = ((1 << (w * ncols)) - 1) // self._slot
+        # the quotient's bits of every slot, after the shift by s
+        mask = ones * ((1 << (w - s)) - 1)
+        self._reduce = lambda r: r - p * (((r * m) >> s) & mask)
+
+    def _load(self, row):
+        return _packer(self.size, self.ncols)[0]([row])[0]
+
+    def _lists(self, rows):
+        return list(map(list, _packer(self.size, self.ncols)[1](rows)))
+
+    def _cut(self, rows, n):
+        cut = n * self.w
+        return [r >> cut for r in rows]
+
+    def _truncated(self, r):
+        return r & ((1 << self.ncols * self.w) - 1)
+
+    def _insert(self, r):
+        p, w, slot, reduce = self.p, self.w, self._slot, self._reduce
+        cols, rows = self.cols, self.rows
+        steps = 0
+        if r and cols:
+            # pivot rows are zero in each other's pivot columns, so every
+            # multiplier comes from the row as given
+            slots = tuple(next(_packer(self.size, self.ncols)[1]([r])))
+            live = [(p - slots[c], prow) for c, prow in zip(cols, rows) if slots[c]]
+            if live:
+                steps = len(live)
+                r = reduce(sum([k * prow for k, prow in live], r))
+        if r:
+            lead = ((r & -r).bit_length() - 1) // w
+            v = (r >> (lead * w)) & slot
+            if v != 1:
+                r = reduce(r * pow(v, -1, p))
+            k = bisect_left(cols, lead)
+            shift = lead * w
+            for i in range(k):
+                e = (rows[i] >> shift) & slot
+                if e:
+                    rows[i] = reduce(rows[i] + (p - e) * r)
+                    steps += 1
+            cols.insert(k, lead)
+            rows.insert(k, r)
+        if steps and self._count:
+            self._count(steps * self.ncols)
+        return r != 0
 
 
 class PrimeField(Field):
@@ -495,7 +636,7 @@ class PrimeField(Field):
         p = self.p
         return 1, [pow(d, -1, p) for d in dens]
 
-    def _scaled(self, rows, k):
+    def int_scale(self, rows, k):
         p = self.p
         return [[x * k % p for x in row] for row in rows]
 
@@ -525,13 +666,8 @@ class PrimeField(Field):
     def exact_div(self, x, k):
         return x * pow(k, -1, self.p) % self.p
 
-    def _primitive_rows(self, rows):
-        # the kernels replace rows and never write into one
-        return list(rows)
-
-    def _combine(self, pv, row, e, prow):
-        p = self.p
-        return [(pv * x - e * y) % p for x, y in zip(row, prow)]
+    def echelon(self, ncols, width, count=None):
+        return _PackedEchelon(self.p, ncols, width, count)
 
     def _sub_mul(self, row, c, lead):
         p = self.p
@@ -544,8 +680,10 @@ class CountingField(Field):
     Scalar operations count one each.  Kernels delegate to the base field
     and count the operations they stand for: a length-k dot product is k
     mul + k add, an elimination step or a division step on a row of length
-    w is w mul + w add.  ``expand`` runs the generic algorithm on this
-    field, so it counts its division steps on the identity and its product.
+    w is w mul + w add.  The echelon counts each elimination step that runs,
+    whether or not the base field packs its rows.  ``expand`` runs the
+    generic algorithm on this field, so it counts its division steps on the
+    identity and its product.
     """
 
     def __init__(self, base):
@@ -609,8 +747,8 @@ class CountingField(Field):
     def common_den(self, dens):
         return self.base.common_den(dens)
 
-    def _scaled(self, rows, k):
-        return self.base._scaled(rows, k)
+    def int_scale(self, rows, k):
+        return self.base.int_scale(rows, k)
 
     def int_is_zero(self, rows):
         return self.base.int_is_zero(rows)
@@ -623,16 +761,8 @@ class CountingField(Field):
         self._count(1, inv=1)
         return self.base.exact_div(x, k)
 
-    def int_rref(self, rows):
-        out, pivots = self.base.int_rref(rows)
-        rk = len(pivots)
-        self._count(rk * len(rows) * (len(rows[0]) if rows else 0), inv=rk)
-        return out, pivots
-
-    def rank(self, rows):
-        rk = self.base.rank(rows)
-        self._count(rk * len(rows) * (len(rows[0]) if rows else 0))
-        return rk
+    def echelon(self, ncols, width, count=None):
+        return self.base.echelon(ncols, width, self._count)
 
     def _sub_mul(self, row, c, lead):
         self._count(len(row))

@@ -3,20 +3,22 @@
 For a factor Q of degree d, the stack blocks are the Q-adic coefficients
 C_k of B(lambda), their d lambda-coefficients side by side.  Each column
 of the stacked blocks is one chain, held as one integer row; one loop
-reduces these chain rows, reads the candidate chains off the rows that
-pivot in the top block, shifts those one block down and cuts the top
-block from the rest.  One extractor accepts a chain when the chain with
-all its A^i-images is independent of everything taken so far.  A linear
-factor lambda - lam is the d = 1 case: its C_k are the Taylor
-coefficients of B at lam, and a chain's images are the chain itself.  A
-cycle is returned as its list of groups, group j holding
-(w_j, A*w_j, ..., A^{d-1}*w_j), which is what ``assemble`` takes.
+keeps these chain rows in one echelon across all levels, reads the
+candidate chains off the rows that pivot in the top block, shifts those
+one block down and cuts the top block from the rest, so each level
+reduces only the shifted rows.  One extractor accepts a chain when the
+chain with all its A^i-images is independent of everything taken so far,
+tested by inserting them into one echelon basis.  A linear factor
+lambda - lam is the d = 1 case: its C_k are the Taylor coefficients of B
+at lam, and a chain's images are the chain itself.  A cycle is returned
+as its list of groups, group j holding (w_j, A*w_j, ..., A^{d-1}*w_j),
+which is what ``assemble`` takes.
 """
 
 from itertools import chain
 
 from .errors import InternalConsistencyError, NeedsFactorizationError
-from .matrix import Matrix, rank, horner_shift
+from .matrix import horner_shift
 
 
 def taylor_blocks(b, lam, mult):
@@ -32,29 +34,31 @@ def collect_cycles(blocks, total_needed, accept, enforce_single_top=False):
     between consecutive blocks.  Chain j is column j of every block at
     once, held as one integer row (s_0 | s_1 | ... | s_{L-1}) over one
     denominator, so each row operation hits all blocks alike and keeps the
-    relations.  At each level the rows are brought to reduced row echelon
-    form; those with their pivot in the top block are the candidates.
+    relations.  The rows live in one echelon, in reduced row echelon form;
+    those with their pivot in the top block are the candidates.
     ``accept`` sees each candidate's segments [v_0, ..., v_{L-1}] and must
     return True, keeping the chain, only for chains independent of
     everything kept so far.  Then each candidate moves one block down (its
-    deepest segment drops off), the all-zero top block of every other row
-    is cut, and rows that became zero are dropped.
+    deepest segment drops off) and the all-zero top block of every other
+    row is cut; those stay in RREF, and only the moved rows are reduced
+    again for the next level.
     """
     f = blocks[0].field
     n = blocks[0].rows
-    parts, _ = f.to_common([b.lifted() for b in blocks])
-    rows = [list(c) for c in zip(*chain.from_iterable(parts)) if any(c)]
     level = len(blocks)
+    parts, _ = f.to_common([b.lifted() for b in blocks])
+    rows = list(zip(*chain.from_iterable(parts)))
+    stack = f.echelon(level * n, len(rows))
+    for row in rows:
+        stack.insert(row)
     total = 0
-    while total < total_needed and rows:
-        rows, pivots = f.int_rref(rows)
-        top = sum(c < n for _, c in pivots)
-        if enforce_single_top and level == len(blocks) and top > 1:
+    while total < total_needed and len(stack):
+        tops = stack.pivot_rows(n)
+        if enforce_single_top and level == len(blocks) and len(tops) > 1:
             # one full-length cycle already fills the characteristic space
             raise InternalConsistencyError(
                 "more than one full-length chain survived the first reduction")
-        # pivot i sits in row i, and the top pivots come first
-        for row, (_, c) in zip(rows, pivots[:top]):
+        for c, row in tops:
             segs = f.lower([row], row[c])[0]
             if accept([segs[t:t + n] for t in range(0, level * n, n)]):
                 if total + level > total_needed:
@@ -63,11 +67,7 @@ def collect_cycles(blocks, total_needed, accept, enforce_single_top=False):
                 total += level
         if total >= total_needed:
             break
-        if any(any(row[:n]) for row in rows[top:]):
-            raise InternalConsistencyError(
-                "a chain without a top pivot is nonzero in the top block")
-        shifted = [row[:-n] for row in rows[:top]] + [row[n:] for row in rows[top:]]
-        rows = [row for row in shifted if any(row)]
+        stack.shift(n)
         level -= 1
     if total != total_needed:
         raise InternalConsistencyError(
@@ -89,21 +89,23 @@ def cycle_groups(a, d, mult, blocks):
     [w_j, A*w_j, ..., A^{d-1}*w_j] with w_0's group first.
 
     A candidate chain is taken when its k*d vectors and those of every
-    cycle taken before are independent, so the cycles span a direct sum.
-    For d = 1 the grid is the chain itself and no product is made.
+    cycle taken before are independent, so the cycles span a direct sum:
+    they go into one echelon basis of every vector taken, which is put
+    back as it was at the first dependent one.  For d = 1 the grid is the
+    chain itself and no product is made.
     """
     f = a.field
     a_t = a.transpose().data
-    taken = []           # every vector of every accepted grid
+    basis = f.echelon(a.rows, a.rows)
     cycles = []
 
     def accept(segs):
         grid = _power_grid(f, a_t, segs, d)
-        flat = [v for group in grid for v in group]
-        cand = taken + flat
-        if rank(Matrix(f, cand)) != len(cand):
+        vectors, _ = f.lift([v for group in grid for v in group])
+        saved = basis.save()
+        if not all(map(basis.insert, vectors)):
+            basis.restore(saved)
             return False
-        taken.extend(flat)
         cycles.append(grid)
         return True
 

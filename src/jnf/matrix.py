@@ -242,17 +242,19 @@ def matrix_horner(a, lead, den, steps, coeff):
 
     Returns ([c'_1, ..., c'_steps], d, [X_0, ..., X_steps]), the X_k held
     in the integer model.  Over F_p the diagonal additions leave unreduced
-    residues behind, which ``int_matmul`` and ``int_is_zero`` accept.
+    residues behind, which ``int_matmul`` and ``int_is_zero`` accept.  The
+    first step takes no product: A'*X'_0 is A' scaled by ``lead`` (reduced
+    over F_p).
     """
     f = a.field
     n = a.rows
     ai, d = f.lift(a.data)
-    x = [[lead if i == j else 0 for j in range(n)] for i in range(n)]
-    xs = [Matrix.from_lifted(f, x, den)]
+    xs = [Matrix.from_lifted(
+        f, [[lead if i == j else 0 for j in range(n)] for i in range(n)], den)]
     cs = []
     dk = 1
     for k in range(1, steps + 1):
-        x = f.int_matmul(ai, x)
+        x = f.int_matmul(ai, x) if k > 1 else f.int_scale(ai, lead)
         dk *= d
         c = coeff(k, x, dk)
         for i in range(n):

@@ -127,14 +127,17 @@ def det(m):
 
 def rref(m):
     """Reduced row echelon form with pivots normalized to 1: (reduced,
-    rank, pivots) with pivots the (row, column) of each pivot.  It is
-    ``int_rref`` on the lifted rows, each pivot row divided by its pivot
-    once at the end."""
+    rank, pivots) with pivots the (row, column) of each pivot.  It is the
+    field's echelon after inserting every lifted row, each pivot row
+    divided by its pivot once at the end."""
     f = m.field
-    data, pivots = f.int_rref(f.lift(m.data)[0])
-    out = [f.lower([data[i]], data[i][c])[0] for i, c in pivots]
+    basis = f.echelon(m.cols, m.rows)
+    for row in f.lift(m.data)[0]:
+        basis.insert(row)
+    pivots = basis.pivot_rows()
+    out = [f.lower([row], row[c])[0] for c, row in pivots]
     out += [[f.zero] * m.cols for _ in range(m.rows - len(pivots))]
-    return Matrix(f, out), len(pivots), pivots
+    return Matrix(f, out), len(pivots), [(i, c) for i, (c, _) in enumerate(pivots)]
 
 
 def kernel_basis(m):

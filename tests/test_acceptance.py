@@ -12,13 +12,13 @@ import pytest
 from conftest import (block_diagonal_part, block_multiset, charpoly_oracle,
                       conjugate_random, expand_cycle, kernel_basis,
                       lambda_i_minus, make_fixture_m6, mat_pow, mat_scale,
-                      mat_sub, matpoly_mul, poly_eval, random_normal_form,
-                      rng_for, trace)
+                      mat_sub, matpoly_mul, normal_form, poly_eval,
+                      random_normal_form, rng_for, trace)
 from jnf.charpoly import char_data, faddeev, hessenberg_charpoly
 from jnf.decomposition import cycle_block_matrix, verify
 from jnf.factor import factor_charpoly
 from jnf.fields import QQ, CountingField, PrimeField
-from jnf.jordan_linear import split_jordan, taylor_blocks
+from jnf.jordan_linear import extract_cycles, split_jordan, taylor_blocks
 from jnf.jordan_rational import (assemble_pseudo_rational,
                                  convert_cycle_to_rational, extract_q_cycles,
                                  q_adic_blocks, rational_jordan)
@@ -311,3 +311,30 @@ def test_criterion_8_op_count_scaling(run_criterion):
         assert counts[16] <= 24 * counts[8]
         assert counts[32] <= 24 * counts[16]
     run_criterion(8, check)
+
+
+def halving_cycles(n):
+    """Cycle lengths n/2, n/4, ..., 1, 1 (n a power of two), which sum to n."""
+    lengths = [n // 2]
+    while lengths[-1] > 1:
+        lengths.append(lengths[-1] // 2)
+    return lengths + [1]
+
+
+@pytest.mark.parametrize("f", [PrimeField(7), QQ], ids=["GF7", "QQ"])
+def test_cycle_collection_op_count_scaling(f):
+    # one eigenvalue of multiplicity n: cycle collection works on n chain
+    # rows of n blocks, the case that broke the O(n^4) bound (about 30x per
+    # doubling while each level reduced the whole stack again)
+    counts = {}
+    lam = f.from_int(3)
+    for n in (16, 32):
+        a = conjugate_random(rng_for(f"op-scaling-{f.char}-{n}"),
+                             normal_form(f, [(Poly.x_minus(f, lam), halving_cycles(n))]))
+        blocks = taylor_blocks(char_data(a).b, lam, n)
+        cf = CountingField(f)
+        cycles = extract_cycles(Matrix(cf, a.data), lam, n,
+                                [Matrix(cf, b.data) for b in blocks])
+        assert sorted(map(len, cycles), reverse=True) == halving_cycles(n)
+        counts[n] = cf.total
+    assert 0 < counts[16] and counts[32] <= 20 * counts[16]

@@ -14,6 +14,8 @@ from jnf.io import format_matrix
 from jnf.poly import Poly
 
 GF7 = PrimeField(7)
+GF2 = PrimeField(2)
+GFBIG = PrimeField(2**61 - 1)
 
 
 def lin(f, num, den=1):
@@ -50,6 +52,14 @@ CASES["qq_deep_split"] = ("q", "split", [(lin(QQ, 1, 2), [6, 3, 2, 1])], False)
 CASES["gf7_deep_rational"] = ("fp:7", "rational",
                               [(Poly.from_ints(GF7, [1, 0, 1]), [4, 2]),
                                (lin(GF7, 2), [1])], True)
+# deep stacks where the packed echelon's slots are widest (past 8 bytes)
+# and narrowest (p = 2)
+CASES["gfbig_deep_split"] = ("fp:2305843009213693951", "split",
+                             [(lin(GFBIG, 3), [8, 4, 2, 1, 1]),
+                              (lin(GFBIG, -5), [2, 1])], True)
+CASES["gf2_deep_rational"] = ("fp:2", "rational",
+                              [(Poly.from_ints(GF2, [1, 1, 1]), [3, 1]),
+                               (lin(GF2, 1), [4, 2, 1])], True)
 
 DIGESTS = {
     "qq_split": "e6464a7049f166655ee59f05353126a45419a47a61bab2d94543df8f9391b91e",
@@ -61,6 +71,8 @@ DIGESTS = {
     "gf7_deep_split": "c5a2a7eccceac8db7f67dfe51649dcd686cd69a6cee0c37b8e672f9861eb3853",
     "qq_deep_split": "d2b103e40fb0bd7730f50e9ccd7c24d0f93a81a87b7702b41f4bfab0c534ad11",
     "gf7_deep_rational": "ca0819c2426acaecd6de7a80a2df35f86b04082e18da0c559fce537c57d656f7",
+    "gfbig_deep_split": "9dea17f176576abbac25b17b89cf990cddf841717525e1c72481e362fc41c1f1",
+    "gf2_deep_rational": "1941b2c874a83685b260f192612a01f4400ac8b6f83136f6afb5d086e114df42",
 }
 
 

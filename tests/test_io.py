@@ -62,6 +62,20 @@ def test_parse_matrix_accepts_entries_at_the_cap():
     assert parse_matrix(f"1 1\n{2**MAX_ENTRY_BITS}\n", PrimeField(7)).data == [[2]]
 
 
+def test_parse_matrix_plain_and_string_parsed_tokens():
+    # plain [-+]digits and a/b tokens are read with int(); every other
+    # token keeps the string parser, so the accepted set is unchanged:
+    # Fraction refuses a signed denominator, and takes +1/2, -0 and 1_000
+    for token in ("1/-2", "1/+2"):
+        with pytest.raises(ParseError, match="row 1, column 2: bad"):
+            parse_matrix(f"1 2\n1 {token}\n", QQ)
+    m = parse_matrix("1 5\n+1/2 -0 1_000 -12/18 007\n", QQ)
+    assert m.data == [[QQ.fraction(1, 2), QQ.zero, QQ.from_int(1000),
+                       QQ.fraction(-2, 3), QQ.from_int(7)]]
+    with pytest.raises(ParseError, match=f"row 1, column 1 exceeds {MAX_ENTRY_BITS}"):
+        parse_matrix(f"1 1\n-{2**MAX_ENTRY_BITS}\n", QQ)
+
+
 def test_format_parse_roundtrip():
     rng = rng_for("io-roundtrip")
     for _ in range(10):

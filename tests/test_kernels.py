@@ -1,4 +1,4 @@
-"""The field kernels (``matmul``, ``rref``, ``rank``, ``expand``) against
+"""The field kernels (``matmul``, ``echelon``, ``rank``, ``expand``) against
 per-operation oracles written here with the scalar field methods only."""
 
 import random
@@ -149,6 +149,89 @@ def test_rref_large_mixed_rationals():
         reduced, rk, pivots = rref(Matrix(QQ, rows))
         assert (reduced.data, rk, pivots) == oracle_rref(QQ, rows)
         assert QQ.rank(rows) <= 4
+
+
+# GF(2^61 - 1) puts the echelon's slots past 8 bytes
+ECHELON_FIELDS = [QQ, PrimeField(2), PrimeField(7), PrimeField(2**61 - 1)]
+ECHELON_IDS = ["QQ", "GF2", "GF7", "GF(2^61-1)"]
+
+
+def normalized(f, pivot_rows):
+    return [f.lower([row], row[c])[0] for c, row in pivot_rows]
+
+
+def oracle_pivot_rows(f, rows):
+    reduced, rk, _ = oracle_rref(f, rows)
+    return reduced[:rk]
+
+
+@pytest.mark.parametrize("f", ECHELON_FIELDS, ids=ECHELON_IDS)
+def test_echelon_at_the_lazy_bound(f):
+    # k pivot rows, each a unit vector with p - 1 in every free column, and
+    # a probe with 1 under every pivot: eliminating it against all k =
+    # width pivots at once adds (p - 1)^2 to each free slot per pivot, and
+    # its free entries (-k) are within k of p - 1, so every free slot ends
+    # near p - 1 + k*(p - 1)^2 before the one reduction.  The probe reduces
+    # to zero; inserted first instead, it is cleared from every pivot row.
+    # With a bound for fewer pivots, k = 40 overflows the slots of all three
+    # primes.
+    k, free = 40, 3
+    minus_one, minus_k = f.neg(f.one), f.from_int(-k)
+    pivots = [[f.one if j == i else f.zero for j in range(k)] + [minus_one] * free
+              for i in range(k)]
+    probe = [f.one] * k + [minus_k] * free
+    for order in (pivots + [probe], [probe] + pivots):
+        basis = f.echelon(k + free, k)
+        inserted = [basis.insert(row) for row in f.lift(order)[0]]
+        assert inserted.count(False) == 1 and len(basis) == k
+        got, expect = basis.pivot_rows(), oracle_pivot_rows(f, order)
+        assert normalized(f, got) == expect
+        if f.char:      # F_p pivot rows are normalized and fully reduced
+            assert [row for _, row in got] == expect
+    assert f.rank(pivots + [probe]) == k
+
+
+@pytest.mark.parametrize("f", ECHELON_FIELDS, ids=ECHELON_IDS)
+def test_echelon_restores_a_refused_candidate(f):
+    # a candidate whose first vector is independent and whose second is not
+    # is refused, and the basis is back to what it was, still usable
+    rng = rng_for(f"kernel-echelon-restore-{f.char}")
+    for _ in range(6):
+        ncols = rng.randint(3, 7)
+        held = deficient(rng, f, 4, ncols, rng.randint(1, ncols - 2))
+        basis = f.echelon(ncols, ncols)
+        for row in f.lift(held)[0]:
+            basis.insert(row)
+        before = basis.pivot_rows()
+        fresh = rand_rows(rng, f, 1, ncols)[0]
+        while f.rank(held + [fresh]) == len(before):
+            fresh = rand_rows(rng, f, 1, ncols)[0]
+        both = oracle_matmul(f, [[f.one, f.from_int(2)]], [fresh, held[0]])[0]
+        saved = basis.save()
+        assert [basis.insert(row) for row in f.lift([fresh, both])[0]] == [True, False]
+        basis.restore(saved)
+        assert basis.pivot_rows() == before
+        assert basis.insert(f.lift([both])[0][0])
+        assert normalized(f, basis.pivot_rows()) == oracle_pivot_rows(f, held + [both])
+
+
+@pytest.mark.parametrize("f", ECHELON_FIELDS, ids=ECHELON_IDS)
+def test_echelon_shift_matches_rref(f):
+    # shift(n): rows pivoting left of n lose their last n columns, the rest
+    # their first n, and the result is the RREF of those rows
+    rng = rng_for(f"kernel-echelon-shift-{f.char}")
+    for _ in range(12):
+        n, levels = rng.randint(1, 3), rng.randint(2, 4)
+        rows = rand_rows(rng, f, rng.randint(1, 6), n * levels, big=True)
+        basis = f.echelon(n * levels, len(rows))
+        for row in f.lift(rows)[0]:
+            basis.insert(row)
+        for level in range(levels, 1, -1):
+            expect = oracle_pivot_rows(f, rows)
+            assert normalized(f, basis.pivot_rows()) == expect
+            rows = [row[:-n] if any(row[:n]) else row[n:] for row in expect]
+            basis.shift(n)
+        assert normalized(f, basis.pivot_rows()) == oracle_pivot_rows(f, rows)
 
 
 @pytest.mark.parametrize("f", FIELDS, ids=IDS)
