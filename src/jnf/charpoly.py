@@ -6,6 +6,7 @@ reduction for P followed by matrix Horner for B.  Both produce the same
 """
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .errors import InternalConsistencyError, UnsupportedFieldError
 from .matrix import Matrix, MatPoly, matrix_horner
@@ -49,7 +50,9 @@ def hessenberg_reduce(a):
     """Similarity reduction to upper Hessenberg form, exact arithmetic.
 
     Zero pivots are handled by searching the column below and applying the
-    swap to rows and columns alike.
+    swap to rows and columns alike.  Step j clears column j below the
+    subdiagonal with the row kernel ``sub_mul``; the inverse column
+    operations commute, so column j + 1 takes all of them in one product.
     """
     if not a.is_square:
         raise ValueError("matrix must be square")
@@ -57,11 +60,7 @@ def hessenberg_reduce(a):
     n = a.rows
     h = [list(row) for row in a.data]
     for j in range(n - 2):
-        piv = None
-        for i in range(j + 1, n):
-            if not f.is_zero(h[i][j]):
-                piv = i
-                break
+        piv = next((i for i in range(j + 1, n) if h[i][j]), None)
         if piv is None:
             continue
         if piv != j + 1:
@@ -69,34 +68,42 @@ def hessenberg_reduce(a):
             for row in h:
                 row[piv], row[j + 1] = row[j + 1], row[piv]
         inv = f.inv(h[j + 1][j])
-        for i in range(j + 2, n):
-            if f.is_zero(h[i][j]):
-                continue
-            m = f.mul(h[i][j], inv)
-            neg_m = f.neg(m)
-            h[i] = [f.add(x, f.mul(neg_m, y)) for x, y in zip(h[i], h[j + 1])]
-            for row in h:
-                row[j + 1] = f.add(row[j + 1], f.mul(m, row[i]))
+        ms = [(i, f.mul(h[i][j], inv)) for i in range(j + 2, n) if h[i][j]]
+        if not ms:
+            continue
+        # rows below j + 1 are zero left of column j, and cleared in it
+        for i, m in ms:
+            h[i][j:] = [f.zero] + f.sub_mul(h[i][j + 1:], m, h[j + 1][j + 1:])
+        take = itemgetter(j + 1, *(i for i, _ in ms))
+        cols = f.matmul(list(map(take, h)), [[f.one]] + [[m] for _, m in ms])
+        for row, (x,) in zip(h, cols):
+            row[j + 1] = x
     return Matrix(f, h)
 
 
 def hessenberg_charpoly(a):
     """Characteristic polynomial via Hessenberg + the three-term minor
-    recurrence; works over any field."""
+    recurrence; works over any field.  The charpoly P_k of the leading
+    k x k block is x*P_{k-1} - sum_m c_m*P_{k-m}, built on coefficient
+    lists (lowest degree first) with the row kernel ``sub_mul``."""
     f = a.field
     n = a.rows
     h = hessenberg_reduce(a).data
-    minors = [Poly.one(f)]          # charpoly of the k x k leading block
+    minors = [[f.one]]
     for k in range(1, n + 1):
-        p_k = minors[k - 1] * Poly.x_minus(f, h[k - 1][k - 1])
+        prev = minors[-1]
+        p_k = f.sub_mul([f.zero] + prev, h[k - 1][k - 1], prev + [f.zero])
         sub = f.one                 # running product of subdiagonal entries
         for m in range(2, k + 1):
             sub = f.mul(sub, h[k - m + 1][k - m])
-            coeff = f.mul(h[k - m][k - 1], sub)
-            if not f.is_zero(coeff):
-                p_k = p_k - minors[k - m].scale(coeff)
+            if not sub:             # so are all the c_m from here on
+                break
+            c = f.mul(h[k - m][k - 1], sub)
+            if c:
+                p_m = minors[k - m]
+                p_k = f.sub_mul(p_k, c, p_m + [f.zero] * (k + 1 - len(p_m)))
         minors.append(p_k)
-    return minors[n]
+    return Poly(f, minors[n])
 
 
 def comatrix_from_charpoly(a, p):

@@ -18,46 +18,52 @@ instead of normalising a Fraction per operation.  ``int_matmul``,
 computation stays in it across many steps: Faddeev and matrix Horner, the
 expansions of B(lambda) and the stacked reductions of cycle collection.
 Blocks with different denominators are brought to one by ``to_common``.
+Over F_p every kernel takes and returns residues in [0, p).
 
 One product kernel serves both fields.  It packs rows: each row of the
 right factor becomes one Python int, its entries in fixed-width slots (the
 row evaluated at 2^w, Kronecker substitution), so a row of the product is
 one C-level sum of small-times-big products, read back slot by slot.  The
-slot is the narrowest that holds the largest possible dot product of the
-actual entries: 1, 2, 4 or 8 bytes (packed with ``struct``), or as many
-bytes as needed beyond that.  Over F_p the slots are unsigned and each is
-reduced modulo p as it is read.  Over QQ the entries are signed: every
-slot is biased by half its range, which the sum starts from and the read
-subtracts, so no slot ever borrows from its neighbour.  When the left
-factor has much larger entries than the right one, the product is taken
-as (B^T A^T)^T, so the packed side is always the one with the larger
-entries.  Slots wider than 8 bytes and than 3 bytes per term of the dot
-products (at n = 16, entries of about 190 bits on both sides) make one dot
-product per entry faster, and the kernel takes that instead; it does the
-same for products with one column (matrix times vector).
+slot is the narrowest that holds the largest possible dot product: 1, 2, 4
+or 8 bytes (packed with ``struct``), or as many bytes as needed beyond
+that.  Over F_p that bound is k*(p - 1)^2 for dot products of length k,
+known from p without a pass over the entries; the slots are unsigned and
+each is reduced modulo p as it is read.  Over QQ the bound comes from the
+largest actual entries, and the entries are signed: every slot is biased by
+half its range, which the sum starts from and the read subtracts, so no
+slot ever borrows from its neighbour.  When the left factor has much larger
+entries than the right one, the product is taken as (B^T A^T)^T, so the
+packed side is always the one with the larger entries.  Slots wider than 8
+bytes and than 3 bytes per term of the dot products (at n = 16, entries of
+about 190 bits on both sides; over F_p at k = 4, p above 2^47) make one
+dot product per entry faster, and the kernel takes that instead;
+it does the same for products with one column (matrix times vector).
 
 ``expand`` is linear in the matrix coefficients, so it runs the synthetic
 division on the identity, on rows as wide as the number of coefficients,
 once per divisor, stacks the resulting transition matrices and applies them
 to all the data with a single ``int_matmul``: one call expands a matrix
-polynomial at every linear factor of a characteristic polynomial.
+polynomial at every linear factor of a characteristic polynomial.  The
+division's rows are in the field's ``_row_format``: integer lists over QQ,
+packed rows as in the echelon over F_p.
 
 One echelon kernel does all row reduction.  An echelon holds its pivot
 rows in reduced row echelon form (RREF) and takes rows one at a time: a row
 is reduced against the pivots, becomes a new pivot if anything is left, and
 its pivot column is cleared from the other pivots.  Over QQ a row is a
 primitive integer list that keeps its pivot value.  Over F_p a row is one
-int, a residue per slot of W bits, the slots packed as in the product and
-column 0 lowest; pivot rows are normalized to 1 and fully reduced.  A row
-is eliminated against every pivot at once with no reduction between steps
-(slot c, holding e, gets p - e times the pivot row, which adds less than
-p^2 to each slot) and then one Barrett step reduces all slots together:
+int, a residue per slot, packed as in the product and column 0 lowest;
+pivot rows are normalized to 1 and fully reduced.  A row is eliminated
+against every pivot at once with no reduction between steps (slot c,
+holding e, gets p - e times the pivot row, which adds less than p^2 to each
+slot) and then one Barrett step reduces all slots together (``_barrett``):
 r - p*(((r*m) >> s) & mask), with m = ceil(2^s/p).  With at most ``width``
 pivots a slot never exceeds bound = p + width*p^2, which s = bits(bound) +
-bits(p) makes exact, and W is wide enough for bound*m.  An echelon is kept
-across edits: ``shift`` turns the chain rows of one level of cycle
-collection into those of the next, and ``save``/``restore`` undo a refused
-insertion.
+bits(p) makes exact, and the slots are wide enough for bound*m.  (The
+product reads its slots with ``% p`` instead: the wider slots would cost
+its big multiplications more than that.)  An echelon is kept across edits:
+``shift`` turns the chain rows of one level of cycle collection into those
+of the next, and ``save``/``restore`` undo a refused insertion.
 """
 
 import math
@@ -117,6 +123,19 @@ def _packer(size, width):
             lambda values: (map(int.from_bytes, cut, repeat("little"))
                             for cut in map(slots.unpack, map(
                                 int.to_bytes, values, repeat(nbytes), repeat("little")))))
+
+
+def _barrett(p, ncols, bound):
+    """(size, reduce) for rows of ``ncols`` slots of ``size`` bytes holding
+    values up to ``bound``: reduce(r) takes every slot of the packed row r
+    to its residue mod p with one Barrett step (see the module docstring)."""
+    s = bound.bit_length() + p.bit_length()
+    m = -(-(1 << s) // p)
+    size = _slot_bytes(bound * m)
+    w = 8 * size
+    # the quotient's bits of every slot, after the shift by s
+    mask = ((1 << (w * ncols)) - 1) // ((1 << w) - 1) * ((1 << (w - s)) - 1)
+    return size, lambda r: r - p * (((r * m) >> s) & mask)
 
 
 def is_prime(n):
@@ -181,11 +200,9 @@ class Field:
         the slots are narrow enough (see the module docstring)."""
         width = len(b[0]) if b else 0
         if width > 1 and a:
-            hi_a, hi_b = self._magnitude(a), self._magnitude(b)
-            size = _slot_bytes(
-                len(b) * max(hi_a, 1) * max(hi_b, 1) << self._sign_bits)
+            size, flip = self._slots(a, b)
             if size <= max(8, _SLOT_BYTES_PER_TERM * len(b)):
-                if len(a) > 1 and hi_a.bit_length() > 2 * hi_b.bit_length():
+                if flip:
                     # pack the factor with the larger entries: (B^T A^T)^T
                     return [list(row) for row in zip(
                         *self._packed(list(zip(*b)), list(zip(*a)), size))]
@@ -198,6 +215,15 @@ class Field:
         den, scales = self.common_den([d for _, d in blocks])
         return [rows if s == 1 else self.int_scale(rows, s)
                 for (rows, _), s in zip(blocks, scales)], den
+
+    def int_is_zero(self, rows):
+        return not any(map(any, rows))
+
+    def int_add_diagonal(self, rows, c):
+        """rows + c*I in place; ``add`` takes the integer model too (over
+        F_p it reduces)."""
+        for i, row in enumerate(rows):
+            row[i] = self.add(row[i], c)
 
     def echelon(self, ncols, width, count=None):
         """An empty echelon (see the module docstring) for integer-model
@@ -236,38 +262,38 @@ class Field:
 
         Every remainder entry is a fixed combination of the N + 1 entries at
         the same position in the coefficients, so each division runs on the
-        identity (row k standing for M_k).  The remainder rows of all
+        identity (row k standing for M_k), its column k scaled to bring M_k
+        to the common denominator of the M_k.  The remainder rows of all
         divisors stack into one transition matrix W, each row with its own
-        denominator, so divisors with different s share it; W's column k is
-        scaled to bring M_k to the common denominator of the M_k, and one
-        product W * rows gives every remainder.
+        denominator, so divisors with different s share it, and one product
+        W * rows gives every remainder.
         """
-        top = len(rows) - 1
+        den, scales = self.common_den(dens)
         weights, w_dens, shapes = [], [], []
         for q, count in divisors:
-            q_rows, q_dens, live = self._division_rows(q, count, top)
+            q_rows, q_dens, live = self._division_rows(q, count, scales)
             weights += q_rows
             w_dens += q_dens
             shapes.append((len(q) - 1, live))
-        den, scales = self.common_den(dens)
-        if any(s != 1 for s in scales):
-            weights = [list(map(mul, w, scales)) for w in weights]
         remainders = zip(self.int_matmul(weights, rows), [den * s for s in w_dens])
         zero = ([0] * len(rows[0]), 1)
         return [[[next(remainders) for _ in range(k)] + [zero] * (d - k)
                  for k in live] for d, live in shapes]
 
-    def _division_rows(self, q, count, top):
-        """``count`` divisions by q run on the identity of size top + 1 in
-        the x = y/s transform.  Returns (remainder rows, their denominators
-        s^(top - j), how many rows each division left): fewer than deg q
-        once the quotient runs short, the missing rows being zero."""
+    def _division_rows(self, q, count, scales):
+        """``count`` divisions by q run in the x = y/s transform on the
+        identity of size len(scales) = top + 1, its column k scaled by
+        ``scales[k]``, in the field's ``_row_format``.  Returns (remainder
+        rows as lists, their denominators s^(top - j), how many rows each
+        division left): fewer than deg q once the quotient runs short, the
+        missing rows being zero."""
         d = len(q) - 1
+        top = len(scales) - 1
         (qi,), s = self.lift([q])
         qhat = [(j, qi[j] * s ** (d - j - 1)) for j in range(d) if qi[j]]
-        rem = [[0] * (top + 1) for _ in range(top + 1)]
-        for k, row in enumerate(rem):
-            row[k] = s ** (top - k)
+        pack, sub_mul, lists = self._row_format(top + 1)
+        rem = pack([[0] * k + [scales[k] * s ** (top - k)] + [0] * (top - k)
+                    for k in range(top + 1)])
         weights, dens, live = [], [], []
         for _ in range(count):
             quot = []
@@ -275,9 +301,9 @@ class Field:
                 lead = rem[k]
                 quot.append(lead)
                 for j, c in qhat:
-                    rem[k - d + j] = self._sub_mul(rem[k - d + j], c, lead)
+                    rem[k - d + j] = sub_mul(rem[k - d + j], c, lead)
             n_live = min(d, len(rem))
-            weights += rem[:n_live]
+            weights += lists(rem[:n_live])
             dens += [s ** (top - j) for j in range(n_live)]
             live.append(n_live)
             rem = quot[::-1]
@@ -365,14 +391,11 @@ class Rationals(Field):
         """The integer rows times k, as new rows (reduced over F_p)."""
         return [[x * k for x in row] for row in rows]
 
-    def int_is_zero(self, rows):
-        return not any(map(any, rows))
-
-    # a slot holds -bound..bound, biased by half its range
-    _sign_bits = 1
-
-    def _magnitude(self, rows):
-        return max(map(abs, chain.from_iterable(rows)))
+    def _slots(self, a, b):
+        # a slot holds -bound..bound, biased by half its range
+        hi_a, hi_b = (max(map(abs, chain.from_iterable(m))) for m in (a, b))
+        size = _slot_bytes(len(b) * max(hi_a, 1) * max(hi_b, 1) << 1)
+        return size, len(a) > 1 and hi_a.bit_length() > 2 * hi_b.bit_length()
 
     def _packed(self, a, b, size):
         width = len(b[0])
@@ -393,8 +416,15 @@ class Rationals(Field):
     def echelon(self, ncols, width, count=None):
         return _RowEchelon(ncols, count)
 
-    def _sub_mul(self, row, c, lead):
+    def sub_mul(self, row, c, lead):
+        """row - c*lead, entrywise (reduced over F_p): the row kernel, on
+        field elements or on the integer model."""
         return [x - c * y for x, y in zip(row, lead)]
+
+    def _row_format(self, ncols):
+        """(pack, sub_mul, lists): the format's rows from lists of ``ncols``
+        integers, the row kernel on them, and lists back; here, lists."""
+        return list, self.sub_mul, list
 
 
 def _primitive(row):
@@ -507,17 +537,11 @@ class _PackedEchelon(_Echelon):
 
     def __init__(self, p, ncols, width, count):
         super().__init__(ncols, count)
-        bound = p + max(min(width, ncols), 1) * p * p
-        s = bound.bit_length() + p.bit_length()
-        m = -(-(1 << s) // p)
         self.p = p
-        self.size = _slot_bytes(bound * m)
-        self.w = w = 8 * self.size
-        self._slot = (1 << w) - 1
-        ones = ((1 << (w * ncols)) - 1) // self._slot
-        # the quotient's bits of every slot, after the shift by s
-        mask = ones * ((1 << (w - s)) - 1)
-        self._reduce = lambda r: r - p * (((r * m) >> s) & mask)
+        self.size, self._reduce = _barrett(
+            p, ncols, p + max(min(width, ncols), 1) * p * p)
+        self.w = 8 * self.size
+        self._slot = (1 << self.w) - 1
 
     def _load(self, row):
         return _packer(self.size, self.ncols)[0]([row])[0]
@@ -640,17 +664,9 @@ class PrimeField(Field):
         p = self.p
         return [[x * k % p for x in row] for row in rows]
 
-    def int_is_zero(self, rows):
-        # matrix Horner leaves unreduced residues (up to 2p - 2) behind
-        p = self.p
-        return not any(x % p for row in rows for x in row)
-
-    # int_matmul takes nonnegative integers (residues, possibly unreduced)
-    # and returns them reduced; slots are unsigned
-    _sign_bits = 0
-
-    def _magnitude(self, rows):
-        return max(map(max, rows))
+    def _slots(self, a, b):
+        # unsigned slots, sized from p alone
+        return _slot_bytes(len(b) * (self.p - 1) ** 2), False
 
     def _packed(self, a, b, size):
         p = self.p
@@ -669,9 +685,17 @@ class PrimeField(Field):
     def echelon(self, ncols, width, count=None):
         return _PackedEchelon(self.p, ncols, width, count)
 
-    def _sub_mul(self, row, c, lead):
+    def sub_mul(self, row, c, lead):
         p = self.p
         return [(x - c * y) % p for x, y in zip(row, lead)]
+
+    def _row_format(self, ncols):
+        # one int per row, as in the echelon; r + (p - c)*lead < p + p^2
+        p = self.p
+        size, reduce = _barrett(p, ncols, p + p * p)
+        pack, unpack = _packer(size, ncols)
+        return (pack, lambda r, c, lead: reduce(r + (p - c) * lead),
+                lambda rows: list(map(list, unpack(rows))))
 
 
 class CountingField(Field):
@@ -750,8 +774,8 @@ class CountingField(Field):
     def int_scale(self, rows, k):
         return self.base.int_scale(rows, k)
 
-    def int_is_zero(self, rows):
-        return self.base.int_is_zero(rows)
+    def int_add_diagonal(self, rows, c):
+        self.base.int_add_diagonal(rows, c)
 
     def int_matmul(self, a, b):
         self._count(len(a) * len(b) * (len(b[0]) if b else 0))
@@ -764,9 +788,17 @@ class CountingField(Field):
     def echelon(self, ncols, width, count=None):
         return self.base.echelon(ncols, width, self._count)
 
-    def _sub_mul(self, row, c, lead):
+    def sub_mul(self, row, c, lead):
         self._count(len(row))
-        return self.base._sub_mul(row, c, lead)
+        return self.base.sub_mul(row, c, lead)
+
+    def _row_format(self, ncols):
+        pack, sub_mul, lists = self.base._row_format(ncols)
+
+        def counted(r, c, lead):
+            self._count(ncols)
+            return sub_mul(r, c, lead)
+        return pack, counted, lists
 
 
 QQ = Rationals()

@@ -25,7 +25,7 @@ def _parse_entry(field, token, row, col):
     """One matrix entry, refused when its numerator or denominator exceeds
     MAX_ENTRY_BITS; an exponent above MAX_ENTRY_BITS is refused before 10
     is raised to it.  Errors name the row and the column."""
-    exp = _EXPONENT.search(token)
+    exp = _EXPONENT.search(token) if "e" in token or "E" in token else None
     if exp is None or (len(exp.group(1)) < 10
                        and int(exp.group(1).replace("_", "")) <= MAX_ENTRY_BITS):
         try:

@@ -18,7 +18,9 @@ from .poly import Poly
 
 
 class Matrix:
-    """A dense matrix of field elements, ``data`` being its list of rows.
+    """A dense matrix of field elements, ``data`` being its list of rows;
+    over F_p these are residues in [0, p), which the kernels rely on
+    (``from_ints`` reduces plain integers).
 
     A matrix built by ``from_lifted`` is held in the field's integer model
     instead, and lowered to field elements when ``data`` is first read;
@@ -232,8 +234,6 @@ def horner_shift(mp, points):
     return [[c_k[0] for c_k in blocks] for blocks in expansions]
 
 
-
-
 def matrix_horner(a, lead, den, steps, coeff):
     """X_0 = lead*I and X_k = A*X_{k-1} + c_k*I for k = 1..steps, in the
     field's integer model: with A = A'/d, the integral X'_0 = lead*I and
@@ -241,10 +241,8 @@ def matrix_horner(a, lead, den, steps, coeff):
     ``coeff(k, A'*X'_{k-1}, d^k)`` returns c'_k = den*d^k*c_k.
 
     Returns ([c'_1, ..., c'_steps], d, [X_0, ..., X_steps]), the X_k held
-    in the integer model.  Over F_p the diagonal additions leave unreduced
-    residues behind, which ``int_matmul`` and ``int_is_zero`` accept.  The
-    first step takes no product: A'*X'_0 is A' scaled by ``lead`` (reduced
-    over F_p).
+    in the integer model.  The first step takes no product: A'*X'_0 is A'
+    scaled by ``lead``.
     """
     f = a.field
     n = a.rows
@@ -257,8 +255,7 @@ def matrix_horner(a, lead, den, steps, coeff):
         x = f.int_matmul(ai, x) if k > 1 else f.int_scale(ai, lead)
         dk *= d
         c = coeff(k, x, dk)
-        for i in range(n):
-            x[i][i] += c
+        f.int_add_diagonal(x, c)
         cs.append(c)
         xs.append(Matrix.from_lifted(f, x, den * dk))
     return cs, d, xs

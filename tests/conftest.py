@@ -453,3 +453,29 @@ def block_multiset(dec):
 
 def rng_for(name):
     return random.Random(f"jnf::{name}")
+
+
+def division_rows_oracle(f, q, count, scales):
+    """``Field._division_rows`` one scalar operation at a time, on lists:
+    ``count`` divisions by the monic q (field elements) of the identity of
+    size len(scales), column k scaled by scales[k]; over F_p, where q's
+    denominator s is 1.  Returns (remainder rows, how many each division
+    left)."""
+    d = len(q) - 1
+    top = len(scales) - 1
+    rem = [[scales[k] if j == k else f.zero for j in range(top + 1)]
+           for k in range(top + 1)]
+    weights, live = [], []
+    for _ in range(count):
+        quot = []
+        for k in range(top, d - 1, -1):
+            lead = rem[k]
+            quot.append(lead)
+            for j in range(d):
+                rem[k - d + j] = [f.sub(x, f.mul(q[j], y))
+                                  for x, y in zip(rem[k - d + j], lead)]
+        weights += rem[:d]
+        live.append(min(d, len(rem)))
+        rem = quot[::-1]
+        top -= d
+    return weights, live

@@ -152,9 +152,9 @@ def test_char_data_small_char_random():
 
 
 def test_char_data_gf11_2x2_unreduced_diagonal():
-    # matrix Horner adds c_k to the diagonal unreduced, so the next product
-    # sees entries up to 2p - 2; a packed product whose slots were sized
-    # from (p - 1)^2 overflowed on 2 of 200 such inputs
+    # the next product sizes its slots from (p - 1)^2, so matrix Horner's
+    # diagonal addition must reduce: left unreduced (entries up to 2p - 2),
+    # it overflowed the slots on 2 of 200 such inputs
     f = PrimeField(11)
     rng = rng_for("char-data-gf11-2x2")
     for _ in range(200):

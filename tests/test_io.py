@@ -76,6 +76,69 @@ def test_parse_matrix_plain_and_string_parsed_tokens():
         parse_matrix(f"1 1\n-{2**MAX_ENTRY_BITS}\n", QQ)
 
 
+# (token, QQ, GF(7)): the value a 1 x 1 matrix file with that entry reads
+# as, or "bad" (the field cannot parse it) or "exceeds" (refused by the
+# size cap).  Only tokens with an "e" or "E" are checked for an exponent.
+EDGE_TOKENS = [
+    ('0', '0', '0'),
+    ('-0', '0', '0'),
+    ('+0', '0', '0'),
+    ('7', '7', '0'),
+    ('-7', '-7', '0'),
+    ('+7', '7', '0'),
+    ('007', '7', '0'),
+    ('1_000', '1000', '6'),
+    ('1__0', 'bad', 'bad'),
+    ('_1', 'bad', 'bad'),
+    ('1_', 'bad', 'bad'),
+    ('1/2', '1/2', '4'),
+    ('-1/2', '-1/2', '3'),
+    ('+1/2', '1/2', '4'),
+    ('1/-2', 'bad', '3'),
+    ('1/+2', 'bad', '4'),
+    ('1/0', 'bad', 'bad'),
+    ('0/5', '0', '0'),
+    ('1/2/3', 'bad', 'bad'),
+    ('1/', 'bad', 'bad'),
+    ('/2', 'bad', 'bad'),
+    ('1/2_0', '1/20', '6'),
+    ('1.5', '3/2', 'bad'),
+    ('-.5', '-1/2', 'bad'),
+    ('.5', '1/2', 'bad'),
+    ('5.', '5', 'bad'),
+    ('1.2.3', 'bad', 'bad'),
+    ('1e3', '1000', 'bad'),
+    ('1e-3', '1/1000', 'bad'),
+    ('1e+3', '1000', 'bad'),
+    ('-1.5e2', '-150', 'bad'),
+    ('1e', 'bad', 'bad'),
+    ('1e_', 'bad', 'bad'),
+    ('1e_5', 'bad', 'bad'),
+    ('1e5_', 'bad', 'bad'),
+    ('1e1_0', '10000000000', 'bad'),
+    ('1.5/2', 'bad', 'bad'),
+    ('\u0661\u0662', '12', '5'),              # Arabic-Indic digits
+    ('x', 'bad', 'bad'),
+    ('--1', 'bad', 'bad'),
+    ('0x10', 'bad', 'bad'),
+    ('1e4096', 'exceeds', 'bad'),
+    ('1e4097', 'exceeds', 'exceeds'),
+    ('1E5', '100000', 'bad'),
+    ('1_0e2', '1000', 'bad'),
+]
+
+
+@pytest.mark.parametrize("token, qq, gf7", EDGE_TOKENS)
+def test_parse_entry_accepts_and_refuses(token, qq, gf7):
+    for field, expect in ((QQ, qq), (PrimeField(7), gf7)):
+        try:
+            got = str(parse_matrix(f"1 1\n{token}\n", field).data[0][0])
+        except ParseError as exc:
+            got = "exceeds" if "exceeds" in str(exc) else "bad"
+            assert "row 1, column 1" in str(exc)
+        assert got == expect, field
+
+
 def test_format_parse_roundtrip():
     rng = rng_for("io-roundtrip")
     for _ in range(10):

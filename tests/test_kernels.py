@@ -1,12 +1,13 @@
 """The field kernels (``matmul``, ``echelon``, ``rank``, ``expand``) against
 per-operation oracles written here with the scalar field methods only."""
 
+import math
 import random
 
 import pytest
 
-from conftest import (conjugate_random, mat_add, mat_scale, normal_form, rng_for,
-                      rref)
+from conftest import (conjugate_random, division_rows_oracle, mat_add, mat_scale,
+                      normal_form, rng_for, rref)
 from jnf.charpoly import char_data
 from jnf.decomposition import cycle_block_matrix
 from jnf.errors import InternalConsistencyError
@@ -14,7 +15,7 @@ from jnf.factor import FactoredCharPoly, factor_charpoly
 from jnf.fields import QQ, CountingField, PrimeField, Rationals, _slot_bytes, is_prime
 from jnf.jordan_linear import collect_cycles, split_jordan
 from jnf.jordan_rational import q_adic_blocks, rational_jordan
-from jnf.matrix import MatPoly, Matrix, horner_shift
+from jnf.matrix import MatPoly, Matrix, horner_shift, poly_at_matrix
 from jnf.poly import Poly
 
 # 2^31 - 1 puts the packed product's dot bound on both sides of 64 bits
@@ -273,6 +274,60 @@ def test_expand_many_divisors_matches_oracle(f):
     assert expand_lowered(f, [[f.one]], []) == []
 
 
+@pytest.mark.parametrize("p", [2, 7, 2**61 - 1])
+def test_prime_division_rows_match_the_list_algorithm(p):
+    # the identity division on packed rows (one Barrett step per update)
+    # against the same division on lists, one scalar operation at a time:
+    # divisors of degree 1 to 3, count at least the degree, and a quotient
+    # that runs short in the last division
+    f = PrimeField(p)
+    rng = rng_for(f"kernel-division-rows-{p}")
+    short = 0
+    for d in (1, 2, 3):
+        for count in (d, d + 2):
+            # the last division gets d rows, one or none (the quotient ran
+            # short), or a random number
+            for size in (count * d, (count - 1) * d + 1, (count - 1) * d,
+                         rng.randint(1, 12)):
+                if size < 1:
+                    continue
+                q = [rng.randrange(p) for _ in range(d)] + [1]
+                q[rng.randrange(d)] = p - 1
+                scales = [rng.randrange(1, p) for _ in range(size)]
+                weights, dens, live = f._division_rows(q, count, scales)
+                assert (weights, live) == division_rows_oracle(f, q, count, scales)
+                assert dens == [1] * len(weights)
+                assert all(0 <= x < p for row in weights for x in row)
+                short += live[-1] < d
+    assert short >= 5
+
+
+@pytest.mark.parametrize("p", [2, 7, 2**31 - 1, 2**61 - 1])
+def test_prime_kernels_return_residues(p):
+    # every F_p kernel takes residues in [0, p) and returns them:
+    # int_matmul (packed and dot), int_scale, matrix Horner (comatrix,
+    # Faddeev where p > n, and Q(A)) and expand
+    f = PrimeField(p)
+    rng = rng_for(f"kernel-residues-{p}")
+
+    def residues(rows):
+        return all(0 <= x < p for row in rows for x in row)
+    top = [[p - 1] * 6 for _ in range(6)]
+    a = top + [[rng.randrange(p) for _ in range(6)] for _ in range(3)]
+    assert residues(f.int_matmul(a, top)) and residues(f.int_matmul(a, [[p - 1]] * 6))
+    assert residues(f.int_scale(a, p - 1))
+    m = Matrix(f, [[rng.randrange(p) for _ in range(5)] for _ in range(5)])
+    m.data[0] = [p - 1] * 5
+    cd = char_data(m)
+    mats = [c.lifted()[0] for c in cd.b.coeffs]
+    q = Poly(f, [p - 1, rng.randrange(p), 1])
+    mats.append(poly_at_matrix(q, m).lifted()[0])
+    assert all(map(residues, mats))
+    rems = f.expand([sum(rows, []) for rows in mats[:-1]], [1] * len(cd.b.coeffs),
+                    [(q.coeffs, 2), ([p - 1, 1], 3)])
+    assert all(residues([row]) for per in rems for rem in per for row, _ in rem)
+
+
 def test_taylor_shifts_at_non_integer_point():
     rng = rng_for("kernel-taylor-3/2")
     a = QQ.fraction(-3, 2)
@@ -337,9 +392,11 @@ def test_prime_matmul_at_slot_boundaries(bits, k, hi_a, hi_b):
     else:
         # one past 8 bytes is a 9-byte slot, no longer a dot product
         assert size * 8 == (2 * bits if bits < 64 else 72)
+    # the product sizes its slots from p > hi_b, not from these entries;
+    # test_matmul_at_slot_boundaries puts k*(p - 1)^2 at the slot edges
     f = PrimeField(next_prime(hi_b + 1))
     rng = rng_for(f"kernel-slots-{bits}-{bound}")
-    # row 0 of a and column 0 of b reach the bound exactly
+    # row 0 of a and column 0 of b reach k * hi_a * hi_b exactly
     a = [[hi_a] * k] + [[rng.randint(0, hi_a) for _ in range(k)] for _ in range(2)]
     b = [[hi_b] + [rng.randint(0, hi_b) for _ in range(3)] for _ in range(k)]
     assert f.int_matmul(a, b) == oracle_matmul(f, a, b)
@@ -368,30 +425,50 @@ SLOT_FIELDS = [QQ, PrimeField(7), PrimeField(2**61 - 1)]
 SLOT_IDS = ["QQ", "GF7", "GF(2^61-1)"]
 
 
+def prime_at_slot_edge(size, k, over):
+    """The largest prime p with k*(p - 1)^2 below 2^(8*size), the bound a
+    slot of ``size`` bytes holds, or with ``over`` the smallest above it."""
+    p = math.isqrt((2 ** (8 * size) - 1) // k) + 1
+    if over:
+        return next_prime(p + 1)
+    while not is_prime(p):
+        p -= 1
+    return p
+
+
 @pytest.mark.parametrize("f", [QQ, PrimeField(7)], ids=["QQ", "GF7"])
 @pytest.mark.parametrize("size", [1, 2, 4, 8, 12])
 @pytest.mark.parametrize("over", [False, True], ids=["fits", "one-over"])
 def test_matmul_at_slot_boundaries(f, size, over, monkeypatch):
-    # the dot bound k * max|a| * max|b| is exactly the largest value a slot
-    # of ``size`` bytes holds, or one more; row 0 of the product reaches it
-    # (and over QQ row 1 reaches its negative).  Over F_p the entries are
-    # unreduced, as matrix Horner's are, and a 12-byte slot is covered.
-    bound = 2 ** (8 * size - (f.char == 0)) - 1 + over
-    k = largest_divisor(bound)
-    hi = bound // k
-    assert _slot_bytes(bound << (f.char == 0)) == (
-        size if not over else {1: 2, 2: 4, 4: 8, 8: 9, 12: 13}[size])
-    rng = rng_for(f"kernel-slots-{f.char}-{size}-{over}")
-    lo = -hi if f.char == 0 else 0
-    a = [[1] * k, [-1 if f.char == 0 else 0] * k, [rng.randint(-1 if lo else 0, 1)
-                                                   for _ in range(k)]]
-    b = [[hi] + [rng.randint(lo, hi) for _ in range(3)] for _ in range(k)]
+    # the dot bound is the largest value a slot of ``size`` bytes holds, or
+    # just past it, and row 0 of the product reaches it.  Over QQ it is
+    # k * max|a| * max|b|, exactly at the edge (row 1 reaches its
+    # negative).  Over F_p it is k*(p - 1)^2 whatever the entries, so each
+    # case takes the prime nearest the edge on its side, at k = 5 terms:
+    # GF(7) itself fits one byte, and a 12-byte slot is covered.
+    wider = {1: 2, 2: 4, 4: 8, 8: 9, 12: 13}[size]
+    if f.char:
+        k = 5
+        f = PrimeField(prime_at_slot_edge(size, k, over))
+        hi = f.p - 1
+        bound = k * hi * hi
+        assert (bound >= 2 ** (8 * size)) == over
+        assert _slot_bytes(bound) == (wider if over else size)
+        rng = rng_for(f"kernel-slots-{f.p}")
+        a = [[hi] * k] + [[rng.randrange(f.p) for _ in range(k)] for _ in range(2)]
+        b = [[hi] + [rng.randrange(f.p) for _ in range(3)] for _ in range(k)]
+    else:
+        bound = 2 ** (8 * size - 1) - 1 + over
+        k = largest_divisor(bound)
+        hi = bound // k
+        assert _slot_bytes(bound << 1) == (wider if over else size)
+        rng = rng_for(f"kernel-slots-0-{size}-{over}")
+        a = [[1] * k, [-1] * k, [rng.randint(-1, 1) for _ in range(k)]]
+        b = [[hi] + [rng.randint(-hi, hi) for _ in range(3)] for _ in range(k)]
     taken = spy_paths(monkeypatch, f)
     got = f.int_matmul(a, b)
     assert taken == ["_packed"]
-    reduce = (lambda m: m) if f.char == 0 else (
-        lambda m: [[x % f.p for x in row] for row in m])
-    assert got == oracle_matmul(f, reduce(a), reduce(b))
+    assert got == oracle_matmul(f, a, b)
     assert got[0][0] == bound % (f.p if f.char else bound + 1)
 
 
@@ -435,23 +512,34 @@ def test_matmul_signs_zeros_and_one_column(f):
 
 @pytest.mark.parametrize("f", SLOT_FIELDS, ids=SLOT_IDS)
 def test_matmul_both_sides_of_the_dot_crossover(f, monkeypatch):
-    # k = 4 terms: slots up to max(8, 3 * 4) = 12 bytes are packed, wider
-    # ones take a dot product per entry; entries up to 2^46 a side give
-    # 12-byte slots, up to 2^47 13-byte ones
+    # k terms: slots up to max(8, 3 * k) bytes are packed, wider ones take
+    # a dot product per entry.  Over QQ, at k = 4, entries up to 2^46 a
+    # side give 12-byte slots, up to 2^47 13-byte ones.  Over F_p the slot
+    # holds k*(p - 1)^2 whatever the entries: at k = 4, p below 2^47 fits
+    # 12 bytes and p above it does not; GF(7) packs at every k, and
+    # GF(2^61 - 1) needs 16 bytes, packed from k = 6 on.
     rng = rng_for(f"kernel-crossover-{f.char}")
-    p = f.p if f.char else 0
-    for bits, path in ((46, "_packed"), (47, "_dot"), (200, "_dot")):
-        hi = 2 ** bits
-        sample = (lambda: rng.randint(0, hi)) if p else (lambda: rng.randint(-hi, hi))
-        a = [[sample() for _ in range(4)] for _ in range(5)]
-        b = [[sample() for _ in range(6)] for _ in range(4)]
+    if not f.char:
+        cases = [(f, 4, 2 ** bits, path)
+                 for bits, path in ((46, "_packed"), (47, "_dot"), (200, "_dot"))]
+    elif f.p == 7:
+        cases = [(f, 4, 6, "_packed"), (f, 64, 6, "_packed")] + [
+            (PrimeField(p), 4, p - 1, path)
+            for p, path in ((prime_at_slot_edge(12, 4, False), "_packed"),
+                            (prime_at_slot_edge(12, 4, True), "_dot"))]
+    else:
+        cases = [(f, k, f.p - 1, path)
+                 for k, path in ((4, "_dot"), (5, "_dot"), (6, "_packed"))]
+    for field, k, hi, path in cases:
+        lo = 0 if field.char else -hi
+        a = [[rng.randint(lo, hi) for _ in range(k)] for _ in range(5)]
+        b = [[rng.randint(lo, hi) for _ in range(6)] for _ in range(k)]
         a[0][0] = b[0][0] = hi
-        taken = spy_paths(monkeypatch, f)
-        got = f.int_matmul(a, b)
-        assert taken == [path], bits
+        taken = spy_paths(monkeypatch, field)
+        got = field.int_matmul(a, b)
+        assert taken == [path], (field, k)
         monkeypatch.undo()
-        reduce = (lambda m: m) if not p else (lambda m: [[x % p for x in row] for row in m])
-        assert got == oracle_matmul(f, reduce(a), reduce(b))
+        assert got == oracle_matmul(field, a, b)
 
 
 def test_matmul_packs_the_factor_with_larger_entries(monkeypatch):
@@ -473,17 +561,21 @@ def test_matmul_packs_the_factor_with_larger_entries(monkeypatch):
 
 @pytest.mark.parametrize("p", [2, 11, 251, 65521, 2**31 - 1, 2**61 - 1])
 def test_prime_matmul_unreduced_inputs(p):
-    # entries up to 2p - 2, as matrix Horner's diagonal produces them
+    # inputs are residues in [0, p), and so is the product: the largest
+    # residue p - 1 in both factors reaches the slot bound k*(p - 1)^2,
+    # and nothing comes back unreduced
     f = PrimeField(p)
     rng = rng_for(f"kernel-unreduced-{p}")
     for _ in range(10):
         k, w = rng.randint(1, 8), rng.randint(2, 8)
-        a = [[rng.randint(0, 2 * p - 2) for _ in range(k)] for _ in range(rng.randint(1, 5))]
-        b = [[rng.randint(0, 2 * p - 2) for _ in range(w)] for _ in range(k)]
-        b[0][0] = 2 * p - 2
-        reduced = [[x % p for x in row] for row in b]
+        a = [[rng.randrange(p) for _ in range(k)] for _ in range(rng.randint(1, 5))]
+        b = [[rng.randrange(p) for _ in range(w)] for _ in range(k)]
+        a[0] = [p - 1] * k
+        for row in b:
+            row[0] = p - 1
         got = f.int_matmul(a, b)
-        assert got == oracle_matmul(f, [[x % p for x in row] for row in a], reduced)
+        assert got == oracle_matmul(f, a, b)
+        assert got[0][0] == k * (p - 1) ** 2 % p
         assert all(0 <= x < p for row in got for x in row)
 
 

@@ -6,6 +6,8 @@ larger than p, so the Hessenberg + Horner route runs, and the quadratic
 factors are drawn from those irreducible mod p.  Each case checks the block
 multiset of every applicable form against the ground truth, that the three
 drivers agree on split inputs, and that a solve expands B exactly once.
+Over GF(p) with p > n, the Hessenberg + Horner route must give Faddeev's
+P and B.
 """
 
 import random
@@ -14,11 +16,13 @@ import pytest
 
 from conftest import (IRREDUCIBLE_QUADRATICS, block_multiset,
                       conjugate_random, normal_form)
-from jnf.charpoly import char_data
+from jnf.charpoly import (char_data, comatrix_from_charpoly, faddeev,
+                          hessenberg_charpoly)
 from jnf.factor import factor_charpoly
 from jnf.fields import QQ, Field, PrimeField
 from jnf.jordan_linear import split_jordan
 from jnf.jordan_rational import assemble_pseudo_rational, rational_jordan
+from jnf.matrix import Matrix
 from jnf.poly import Poly
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -100,3 +104,21 @@ def test_every_form_recovers_the_blocks(case, orientation):
         # split form's identity, so all three give the same answer
         for dec in decs[1:]:
             assert (dec.p, dec.j, dec.blocks) == (decs[0].p, decs[0].j, decs[0].blocks)
+
+
+@hypothesis.settings(derandomize=True, database=None, deadline=None,
+                     max_examples=60)
+@hypothesis.given(st.sampled_from([11, 13, 101, 2**31 - 1, 2**61 - 1]),
+                  st.integers(1, 9), st.integers(0, 2**32 - 1))
+def test_hessenberg_horner_route_agrees_with_faddeev(p, n, seed):
+    # over GF(p) with p > n both routes apply: Hessenberg + the minor
+    # recurrence, then matrix Horner on P, give Faddeev's P and B; the
+    # entries are sparse, so zero pivots and subdiagonals occur
+    f = PrimeField(p)
+    rng = random.Random(seed)
+    a = Matrix(f, [[rng.randrange(p) if rng.random() < 0.4 else 0
+                    for _ in range(n)] for _ in range(n)])
+    cd = faddeev(a)
+    p_h = hessenberg_charpoly(a)
+    assert p_h == cd.p
+    assert comatrix_from_charpoly(a, p_h) == cd.b
