@@ -46,36 +46,23 @@ def companion(q):
     return m
 
 
-def coupling_block(q, form):
-    f = q.field
-    d = q.degree
-    if form == "pseudo_rational" and d > 1:
-        e = Matrix.zeros(f, d, d)
-        e.data[0][d - 1] = f.one
-        return e
-    return Matrix.identity(f, d)
-
-
 def cycle_block_matrix(q, k, form, orientation):
-    """The k*d x k*d block of J for one cycle of length k."""
+    """The k*d x k*d block of J for one cycle of length k, by rows: the
+    companion rows on the diagonal, and between consecutive links the
+    coupling, above the diagonal for "upper" and below it for "lower"."""
     f = q.field
     d = q.degree
-    comp = companion(q)
-    coup = coupling_block(q, form)
-    size = k * d
-    j = Matrix.zeros(f, size, size)
-    for g in range(k):
-        for r in range(d):
-            for c in range(d):
-                j.data[g * d + r][g * d + c] = comp.data[r][c]
-    for g in range(k - 1):
-        if orientation == "upper":
-            br, bc = g, g + 1
-        else:
-            br, bc = g + 1, g
-        for r in range(d):
-            for c in range(d):
-                j.data[br * d + r][bc * d + c] = coup.data[r][c]
+    comp = companion(q).data
+    j = Matrix.zeros(f, k * d, k * d)
+    for i, row in enumerate(j.data):
+        g = i - i % d
+        row[g:g + d] = comp[i % d]
+    # the coupling: a top-right 1 (pseudo-rational) or the identity
+    ones = [(0, d - 1)] if form == "pseudo_rational" else [(r, r) for r in range(d)]
+    dr, dc = (0, d) if orientation == "upper" else (d, 0)
+    for g in range(0, (k - 1) * d, d):
+        for r, c in ones:
+            j.data[g + dr + r][g + dc + c] = f.one
     return j
 
 
@@ -106,9 +93,8 @@ def assemble(a, factor_cycles, form, orientation):
                     raise InternalConsistencyError("group size does not match factor degree")
                 columns.extend(group)
             jb = cycle_block_matrix(factor, k, form, orientation)
-            for r in range(k * d):
-                for c in range(k * d):
-                    j.data[offset + r][offset + c] = jb.data[r][c]
+            for r, row in enumerate(jb.data):
+                j.data[offset + r][offset:offset + k * d] = row
     if len(columns) != n:
         raise InternalConsistencyError(
             f"collected {len(columns)} basis vectors for dimension {n}")

@@ -88,25 +88,37 @@ def field_from_tag(tag):
     raise ParseError(f"unknown field tag {tag!r}")
 
 
+def _layout(items, indent, brackets="[]"):
+    """Encoded JSON items in a list (or, with brackets "{}", an object),
+    laid out as json.dumps(..., indent=2) lays it out with the items at
+    ``indent`` spaces."""
+    pad = "\n" + " " * indent
+    return brackets[0] + pad + ("," + pad).join(items) + pad[:-2] + brackets[1]
+
+
 def emit_json(dec):
-    """Stable-key JSON document for a decomposition; deterministic bytes."""
+    """Stable-key JSON document for a decomposition; deterministic bytes,
+    those of json.dumps(doc, sort_keys=True, indent=2).  An indent sends
+    json to its pure-Python encoder, so the layout is written here."""
     f = dec.field
-    doc = {
-        "form": dec.form,
-        "field": field_tag(f),
-        "n": dec.j.rows,
-        "blocks": [
-            {
-                "factor": [f.fmt(c) for c in blk.factor.coeffs],
-                "cycle_length": blk.cycle_length,
-                "offset": blk.offset,
-            }
-            for blk in dec.blocks
-        ],
-        "P": [[f.fmt(x) for x in row] for row in dec.p.data],
-        "J": [[f.fmt(x) for x in row] for row in dec.j.data],
-    }
-    return json.dumps(doc, sort_keys=True, indent=2)
+
+    def strings(values, indent):
+        # field strings hold only digits, '-' and '/': nothing to escape
+        sep = '",\n' + " " * indent + '"'
+        return _layout(['"' + sep.join(map(f.fmt, values)) + '"'], indent)
+
+    def matrix(m):
+        return _layout([strings(row, 6) for row in m.data], 4)
+
+    blocks = _layout([_layout([f'"cycle_length": {blk.cycle_length}',
+                               f'"factor": {strings(blk.factor.coeffs, 8)}',
+                               f'"offset": {blk.offset}'], 6, "{}")
+                      for blk in dec.blocks], 4)
+    # the other members through json's C encoder (no indent), one a line
+    rest = json.dumps({"field": field_tag(f), "form": dec.form, "n": dec.j.rows},
+                      sort_keys=True, separators=(",\n  ", ": "))[1:-1]
+    return _layout([f'"J": {matrix(dec.j)}', f'"P": {matrix(dec.p)}',
+                    f'"blocks": {blocks}', rest], 2, "{}")
 
 
 def parse_json(text):

@@ -27,7 +27,7 @@ def taylor_blocks(b, lam, mult):
     return horner_shift(b, [(lam, mult)])[0]
 
 
-def collect_cycles(blocks, total_needed, accept, enforce_single_top=False):
+def collect_cycles(blocks, total_needed, accept):
     """The stacked reduce/collect/shift loop.
 
     ``blocks`` are the stack blocks, block 0 on top, with chain relations
@@ -41,7 +41,10 @@ def collect_cycles(blocks, total_needed, accept, enforce_single_top=False):
     everything kept so far.  Then each candidate moves one block down (its
     deepest segment drops off) and the all-zero top block of every other
     row is cut; those stay in RREF, and only the moved rows are reduced
-    again for the next level.
+    again for the next level.  The accepted chains must cover
+    ``total_needed`` exactly: overshooting it or running out of rows first
+    raises InternalConsistencyError, which is how a reducible hinted factor
+    shows (see ``Factorization.blame``).
     """
     f = blocks[0].field
     n = blocks[0].rows
@@ -53,12 +56,7 @@ def collect_cycles(blocks, total_needed, accept, enforce_single_top=False):
         stack.insert(row)
     total = 0
     while total < total_needed and len(stack):
-        tops = stack.pivot_rows(n)
-        if enforce_single_top and level == len(blocks) and len(tops) > 1:
-            # one full-length cycle already fills the characteristic space
-            raise InternalConsistencyError(
-                "more than one full-length chain survived the first reduction")
-        for c, row in tops:
+        for c, row in stack.pivot_rows(n):
             segs = f.lower([row], row[c])[0]
             if accept([segs[t:t + n] for t in range(0, level * n, n)]):
                 if total + level > total_needed:
@@ -109,7 +107,7 @@ def cycle_groups(a, d, mult, blocks):
         cycles.append(grid)
         return True
 
-    collect_cycles(blocks, mult, accept, enforce_single_top=(d == 1))
+    collect_cycles(blocks, mult, accept)
     return cycles
 
 

@@ -1,49 +1,38 @@
 """Rational Jordan cycles for irreducible factors Q of any degree d.
 
-B(lambda) is expanded once per solve at every factor (``matpoly_div_q``).
-For d >= 2 the Q(A)-chain C_k = Q(A)*C_{k+1} between its Q-adic
-coefficients is checked; then every factor, linear ones as d = 1, goes
-through the one extractor of ``jordan_linear``.  The pseudo-rational form
-is assembled from those cycles as they come; the rational form first
-converts each cycle of a factor of degree >= 2 by the binomial
-recurrences.
+B(lambda) is expanded once per solve at every factor (``matpoly_div_q``),
+and every factor, linear ones as d = 1, goes through the one extractor of
+``jordan_linear``; the Q(A)-chain between the Q-adic coefficients needs no
+check (see ``q_adic_blocks``).  The pseudo-rational form is assembled from
+those cycles as they come; the rational form first converts each cycle of
+a factor of degree >= 2: its new vectors are worked out in coordinates over
+the cycle's own basis and mapped out with one product.  The certificate
+A*P = P*J in ``assemble`` checks the result.
 """
+
+from math import comb
 
 from .charpoly import char_data
 from .decomposition import assemble, cycle_block_matrix
-from .errors import InternalConsistencyError, InvalidHintError
+from .errors import InvalidHintError
 from .jordan_linear import cycle_groups
-from .matrix import Matrix, matpoly_div_q, poly_at_matrix
-from .poly import binomial
-
-
-def _check_chain(a, q_poly, c_blocks):
-    """Q(A)*C_0 = 0 and C_k = Q(A)*C_{k+1} for the Q-adic coefficients of
-    B; a failure means Q is not a factor of the characteristic polynomial
-    as given, or not irreducible."""
-    f = a.field
-    d = q_poly.degree
-    # Q(A) times every C_k coefficient at once, in the integer model: they
-    # sit side by side, the one for C_k's lambda^t at column offset
-    # (k*d + t)*n, so C_k's columns start at k*d*n
-    first, *rest = [m for c_k in c_blocks for m in c_k]
-    coeffs, den = first.hstack(*rest).lifted()
-    qa_rows, qa_den = poly_at_matrix(q_poly, a).lifted()
-    (product, coeffs), _ = f.to_common(
-        [(f.int_matmul(qa_rows, coeffs), qa_den * den), (coeffs, den)])
-    step = d * a.rows
-    if any(any(row[:step]) for row in product):
-        raise InternalConsistencyError("Q(A)*C_0 != 0; bad factorization input")
-    if [row[step:] for row in product] != [row[:-step] for row in coeffs]:
-        raise InternalConsistencyError("C_k != Q(A)*C_{k+1}")
+from .matrix import matpoly_div_q
 
 
 def q_adic_blocks(a, b, q_poly, mult):
     """[C_0, ..., C_{mult-1}]: B(lambda) expanded in increasing powers of Q
-    by iterated euclidean division, with the Q(A)-chain between the C_k
-    checked; each C_k is the list of its deg(Q) coefficient matrices."""
+    by iterated euclidean division, each C_k the list of its deg(Q)
+    coefficient matrices.
+
+    They form the Q(A)-chain Q(A)*C_0 = 0 and Q(A)*C_{k+1} = C_k whenever
+    (lambda*I - A)*B = P*I and Q^mult divides P, Q irreducible or not:
+    with Q(lambda) - Q(A) = (lambda*I - A)*D(lambda),
+    Q(A)*B = Q*B - D*P = Q*B mod Q^mult, and comparing Q-adic digits gives
+    both relations.  Both conditions are checked upstream (Faddeev checks
+    B_n = 0 and matrix Horner P(A) = 0, and the factorization multiplies
+    back to P), so the chain is not checked again.
+    """
     c_blocks, = matpoly_div_q(b, [(q_poly, mult)])
-    _check_chain(a, q_poly, c_blocks)
     return c_blocks
 
 
@@ -57,67 +46,38 @@ def extract_q_cycles(a, q_poly, mult, c_blocks):
 
 
 def convert_cycle_to_rational(a, q_poly, groups):
-    """Binomial-recurrence conversion of one cycle to rational-form basis.
+    """One cycle in the rational-form basis: groups [v_{j,0..d-1}] with
+    A*v_{j,l-1} = v_{j,l} + v_{j-1,l-1}.
 
     ``groups`` is the cycle as the extractor returns it, the
-    pseudo-rational basis [w_j, A*w_j, ..., A^{d-1}*w_j] per link.  Works
-    in coordinates over that basis, where Q(A) is a shift of d indices, so
-    its 'inversion' is the opposite shift and no linear system is solved.
-    Returns groups [v_{j,0..d-1}] for j.
+    pseudo-rational basis u_{j,l} = A^l*w_j.  Over that basis A is the
+    pseudo-rational block and Q(A) a shift by d, so the new vectors are
+    worked out there, as the columns of T: v_{0,l} = e_l,
+    v_{j,l} = A*v_{j,l-1} - v_{j-1,l-1}, and v_{j,0} the shift-by-d
+    preimage of the sum over m >= 1 and i of C(i+m, m)*q_{i+m}*v_{j-m,i}.
+    T is block upper triangular, so the preimage always exists.  The
+    vectors themselves are then U*T, one product.
     """
     f = a.field
     d = q_poly.degree
     k = len(groups)
-    if k == 1:
-        return groups
-    basis = [v for group in groups for v in group]   # u_{j,l} at j*d+l
-    jb = cycle_block_matrix(q_poly, k, "pseudo_rational", "upper")
     size = k * d
-    zero_vec = [f.zero] * size
-
-    def e(i):
-        v = list(zero_vec)
-        v[i] = f.one
-        return v
-
-    def add_scaled(target, coeff, src):
-        return [f.add(t, f.mul(coeff, s)) for t, s in zip(target, src)]
-
-    coords = {}
-    for l in range(d):
-        coords[(0, l)] = e(l)
+    q = q_poly.coeffs
+    # A over the basis, as the rows of its transpose: [v] times a_t is A*v
+    a_t = cycle_block_matrix(q_poly, k, "pseudo_rational", "upper").transpose().data
+    # weights[m][i] = C(i+m, m)*q_{i+m}, the weight of v_{j-m,i} in v_{j,0}
+    weights = [[f.mul(f.from_int(comb(i + m, m)), q[i + m]) if i + m <= d else f.zero
+                for i in range(d)] for m in range(k)]
+    # the columns of T, v_{j,l} at j*d + l
+    t = [[f.one if i == l else f.zero for i in range(size)] for l in range(d)]
     for j in range(1, k):
-        rhs = list(zero_vec)
-        for l in range(1, d + 1):
-            q_l = f.one if l == d else q_poly.coeffs[l]
-            if f.is_zero(q_l):
-                continue
-            for m in range(1, min(l, j) + 1):
-                c = f.mul(q_l, binomial(f, l, m))
-                rhs = add_scaled(rhs, c, coords[(j - m, l - m)])
-        if any(not f.is_zero(x) for x in rhs[(k - 1) * d:]):
-            raise InternalConsistencyError(
-                "Q(A)-preimage escapes the cycle space")
-        coords[(j, 0)] = [f.zero] * d + rhs[:(k - 1) * d]
-        power = coords[(j, 0)]
+        row = [w for m in range(j, 0, -1) for w in weights[m]]
+        t.append([f.zero] * d + f.matmul([row], t)[0][:-d])
         for l in range(1, d):
-            power = jb.mul_vector(power)       # coords of A^l v_{j,0}
-            v = list(power)
-            for m in range(1, min(l, j) + 1):
-                c = f.neg(binomial(f, l, m))
-                v = add_scaled(v, c, coords[(j - m, l - m)])
-            coords[(j, l)] = v
-    u = Matrix.from_columns(f, basis, rows=a.rows)
-    ambient = {key: u.mul_vector(vec) for key, vec in coords.items()}
-    # defining relation A*v_{j,l-1} = v_{j,l} + v_{j-1,l-1}
-    for j in range(1, k):
-        for l in range(1, d):
-            lhs = a.mul_vector(ambient[(j, l - 1)])
-            rhs = [f.add(x, y) for x, y in zip(ambient[(j, l)],
-                                              ambient[(j - 1, l - 1)])]
-            if lhs != rhs:
-                raise InternalConsistencyError("rational conversion relation failed")
-    return [[ambient[(j, l)] for l in range(d)] for j in range(k)]
+            t.append([f.sub(x, y) for x, y in
+                      zip(f.matmul([t[-1]], a_t)[0], t[(j - 1) * d + l - 1])])
+    vectors = f.matmul(t, [v for group in groups for v in group])
+    return [vectors[j * d:(j + 1) * d] for j in range(k)]
 
 
 def decompose(a, b, factorization, form, orientation):
@@ -129,8 +89,6 @@ def decompose(a, b, factorization, form, orientation):
     factor_cycles = []
     for (q_poly, mult), c_blocks in zip(factorization.factors, expansions):
         with factorization.blame(q_poly, mult):
-            if q_poly.degree > 1:
-                _check_chain(a, q_poly, c_blocks)
             cycles = extract_q_cycles(a, q_poly, mult, c_blocks)
             if form == "rational" and q_poly.degree > 1:
                 cycles = [convert_cycle_to_rational(a, q_poly, groups)

@@ -19,8 +19,8 @@ from .poly import Poly
 
 class Matrix:
     """A dense matrix of field elements, ``data`` being its list of rows;
-    over F_p these are residues in [0, p), which the kernels rely on
-    (``from_ints`` reduces plain integers).
+    over F_p these are residues in [0, p), which the kernels rely on, so
+    other integers are refused (``from_ints`` reduces plain integers).
 
     A matrix built by ``from_lifted`` is held in the field's integer model
     instead, and lowered to field elements when ``data`` is first read;
@@ -38,6 +38,10 @@ class Matrix:
         for row in self.data:
             if len(row) != self.cols:
                 raise ValueError("ragged rows")
+        p = field.char
+        if p and self.cols and not (0 <= min(map(min, self.data))
+                                    and max(map(max, self.data)) < p):
+            raise ValueError(f"entries over F_{p} must be residues in [0, {p})")
 
     @classmethod
     def from_lifted(cls, field, rows, den):
@@ -66,11 +70,6 @@ class Matrix:
     @classmethod
     def from_ints(cls, field, rows):
         return cls(field, [[field.from_int(x) for x in row] for row in rows])
-
-    @classmethod
-    def identity(cls, field, n):
-        z, o = field.zero, field.one
-        return cls(field, [[o if i == j else z for j in range(n)] for i in range(n)])
 
     @classmethod
     def zeros(cls, field, rows, cols):
@@ -117,11 +116,6 @@ class Matrix:
 
     def __mul__(self, other):
         return mat_mul(self, other)
-
-    def mul_vector(self, v):
-        if len(v) != self.cols:
-            raise ValueError("shape mismatch")
-        return [row[0] for row in self.field.matmul(self.data, [[x] for x in v])]
 
     def transpose(self):
         return Matrix(self.field, [self.column(j) for j in range(self.cols)])

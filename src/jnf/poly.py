@@ -186,16 +186,3 @@ def squarefree_decomposition(p):
         i += 1
     return out
 
-
-def binomial(field, l, m):
-    """C(l, m) as a field element via Pascal's rule; m > l gives zero."""
-    if m < 0 or m > l:
-        return field.zero
-    row = [field.one]
-    for _ in range(l):
-        nxt = [field.one]
-        for j in range(1, len(row)):
-            nxt.append(field.add(row[j - 1], row[j]))
-        nxt.append(field.one)
-        row = nxt
-    return row[m]

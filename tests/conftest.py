@@ -172,6 +172,18 @@ def trace(m):
                             m.field.zero)
 
 
+def identity(field, n):
+    z, o = field.zero, field.one
+    return Matrix(field, [[o if i == j else z for j in range(n)] for i in range(n)])
+
+
+def mul_vector(m, v):
+    """The matrix ``m`` times the column vector ``v``, as a list."""
+    if len(v) != m.cols:
+        raise ValueError("shape mismatch")
+    return [row[0] for row in m.field.matmul(m.data, [[x] for x in v])]
+
+
 def _entrywise(op, *mats):
     f = mats[0].field
     for m in mats[1:]:
@@ -202,7 +214,7 @@ def mat_scale(a, c):
 def mat_pow(m, k):
     if not m.is_square:
         raise ValueError("power of non-square matrix")
-    acc = Matrix.identity(m.field, m.rows)
+    acc = identity(m.field, m.rows)
     for _ in range(k):
         acc = mat_mul(acc, m)
     return acc
@@ -222,7 +234,7 @@ def poly_at_matrix_oracle(p, a):
     time."""
     f = a.field
     acc = Matrix.zeros(f, a.rows, a.rows)
-    ident = Matrix.identity(f, a.rows)
+    ident = identity(f, a.rows)
     for c in reversed(p.coeffs):
         acc = mat_add(mat_mul(acc, a), mat_scale(ident, c))
     return acc
@@ -230,7 +242,7 @@ def poly_at_matrix_oracle(p, a):
 
 def lambda_i_minus(a):
     """The degree-1 matrix polynomial lambda*I - A."""
-    return MatPoly(a.field, [mat_neg(a), Matrix.identity(a.field, a.rows)])
+    return MatPoly(a.field, [mat_neg(a), identity(a.field, a.rows)])
 
 
 def matpoly_add(x, y):
@@ -299,7 +311,7 @@ def expand_cycle(segs, a, q):
     for w in segs:
         group = [w]
         for _ in range(q.degree - 1):
-            group.append(a.mul_vector(group[-1]))
+            group.append(mul_vector(a, group[-1]))
         groups.append(group)
     flat = [v for group in groups for v in group]
     if rank(Matrix(a.field, flat)) != len(flat):
@@ -312,7 +324,7 @@ def mat_inverse(m):
     if not m.is_square:
         raise ValueError("inverse of non-square matrix")
     n = m.rows
-    reduced, _, pivots = rref(m.hstack(Matrix.identity(m.field, n)))
+    reduced, _, pivots = rref(m.hstack(identity(m.field, n)))
     # invertible iff every pivot of the augmented reduction stays in the
     # left half (the identity half always completes the rank)
     if [c for _, c in pivots[:n]] != list(range(n)):
@@ -359,7 +371,7 @@ def rand_poly(rng, field, deg, lo=-4, hi=4):
 
 def random_unimodular(rng, field, n, steps=None):
     """Integer matrix with determinant +-1, built from elementary ops."""
-    u = Matrix.identity(field, n)
+    u = identity(field, n)
     steps = steps if steps is not None else 3 * n
     for _ in range(steps):
         i, j = rng.randrange(n), rng.randrange(n)

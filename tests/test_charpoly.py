@@ -1,7 +1,7 @@
 import pytest
 
 from conftest import (adjugate_oracle, charpoly_oracle, det_oracle,
-                      horner_eval, lambda_i_minus, make_fixture_m6,
+                      horner_eval, identity, lambda_i_minus, make_fixture_m6,
                       mat_scale, mat_sub, matpoly_mul, rand_matrix, rng_for,
                       trace)
 from jnf.charpoly import (char_data, comatrix_from_charpoly, faddeev,
@@ -15,7 +15,7 @@ from jnf.poly import Poly, poly_derivative
 def check_comatrix_identity(a, cd):
     """(lambda*I - A) * B(lambda) = P(lambda) * I, exactly."""
     f = a.field
-    ident = Matrix.identity(f, a.rows)
+    ident = identity(f, a.rows)
     lhs = matpoly_mul(lambda_i_minus(a), cd.b)
     rhs = MatPoly(f, [mat_scale(ident, c) for c in cd.p.coeffs])
     assert lhs == rhs
@@ -26,10 +26,10 @@ def test_faddeev_known_3x3(fixture_a):
     assert cd.method == "faddeev"
     assert cd.p == Poly.from_ints(QQ, [-4, 8, -5, 1])
     assert cd.b.degree == 2
-    assert cd.b.coeff(2) == Matrix.identity(QQ, 3)
+    assert cd.b.coeff(2) == identity(QQ, 3)
     # B(lambda) = lambda^2 I + lambda (A - 5I) + (A^2 - 5A + 8I)
     assert cd.b.coeff(1) == mat_sub(fixture_a,
-                                   mat_scale(Matrix.identity(QQ, 3), QQ.from_int(5)))
+                                   mat_scale(identity(QQ, 3), QQ.from_int(5)))
     assert cd.b.coeff(0) == poly_at_matrix(Poly.from_ints(QQ, [8, -5, 1]), fixture_a)
     check_comatrix_identity(fixture_a, cd)
 
@@ -54,7 +54,7 @@ def test_comatrix_evaluates_to_adjugate():
         a = rand_matrix(rng, QQ, 3)
         cd = faddeev(a)
         x0 = QQ.from_int(rng.randint(-6, 6))
-        shifted = mat_sub(mat_scale(Matrix.identity(QQ, 3), x0), a)
+        shifted = mat_sub(mat_scale(identity(QQ, 3), x0), a)
         assert horner_eval(cd.b, x0) == adjugate_oracle(shifted)
 
 
@@ -86,7 +86,7 @@ def test_constant_term_is_signed_det():
 
 def test_faddeev_rejects_small_characteristic():
     f3 = PrimeField(3)
-    a = Matrix.identity(f3, 3)
+    a = identity(f3, 3)
     with pytest.raises(UnsupportedFieldError):
         faddeev(a)
 

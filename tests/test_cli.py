@@ -2,11 +2,13 @@ import json
 
 import pytest
 
-from conftest import make_fixture_m6
+from conftest import conjugate_random, make_fixture_m6, normal_form, rng_for
 from jnf.cli import (EXIT_NEEDS_FACTORIZATION, EXIT_OK, EXIT_PARSE,
                      EXIT_UNSUPPORTED_FIELD, main)
+from jnf.fields import QQ
 from jnf.io import format_matrix, parse_json
 from jnf.matrix import mat_mul, rank
+from jnf.poly import Poly
 
 
 FIXTURE_A = "3 3\n3 -1 1\n2 0 1\n1 -1 2\n"
@@ -178,6 +180,30 @@ def test_misleading_hint_rejected(tmp_path, capsys, matrix, field, hint, message
     err = capsys.readouterr().err
     assert message in err
     assert "hinted factor '1 : " in err
+
+
+@pytest.mark.parametrize("form", ["rational", "pseudo"])
+@pytest.mark.parametrize("pieces, code", [
+    # the reducible hint's two halves carry different cycles: collection
+    # fails, and the hint is blamed
+    ([([-2, 0, 1], [3, 1]), ([-3, 0, 1], [2, 2])], EXIT_PARSE),
+    # cycles of the quartic's own companion blocks are collected as if it
+    # were irreducible, and the certificate holds
+    ([([6, 0, -5, 0, 1], [2, 1])], EXIT_OK),
+])
+def test_reducible_hint_past_the_root_test(tmp_path, capsys, pieces, code, form):
+    # x^4 - 5x^2 + 6 = (x^2 - 2)(x^2 - 3) has no rational root, so the hint
+    # checks take it as asserted irreducible
+    a = conjugate_random(rng_for(f"reducible-hint-{code}"), normal_form(
+        QQ, [(Poly.from_ints(QQ, q), ls) for q, ls in pieces]))
+    path = tmp_path / "m.txt"
+    path.write_text(format_matrix(a) + "\n")
+    hints = tmp_path / "hints.txt"
+    hints.write_text(f"{a.rows // 4} : 6 0 -5 0 1\n")
+    assert main([str(path), "--form", form, "--factors", str(hints)]) == code
+    if code == EXIT_PARSE:
+        assert (f"hinted factor '{a.rows // 4} : 6 0 -5 0 1' is not irreducible"
+                in capsys.readouterr().err)
 
 
 def test_oversized_entry_rejected_at_parse(tmp_path, capsys):

@@ -15,6 +15,7 @@ from jnf.poly import Poly
 
 GF7 = PrimeField(7)
 GF2 = PrimeField(2)
+GF3 = PrimeField(3)
 GFBIG = PrimeField(2**61 - 1)
 
 
@@ -60,6 +61,13 @@ CASES["gfbig_deep_split"] = ("fp:2305843009213693951", "split",
 CASES["gf2_deep_rational"] = ("fp:2", "rational",
                               [(Poly.from_ints(GF2, [1, 1, 1]), [3, 1]),
                                (lin(GF2, 1), [4, 2, 1])], True)
+# a cubic factor: the rational conversion at d = 3, with C(2, 1) = 2 and
+# C(3, m) in its recurrences; over GF(3) those binomials are 0 and p <= d
+CASES["qq_cubic_rational"] = ("q", "rational",
+                              [(Poly.from_ints(QQ, [-2, 0, 0, 1]), [3, 1])], True)
+CASES["qq_cubic_pseudo"] = ("q", "pseudo") + CASES["qq_cubic_rational"][2:]
+CASES["gf3_cubic_rational"] = ("fp:3", "rational",
+                               [(Poly.from_ints(GF3, [-1, -1, 0, 1]), [3, 2])], True)
 
 DIGESTS = {
     "qq_split": "e6464a7049f166655ee59f05353126a45419a47a61bab2d94543df8f9391b91e",
@@ -73,6 +81,9 @@ DIGESTS = {
     "gf7_deep_rational": "ca0819c2426acaecd6de7a80a2df35f86b04082e18da0c559fce537c57d656f7",
     "gfbig_deep_split": "9dea17f176576abbac25b17b89cf990cddf841717525e1c72481e362fc41c1f1",
     "gf2_deep_rational": "1941b2c874a83685b260f192612a01f4400ac8b6f83136f6afb5d086e114df42",
+    "qq_cubic_rational": "09190aaf7fba34d90c2ece950a9d85ed909b24744a3c9bd5eba3ebf1743b152e",
+    "qq_cubic_pseudo": "53acfd77ad0606b8a2be9c40e1f57ced0ed0abff888fafa79983bbc5dff7fba5",
+    "gf3_cubic_rational": "50f16d14e944388c0644008bddace6cf40d4c14e2dc7dd0278e8d7af0c46005b",
 }
 
 

@@ -1,6 +1,9 @@
+import json
+
 import pytest
 
-from conftest import make_fixture_m6, rand_matrix, rng_for
+from conftest import (conjugate_random, make_fixture_m6, normal_form,
+                      rand_matrix, rng_for)
 from jnf.charpoly import char_data
 from jnf.errors import ParseError
 from jnf.factor import factor_charpoly
@@ -9,6 +12,7 @@ from jnf.io import (MAX_ENTRY_BITS, emit_json, field_from_tag, field_tag,
                     format_matrix, parse_json, parse_matrix)
 from jnf.jordan_rational import rational_jordan
 from jnf.matrix import Matrix
+from jnf.poly import Poly
 
 
 def test_parse_matrix_basic():
@@ -169,6 +173,32 @@ def test_json_roundtrip_m6():
         == [(tuple(b.factor.coeffs), b.cycle_length, b.offset) for b in dec.blocks]
     # byte-for-byte deterministic
     assert emit_json(parse_json(text)) == text
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)])
+def test_emit_json_matches_json_dumps(field):
+    # the document as json.dumps(..., indent=2) writes it, on fractions,
+    # negative entries and several blocks
+    if field is QQ:
+        a = make_fixture_m6()
+        fc = factor_charpoly(char_data(a).p)
+    else:
+        pieces = [(Poly.from_ints(field, [1, 0, 1]), [2, 1]),
+                  (Poly.x_minus(field, 3), [1])]
+        a = conjugate_random(rng_for("emit-json"), normal_form(field, pieces))
+        fc = factor_charpoly(char_data(a).p,
+                             hint=[(q, sum(ls)) for q, ls in pieces])
+    dec = rational_jordan(a, fc)
+    f = dec.field
+    doc = {
+        "form": dec.form, "field": field_tag(f), "n": dec.j.rows,
+        "blocks": [{"factor": [f.fmt(c) for c in blk.factor.coeffs],
+                    "cycle_length": blk.cycle_length, "offset": blk.offset}
+                   for blk in dec.blocks],
+        "P": [[f.fmt(x) for x in row] for row in dec.p.data],
+        "J": [[f.fmt(x) for x in row] for row in dec.j.data],
+    }
+    assert emit_json(dec) == json.dumps(doc, sort_keys=True, indent=2)
 
 
 def test_parse_json_errors():

@@ -1,8 +1,8 @@
 import pytest
 
 from conftest import (block_multiset, conjugate_random, horner_eval,
-                      mat_inverse, matpoly_reconstruct_shifts, rng_for,
-                      random_unimodular)
+                      mat_inverse, matpoly_reconstruct_shifts, mul_vector,
+                      rng_for, random_unimodular)
 from jnf.charpoly import char_data
 from jnf.errors import NeedsFactorizationError
 from jnf.factor import factor_charpoly
@@ -28,8 +28,8 @@ def test_fixture_a_cycle_structure(fixture_a):
     # v_0 is an eigenvector, A*v_1 = 2*v_1 + v_0
     two = QQ.from_int(2)
     (v0,), (v1,) = cycles[0]
-    assert fixture_a.mul_vector(v0) == [QQ.mul(two, x) for x in v0]
-    assert fixture_a.mul_vector(v1) == [QQ.add(QQ.mul(two, x), y)
+    assert mul_vector(fixture_a, v0) == [QQ.mul(two, x) for x in v0]
+    assert mul_vector(fixture_a, v1) == [QQ.add(QQ.mul(two, x), y)
                                       for x, y in zip(v1, v0)]
 
 

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from conftest import (conjugate_random, division_rows_oracle, mat_add, mat_scale,
-                      normal_form, rng_for, rref)
+                      mul_vector, normal_form, rng_for, rref)
 from jnf.charpoly import char_data
 from jnf.decomposition import cycle_block_matrix
 from jnf.errors import InternalConsistencyError
@@ -585,7 +585,7 @@ def test_prime_matmul_narrow_shapes(p):
     rng = rng_for(f"kernel-narrow-{p}")
     a = rand_rows(rng, f, 4, 5)
     v = [elem(rng, f) for _ in range(5)]
-    got = Matrix(f, a).mul_vector(v)
+    got = mul_vector(Matrix(f, a), v)
     assert got == [row[0] for row in oracle_matmul(f, a, [[x] for x in v])]
     assert f.int_matmul(a, [[] for _ in range(5)]) == [[] for _ in range(4)]
     assert f.int_matmul([[], []], []) == [[], []]

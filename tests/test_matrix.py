@@ -1,11 +1,11 @@
 import pytest
 
 from conftest import (adjugate_oracle, columns, det, det_oracle, horner_eval,
-                      kernel_basis, lambda_i_minus, mat_add, mat_inverse,
-                      mat_neg, mat_pow, mat_scale, mat_sub,
+                      identity, kernel_basis, lambda_i_minus, mat_add,
+                      mat_inverse, mat_neg, mat_pow, mat_scale, mat_sub,
                       matpoly_reconstruct_q_adic, matpoly_reconstruct_shifts,
-                      poly_at_matrix_oracle, rand_matrix, rand_poly, rng_for,
-                      rref, trace, vstack)
+                      mul_vector, poly_at_matrix_oracle, rand_matrix,
+                      rand_poly, rng_for, rref, trace, vstack)
 from jnf.errors import NonMonicDivisorError, SingularMatrixError
 from jnf.fields import QQ, PrimeField
 from jnf.matrix import (MatPoly, Matrix, horner_shift, matpoly_div_q,
@@ -27,7 +27,7 @@ def test_basic_ops():
     assert a * b == M([[2, 1], [4, 3]])
     assert a.transpose() == M([[1, 3], [2, 4]])
     assert trace(a) == QQ.from_int(5)
-    assert a.mul_vector([QQ.one, QQ.zero]) == [QQ.one, QQ.from_int(3)]
+    assert mul_vector(a, [QQ.one, QQ.zero]) == [QQ.one, QQ.from_int(3)]
     assert mat_pow(a, 2) == a * a
     assert a.hstack(b).cols == 4
     assert vstack(a, b).rows == 4
@@ -36,6 +36,17 @@ def test_basic_ops():
 def test_from_columns_roundtrip():
     a = M([[1, 2, 3], [4, 5, 6]])
     assert Matrix.from_columns(QQ, columns(a), rows=2) == a
+
+
+def test_prime_field_entries_must_be_residues():
+    # 200 is no residue mod 7: in a product it would carry into the next
+    # slot ([1, 2, 0, 0] for the first row of its square)
+    f = PrimeField(7)
+    for rows in ([[200, 0, 0, 0]] * 4, [[0, 7]], [[-1, 0]]):
+        with pytest.raises(ValueError, match=r"residues in \[0, 7\)"):
+            Matrix(f, rows)
+    m = Matrix.from_ints(f, [[200, 0, 0, 0]] * 4)
+    assert (m * m).data[0] == [2, 0, 0, 0]
 
 
 def row_equivalent(a, r):
@@ -77,7 +88,7 @@ def test_det_against_oracle():
 def test_inverse():
     a = M([[2, 1], [1, 1]])
     inv = mat_inverse(a)
-    assert a * inv == Matrix.identity(QQ, 2)
+    assert a * inv == identity(QQ, 2)
     with pytest.raises(SingularMatrixError):
         mat_inverse(M([[1, 2], [2, 4]]))
 
@@ -87,7 +98,7 @@ def test_adjugate_oracle_identity():
     rng = rng_for("adjugate")
     for _ in range(10):
         a = rand_matrix(rng, QQ, 3)
-        assert a * adjugate_oracle(a) == mat_scale(Matrix.identity(QQ, 3), det_oracle(a))
+        assert a * adjugate_oracle(a) == mat_scale(identity(QQ, 3), det_oracle(a))
 
 
 def test_kernel_basis():
@@ -95,8 +106,8 @@ def test_kernel_basis():
     basis = kernel_basis(a)
     assert len(basis) == 2
     for v in basis:
-        assert all(QQ.is_zero(x) for x in a.mul_vector(v))
-    assert kernel_basis(Matrix.identity(QQ, 3)) == []
+        assert all(QQ.is_zero(x) for x in mul_vector(a, v))
+    assert kernel_basis(identity(QQ, 3)) == []
 
 
 def test_matpoly_lambda_i_minus():
@@ -104,7 +115,7 @@ def test_matpoly_lambda_i_minus():
     mp = lambda_i_minus(a)
     assert mp.degree == 1
     assert mp.coeff(0) == mat_neg(a)
-    assert mp.coeff(1) == Matrix.identity(QQ, 2)
+    assert mp.coeff(1) == identity(QQ, 2)
 
 
 def test_horner_eval_matches_direct():
@@ -161,7 +172,7 @@ def test_poly_at_matrix_matches_oracle():
         p = Poly(QQ, coeffs)
         assert poly_at_matrix(p, a) == poly_at_matrix_oracle(p, a)
     assert poly_at_matrix(Poly(QQ, [q(-5, 3)]), a) == mat_scale(
-        Matrix.identity(QQ, 3), q(-5, 3))
+        identity(QQ, 3), q(-5, 3))
     assert poly_at_matrix(Poly.zero(QQ), a) == Matrix.zeros(QQ, 3, 3)
     rng = rng_for("poly-at-matrix")
     for _ in range(10):

@@ -4,8 +4,8 @@ from conftest import rand_poly, rng_for
 from jnf.errors import (FieldMismatchError, NonMonicDivisorError,
                         UnsupportedFieldError)
 from jnf.fields import QQ, PrimeField
-from jnf.poly import (Poly, binomial, poly_derivative, poly_euclid_div,
-                      poly_gcd, squarefree_decomposition)
+from jnf.poly import (Poly, poly_derivative, poly_euclid_div, poly_gcd,
+                      squarefree_decomposition)
 
 
 def P(*ints):
@@ -101,18 +101,3 @@ def test_squarefree_small_characteristic_rejected():
     with pytest.raises(UnsupportedFieldError):
         squarefree_decomposition(Poly.from_ints(f3, [0, 1, 0, 0, 1]))
 
-
-def test_binomial_values():
-    assert binomial(QQ, 4, 2) == QQ.from_int(6)
-    for l in range(8):
-        assert binomial(QQ, l, 0) == QQ.one
-    assert binomial(QQ, 3, 5) == QQ.zero
-    f2 = PrimeField(2)
-    assert binomial(f2, 2, 1) == 0
-
-
-def test_binomial_pascal_identity():
-    for l in range(1, 12):
-        for m in range(1, l):
-            assert binomial(QQ, l, m) == QQ.add(binomial(QQ, l - 1, m - 1),
-                                                binomial(QQ, l - 1, m))

@@ -5,24 +5,29 @@ conjugated by random unimodular matrices.  Over GF(p) the matrices are
 larger than p, so the Hessenberg + Horner route runs, and the quadratic
 factors are drawn from those irreducible mod p.  Each case checks the block
 multiset of every applicable form against the ground truth, that the three
-drivers agree on split inputs, and that a solve expands B exactly once.
+drivers agree on split inputs, that a solve expands B exactly once, and,
+at every factor of degree >= 2, the Q(A)-chain and the relations of the
+rational conversion.
 Over GF(p) with p > n, the Hessenberg + Horner route must give Faddeev's
 P and B.
 """
 
+import functools
 import random
 
 import pytest
 
 from conftest import (IRREDUCIBLE_QUADRATICS, block_multiset,
-                      conjugate_random, normal_form)
+                      conjugate_random, mul_vector, normal_form)
 from jnf.charpoly import (char_data, comatrix_from_charpoly, faddeev,
                           hessenberg_charpoly)
 from jnf.factor import factor_charpoly
 from jnf.fields import QQ, Field, PrimeField
 from jnf.jordan_linear import split_jordan
-from jnf.jordan_rational import assemble_pseudo_rational, rational_jordan
-from jnf.matrix import Matrix
+from jnf.jordan_rational import (assemble_pseudo_rational,
+                                 convert_cycle_to_rational, extract_q_cycles,
+                                 q_adic_blocks, rational_jordan)
+from jnf.matrix import Matrix, mat_mul, poly_at_matrix
 from jnf.poly import Poly
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -73,6 +78,29 @@ def truth(pieces):
     return out
 
 
+def check_chain_and_conversion(a, b, q, mult):
+    """The invariants no solve checks, as its certificate covers them: the
+    Q(A)-chain Q(A)*C_0 = 0, Q(A)*C_{k+1} = C_k of the Q-adic coefficients,
+    and A*v_{j,l-1} = v_{j,l} + v_{j-1,l-1} in every converted cycle, for
+    l = 1..d."""
+    f = a.field
+    c_blocks = q_adic_blocks(a, b, q, mult)
+    qa = poly_at_matrix(q, a)
+    assert all(mat_mul(qa, c).is_zero() for c in c_blocks[0])
+    for c_k, c_next in zip(c_blocks, c_blocks[1:]):
+        assert [mat_mul(qa, c) for c in c_next] == c_k
+    zero = [[f.zero] * a.rows] * q.degree
+    for cycle in extract_q_cycles(a, q, mult, c_blocks):
+        groups = convert_cycle_to_rational(a, q, cycle)
+        for prev, group in zip([zero] + groups, groups):
+            # v_{j,d} stands for -sum_i q_i*v_{j,i}: the companion column
+            last = [f.neg(functools.reduce(f.add, map(f.mul, q.coeffs, xs)))
+                    for xs in zip(*group)]
+            for l, image in enumerate(group[1:] + [last], 1):
+                assert mul_vector(a, group[l - 1]) == [
+                    f.add(x, y) for x, y in zip(image, prev[l - 1])]
+
+
 @hypothesis.settings(derandomize=True, database=None, deadline=None,
                      max_examples=80)
 @hypothesis.given(cases(), st.sampled_from(["upper", "lower"]))
@@ -99,6 +127,9 @@ def test_every_form_recovers_the_blocks(case, orientation):
     assert expansions == [1] * len(drivers)
     for dec in decs:
         assert block_multiset(dec) == truth(pieces)
+    for q, mult in fc.factors:
+        if q.degree > 1:
+            check_chain_and_conversion(a, cd.b, q, mult)
     if split:
         # d = 1 everywhere: the pseudo and rational couplings are the
         # split form's identity, so all three give the same answer
