@@ -1,8 +1,8 @@
 """Exact Jordan and rational Jordan normal forms over Q and prime fields,
 computed from the comatrix polynomial of lambda*I - A."""
 
-from .charpoly import CharData, char_data, comatrix_from_charpoly, faddeev, \
-    hessenberg_charpoly
+from .charpoly import CharData, char_data, char_poly, comatrix_block, \
+    comatrix_from_charpoly, faddeev, hessenberg_charpoly
 from .decomposition import JordanDecomposition, verify
 from .errors import (InternalConsistencyError, InvalidHintError, JnfError,
                      NeedsFactorizationError, ParseError, SingularMatrixError,
@@ -20,7 +20,8 @@ __all__ = [
     "InvalidHintError", "JnfError", "JordanDecomposition", "MatPoly", "Matrix",
     "NeedsFactorizationError", "ParseError", "Poly", "PrimeField", "QQ",
     "Rationals", "SingularMatrixError", "UnsupportedFieldError",
-    "assemble_pseudo_rational", "char_data", "comatrix_from_charpoly",
+    "assemble_pseudo_rational", "char_data", "char_poly", "comatrix_block",
+    "comatrix_from_charpoly",
     "extract_cycles", "extract_q_cycles", "faddeev", "factor_charpoly",
     "hessenberg_charpoly", "parse_factor_hints", "q_adic_blocks",
     "rational_jordan", "split_jordan", "taylor_blocks", "verify",

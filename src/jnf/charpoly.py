@@ -1,22 +1,35 @@
 """Characteristic polynomial P and comatrix polynomial B of lambda*I - A.
 
-Two routes: the trace recurrence (characteristic 0 or > n), or Hessenberg
-reduction for P followed by matrix Horner for B.  Both produce the same
-``CharData`` and satisfy (lambda*I - A) * B(lambda) = P(lambda) * I exactly.
+Two routes, one per kind of field.  Over QQ the trace recurrence (Faddeev)
+gives P and all of B together, in the integer model.  Over F_p, Hessenberg
+reduction and the minor recurrence give P alone (``char_poly``), and matrix
+Horner on P builds B(lambda)*V for a block V of s columns
+(``comatrix_block``): (lambda*I - A)*B(lambda)*V = P(lambda)*V, so the
+columns of B*V satisfy the chain relations that cycle collection reads,
+and s generic columns carry every cycle once s reaches the number of
+cycles of a factor.  The solve starts at a few columns and doubles them
+when a factor runs short; at s = n, V = I and the block is all of B.
+``char_data`` gives P with all of B on either route.
 """
 
 from dataclasses import dataclass
 from operator import itemgetter
 
 from .errors import InternalConsistencyError, UnsupportedFieldError
-from .matrix import Matrix, MatPoly, matrix_horner
+from .matrix import Matrix, MatPoly, identity_columns, matrix_horner
 from .poly import Poly
+
+# The probe block's entries come from this 64-bit linear congruential
+# generator (Knuth's MMIX constants), so they are the same on every platform
+# and Python version.
+_LCG = (6364136223846793005, 1442695040888963407, (1 << 64) - 1)
+_SEED = 0x6A6E66
 
 
 @dataclass
 class CharData:
     p: Poly          # monic, degree n, increasing powers
-    b: MatPoly       # degree n-1, leading coefficient I
+    b: MatPoly       # degree n-1, leading coefficient I; None when not built
     method: str      # "faddeev" or "hessenberg_horner"
 
 
@@ -34,15 +47,21 @@ def faddeev(a):
     if 0 < f.char <= n:
         raise UnsupportedFieldError(
             f"Faddeev needs characteristic 0 or > {n}; use the Hessenberg route")
-
-    def coeff(k, a_k, _dk):
-        return f.exact_div(-sum(a_k[i][i] for i in range(n)), k)
-
-    cs, d, bs = matrix_horner(a, 1, 1, n, coeff)
+    ai, d = f.lift(a.data)
+    bs = [Matrix.from_lifted(f, [[int(i == j) for j in range(n)] for i in range(n)], 1)]
+    p_desc = [f.one]
+    dk = 1
+    for k in range(1, n + 1):
+        x = f.int_matmul(ai, x) if k > 1 else f.int_scale(ai, 1)
+        dk *= d
+        c = f.exact_div(-sum(x[i][i] for i in range(n)), k)
+        for i, row in enumerate(x):     # add takes the integer model too
+            row[i] = f.add(row[i], c)
+        p_desc.append(f.lower([[c]], dk)[0][0])
+        bs.append(Matrix.from_lifted(f, x, dk))
     if not bs.pop().is_zero():
         raise InternalConsistencyError("Faddeev terminal matrix B_n is nonzero")
-    p_desc = [f.one] + [f.lower([[c]], d ** k)[0][0] for k, c in enumerate(cs, 1)]
-    return CharData(p=Poly(f, list(reversed(p_desc))), b=MatPoly(f, bs[::-1]),
+    return CharData(p=Poly(f, p_desc[::-1]), b=MatPoly(f, bs[::-1]),
                     method="faddeev")
 
 
@@ -106,29 +125,58 @@ def hessenberg_charpoly(a):
     return Poly(f, minors[n])
 
 
-def comatrix_from_charpoly(a, p):
-    """Matrix Horner: B_0 = I, B_k = A*B_{k-1} + p_k*I (coefficients of p
-    from the top), so (lambda*I - A) * B = P * I holds coefficientwise by
-    construction except for the constant term, A*B_{n-1} + p_0*I = P(A).
-    That one is checked: it is zero exactly when P annihilates A."""
+def probe_block(f, n, s):
+    """V as its s columns of length n: the identity at s = n, else the first
+    s columns of a fixed pseudo-random sequence, the same for every s."""
+    if s >= n:
+        return identity_columns(f, n)
+    mul, inc, mask = _LCG
+    x = _SEED
+    cols = []
+    for _ in range(s):
+        col = []
+        for _ in range(n):
+            x = (x * mul + inc) & mask
+            col.append(f.from_int(x >> 33))
+        cols.append(col)
+    return cols
+
+
+def comatrix_block(a, p, s):
+    """B(lambda)*V for the probe block V of s columns (``probe_block``), as a
+    polynomial with n x s coefficients: matrix Horner from the top of p,
+    X_0 = V and X_k = A*X_{k-1} + p_{n-k}*V, so (lambda*I - A)*B*V = P*V
+    holds coefficientwise by construction except for the constant term,
+    A*X_{n-1} + p_0*V = P(A)*V.  That one is checked: Q-adic digits of B*V
+    form Q(A)-chains because it is zero (see ``q_adic_blocks``)."""
     f = a.field
     n = a.rows
     if p.degree != n or not p.is_monic:
         raise ValueError("p must be the monic characteristic polynomial")
-    (pi,), e = f.lift([p.coeffs])
-    _, _, bs = matrix_horner(a, e, e, n, lambda k, _, dk: dk * pi[n - k])
-    if not bs.pop().is_zero():
+    xs = matrix_horner(a, p.coeffs, probe_block(f, n, s))
+    if any(map(any, xs.pop())):
         raise InternalConsistencyError(
-            "P(A) != 0: the supplied polynomial does not annihilate A")
-    return MatPoly(f, bs[::-1])
+            "P(A)*V != 0: the supplied polynomial does not annihilate A")
+    return MatPoly(f, [Matrix.from_lifted(f, *f.lift(list(map(list, zip(*x)))))
+                       for x in reversed(xs)])
+
+
+def comatrix_from_charpoly(a, p):
+    """All of B(lambda): the comatrix block at V = I."""
+    return comatrix_block(a, p, a.rows)
+
+
+def char_poly(a):
+    """P by the field's route, with B where it comes free: Faddeev's over
+    QQ; over F_p only P, from Hessenberg, and ``b`` is None."""
+    if a.field.char == 0:
+        return faddeev(a)
+    return CharData(p=hessenberg_charpoly(a), b=None, method="hessenberg_horner")
 
 
 def char_data(a):
-    """Method dispatch: Faddeev when the characteristic allows it, else
-    Hessenberg + Horner comatrix."""
-    f = a.field
-    if f.char == 0 or f.char > a.rows:
-        return faddeev(a)
-    p = hessenberg_charpoly(a)
-    b = comatrix_from_charpoly(a, p)
-    return CharData(p=p, b=b, method="hessenberg_horner")
+    """P and all of B on the field's route."""
+    cd = char_poly(a)
+    if cd.b is None:
+        cd.b = comatrix_from_charpoly(a, cd.p)
+    return cd

@@ -6,7 +6,7 @@ import os
 import sys
 from dataclasses import dataclass
 
-from .charpoly import char_data, hessenberg_charpoly
+from .charpoly import char_poly, hessenberg_charpoly
 from .errors import (InternalConsistencyError, InvalidHintError, JnfError,
                      NeedsFactorizationError, ParseError, UnsupportedFieldError)
 from .factor import factor_charpoly, format_factor_hint, parse_factor_hints
@@ -79,7 +79,7 @@ def run(config):
     if a.rows > max_n:
         raise ParseError(f"matrix size {a.rows} exceeds JNF_MAX_N={max_n}")
 
-    cd = char_data(a)
+    cd = char_poly(a)
     hint = None
     if config.factors_path:
         try:

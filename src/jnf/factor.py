@@ -47,14 +47,16 @@ class FactoredCharPoly:
         return sum(q.degree * m for q, m in self.factors)
 
     @contextmanager
-    def blame(self, q, mult):
+    def blame(self, q, mult, final=True):
         """Cycle collection for the factor q: when q came from a hint, a
         failed invariant means the hint was wrong (a reducible factor), so
-        it is reported as an invalid hint naming q."""
+        it is reported as an invalid hint naming q.  Not while ``final`` is
+        false: chains from a block B*V of fewer than n columns can run out
+        for want of columns, and the error passes through for a retry."""
         try:
             yield
         except InternalConsistencyError as exc:
-            if self.irreducibility != "asserted":
+            if not final or self.irreducibility != "asserted":
                 raise
             raise InvalidHintError(
                 f"hinted factor '{format_factor_hint(q, mult)}' is not "

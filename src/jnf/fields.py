@@ -47,6 +47,17 @@ polynomial at every linear factor of a characteristic polynomial.  The
 division's rows are in the field's ``_row_format``: integer lists over QQ,
 packed rows as in the echelon over F_p.
 
+``operator`` prepares a matrix M once for applying it to many column
+vectors, optionally adding c times prepared columns V: the matrix Horner
+steps X_k = A*X_{k-1} + c_k*V on an n x s block, and the powers of A in
+cycle collection.  Over F_p it packs the rows of M^T as the product packs
+its right factor, so M*x + c*v is one C-level sum of x's entries times
+those rows plus c times v packed, read back slot by slot: s*n
+multiplications per step with the packing paid once, where a packed
+product would pack the block's rows again on every step and make n^2
+multiplications whatever s is.  Over QQ it lifts M^T once and runs the
+product on the columns.
+
 One echelon kernel does all row reduction.  An echelon holds its pivot
 rows in reduced row echelon form (RREF) and takes rows one at a time: a row
 is reduced against the pivots, becomes a new pivot if anything is left, and
@@ -209,6 +220,13 @@ class Field:
                 return self._packed(a, b, size)
         return self._dot(a, list(zip(*b)))
 
+    def operator(self, m):
+        """M (rows of field elements) prepared for ``op(cols)``, the columns
+        [M*x for x in cols], and ``op(cols, c, op.pack(vs))``, the columns
+        [M*x_j + c*v_j]; cols, vs and the results are lists of columns of
+        field elements."""
+        return _LiftedOperator(self, m)
+
     def to_common(self, blocks):
         """Blocks [(integer rows, den), ...] brought to one denominator:
         (the rows of each block, den).  Rows already over it are shared."""
@@ -218,12 +236,6 @@ class Field:
 
     def int_is_zero(self, rows):
         return not any(map(any, rows))
-
-    def int_add_diagonal(self, rows, c):
-        """rows + c*I in place; ``add`` takes the integer model too (over
-        F_p it reduces)."""
-        for i, row in enumerate(rows):
-            row[i] = self.add(row[i], c)
 
     def echelon(self, ncols, width, count=None):
         """An empty echelon (see the module docstring) for integer-model
@@ -309,6 +321,47 @@ class Field:
             rem = quot[::-1]
             top -= d
         return weights, dens, live
+
+
+class _LiftedOperator:
+    """``Field.operator`` by the product kernel: M^T lifted once, each call
+    one ``int_matmul`` of the lifted columns by it."""
+
+    def __init__(self, field, m):
+        self.field = field
+        self.m_t, self.den = field.lift([list(col) for col in zip(*m)])
+
+    def pack(self, cols):
+        return cols
+
+    def __call__(self, cols, c=0, vs=()):
+        f = self.field
+        xi, e = f.lift(cols)
+        out = f.lower(f.int_matmul(xi, self.m_t), e * self.den)
+        if c:
+            out = [[f.add(y, f.mul(c, z)) for y, z in zip(col, v)]
+                   for col, v in zip(out, vs)]
+        return out
+
+
+class _PackedOperator:
+    """``Field.operator`` over F_p: the rows of M^T packed once, in slots
+    that hold a dot product of M's row length plus one more term, so that
+    M*x + c*v is one sum of products plus c times v packed, and one read."""
+
+    def __init__(self, p, m):
+        self.p = p
+        size = _slot_bytes((len(m[0]) + 1) * (p - 1) ** 2)
+        self.pack, self._unpack = _packer(size, len(m))
+        self.m_t = self.pack(zip(*m))
+
+    def __call__(self, cols, c=0, vs=()):
+        p, m_t = self.p, self.m_t
+        if c:
+            sums = [sum(map(mul, x, m_t), c * v) for x, v in zip(cols, vs)]
+        else:
+            sums = [sum(map(mul, x, m_t)) for x in cols]
+        return [[y % p for y in col] for col in self._unpack(sums)]
 
 
 class Rationals(Field):
@@ -682,6 +735,9 @@ class PrimeField(Field):
     def exact_div(self, x, k):
         return x * pow(k, -1, self.p) % self.p
 
+    def operator(self, m):
+        return _PackedOperator(self.p, m)
+
     def echelon(self, ncols, width, count=None):
         return _PackedEchelon(self.p, ncols, width, count)
 
@@ -707,7 +763,8 @@ class CountingField(Field):
     w is w mul + w add.  The echelon counts each elimination step that runs,
     whether or not the base field packs its rows.  ``expand`` runs the
     generic algorithm on this field, so it counts its division steps on the
-    identity and its product.
+    identity and its product; so does ``operator``, which counts a product
+    per application and a mul and an add per entry of c*v.
     """
 
     def __init__(self, base):
@@ -773,9 +830,6 @@ class CountingField(Field):
 
     def int_scale(self, rows, k):
         return self.base.int_scale(rows, k)
-
-    def int_add_diagonal(self, rows, c):
-        self.base.int_add_diagonal(rows, c)
 
     def int_matmul(self, a, b):
         self._count(len(a) * len(b) * (len(b[0]) if b else 0))

@@ -3,6 +3,8 @@ stable-key JSON document for decompositions."""
 
 import json
 import re
+import sys
+from contextlib import contextmanager
 
 from .decomposition import CycleBlock, JordanDecomposition
 from .errors import ParseError
@@ -65,10 +67,28 @@ def parse_matrix(text, field):
     return Matrix(field, data)
 
 
+@contextmanager
+def _any_digits():
+    """CPython's limit on the digits of an int converted to a string lifted
+    for the block: the entries of an exact answer can have far more digits
+    than the input (the transform of an 8 x 8 matrix with 4096-bit entries
+    has 49k-bit ones), and every answer is printed in full."""
+    if not hasattr(sys, "set_int_max_str_digits"):   # no limit before 3.10.7
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def format_matrix(m):
     """Column-aligned text rendering (including the header line)."""
     f = m.field
-    cells = [[f.fmt(x) for x in row] for row in m.data]
+    with _any_digits():
+        cells = [[f.fmt(x) for x in row] for row in m.data]
     widths = [max(len(cells[r][c]) for r in range(m.rows)) for c in range(m.cols)]
     lines = [f"{m.rows} {m.cols}"]
     for row in cells:
@@ -100,6 +120,11 @@ def emit_json(dec):
     """Stable-key JSON document for a decomposition; deterministic bytes,
     those of json.dumps(doc, sort_keys=True, indent=2).  An indent sends
     json to its pure-Python encoder, so the layout is written here."""
+    with _any_digits():
+        return _emit_json(dec)
+
+
+def _emit_json(dec):
     f = dec.field
 
     def strings(values, indent):

@@ -6,13 +6,16 @@ of the stacked blocks is one chain, held as one integer row; one loop
 keeps these chain rows in one echelon across all levels, reads the
 candidate chains off the rows that pivot in the top block, shifts those
 one block down and cuts the top block from the rest, so each level
-reduces only the shifted rows.  One extractor accepts a chain when the
-chain with all its A^i-images is independent of everything taken so far,
-tested by inserting them into one echelon basis.  A linear factor
-lambda - lam is the d = 1 case: its C_k are the Taylor coefficients of B
-at lam, and a chain's images are the chain itself.  A cycle is returned
-as its list of groups, group j holding (w_j, A*w_j, ..., A^{d-1}*w_j),
-which is what ``assemble`` takes.
+reduces only the shifted rows.  The blocks may come from B(lambda)*V for a
+block V of s columns instead of all of B: then there are s*d chains, and
+too few of them for a factor show as a stack exhausted before its
+multiplicity.  One extractor accepts a chain when the socle of its cycle,
+the span of w_0 and its A^i-images, is independent of the socles of the
+cycles taken so far, tested by inserting them into one echelon.  A linear
+factor lambda - lam is the d = 1 case: its C_k are the Taylor coefficients
+of B at lam, and a chain's images are the chain itself.  A cycle is
+returned as its list of groups, group j holding
+(w_j, A*w_j, ..., A^{d-1}*w_j), which is what ``assemble`` takes.
 """
 
 from itertools import chain
@@ -72,39 +75,50 @@ def collect_cycles(blocks, total_needed, accept):
             "cycle collection exhausted the stack before reaching the multiplicity")
 
 
-def _power_grid(f, a_t, vectors, d):
-    """[[w, A*w, ..., A^{d-1}*w] for w in vectors], given the rows of A's
-    transpose: each power of A takes one product for all the vectors."""
+def _power_grid(op, vectors, d):
+    """[[w, A*w, ..., A^{d-1}*w] for w in vectors], given A's ``operator``:
+    each power of A takes one application to all the vectors."""
     powers = [vectors]
     for _ in range(d - 1):
-        powers.append(f.matmul(powers[-1], a_t))
+        powers.append(op(powers[-1]))
     return [list(images) for images in zip(*powers)]
 
 
-def cycle_groups(a, d, mult, blocks):
-    """The cycles of a degree-d factor of multiplicity ``mult`` from its
+def cycle_groups(a, d, mult, blocks, op=None):
+    """The cycles of a degree-d factor Q of multiplicity ``mult`` from its
     stack blocks, in discovery order, each a list of groups
-    [w_j, A*w_j, ..., A^{d-1}*w_j] with w_0's group first.
+    [w_j, A*w_j, ..., A^{d-1}*w_j] with w_0's group first.  ``op`` is A's
+    ``operator``, prepared here when d > 1 and it is not given.
 
-    A candidate chain is taken when its k*d vectors and those of every
-    cycle taken before are independent, so the cycles span a direct sum:
-    they go into one echelon basis of every vector taken, which is put
-    back as it was at the first dependent one.  For d = 1 the grid is the
-    chain itself and no product is made.
+    A candidate chain w_0, ..., w_{k-1} (Q(A)*w_j = w_{j-1}, Q(A)*w_0 = 0)
+    is taken when the d vectors of w_0's group are independent of the
+    groups of w_0 of every cycle taken before; only then is its whole grid
+    built.  That is enough for the cycles to span a direct sum.  If w_0's
+    group is independent, w_0's minimal polynomial is Q itself, even for a
+    reducible asserted Q, so the cycle Z spans all k*d dimensions (apply
+    Q(A)^j to a relation whose top link is j).  The span W of the cycles
+    taken is A-invariant, so if Z meets W, Z and W share a nonzero
+    A-invariant subspace on which Q(A) is nilpotent, hence a nonzero
+    vector of ker Q(A).  In Z that vector lies in w_0's group; in W, whose
+    cycles each meet ker Q(A) in their own group of w_0, it lies in the
+    span of those groups.  So Z meets W exactly when the groups are
+    dependent.  For d = 1 a group is the vector itself and no product is
+    made.
     """
     f = a.field
-    a_t = a.transpose().data
-    basis = f.echelon(a.rows, a.rows)
+    if op is None and d > 1:
+        op = f.operator(a.data)
+    socle = f.echelon(a.rows, a.rows)
     cycles = []
 
     def accept(segs):
-        grid = _power_grid(f, a_t, segs, d)
-        vectors, _ = f.lift([v for group in grid for v in group])
-        saved = basis.save()
-        if not all(map(basis.insert, vectors)):
-            basis.restore(saved)
+        bottom = _power_grid(op, segs[:1], d)
+        rows, _ = f.lift(bottom[0])
+        saved = socle.save()
+        if not all(map(socle.insert, rows)):
+            socle.restore(saved)
             return False
-        cycles.append(grid)
+        cycles.append(bottom + _power_grid(op, segs[1:], d))
         return True
 
     collect_cycles(blocks, mult, accept)
@@ -121,14 +135,14 @@ def extract_cycles(a, lam, mult, blocks):
 
 def split_jordan(a, factorization, orientation="lower", chardata=None):
     """Split-field Jordan form driver; every factor must be linear."""
-    from .charpoly import char_data
+    from .charpoly import char_poly
     from .jordan_rational import decompose   # which imports this module
 
-    cd = chardata if chardata is not None else char_data(a)
+    cd = chardata if chardata is not None else char_poly(a)
     for q, _ in factorization.factors:
         if q.degree != 1:
             raise NeedsFactorizationError(
                 "split Jordan form needs a fully split characteristic polynomial; "
                 f"stuck on a degree-{q.degree} factor",
                 residual=q)
-    return decompose(a, cd.b, factorization, "split", orientation)
+    return decompose(a, cd, factorization, "split", orientation)

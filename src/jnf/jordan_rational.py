@@ -1,22 +1,33 @@
 """Rational Jordan cycles for irreducible factors Q of any degree d.
 
-B(lambda) is expanded once per solve at every factor (``matpoly_div_q``),
-and every factor, linear ones as d = 1, goes through the one extractor of
-``jordan_linear``; the Q(A)-chain between the Q-adic coefficients needs no
-check (see ``q_adic_blocks``).  The pseudo-rational form is assembled from
-those cycles as they come; the rational form first converts each cycle of
-a factor of degree >= 2: its new vectors are worked out in coordinates over
-the cycle's own basis and mapped out with one product.  The certificate
-A*P = P*J in ``assemble`` checks the result.
+B(lambda), or over F_p a block B(lambda)*V of it, is expanded at every
+factor in one ``matpoly_div_q`` call, and every factor, linear ones as
+d = 1, goes through the one extractor of ``jordan_linear``; the Q(A)-chain
+between the Q-adic coefficients needs no check (see ``q_adic_blocks``).
+V starts with BLOCK_COLUMNS columns; the factors it falls short on are
+expanded again from a block of twice as many, up to V = I.  The
+pseudo-rational form is assembled from those cycles as they come; the
+rational form first converts each cycle of a factor of degree >= 2: its
+new vectors are worked out in coordinates over the cycle's own basis and
+mapped out with one product.  The certificate A*P = P*J in ``assemble``
+checks the result.
 """
 
 from math import comb
 
-from .charpoly import char_data
+from .charpoly import char_poly, comatrix_block
 from .decomposition import assemble, cycle_block_matrix
-from .errors import InvalidHintError
+from .errors import InternalConsistencyError, InvalidHintError
 from .jordan_linear import cycle_groups
 from .matrix import matpoly_div_q
+
+# Columns of the first probe block V over F_p.  s random columns carry the
+# c cycles of a factor of degree d unless their images in the top of its
+# primary part, c-dimensional over F_{p^d}, fail to span it: for s >= c
+# that happens with probability about p^(d*(c-1-s)), and it costs one more
+# block of twice the columns.  4 measured fastest on fp_hessenberg (GF(7),
+# n = 32, three cycles per factor) against 3, 5, 6 and 8; see CHANGES.md.
+BLOCK_COLUMNS = 4
 
 
 def q_adic_blocks(a, b, q_poly, mult):
@@ -28,21 +39,22 @@ def q_adic_blocks(a, b, q_poly, mult):
     (lambda*I - A)*B = P*I and Q^mult divides P, Q irreducible or not:
     with Q(lambda) - Q(A) = (lambda*I - A)*D(lambda),
     Q(A)*B = Q*B - D*P = Q*B mod Q^mult, and comparing Q-adic digits gives
-    both relations.  Both conditions are checked upstream (Faddeev checks
-    B_n = 0 and matrix Horner P(A) = 0, and the factorization multiplies
-    back to P), so the chain is not checked again.
+    both relations.  The same holds for a block B*V with
+    (lambda*I - A)*B*V = P*V.  Both conditions are checked upstream
+    (Faddeev checks B_n = 0 and matrix Horner P(A)*V = 0, and the
+    factorization multiplies back to P), so the chain is not checked again.
     """
     c_blocks, = matpoly_div_q(b, [(q_poly, mult)])
     return c_blocks
 
 
-def extract_q_cycles(a, q_poly, mult, c_blocks):
+def extract_q_cycles(a, q_poly, mult, c_blocks, op=None):
     """Q(A)-Jordan cycles of the factor Q from its Q-adic coefficients,
     each a list of groups [w_j, A*w_j, ..., A^{d-1}*w_j] with
-    Q(A)*w_j = w_{j-1} and Q(A)*w_0 = 0."""
+    Q(A)*w_j = w_{j-1} and Q(A)*w_0 = 0; ``op`` as in ``cycle_groups``."""
     stack_blocks = [first.hstack(*rest) if rest else first
                     for first, *rest in c_blocks]
-    return cycle_groups(a, q_poly.degree, mult, stack_blocks)
+    return cycle_groups(a, q_poly.degree, mult, stack_blocks, op)
 
 
 def convert_cycle_to_rational(a, q_poly, groups):
@@ -63,8 +75,8 @@ def convert_cycle_to_rational(a, q_poly, groups):
     k = len(groups)
     size = k * d
     q = q_poly.coeffs
-    # A over the basis, as the rows of its transpose: [v] times a_t is A*v
-    a_t = cycle_block_matrix(q_poly, k, "pseudo_rational", "upper").transpose().data
+    # A over the basis, prepared once: op([v]) is [A*v]
+    op = f.operator(cycle_block_matrix(q_poly, k, "pseudo_rational", "upper").data)
     # weights[m][i] = C(i+m, m)*q_{i+m}, the weight of v_{j-m,i} in v_{j,0}
     weights = [[f.mul(f.from_int(comb(i + m, m)), q[i + m]) if i + m <= d else f.zero
                 for i in range(d)] for m in range(k)]
@@ -75,40 +87,62 @@ def convert_cycle_to_rational(a, q_poly, groups):
         t.append([f.zero] * d + f.matmul([row], t)[0][:-d])
         for l in range(1, d):
             t.append([f.sub(x, y) for x, y in
-                      zip(f.matmul([t[-1]], a_t)[0], t[(j - 1) * d + l - 1])])
+                      zip(op([t[-1]])[0], t[(j - 1) * d + l - 1])])
     vectors = f.matmul(t, [v for group in groups for v in group])
     return [vectors[j * d:(j + 1) * d] for j in range(k)]
 
 
-def decompose(a, b, factorization, form, orientation):
-    """The driver of all three forms: B expanded once at every factor, each
+def decompose(a, cd, factorization, form, orientation):
+    """The driver of all three forms: B*V expanded at every factor, each
     factor's cycles from the one extractor (converted to the rational basis
     when ``form`` is "rational" and the factor has degree >= 2), then
-    assembled and certified."""
-    expansions = matpoly_div_q(b, factorization.factors)
-    factor_cycles = []
-    for (q_poly, mult), c_blocks in zip(factorization.factors, expansions):
-        with factorization.blame(q_poly, mult):
-            cycles = extract_q_cycles(a, q_poly, mult, c_blocks)
+    assembled and certified.
+
+    With Faddeev's B in ``cd`` that is all of B, s = n.  Otherwise V has s
+    columns (``comatrix_block``), from BLOCK_COLUMNS on; a factor whose
+    chains run out while s < n is retried with s doubled, and only at s = n
+    may its failure blame a hint.
+    """
+    n = a.rows
+    # A prepared once for the powers of A that factors of degree >= 2 take
+    op = (a.field.operator(a.data)
+          if any(q.degree > 1 for q, _ in factorization.factors) else None)
+    found = [None] * len(factorization.factors)
+    pending = list(enumerate(factorization.factors))
+    s = n if cd.b is not None else min(BLOCK_COLUMNS, n)
+    while pending:
+        b = cd.b if cd.b is not None else comatrix_block(a, cd.p, s)
+        expansions = matpoly_div_q(b, [factor for _, factor in pending])
+        short = []
+        for (i, (q_poly, mult)), c_blocks in zip(pending, expansions):
+            try:
+                with factorization.blame(q_poly, mult, final=s == n):
+                    cycles = extract_q_cycles(a, q_poly, mult, c_blocks, op)
+            except InternalConsistencyError:
+                if s == n:
+                    raise
+                short.append((i, (q_poly, mult)))
+                continue
             if form == "rational" and q_poly.degree > 1:
                 cycles = [convert_cycle_to_rational(a, q_poly, groups)
                           for groups in cycles]
-        factor_cycles.append((q_poly, cycles))
-    return assemble(a, factor_cycles, form=form, orientation=orientation)
+            found[i] = (q_poly, cycles)
+        pending, s = short, min(2 * s, n)
+    return assemble(a, found, form=form, orientation=orientation)
 
 
 def assemble_pseudo_rational(a, factorization, orientation="upper", chardata=None):
     """Pseudo-rational form: companion diagonal, single-1 couplings."""
-    cd = chardata if chardata is not None else char_data(a)
+    cd = chardata if chardata is not None else char_poly(a)
     _check_factorization(cd, factorization)
-    return decompose(a, cd.b, factorization, "pseudo_rational", orientation)
+    return decompose(a, cd, factorization, "pseudo_rational", orientation)
 
 
 def rational_jordan(a, factorization, orientation="upper", chardata=None):
     """End-to-end rational Jordan normal form driver."""
-    cd = chardata if chardata is not None else char_data(a)
+    cd = chardata if chardata is not None else char_poly(a)
     _check_factorization(cd, factorization)
-    return decompose(a, cd.b, factorization, "rational", orientation)
+    return decompose(a, cd, factorization, "rational", orientation)
 
 
 def _check_factorization(cd, factorization):

@@ -5,10 +5,10 @@ Products, row reduction and the synthetic division of matrix polynomials
 are the field's bulk kernels (see ``fields``); this module only shapes the
 data for them.  One ``matpoly_div_q`` call expands a matrix polynomial at
 every divisor at once; Taylor shifts are its linear-divisor case.
-``matrix_horner`` computes X_k = A*X_{k-1} + c_k*I in the integer model: it
-builds the comatrix polynomial B(lambda) (Faddeev's trace recurrence, or
-Horner on a given characteristic polynomial) and evaluates a scalar
-polynomial at a matrix.
+``matrix_horner`` computes X_k = A*X_{k-1} + c_k*V on a block V of columns
+with the field's ``operator``: it builds the comatrix polynomial B(lambda)*V
+from a given characteristic polynomial, all of B at V = I, and evaluates a
+scalar polynomial at a matrix.
 """
 
 from itertools import chain
@@ -117,9 +117,6 @@ class Matrix:
     def __mul__(self, other):
         return mat_mul(self, other)
 
-    def transpose(self):
-        return Matrix(self.field, [self.column(j) for j in range(self.cols)])
-
     def hstack(self, *others):
         """This matrix with ``others`` to its right, held in the integer
         model over one denominator."""
@@ -146,23 +143,23 @@ def rank(m):
 
 
 class MatPoly:
-    """Polynomial with square matrix coefficients, lowest degree first."""
+    """Polynomial with matrix coefficients of one shape, lowest degree
+    first: all of B(lambda) (square), or a block B(lambda)*V of it."""
 
-    __slots__ = ("field", "coeffs", "size")
+    __slots__ = ("field", "coeffs", "rows", "cols")
 
     def __init__(self, field, coeffs):
         coeffs = list(coeffs)
-        # remember the size before trimming so an identically zero
+        # remember the shape before trimming so an identically zero
         # polynomial still knows its coefficient shape
-        size = coeffs[0].rows if coeffs else 0
+        self.rows, self.cols = (coeffs[0].rows, coeffs[0].cols) if coeffs else (0, 0)
         while coeffs and coeffs[-1].is_zero():
             coeffs.pop()
         self.field = field
         self.coeffs = coeffs
-        self.size = size
         for c in coeffs:
-            if not c.is_square or c.rows != self.size:
-                raise ValueError("coefficients must be square of equal size")
+            if (c.rows, c.cols) != (self.rows, self.cols):
+                raise ValueError("coefficients must be of equal shape")
             if c.field != field:
                 raise FieldMismatchError("coefficient field mismatch")
 
@@ -177,14 +174,14 @@ class MatPoly:
     def coeff(self, k):
         if k < len(self.coeffs):
             return self.coeffs[k]
-        return Matrix.zeros(self.field, self.size, self.size)
+        return Matrix.zeros(self.field, self.rows, self.cols)
 
     def __eq__(self, other):
         return (isinstance(other, MatPoly) and self.field == other.field
                 and self.coeffs == other.coeffs)
 
     def __repr__(self):
-        return f"MatPoly(degree={self.degree}, size={self.size})"
+        return f"MatPoly(degree={self.degree}, shape={self.rows}x{self.cols})"
 
 
 def matpoly_div_q(mp, divisors):
@@ -196,7 +193,7 @@ def matpoly_div_q(mp, divisors):
     They are the remainders of ``count`` iterated divisions by the monic q,
     all taken by the field's ``expand`` kernel in one product; no
     coefficient division happens since every q is monic.  The matrices are
-    held in the integer model.
+    held in the integer model, in mp's coefficient shape.
     """
     f = mp.field
     for q, count in divisors:
@@ -205,12 +202,12 @@ def matpoly_div_q(mp, divisors):
         f.check_same(q.field)
         if count < 1:
             raise ValueError("multiplicity must be >= 1")
-    n = mp.size
-    lifted = [m.lifted() for m in mp.coeffs] or [([[0] * n] * n, 1)]
+    n, s = mp.rows, mp.cols
+    lifted = [m.lifted() for m in mp.coeffs] or [([[0] * s] * n, 1)]
     rems = f.expand([list(chain.from_iterable(rows)) for rows, _ in lifted],
                     [den for _, den in lifted],
                     [(q.coeffs, count) for q, count in divisors])
-    return [[[Matrix.from_lifted(f, [r[i * n:(i + 1) * n] for i in range(n)], den)
+    return [[[Matrix.from_lifted(f, [r[i * s:(i + 1) * s] for i in range(n)], den)
               for r, den in rem] for rem in per_divisor] for per_divisor in rems]
 
 
@@ -228,40 +225,31 @@ def horner_shift(mp, points):
     return [[c_k[0] for c_k in blocks] for blocks in expansions]
 
 
-def matrix_horner(a, lead, den, steps, coeff):
-    """X_0 = lead*I and X_k = A*X_{k-1} + c_k*I for k = 1..steps, in the
-    field's integer model: with A = A'/d, the integral X'_0 = lead*I and
-    X'_k = A'*X'_{k-1} + c'_k*I stand for X_k = X'_k/(den*d^k), where
-    ``coeff(k, A'*X'_{k-1}, d^k)`` returns c'_k = den*d^k*c_k.
-
-    Returns ([c'_1, ..., c'_steps], d, [X_0, ..., X_steps]), the X_k held
-    in the integer model.  The first step takes no product: A'*X'_0 is A'
-    scaled by ``lead``.
+def matrix_horner(a, coeffs, v):
+    """[X_0, ..., X_m] for the polynomial with ``coeffs`` c_0..c_m (field
+    elements, lowest degree first, c_m nonzero) on the block V: X_0 = c_m*V
+    and X_k = A*X_{k-1} + c_{m-k}*V, so X_m = p(A)*V.  V and every X_k are
+    lists of columns; A is prepared once by the field's ``operator``, and
+    each step applies it to the s columns with c*V in the same sum.
     """
     f = a.field
-    n = a.rows
-    ai, d = f.lift(a.data)
-    xs = [Matrix.from_lifted(
-        f, [[lead if i == j else 0 for j in range(n)] for i in range(n)], den)]
-    cs = []
-    dk = 1
-    for k in range(1, steps + 1):
-        x = f.int_matmul(ai, x) if k > 1 else f.int_scale(ai, lead)
-        dk *= d
-        c = coeff(k, x, dk)
-        f.int_add_diagonal(x, c)
-        cs.append(c)
-        xs.append(Matrix.from_lifted(f, x, den * dk))
-    return cs, d, xs
+    op = f.operator(a.data)
+    vs = op.pack(v)
+    lead = coeffs[-1]
+    xs = [v if lead == f.one else [[f.mul(lead, x) for x in col] for col in v]]
+    for c in reversed(coeffs[:-1]):
+        xs.append(op(xs[-1], c, vs))
+    return xs
+
+
+def identity_columns(field, n):
+    return [[field.one if i == j else field.zero for i in range(n)] for j in range(n)]
 
 
 def poly_at_matrix(p, a):
-    """p(A) by matrix Horner from p's leading coefficient, held in the
-    integer model."""
+    """p(A) by matrix Horner from p's leading coefficient."""
     p.field.check_same(a.field)
     if p.is_zero:
         return Matrix.zeros(a.field, a.rows, a.rows)
-    (pi,), e = a.field.lift([p.coeffs])
-    m = p.degree
-    _, _, xs = matrix_horner(a, pi[m], e, m, lambda k, _, dk: dk * pi[m - k])
-    return xs[-1]
+    xs = matrix_horner(a, p.coeffs, identity_columns(a.field, a.rows))
+    return Matrix(a.field, zip(*xs[-1]))

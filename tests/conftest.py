@@ -247,8 +247,7 @@ def lambda_i_minus(a):
 
 def matpoly_add(x, y):
     x.field.check_same(y.field)
-    size = max(x.size, y.size)
-    zero = Matrix.zeros(x.field, size, size)
+    zero = Matrix.zeros(x.field, max(x.rows, y.rows), max(x.cols, y.cols))
     n = max(len(x.coeffs), len(y.coeffs))
     return MatPoly(x.field, [mat_add(x.coeffs[k] if k < len(x.coeffs) else zero,
                                      y.coeffs[k] if k < len(y.coeffs) else zero)
@@ -265,7 +264,7 @@ def matpoly_mul_poly(mp, p):
     if mp.is_zero or p.is_zero:
         return MatPoly(mp.field, [])
     f = mp.field
-    out = [Matrix.zeros(f, mp.size, mp.size)
+    out = [Matrix.zeros(f, mp.rows, mp.cols)
            for _ in range(len(mp.coeffs) + len(p.coeffs) - 1)]
     for i, m in enumerate(mp.coeffs):
         for j, c in enumerate(p.coeffs):
@@ -278,7 +277,7 @@ def matpoly_mul(x, y):
     x.field.check_same(y.field)
     if x.is_zero or y.is_zero:
         return MatPoly(x.field, [])
-    out = [Matrix.zeros(x.field, x.size, x.size)
+    out = [Matrix.zeros(x.field, x.rows, y.cols)
            for _ in range(len(x.coeffs) + len(y.coeffs) - 1)]
     for i, a in enumerate(x.coeffs):
         for j, b in enumerate(y.coeffs):

@@ -4,11 +4,13 @@ from conftest import (adjugate_oracle, charpoly_oracle, det_oracle,
                       horner_eval, identity, lambda_i_minus, make_fixture_m6,
                       mat_scale, mat_sub, matpoly_mul, rand_matrix, rng_for,
                       trace)
-from jnf.charpoly import (char_data, comatrix_from_charpoly, faddeev,
-                          hessenberg_charpoly, hessenberg_reduce)
+from jnf.charpoly import (char_data, char_poly, comatrix_block,
+                          comatrix_from_charpoly, faddeev, hessenberg_charpoly,
+                          hessenberg_reduce, probe_block)
 from jnf.errors import InternalConsistencyError, UnsupportedFieldError
-from jnf.fields import QQ, PrimeField
-from jnf.matrix import MatPoly, Matrix, poly_at_matrix
+from jnf.fields import QQ, CountingField, PrimeField
+from jnf.jordan_rational import BLOCK_COLUMNS
+from jnf.matrix import MatPoly, Matrix, mat_mul, poly_at_matrix
 from jnf.poly import Poly, poly_derivative
 
 
@@ -136,9 +138,11 @@ def test_char_data_dispatch():
     assert cd.method == "hessenberg_horner"
     assert cd.p == charpoly_oracle(b)
     check_comatrix_identity(b, cd)
-    # large characteristic goes back to Faddeev
+    # every prime field takes Hessenberg, large characteristic included
     c = Matrix.from_ints(PrimeField(101), [[1, 2], [3, 4]])
-    assert char_data(c).method == "faddeev"
+    cd = char_data(c)
+    assert cd.method == "hessenberg_horner"
+    check_comatrix_identity(c, cd)
 
 
 def test_char_data_small_char_random():
@@ -174,3 +178,54 @@ def test_methods_agree_over_prime_fields(field):
         assert p == cd.p
         assert comatrix_from_charpoly(a, p) == cd.b
         check_comatrix_identity(a, cd)
+
+
+@pytest.mark.parametrize("field", [PrimeField(2), PrimeField(7), PrimeField(2**61 - 1)])
+def test_comatrix_block_is_b_times_v(field):
+    # (lambda*I - A)*B*V = P*V for the probe block V, and B*V is all of B
+    # times V; at s = n, V = I
+    rng = rng_for(f"comatrix-block-{field.char}")
+    for _ in range(8):
+        n = rng.randint(1, 9)
+        a = rand_matrix(rng, field, n, lo=0, hi=field.char - 1)
+        cd = char_poly(a)
+        assert cd.b is None
+        b = comatrix_from_charpoly(a, cd.p)
+        for s in sorted({1, min(3, n), n}):
+            v = Matrix(field, zip(*probe_block(field, n, s)))
+            bv = comatrix_block(a, cd.p, s)
+            assert (bv.rows, bv.cols) == (n, s)
+            assert bv == MatPoly(field, [mat_mul(m, v) for m in b.coeffs])
+            assert matpoly_mul(lambda_i_minus(a), bv) == MatPoly(
+                field, [mat_scale(v, c) for c in cd.p.coeffs])
+        assert probe_block(field, n, n) == [list(row) for row in identity(field, n).data]
+    with pytest.raises(InternalConsistencyError):
+        comatrix_block(Matrix.from_ints(field, [[1, 1], [0, 1]]),
+                       Poly.from_ints(field, [1, 1, 1]), 1)
+
+
+def test_probe_block_is_fixed():
+    # the same V on every platform and Python version, and the first s
+    # columns of any wider block
+    f = PrimeField(2**61 - 1)
+    assert probe_block(f, 2, 1) == [[1261238573, 2070216803]]
+    for p in (2, 7):
+        wide = probe_block(PrimeField(p), 12, 8)
+        assert probe_block(PrimeField(p), 12, 4) == wide[:4]
+        assert all(0 <= x < p for col in wide for x in col)
+
+
+def test_block_horner_op_count_is_a_share_of_the_full_horner():
+    # GF(7) at n = 64: the block Horner at BLOCK_COLUMNS makes about
+    # BLOCK_COLUMNS/n of the counted ops of the Horner for all of B
+    f = PrimeField(7)
+    n = 64
+    a = rand_matrix(rng_for("block-horner-ops"), f, n, lo=0, hi=6)
+    p = hessenberg_charpoly(a)
+    counts = {}
+    for s in (BLOCK_COLUMNS, n):
+        cf = CountingField(f)
+        comatrix_block(Matrix(cf, a.data), Poly(cf, p.coeffs), s)
+        counts[s] = cf.total
+    assert counts[BLOCK_COLUMNS] / counts[n] == pytest.approx(BLOCK_COLUMNS / n, rel=0.02)
+

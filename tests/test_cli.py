@@ -212,3 +212,24 @@ def test_oversized_entry_rejected_at_parse(tmp_path, capsys):
     path.write_text("1 1\n1e200000\n")
     assert main([str(path)]) == EXIT_PARSE
     assert "row 1, column 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("output", ["json", "pretty"])
+def test_big_entries_print(tmp_path, capsys, output):
+    # 4096-bit entries above a diagonal of 0, 1, 2: the transform's entries
+    # have more decimal digits than CPython converts to a string by default,
+    # which made this solved input exit 2 with CPython's message
+    rng = rng_for("cli-big-entries")
+    n = 5
+    rows = [[i % 3 if i == j else rng.getrandbits(4096) if j > i else 0
+             for j in range(n)] for i in range(n)]
+    path = tmp_path / "m.txt"
+    path.write_text(f"{n} {n}\n" + "".join(" ".join(map(str, r)) + "\n" for r in rows))
+    assert main([str(path), "--form", "split", "--output", output]) == EXIT_OK
+    out = capsys.readouterr().out
+    longest = max(map(len, out.replace('"', " ").split()))
+    assert longest > 4300
+    if output == "json":
+        doc = json.loads(out)
+        assert sorted(b["cycle_length"] for b in doc["blocks"]) == [1, 2, 2]
+

@@ -6,6 +6,7 @@ from conftest import (block_multiset, conjugate_random, horner_eval,
 from jnf.charpoly import char_data
 from jnf.errors import NeedsFactorizationError
 from jnf.factor import factor_charpoly
+from jnf import jordan_linear
 from jnf.fields import QQ, PrimeField
 from jnf.jordan_linear import (extract_cycles, split_jordan, taylor_blocks)
 from jnf.matrix import Matrix, mat_mul, rank
@@ -63,6 +64,29 @@ def test_derogatory_matrix():
     dec = split_jordan(a, factor_charpoly(char_data(a).p))
     assert sorted(b.cycle_length for b in dec.blocks) == [1, 1]
     assert dec.j == a
+
+
+def test_accept_refuses_a_chain_overlapping_an_earlier_cycle(monkeypatch):
+    # J_2(2) + J_1(2): after the length-2 cycle (v_0, v_1) is taken, its
+    # chain moves one level down and is offered again with top segment v_0,
+    # inside the cycle taken; acceptance refuses it on the socle alone
+    a = conjugate_random(rng_for("accept-overlap"), Matrix.from_ints(
+        QQ, [[2, 1, 0], [0, 2, 0], [0, 0, 2]]))
+    two = QQ.from_int(2)
+    offered = []
+
+    def collect(blocks, total, accept, orig=jordan_linear.collect_cycles):
+        def recorded(segs):
+            offered.append((segs, accept(segs)))
+            return offered[-1][1]
+        return orig(blocks, total, recorded)
+    monkeypatch.setattr(jordan_linear, "collect_cycles", collect)
+    cycles = extract_cycles(a, two, 3, taylor_blocks(char_data(a).b, two, 3))
+    assert sorted(map(len, cycles)) == [1, 2]
+    (v0,), _ = next(cy for cy in cycles if len(cy) == 2)
+    refused = [segs for segs, ok in offered if not ok]
+    assert refused
+    assert all(rank(Matrix(QQ, [v0, segs[0]])) == 1 for segs in refused)
 
 
 def test_single_full_cycle():

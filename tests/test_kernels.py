@@ -133,6 +133,38 @@ def test_matmul_matches_oracle(f):
 
 
 @pytest.mark.parametrize("f", FIELDS, ids=IDS)
+def test_operator_matches_oracle(f):
+    # M*x and M*x + c*v on columns, M prepared once and applied repeatedly;
+    # over F_p also at entries p - 1, where the slots fill up
+    rng = rng_for(f"kernel-operator-{f.char}")
+    for trial in range(12):
+        rows, cols, s = rng.randint(1, 7), rng.randint(1, 7), rng.randint(0, 4)
+        m = rand_rows(rng, f, rows, cols, big=True)
+        xs = rand_rows(rng, f, s, cols, big=True)
+        vs = rand_rows(rng, f, s, rows, big=True)
+        c = elem(rng, f, big=True)
+        if f.char and trial % 3 == 0:
+            top = f.char - 1
+            m = [[top] * cols for _ in range(rows)]
+            xs, vs, c = [[top] * cols] * s, [[top] * rows] * s, top
+        op = f.operator(m)
+        mx = [list(col) for col in zip(*oracle_matmul(f, m, list(zip(*xs))))] \
+            if s else []
+        for _ in range(2):
+            assert op(xs) == mx
+            assert op(xs, c, op.pack(vs)) == [
+                [f.add(y, f.mul(c, z)) for y, z in zip(col, v)]
+                for col, v in zip(mx, vs)]
+        cf = CountingField(f)
+        counted = cf.operator(m)
+        counted(xs)
+        counted(xs, c, counted.pack(vs))
+        # a mul and an add per term: rows*cols of them per column, and
+        # rows more for c*v
+        assert cf.total == 2 * s * rows * (2 * cols + bool(c))
+
+
+@pytest.mark.parametrize("f", FIELDS, ids=IDS)
 def test_rref_and_rank_match_oracle(f):
     rng = rng_for(f"kernel-rref-{f.char}")
     for rows in shapes(rng, f):

@@ -25,7 +25,6 @@ def test_basic_ops():
     assert mat_neg(a) == M([[-1, -2], [-3, -4]])
     assert mat_scale(a, QQ.from_int(2)) == M([[2, 4], [6, 8]])
     assert a * b == M([[2, 1], [4, 3]])
-    assert a.transpose() == M([[1, 3], [2, 4]])
     assert trace(a) == QQ.from_int(5)
     assert mul_vector(a, [QQ.one, QQ.zero]) == [QQ.one, QQ.from_int(3)]
     assert mat_pow(a, 2) == a * a

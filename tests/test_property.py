@@ -5,9 +5,13 @@ conjugated by random unimodular matrices.  Over GF(p) the matrices are
 larger than p, so the Hessenberg + Horner route runs, and the quadratic
 factors are drawn from those irreducible mod p.  Each case checks the block
 multiset of every applicable form against the ground truth, that the three
-drivers agree on split inputs, that a solve expands B exactly once, and,
-at every factor of degree >= 2, the Q(A)-chain and the relations of the
-rational conversion.
+drivers agree on split inputs, and, at every factor of degree >= 2, the
+Q(A)-chain and the relations of the rational conversion.  A solve makes
+one attempt over QQ (all of B) and over GF(p) one per probe block
+B(lambda)*V, each with one expansion; the number of attempts is checked
+against an oracle of when V's columns generate each primary component.
+A second generator gives a factor more cycles than the first block has
+columns, so that the block doubles, up to n for scalar matrices.
 Over GF(p) with p > n, the Hessenberg + Horner route must give Faddeev's
 P and B.
 """
@@ -19,16 +23,17 @@ import pytest
 
 from conftest import (IRREDUCIBLE_QUADRATICS, block_multiset,
                       conjugate_random, mul_vector, normal_form)
-from jnf.charpoly import (char_data, comatrix_from_charpoly, faddeev,
-                          hessenberg_charpoly)
+from jnf import jordan_linear, jordan_rational
+from jnf.charpoly import (char_data, char_poly, comatrix_from_charpoly,
+                          faddeev, hessenberg_charpoly, probe_block)
 from jnf.factor import factor_charpoly
 from jnf.fields import QQ, Field, PrimeField
 from jnf.jordan_linear import split_jordan
-from jnf.jordan_rational import (assemble_pseudo_rational,
+from jnf.jordan_rational import (BLOCK_COLUMNS, assemble_pseudo_rational,
                                  convert_cycle_to_rational, extract_q_cycles,
                                  q_adic_blocks, rational_jordan)
-from jnf.matrix import Matrix, mat_mul, poly_at_matrix
-from jnf.poly import Poly
+from jnf.matrix import Matrix, mat_mul, poly_at_matrix, rank
+from jnf.poly import Poly, poly_euclid_div
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -101,40 +106,121 @@ def check_chain_and_conversion(a, b, q, mult):
                     f.add(x, y) for x, y in zip(image, prev[l - 1])]
 
 
+def block_sizes(n):
+    """The column counts of the probe blocks a solve may try, in order."""
+    sizes = [min(BLOCK_COLUMNS, n)]
+    while sizes[-1] < n:
+        sizes.append(min(2 * sizes[-1], n))
+    return sizes
+
+
+def expected_attempts(a, cd, factors):
+    """Attempts of a solve, from when V's columns generate each primary
+    component: the projections of V onto the Q-primary part generate it as
+    an F[A]-module exactly when (P/Q^m)(A) times the Krylov matrix
+    [V, A*V, ..., A^(n-1)*V] has rank m*deg(Q).  That is what cycle
+    collection needs; each attempt retries only the factors short so far."""
+    if cd.b is not None:
+        return 1
+    f, n = a.field, a.rows
+    first = 0
+    for q, m in factors:
+        proj = poly_at_matrix(poly_euclid_div(cd.p, q.pow(m))[0], a)
+        for i, s in enumerate(block_sizes(n)):
+            krylov = [Matrix(f, zip(*probe_block(f, n, s)))]
+            for _ in range(n - 1):
+                krylov.append(mat_mul(a, krylov[-1]))
+            if rank(mat_mul(proj, krylov[0].hstack(*krylov[1:]))) == m * q.degree:
+                first = max(first, i)
+                break
+    return first + 1
+
+
+def solve_counted(a, pieces, orientation):
+    """The decompositions of every applicable driver on the solve path, and
+    per driver (expansions, attempts), an attempt being one probe block."""
+    cd = char_poly(a)
+    assert cd.method == ("faddeev" if a.field.char == 0 else "hessenberg_horner")
+    fc = factor_charpoly(cd.p, hint=[(q, sum(ls)) for q, ls in pieces])
+    drivers = [assemble_pseudo_rational, rational_jordan]
+    if all(q.degree == 1 for q, _ in pieces):
+        drivers.insert(0, split_jordan)
+    counts = []
+    with pytest.MonkeyPatch.context() as mp:
+        def expand(self, *args, orig=Field.expand):
+            counts[-1][0] += 1
+            return orig(self, *args)
+
+        def block(a, p, s, orig=jordan_rational.comatrix_block):
+            counts[-1][1] += 1
+            return orig(a, p, s)
+        mp.setattr(Field, "expand", expand)
+        mp.setattr(jordan_rational, "comatrix_block", block)
+        decs = []
+        for solve in drivers:
+            counts.append([0, 0])
+            decs.append(solve(a, fc, orientation=orientation, chardata=cd))
+    attempts = expected_attempts(a, cd, fc.factors)
+    assert counts == [[attempts, 0 if cd.b is not None else attempts]] * len(drivers)
+    return decs, fc, attempts
+
+
 @hypothesis.settings(derandomize=True, database=None, deadline=None,
                      max_examples=80)
 @hypothesis.given(cases(), st.sampled_from(["upper", "lower"]))
 def test_every_form_recovers_the_blocks(case, orientation):
     a, pieces = case
-    f = a.field
-    cd = char_data(a)
-    assert cd.method == ("faddeev" if f.char == 0 else "hessenberg_horner")
-    fc = factor_charpoly(cd.p, hint=[(q, sum(ls)) for q, ls in pieces])
-    drivers = [assemble_pseudo_rational, rational_jordan]
-    split = all(q.degree == 1 for q, _ in pieces)
-    if split:
-        drivers.insert(0, split_jordan)
-    expansions = []
-    with pytest.MonkeyPatch.context() as mp:
-        def counted(self, *args, orig=Field.expand):
-            expansions[-1] += 1
-            return orig(self, *args)
-        mp.setattr(Field, "expand", counted)
-        decs = []
-        for solve in drivers:
-            expansions.append(0)
-            decs.append(solve(a, fc, orientation=orientation, chardata=cd))
-    assert expansions == [1] * len(drivers)
+    decs, fc, _ = solve_counted(a, pieces, orientation)
+    split = len(decs) == 3
     for dec in decs:
         assert block_multiset(dec) == truth(pieces)
     for q, mult in fc.factors:
         if q.degree > 1:
-            check_chain_and_conversion(a, cd.b, q, mult)
+            check_chain_and_conversion(a, char_data(a).b, q, mult)
     if split:
         # d = 1 everywhere: the pseudo and rational couplings are the
         # split form's identity, so all three give the same answer
         for dec in decs[1:]:
             assert (dec.p, dec.j, dec.blocks) == (decs[0].p, decs[0].j, decs[0].blocks)
+
+
+@st.composite
+def many_cycles(draw):
+    """(matrix, pieces) over GF(2) or GF(7) with a factor of more cycles
+    than BLOCK_COLUMNS: a scalar or zero matrix (n cycles, so the block
+    doubles up to V = I), or halving patterns such as [8, 4, 2, 1, 1]."""
+    f = draw(st.sampled_from([PrimeField(2), PrimeField(7)]))
+    lam = Poly.x_minus(f, f.from_int(draw(st.integers(0, f.char - 1))))
+    kind = draw(st.sampled_from(["scalar", "zero", "halving"]))
+    if kind == "halving":
+        top = draw(st.sampled_from([4, 8]))
+        lengths = [top >> i for i in range(top.bit_length())] + [1] * draw(
+            st.integers(0, 2))
+        pieces = [(lam, lengths)]
+        if draw(st.booleans()):
+            other = Poly.x_minus(f, f.from_int(draw(st.integers(0, f.char - 1))))
+            if other != lam:
+                pieces.append((other, [2, 1]))
+    else:
+        n = draw(st.integers(2 * BLOCK_COLUMNS + 1, 4 * BLOCK_COLUMNS))
+        pieces = [(Poly.x_minus(f, f.zero) if kind == "zero" else lam, [1] * n)]
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    return conjugate_random(rng, normal_form(f, pieces)), pieces
+
+
+@hypothesis.settings(derandomize=True, database=None, deadline=None,
+                     max_examples=30)
+@hypothesis.given(many_cycles(), st.sampled_from(["upper", "lower"]))
+def test_blocks_double_until_every_cycle_is_found(case, orientation):
+    a, pieces = case
+    decs, _, attempts = solve_counted(a, pieces, orientation)
+    for dec in decs:
+        assert block_multiset(dec) == truth(pieces)
+    most = max(len(ls) for _, ls in pieces)
+    # fewer columns than cycles cannot carry them all; n cycles need V = I
+    assert attempts >= 1 + sum(s < most for s in block_sizes(a.rows))
+    if most == a.rows:
+        assert attempts == len(block_sizes(a.rows)) > 2
 
 
 @hypothesis.settings(derandomize=True, database=None, deadline=None,
@@ -153,3 +239,43 @@ def test_hessenberg_horner_route_agrees_with_faddeev(p, n, seed):
     p_h = hessenberg_charpoly(a)
     assert p_h == cd.p
     assert comatrix_from_charpoly(a, p_h) == cd.b
+
+
+def accept_decisions(a, c_blocks, q, mult):
+    """[(candidate segments, taken)] in the order cycle collection offered
+    them, for the factor q with Q-adic coefficients ``c_blocks``."""
+    decisions = []
+    with pytest.MonkeyPatch.context() as mp:
+        def collect(blocks, total, accept, orig=jordan_linear.collect_cycles):
+            def recorded(segs):
+                decisions.append((segs, accept(segs)))
+                return decisions[-1][1]
+            return orig(blocks, total, recorded)
+        mp.setattr(jordan_linear, "collect_cycles", collect)
+        extract_q_cycles(a, q, mult, c_blocks)
+    return decisions
+
+
+@hypothesis.settings(derandomize=True, database=None, deadline=None,
+                     max_examples=40)
+@hypothesis.given(st.one_of(cases(), many_cycles()))
+def test_accept_refuses_exactly_the_overlapping_chains(case):
+    # acceptance tests only the socle, the group of w_0; the oracle tests
+    # the whole grid of the candidate's cycle against every vector taken
+    a, pieces = case
+    f = a.field
+    b = char_data(a).b
+    for q, ls in pieces:
+        mult = sum(ls)
+        taken = []
+        for segs, ok in accept_decisions(a, q_adic_blocks(a, b, q, mult), q, mult):
+            grid = []
+            for w in segs:
+                grid.append(w)
+                for _ in range(q.degree - 1):
+                    grid.append(mul_vector(a, grid[-1]))
+            independent = rank(Matrix(f, taken + grid)) == len(taken) + len(grid)
+            assert ok == independent
+            if ok:
+                taken += grid
+        assert len(taken) == mult * q.degree
