@@ -11,12 +11,10 @@ the rest of its irreducibility is trusted and recorded as "asserted".
 
 import itertools
 import math
-from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 
-from .errors import (InternalConsistencyError, InvalidHintError,
-                     NeedsFactorizationError, ParseError)
+from .errors import InvalidHintError, NeedsFactorizationError, ParseError
 from .poly import (Poly, poly_derivative, poly_euclid_div, poly_gcd,
                    squarefree_decomposition)
 
@@ -31,36 +29,24 @@ _ROOT_CANDIDATE_LIMIT = 1_500_000
 
 @dataclass
 class FactoredCharPoly:
-    """Monic irreducible factors with multiplicities; product recomputable."""
+    """Monic irreducible factors with multiplicities, and their product."""
 
     factors: list  # [(Poly monic irreducible, multiplicity), ...]
     field: object
     irreducibility: str = "computed"  # or "asserted" when built from hints
+    _product: object = dataclass_field(default=None, init=False, repr=False,
+                                       compare=False)
 
     def product(self):
-        acc = Poly.one(self.field)
-        for q, m in self.factors:
-            acc = acc * q.pow(m)
-        return acc
+        """The product of the q^m, formed on the first call and kept."""
+        if self._product is None:
+            self._product = Poly.one(self.field)
+            for q, m in self.factors:
+                self._product = self._product * q.pow(m)
+        return self._product
 
     def total_degree(self):
         return sum(q.degree * m for q, m in self.factors)
-
-    @contextmanager
-    def blame(self, q, mult, final=True):
-        """Cycle collection for the factor q: when q came from a hint, a
-        failed invariant means the hint was wrong (a reducible factor), so
-        it is reported as an invalid hint naming q.  Not while ``final`` is
-        false: chains from a block B*V of fewer than n columns can run out
-        for want of columns, and the error passes through for a retry."""
-        try:
-            yield
-        except InternalConsistencyError as exc:
-            if not final or self.irreducibility != "asserted":
-                raise
-            raise InvalidHintError(
-                f"hinted factor '{format_factor_hint(q, mult)}' is not "
-                f"irreducible (cycle collection failed: {exc})") from exc
 
 
 def _factor_int(n):
@@ -161,16 +147,6 @@ def _eval_scaled(ints, u, v):
     return acc
 
 
-def _is_square(x):
-    num, den = x.numerator, x.denominator
-    if num < 0:
-        return None
-    rn, rd = math.isqrt(num), math.isqrt(den)
-    if rn * rn == num and rd * rd == den:
-        return Fraction(rn, rd)
-    return None
-
-
 def _split_squarefree_part(part, mult):
     """Factor one monic squarefree part over Q into irreducibles."""
     f = part.field
@@ -181,17 +157,8 @@ def _split_squarefree_part(part, mult):
         assert rem.is_zero
     if part.degree == 0:
         return factors
-    if part.degree == 1:
-        factors.append((part.monic(), mult))
-        return factors
-    if part.degree == 2:
-        # no rational roots survived, so the discriminant cannot be a square
-        b, c = part.coeffs[1], part.coeffs[0]
-        disc = f.sub(f.mul(b, b), f.mul(f.from_int(4), c))
-        if _is_square(Fraction(disc.numerator, disc.denominator)) is not None:
-            raise NeedsFactorizationError(
-                "quadratic with square discriminant escaped root extraction",
-                residual=part, multiplicity=mult)
+    if part.degree <= 2:
+        # every rational root is gone, so a quadratic left is irreducible
         factors.append((part.monic(), mult))
         return factors
     raise NeedsFactorizationError(
@@ -222,18 +189,17 @@ def factor_charpoly(p, hint=None):
         raise ValueError("characteristic polynomial must be monic of degree >= 1")
     f = p.field
     if hint is not None:
-        prod = Poly.one(f)
         for q, m in hint:
             if q.is_zero or not q.is_monic:
                 raise InvalidHintError(f"hinted factor {q!r} is not monic")
             if m < 1:
                 raise InvalidHintError("hint multiplicities must be positive")
-            prod = prod * q.pow(m)
-        if prod != p:
+        out = FactoredCharPoly(canonical_factor_order(f, list(hint)), f,
+                               irreducibility="asserted")
+        if out.product() != p:
             raise InvalidHintError("hinted factors do not multiply back to the polynomial")
         _check_hinted_factors(hint)
-        return FactoredCharPoly(canonical_factor_order(f, list(hint)), f,
-                                irreducibility="asserted")
+        return out
     if f.char > 0:
         if p.degree == 1:
             return FactoredCharPoly([(p, 1)], f)

@@ -7,8 +7,8 @@ makes loops over them considerably cheaper.
 
 Kernel layer.  Everything matrix-sized goes through a few bulk methods:
 ``matmul``, row reduction (``echelon``, which ``rank`` also counts on) and
-``expand``, the repeated synthetic division of a whole matrix polynomial by
-monic polynomials (Taylor shifts when they are linear, Q-adic expansion
+``expand``, the expansion of a whole matrix polynomial in powers of monic
+polynomials (Taylor shifts when they are linear, Q-adic expansion
 otherwise).  They run on the field's integer model: ``lift`` writes a block
 of values as integers over one common denominator (rationals) or as
 residues over 1 (F_p), and ``lower`` turns integers over a denominator back
@@ -39,13 +39,12 @@ about 190 bits on both sides; over F_p at k = 4, p above 2^47) make one
 dot product per entry faster, and the kernel takes that instead;
 it does the same for products with one column (matrix times vector).
 
-``expand`` is linear in the matrix coefficients, so it runs the synthetic
-division on the identity, on rows as wide as the number of coefficients,
-once per divisor, stacks the resulting transition matrices and applies them
-to all the data with a single ``int_matmul``: one call expands a matrix
-polynomial at every linear factor of a characteristic polynomial.  The
-division's rows are in the field's ``_row_format``: integer lists over QQ,
-packed rows as in the echelon over F_p.
+``expand`` is linear in the matrix coefficients, so it builds one
+transition matrix W for all divisors and applies it to all the data with a
+single ``int_matmul``: one call expands a matrix polynomial at every factor
+of a characteristic polynomial.  Column k of W holds the q-adic digits of
+x^k, and those of x^(k+1) are the digits of x^k shifted by one place with
+one step of the row kernel ``sub_mul``, which is field-generic.
 
 ``operator`` prepares a matrix M once for applying it to many column
 vectors, optionally adding c times prepared columns V: the matrix Horner
@@ -265,62 +264,56 @@ class Field:
         ``count`` lists of d (flat integer row, denominator) pairs.
 
         With s the common denominator of q, substitute x = y/s: for M of
-        nominal degree N, M^(y) = s^N M(y/s) is integral and
-        q^(y) = s^d q(y/s) is monic and integral, and dividing M^ by q^
-        gives the same transform of the quotient (at degree N - d) and
-        s^N R(y/s) as remainder.  So the quotient stays integral through
-        all divisions, and remainder coefficient j comes out as integers
-        over s^(N - j) times the denominator of the M_k.
+        nominal degree N, M^(y) = s^N M(y/s) = sum_k s^(N - k) M_k y^k is
+        integral and q^(y) = s^d q(y/s) is monic and integral, so the
+        q^-adic digits of every y^k are integral, and digit t of
+        M^ is s^(N - t*d) C_t(y/s).  Its coefficient j comes out as integers
+        over s^(N - t*d - j) times the denominator of the M_k.
 
-        Every remainder entry is a fixed combination of the N + 1 entries at
-        the same position in the coefficients, so each division runs on the
-        identity (row k standing for M_k), its column k scaled to bring M_k
-        to the common denominator of the M_k.  The remainder rows of all
-        divisors stack into one transition matrix W, each row with its own
-        denominator, so divisors with different s share it, and one product
-        W * rows gives every remainder.
+        Every digit is linear in the M_k, so the expansion is one transition
+        matrix W applied to all the data: column k of W holds the digits of
+        y^k (``_digit_rows``).  The rows of all divisors stack into one W,
+        each row with its own denominator, so divisors with different s
+        share it, and one product W * rows gives every remainder.
         """
         den, scales = self.common_den(dens)
-        weights, w_dens, shapes = [], [], []
+        weights, w_dens = [], []
         for q, count in divisors:
-            q_rows, q_dens, live = self._division_rows(q, count, scales)
+            q_rows, q_dens = self._digit_rows(q, count, scales)
             weights += q_rows
             w_dens += q_dens
-            shapes.append((len(q) - 1, live))
         remainders = zip(self.int_matmul(weights, rows), [den * s for s in w_dens])
-        zero = ([0] * len(rows[0]), 1)
-        return [[[next(remainders) for _ in range(k)] + [zero] * (d - k)
-                 for k in live] for d, live in shapes]
+        return [[[next(remainders) for _ in range(len(q) - 1)] for _ in range(count)]
+                for q, count in divisors]
 
-    def _division_rows(self, q, count, scales):
-        """``count`` divisions by q run in the x = y/s transform on the
-        identity of size len(scales) = top + 1, its column k scaled by
-        ``scales[k]``, in the field's ``_row_format``.  Returns (remainder
-        rows as lists, their denominators s^(top - j), how many rows each
-        division left): fewer than deg q once the quotient runs short, the
-        missing rows being zero."""
+    def _digit_rows(self, q, count, scales):
+        """The rows of W for ``count`` digits at q, on len(scales) = N + 1
+        coefficients, column k scaled by ``scales[k]``: (count*d integer
+        rows, digit t's coefficient j at t*d + j, their denominators).
+
+        The count*d digits of y^k are one flat list, lowest first.  Those
+        of y^(k+1) are y times each digit, whose top coefficient c gives
+        c*y^d = c*q^ - c*(q^ - y^d): the list shifted by one place carries
+        c into the next digit, and one step of the row kernel subtracts
+        c*q^_j from the digit's coefficient j.  Column k is scaled by
+        s^(N - k) for the transform; rows past the polynomial's degree are
+        zero, over 1."""
         d = len(q) - 1
+        if not d:
+            return [], []
         top = len(scales) - 1
         (qi,), s = self.lift([q])
-        qhat = [(j, qi[j] * s ** (d - j - 1)) for j in range(d) if qi[j]]
-        pack, sub_mul, lists = self._row_format(top + 1)
-        rem = pack([[0] * k + [scales[k] * s ** (top - k)] + [0] * (top - k)
-                    for k in range(top + 1)])
-        weights, dens, live = [], [], []
-        for _ in range(count):
-            quot = []
-            for k in range(top, d - 1, -1):
-                lead = rem[k]
-                quot.append(lead)
-                for j, c in qhat:
-                    rem[k - d + j] = sub_mul(rem[k - d + j], c, lead)
-            n_live = min(d, len(rem))
-            weights += lists(rem[:n_live])
-            dens += [s ** (top - j) for j in range(n_live)]
-            live.append(n_live)
-            rem = quot[::-1]
-            top -= d
-        return weights, dens, live
+        qhat = [qi[j] * s ** (d - j - 1) for j in range(d)]
+        digits = [1] + [0] * (count * d - 1)
+        cols = [digits]
+        for _ in range(top):
+            digits = self.sub_mul([0] + digits[:-1], 1,
+                                  [c * h for c in digits[d - 1::d] for h in qhat])
+            cols.append(digits)
+        cols = [self.int_scale([col], scale * s ** (top - k))[0]
+                for k, (col, scale) in enumerate(zip(cols, scales))]
+        return ([list(row) for row in zip(*cols)],
+                [s ** max(top - i, 0) for i in range(count * d)])
 
 
 class _LiftedOperator:
@@ -473,11 +466,6 @@ class Rationals(Field):
         """row - c*lead, entrywise (reduced over F_p): the row kernel, on
         field elements or on the integer model."""
         return [x - c * y for x, y in zip(row, lead)]
-
-    def _row_format(self, ncols):
-        """(pack, sub_mul, lists): the format's rows from lists of ``ncols``
-        integers, the row kernel on them, and lists back; here, lists."""
-        return list, self.sub_mul, list
 
 
 def _primitive(row):
@@ -745,26 +733,19 @@ class PrimeField(Field):
         p = self.p
         return [(x - c * y) % p for x, y in zip(row, lead)]
 
-    def _row_format(self, ncols):
-        # one int per row, as in the echelon; r + (p - c)*lead < p + p^2
-        p = self.p
-        size, reduce = _barrett(p, ncols, p + p * p)
-        pack, unpack = _packer(size, ncols)
-        return (pack, lambda r, c, lead: reduce(r + (p - c) * lead),
-                lambda rows: list(map(list, unpack(rows))))
-
 
 class CountingField(Field):
     """Wraps a field and counts operations; used by the complexity checks.
 
     Scalar operations count one each.  Kernels delegate to the base field
     and count the operations they stand for: a length-k dot product is k
-    mul + k add, an elimination step or a division step on a row of length
-    w is w mul + w add.  The echelon counts each elimination step that runs,
+    mul + k add, an elimination step or a ``sub_mul`` on a row of length w
+    is w mul + w add.  The echelon counts each elimination step that runs,
     whether or not the base field packs its rows.  ``expand`` runs the
-    generic algorithm on this field, so it counts its division steps on the
-    identity and its product; so does ``operator``, which counts a product
-    per application and a mul and an add per entry of c*v.
+    generic algorithm on this field, so it counts the digit recurrence, one
+    ``sub_mul`` on the count*d digits per power of x, and its product; so
+    does ``operator``, which counts a product per application and a mul and
+    an add per entry of c*v.
     """
 
     def __init__(self, base):
@@ -845,14 +826,6 @@ class CountingField(Field):
     def sub_mul(self, row, c, lead):
         self._count(len(row))
         return self.base.sub_mul(row, c, lead)
-
-    def _row_format(self, ncols):
-        pack, sub_mul, lists = self.base._row_format(ncols)
-
-        def counted(r, c, lead):
-            self._count(ncols)
-            return sub_mul(r, c, lead)
-        return pack, counted, lists
 
 
 QQ = Rationals()

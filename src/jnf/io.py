@@ -147,20 +147,22 @@ def _emit_json(dec):
 
 
 def parse_json(text):
-    """Inverse of emit_json; reproduces P and J entrywise."""
+    """Inverse of emit_json; reproduces P and J entrywise, with as many
+    digits as emit_json writes."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"bad JSON: {exc}") from exc
     try:
         field = field_from_tag(doc["field"])
-        p = Matrix(field, [[field.parse(x) for x in row] for row in doc["P"]])
-        j = Matrix(field, [[field.parse(x) for x in row] for row in doc["J"]])
-        blocks = [
-            CycleBlock(factor=Poly(field, [field.parse(c) for c in blk["factor"]]),
-                       cycle_length=blk["cycle_length"], offset=blk["offset"])
-            for blk in doc["blocks"]
-        ]
+        with _any_digits():
+            p = Matrix(field, [[field.parse(x) for x in row] for row in doc["P"]])
+            j = Matrix(field, [[field.parse(x) for x in row] for row in doc["J"]])
+            blocks = [
+                CycleBlock(factor=Poly(field, [field.parse(c) for c in blk["factor"]]),
+                           cycle_length=blk["cycle_length"], offset=blk["offset"])
+                for blk in doc["blocks"]
+            ]
         return JordanDecomposition(p=p, j=j, form=doc["form"],
                                    blocks=blocks, field=field)
     except (KeyError, TypeError) as exc:

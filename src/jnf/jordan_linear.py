@@ -25,8 +25,9 @@ from .matrix import horner_shift
 
 
 def taylor_blocks(b, lam, mult):
-    """[B(lam), B^1(lam), ..., B^{mult-1}(lam)] by iterated Horner shifts;
-    no derivatives or factorials, so valid in any characteristic."""
+    """[B(lam), B^1(lam), ..., B^{mult-1}(lam)], the Taylor coefficients
+    from one ``horner_shift``; no derivatives or factorials, so valid in
+    any characteristic."""
     return horner_shift(b, [(lam, mult)])[0]
 
 
@@ -47,7 +48,7 @@ def collect_cycles(blocks, total_needed, accept):
     again for the next level.  The accepted chains must cover
     ``total_needed`` exactly: overshooting it or running out of rows first
     raises InternalConsistencyError, which is how a reducible hinted factor
-    shows (see ``Factorization.blame``).
+    shows (see ``jordan_rational.decompose``).
     """
     f = blocks[0].field
     n = blocks[0].rows

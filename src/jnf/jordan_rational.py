@@ -18,6 +18,7 @@ from math import comb
 from .charpoly import char_poly, comatrix_block
 from .decomposition import assemble, cycle_block_matrix
 from .errors import InternalConsistencyError, InvalidHintError
+from .factor import format_factor_hint
 from .jordan_linear import cycle_groups
 from .matrix import matpoly_div_q
 
@@ -31,9 +32,9 @@ BLOCK_COLUMNS = 4
 
 
 def q_adic_blocks(a, b, q_poly, mult):
-    """[C_0, ..., C_{mult-1}]: B(lambda) expanded in increasing powers of Q
-    by iterated euclidean division, each C_k the list of its deg(Q)
-    coefficient matrices.
+    """[C_0, ..., C_{mult-1}]: B(lambda) expanded in increasing powers of Q,
+    its Q-adic digits, each C_k the list of its deg(Q) coefficient
+    matrices.
 
     They form the Q(A)-chain Q(A)*C_0 = 0 and Q(A)*C_{k+1} = C_k whenever
     (lambda*I - A)*B = P*I and Q^mult divides P, Q irreducible or not:
@@ -100,8 +101,9 @@ def decompose(a, cd, factorization, form, orientation):
 
     With Faddeev's B in ``cd`` that is all of B, s = n.  Otherwise V has s
     columns (``comatrix_block``), from BLOCK_COLUMNS on; a factor whose
-    chains run out while s < n is retried with s doubled, and only at s = n
-    may its failure blame a hint.
+    chains run out while s < n is retried with s doubled.  At s = n a
+    failure of a hinted factor means the hint was wrong (a reducible
+    factor), and it is reported as an invalid hint naming the factor.
     """
     n = a.rows
     # A prepared once for the powers of A that factors of degree >= 2 take
@@ -116,13 +118,16 @@ def decompose(a, cd, factorization, form, orientation):
         short = []
         for (i, (q_poly, mult)), c_blocks in zip(pending, expansions):
             try:
-                with factorization.blame(q_poly, mult, final=s == n):
-                    cycles = extract_q_cycles(a, q_poly, mult, c_blocks, op)
-            except InternalConsistencyError:
-                if s == n:
+                cycles = extract_q_cycles(a, q_poly, mult, c_blocks, op)
+            except InternalConsistencyError as exc:
+                if s < n:
+                    short.append((i, (q_poly, mult)))
+                    continue
+                if factorization.irreducibility != "asserted":
                     raise
-                short.append((i, (q_poly, mult)))
-                continue
+                raise InvalidHintError(
+                    f"hinted factor '{format_factor_hint(q_poly, mult)}' is not "
+                    f"irreducible (cycle collection failed: {exc})") from exc
             if form == "rational" and q_poly.degree > 1:
                 cycles = [convert_cycle_to_rational(a, q_poly, groups)
                           for groups in cycles]

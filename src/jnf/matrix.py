@@ -1,7 +1,7 @@
 """Dense exact matrices, matrix-coefficient polynomials, and the one
 matrix Horner loop.
 
-Products, row reduction and the synthetic division of matrix polynomials
+Products, row reduction and the Q-adic expansion of matrix polynomials
 are the field's bulk kernels (see ``fields``); this module only shapes the
 data for them.  One ``matpoly_div_q`` call expands a matrix polynomial at
 every divisor at once; Taylor shifts are its linear-divisor case.
@@ -190,8 +190,8 @@ def matpoly_div_q(mp, divisors):
     mp = sum_k C_k * q^k + q^count * (rest), each C_k the list of its
     deg(q) coefficient matrices, lowest degree first.
 
-    They are the remainders of ``count`` iterated divisions by the monic q,
-    all taken by the field's ``expand`` kernel in one product; no
+    They are the q-adic digits of mp, all taken by the field's ``expand``
+    kernel in one product with the digits of the powers of lambda; no
     coefficient division happens since every q is monic.  The matrices are
     held in the integer model, in mp's coefficient shape.
     """

@@ -1,4 +1,5 @@
 import functools
+import math
 import random
 
 import pytest
@@ -467,26 +468,31 @@ def rng_for(name):
 
 
 def division_rows_oracle(f, q, count, scales):
-    """``Field._division_rows`` one scalar operation at a time, on lists:
-    ``count`` divisions by the monic q (field elements) of the identity of
-    size len(scales), column k scaled by scales[k]; over F_p, where q's
-    denominator s is 1.  Returns (remainder rows, how many each division
-    left)."""
+    """``count`` divisions by the monic q (field elements) of the identity
+    of size len(scales) = top + 1, one scalar operation at a time on lists,
+    in the x = y/s transform of ``Field.expand`` (s the common denominator
+    of q, 1 over F_p): row k of the identity is scaled by
+    scales[k] * s^(top - k), q's coefficient j by s^(d - j).  Returns
+    (remainder rows, their denominators s^(top - j), how many rows each
+    division left)."""
     d = len(q) - 1
     top = len(scales) - 1
-    rem = [[scales[k] if j == k else f.zero for j in range(top + 1)]
-           for k in range(top + 1)]
-    weights, live = [], []
+    s = math.lcm(*(int(c.denominator) for c in q))
+    qhat = [f.mul(c, f.from_int(s ** (d - j))) for j, c in enumerate(q)]
+    rem = [[f.mul(f.from_int(scales[k]), f.from_int(s ** (top - k))) if j == k
+            else f.zero for j in range(top + 1)] for k in range(top + 1)]
+    weights, dens, live = [], [], []
     for _ in range(count):
         quot = []
         for k in range(top, d - 1, -1):
             lead = rem[k]
             quot.append(lead)
             for j in range(d):
-                rem[k - d + j] = [f.sub(x, f.mul(q[j], y))
+                rem[k - d + j] = [f.sub(x, f.mul(qhat[j], y))
                                   for x, y in zip(rem[k - d + j], lead)]
         weights += rem[:d]
+        dens += [s ** (top - j) for j in range(min(d, len(rem)))]
         live.append(min(d, len(rem)))
         rem = quot[::-1]
         top -= d
-    return weights, live
+    return weights, dens, live

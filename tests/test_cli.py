@@ -6,8 +6,8 @@ from conftest import conjugate_random, make_fixture_m6, normal_form, rng_for
 from jnf.cli import (EXIT_NEEDS_FACTORIZATION, EXIT_OK, EXIT_PARSE,
                      EXIT_UNSUPPORTED_FIELD, main)
 from jnf.fields import QQ
-from jnf.io import format_matrix, parse_json
-from jnf.matrix import mat_mul, rank
+from jnf.io import emit_json, format_matrix, parse_json
+from jnf.matrix import Matrix, mat_mul, rank
 from jnf.poly import Poly
 
 
@@ -230,6 +230,12 @@ def test_big_entries_print(tmp_path, capsys, output):
     longest = max(map(len, out.replace('"', " ").split()))
     assert longest > 4300
     if output == "json":
-        doc = json.loads(out)
-        assert sorted(b["cycle_length"] for b in doc["blocks"]) == [1, 2, 2]
+        # read back past the digit limit too: P and J round-trip, and they
+        # are a certified transform of the input
+        dec = parse_json(out)
+        assert emit_json(dec) + "\n" == out
+        a = Matrix(QQ, [[QQ.from_int(x) for x in row] for row in rows])
+        assert mat_mul(a, dec.p) == mat_mul(dec.p, dec.j)
+        assert rank(dec.p) == n
+        assert sorted(b.cycle_length for b in dec.blocks) == [1, 2, 2]
 

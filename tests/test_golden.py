@@ -72,6 +72,16 @@ CASES["qq_cubic_rational"] = ("q", "rational",
 CASES["qq_cubic_pseudo"] = ("q", "pseudo") + CASES["qq_cubic_rational"][2:]
 CASES["gf3_cubic_rational"] = ("fp:3", "rational",
                                [(Poly.from_ints(GF3, [-1, -1, 0, 1]), [3, 2])], True)
+# hinted quadratics with non-integral coefficients: the Q-adic expansion
+# runs in the x = y/s transform with s = 2 and s = 15, next to a linear
+# factor with s = 4
+CASES["qq_fraction_quadratics"] = (
+    "q", "rational",
+    [(Poly(QQ, [QQ.one, QQ.fraction(1, 2), QQ.one]), [2, 1]),
+     (Poly(QQ, [QQ.fraction(-2, 3), QQ.fraction(1, 5), QQ.one]), [2]),
+     (lin(QQ, -3, 4), [2, 1])], True)
+CASES["qq_fraction_quadratics_pseudo"] = (
+    ("q", "pseudo") + CASES["qq_fraction_quadratics"][2:])
 
 # name -> (digest of the document, digest of its form, field, blocks and J).
 # Over F_p, P comes from the chains of the probe block B(lambda)*V; its
@@ -109,6 +119,12 @@ DIGESTS = {
     "qq_deep_split": (
         "d2b103e40fb0bd7730f50e9ccd7c24d0f93a81a87b7702b41f4bfab0c534ad11",
         "e339fe781067a0ba5b4b1ca763fad5a16b5472b6d2e58e35867841e5109f39d9"),
+    "qq_fraction_quadratics": (
+        "cd262ff072b7f1cdb2d43b90e1b282db6dd4412e8326dfba31e753e6ca7368f4",
+        "8f385a9e234817aa43c837248c3147ac8d41b0908528a25340c551a580ad90d8"),
+    "qq_fraction_quadratics_pseudo": (
+        "4839b6dda7364a6d7cc45ed496ad9ae7f03804f743882ba2fdf1d13f42b96daa",
+        "8f7734880d9d851f6b2fd591d840790da6b0f9579711591b09ec7f74eed09ed5"),
     "qq_rational": (
         "ada759313f171f270d07099f93e5dd9ac70f9b2e968d8045f5e5aa2102395f8d",
         "f7ad637c21899edd8e055b2d594b8ca044385ff36cc69d02693255370cc464ce"),

@@ -291,8 +291,9 @@ def test_expand_matches_oracle(f):
 @pytest.mark.parametrize("f", FIELDS, ids=IDS)
 def test_expand_many_divisors_matches_oracle(f):
     # one product for several divisors: linear and quadratic ones with
-    # different denominators over QQ, a divisor given twice, count 1, and
-    # enough divisions that the quotient runs short
+    # different denominators over QQ, a divisor given twice, count 1,
+    # enough divisions that the quotient runs short, and a constant divisor,
+    # whose digits have no coefficients
     rng = rng_for(f"kernel-expand-many-{f.char}")
     for _ in range(6):
         coeffs = rand_rows(rng, f, rng.randint(1, 8), rng.randint(1, 4), big=True)
@@ -300,37 +301,71 @@ def test_expand_many_divisors_matches_oracle(f):
         quad = [elem(rng, f), elem(rng, f), f.one]
         divisors = [(lin, rng.randint(1, 4)), (quad, rng.randint(1, 5)),
                     ([elem(rng, f), f.one], 1), (lin, rng.randint(1, 3)),
-                    ([elem(rng, f) for _ in range(3)] + [f.one], 1)]
+                    ([elem(rng, f) for _ in range(3)] + [f.one], 1), ([f.one], 2)]
         got = expand_lowered(f, coeffs, divisors)
         assert got == [oracle_expand(f, coeffs, q, count) for q, count in divisors]
     assert expand_lowered(f, [[f.one]], []) == []
 
 
+def check_digit_rows(f, q, count, scales):
+    """``_digit_rows`` against the identity division of
+    ``division_rows_oracle``: the oracle's integers and denominators
+    wherever it has rows, zero rows over 1 past the polynomial's degree.
+    Returns (rows, denominators, whether the quotient ran short)."""
+    d = len(q) - 1
+    rows, dens = f._digit_rows(q, count, scales)
+    want, want_dens, live = division_rows_oracle(f, q, count, scales)
+    assert all(x.denominator == 1 for row in want for x in row)
+    found = iter(zip([[x.numerator for x in row] for row in want], want_dens))
+    zero = ([0] * len(scales), 1)
+    assert list(zip(rows, dens)) == [next(found) if j < k else zero
+                                     for k in live for j in range(d)]
+    return rows, dens, live[-1] < d
+
+
+def division_cases(rng, f, coeff, scale):
+    """(q, count, scales): divisors of degree 1 to 3, count the degree or
+    two more, and N + 1 coefficients so that the last division gets d rows,
+    one or none (the quotient ran short), or a random number."""
+    for d in (1, 2, 3):
+        for count in (d, d + 2):
+            for size in (count * d, (count - 1) * d + 1, (count - 1) * d,
+                         rng.randint(1, 12)):
+                if size >= 1:
+                    yield ([coeff() for _ in range(d)] + [f.one], count,
+                           [scale() for _ in range(size)])
+
+
 @pytest.mark.parametrize("p", [2, 7, 2**61 - 1])
 def test_prime_division_rows_match_the_list_algorithm(p):
-    # the identity division on packed rows (one Barrett step per update)
-    # against the same division on lists, one scalar operation at a time:
-    # divisors of degree 1 to 3, count at least the degree, and a quotient
-    # that runs short in the last division
+    # the digit recurrence of expand against the identity division on
+    # lists, one scalar operation at a time
     f = PrimeField(p)
     rng = rng_for(f"kernel-division-rows-{p}")
     short = 0
-    for d in (1, 2, 3):
-        for count in (d, d + 2):
-            # the last division gets d rows, one or none (the quotient ran
-            # short), or a random number
-            for size in (count * d, (count - 1) * d + 1, (count - 1) * d,
-                         rng.randint(1, 12)):
-                if size < 1:
-                    continue
-                q = [rng.randrange(p) for _ in range(d)] + [1]
-                q[rng.randrange(d)] = p - 1
-                scales = [rng.randrange(1, p) for _ in range(size)]
-                weights, dens, live = f._division_rows(q, count, scales)
-                assert (weights, live) == division_rows_oracle(f, q, count, scales)
-                assert dens == [1] * len(weights)
-                assert all(0 <= x < p for row in weights for x in row)
-                short += live[-1] < d
+    for q, count, scales in division_cases(rng, f, lambda: rng.randrange(p),
+                                           lambda: rng.randrange(1, p)):
+        q[rng.randrange(len(q) - 1)] = p - 1
+        rows, dens, ran_short = check_digit_rows(f, q, count, scales)
+        short += ran_short
+        assert dens == [1] * len(rows)
+        assert all(0 <= x < p for row in rows for x in row)
+    assert short >= 5
+
+
+def test_rational_digit_rows_match_the_list_algorithm():
+    # over QQ with non-integral divisors (s > 1) and scales other than 1:
+    # numerators and denominators exactly as the identity division in the
+    # x = y/s transform gives them
+    rng = rng_for("kernel-rational-digit-rows")
+    short = 0
+    for q, count, scales in division_cases(
+            rng, QQ, lambda: QQ.fraction(rng.randint(-9, 9), rng.choice([1, 2, 3, 4, 10])),
+            lambda: rng.randint(1, 60)):
+        q[rng.randrange(len(q) - 1)] = QQ.fraction(rng.choice([-1, 1]),
+                                                    rng.choice([2, 3, 5, 12]))
+        assert math.lcm(*(c.denominator for c in q)) > 1
+        short += check_digit_rows(QQ, q, count, scales)[2]
     assert short >= 5
 
 
