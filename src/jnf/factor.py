@@ -7,15 +7,24 @@ fields) must come in through factor hints.  Hinted factors are checked to
 be squarefree and pairwise coprime; over F_p each is proved irreducible by
 Rabin's test, over QQ each of degree >= 2 must have no rational root, and
 the rest of its irreducibility is trusted and recorded as "asserted".
+
+The work runs on integer coefficient lists (the kernels of ``poly``): P is
+lifted once to a primitive integer polynomial, Yun's algorithm splits it
+into squarefree parts by primitive PRS gcds and exact quotients over Z,
+and each rational root u/v found is divided out as the integer factor
+v x - u.  Only the factors are lowered to monic ``Poly``s, and a monic
+polynomial does not depend on the scalar the integer lists carry, so the
+factors are exactly those that arithmetic on Fractions gives.  A hinted
+factorization is multiplied back with one ``int_product``.
 """
 
 import itertools
 import math
 from dataclasses import dataclass, field as dataclass_field
-from fractions import Fraction
 
 from .errors import InvalidHintError, NeedsFactorizationError, ParseError
-from .poly import (Poly, poly_derivative, poly_euclid_div, poly_gcd,
+from .poly import (Poly, int_product, int_quo, lift_poly, monic_poly,
+                   poly_derivative, poly_euclid_div, poly_gcd,
                    squarefree_decomposition)
 
 # Trial division gives up past this bound; bigger constants need hints.
@@ -38,11 +47,15 @@ class FactoredCharPoly:
                                        compare=False)
 
     def product(self):
-        """The product of the q^m, formed on the first call and kept."""
+        """The product of the q^m, formed on the first call and kept: one
+        ``int_product`` of the lifted factors, over the product of their
+        denominators."""
         if self._product is None:
-            self._product = Poly.one(self.field)
-            for q, m in self.factors:
-                self._product = self._product * q.pow(m)
+            f = self.field
+            lifted = [(f.lift([q.coeffs]), m) for q, m in self.factors]
+            ints = int_product([(qi, m) for ((qi,), _), m in lifted])
+            den = math.prod(d ** m for (_, d), m in lifted)
+            self._product = Poly(f, f.lower([ints], den)[0])
         return self._product
 
     def total_degree(self):
@@ -73,9 +86,11 @@ def _factor_int(n):
     return out
 
 
-def _rational_roots(part, mult=1):
-    """All rational roots of a squarefree rational polynomial; ``mult`` is
-    its multiplicity, reported when the search has to give up.
+def _rational_roots(field, ints, mult=1):
+    """All rational roots u/v of a squarefree rational polynomial, given by
+    its integer coefficients ``ints`` up to a scalar, as pairs (u, v) in
+    lowest terms with v > 0; ``mult`` is its multiplicity, reported when the
+    search has to give up.
 
     A root u/v in lowest terms of the primitive integer polynomial
     P = c_0 + ... + c_n x^n (after the root 0 is divided out) has u | c_0
@@ -85,13 +100,10 @@ def _rational_roots(part, mult=1):
     integer m; two points m with P(m) != 0 filter the candidates before P is
     evaluated at them.
     """
-    f = part.field
-    fracs = [Fraction(int(c.numerator), int(c.denominator)) for c in part.coeffs]
-    den = math.lcm(*(c.denominator for c in fracs))
-    ints = [int(c * den) for c in fracs]
     content = math.gcd(*ints)
     low = next(k for k, c in enumerate(ints) if c)
-    roots = [f.zero] if low else []
+    roots = [(0, 1)] if low else []
+    residual = ints
     ints = [c // content for c in ints[low:]]
     if len(ints) == 1:
         return roots
@@ -99,8 +111,8 @@ def _rational_roots(part, mult=1):
         primes_low, primes_high = _factor_int(ints[0]), _factor_int(ints[-1])
     except ValueError as exc:
         raise NeedsFactorizationError(
-            f"coefficient too large to factor: {exc}", residual=part,
-            multiplicity=mult) from exc
+            f"coefficient too large to factor: {exc}",
+            residual=monic_poly(field, residual), multiplicity=mult) from exc
     options = []
     for prime in primes_low.keys() | primes_high.keys():
         options.append([(prime ** e, 1) for e in range(primes_low.get(prime, 0) + 1)]
@@ -110,8 +122,8 @@ def _rational_roots(part, mult=1):
     if count > _ROOT_CANDIDATE_LIMIT:
         raise NeedsFactorizationError(
             f"{count} rational-root candidates exceed the search limit "
-            f"{_ROOT_CANDIDATE_LIMIT}; supply a hint file", residual=part,
-            multiplicity=mult)
+            f"{_ROOT_CANDIDATE_LIMIT}; supply a hint file",
+            residual=monic_poly(field, residual), multiplicity=mult)
     # P has at most n roots, so nonzero values turn up among the first points
     values = ((m, _eval_scaled(ints, m, 1)) for k in itertools.count(1) for m in (k, -k))
     (m1, at_m1), (m2, at_m2) = itertools.islice(((m, y) for m, y in values if y), 2)
@@ -125,7 +137,7 @@ def _rational_roots(part, mult=1):
                 d1, d2 = m1 * v - num, m2 * v - num
                 if (d1 and d2 and not at_m1 % d1 and not at_m2 % d2
                         and not _eval_scaled(ints, num, v)):
-                    roots.append(f.fraction(num, v))
+                    roots.append((num, v))
     return roots
 
 
@@ -147,23 +159,24 @@ def _eval_scaled(ints, u, v):
     return acc
 
 
-def _split_squarefree_part(part, mult):
-    """Factor one monic squarefree part over Q into irreducibles."""
-    f = part.field
+def _split_squarefree_part(field, part, mult):
+    """Factor one squarefree part over Q, integer coefficients up to a
+    scalar, into monic irreducibles: each rational root u/v is divided out
+    as the integer factor v x - u."""
     factors = []
-    for r in _rational_roots(part, mult):
-        factors.append((Poly.x_minus(f, r), mult))
-        part, rem = poly_euclid_div(part, Poly.x_minus(f, r))
-        assert rem.is_zero
-    if part.degree == 0:
+    for u, v in _rational_roots(field, part, mult):
+        factors.append((Poly(field, [field.fraction(-u, v), field.one]), mult))
+        part = int_quo(part, [-u, v])
+    if len(part) == 1:
         return factors
-    if part.degree <= 2:
+    rest = monic_poly(field, part)
+    if rest.degree <= 2:
         # every rational root is gone, so a quadratic left is irreducible
-        factors.append((part.monic(), mult))
+        factors.append((rest, mult))
         return factors
     raise NeedsFactorizationError(
-        f"stuck on degree-{part.degree} factor; supply a hint file",
-        residual=part.monic(), multiplicity=mult)
+        f"stuck on degree-{rest.degree} factor; supply a hint file",
+        residual=rest, multiplicity=mult)
 
 
 def _coeff_sort_token(field, c):
@@ -208,7 +221,7 @@ def factor_charpoly(p, hint=None):
             residual=p)
     factors = []
     for part, mult in squarefree_decomposition(p):
-        factors.extend(_split_squarefree_part(part, mult))
+        factors.extend(_split_squarefree_part(f, part, mult))
     out = FactoredCharPoly(canonical_factor_order(f, factors), f)
     assert out.total_degree() == p.degree
     return out
@@ -237,12 +250,13 @@ def _check_hinted_factors(hint):
                 f"{name} is not coprime to '{format_factor_hint(*clash)}'")
         if q.field.char == 0 and q.degree > 1:
             try:
-                roots = _rational_roots(q)
+                roots = _rational_roots(q.field, lift_poly(q))
             except NeedsFactorizationError:
                 roots = []    # too many candidates to search; trusted
             if roots:
                 raise InvalidHintError(
-                    f"{name} is reducible: it has the rational root {roots[0]}")
+                    f"{name} is reducible: it has the rational root "
+                    f"{q.field.fraction(*roots[0])}")
 
 
 def _is_irreducible_mod_p(q):

@@ -41,6 +41,27 @@ def _parse_entry(field, token, row, col):
                      "bits in numerator or denominator")
 
 
+def _parse_row(field, tokens, row):
+    """The entries of one row.  The row is parsed in one pass over
+    ``field.parse`` when no token can make it raise 10 to a huge exponent:
+    over F_p (which reads no exponents) or without exponents over QQ.  Its
+    values then need the bit bound checked only where they can exceed it:
+    over F_p only when p has more than MAX_ENTRY_BITS bits.  Any other row,
+    and a row that fails, goes entry by entry, which names the column."""
+    p = field.char
+    if p or not any("e" in t or "E" in t for t in tokens):
+        try:
+            values = list(map(field.parse, tokens))
+        except ParseError:
+            pass
+        else:
+            if 0 < p.bit_length() <= MAX_ENTRY_BITS or all(
+                    x.numerator.bit_length() <= MAX_ENTRY_BITS
+                    and x.denominator.bit_length() <= MAX_ENTRY_BITS for x in values):
+                return values
+    return [_parse_entry(field, t, row, j) for j, t in enumerate(tokens, 1)]
+
+
 def parse_matrix(text, field):
     """Matrix text format: first line ``rows cols``, then one row per line,
     entries whitespace separated, rationals as ``a/b`` or integers."""
@@ -63,7 +84,7 @@ def parse_matrix(text, field):
         tokens = ln.split()
         if len(tokens) != cols:
             raise ParseError(f"expected {cols} entries in row: {ln!r}")
-        data.append([_parse_entry(field, t, i, j) for j, t in enumerate(tokens, 1)])
+        data.append(_parse_row(field, tokens, i))
     return Matrix(field, data)
 
 

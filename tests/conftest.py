@@ -8,7 +8,7 @@ from jnf.decomposition import companion, cycle_block_matrix
 from jnf.errors import InternalConsistencyError, SingularMatrixError
 from jnf.fields import QQ
 from jnf.matrix import MatPoly, Matrix, mat_mul, rank
-from jnf.poly import Poly
+from jnf.poly import Poly, poly_derivative, poly_euclid_div
 
 
 @pytest.fixture
@@ -496,3 +496,54 @@ def division_rows_oracle(f, q, count, scales):
         rem = quot[::-1]
         top -= d
     return weights, dens, live
+
+
+def poly_gcd_oracle(a, b):
+    """Monic gcd by the Euclidean algorithm on field elements, each step
+    dividing by the monic divisor."""
+    a.field.check_same(b.field)
+    while not b.is_zero:
+        _, r = poly_euclid_div(a, b.monic())
+        a, b = b, r
+    return a.monic() if not a.is_zero else a
+
+
+def squarefree_oracle(p):
+    """Yun's algorithm on field elements with ``poly_gcd_oracle``:
+    [(monic part, multiplicity), ...]."""
+    if p.is_zero:
+        raise ValueError("zero polynomial")
+    p = p.monic()
+    if p.degree == 0:
+        return []
+    dp = poly_derivative(p)
+    g = poly_gcd_oracle(p, dp)
+    if g.degree == 0:
+        return [(p, 1)]
+    w, _ = poly_euclid_div(p, g)
+    y, _ = poly_euclid_div(dp, g)
+    out = []
+    i = 1
+    while w.degree > 0:
+        z = y - poly_derivative(w)
+        h = poly_gcd_oracle(w, z)
+        if h.degree > 0:
+            out.append((h, i))
+        w, _ = poly_euclid_div(w, h)
+        y, _ = poly_euclid_div(z, h)
+        i += 1
+    return out
+
+
+def to_sympy(p):
+    """A QQ ``Poly`` as a sympy Poly in x over QQ (tests only)."""
+    import sympy
+
+    return sympy.Poly([sympy.Rational(int(c.numerator), int(c.denominator))
+                       for c in reversed(p.coeffs)], sympy.Symbol("x"), domain="QQ")
+
+
+def from_sympy(q):
+    """The monic QQ ``Poly`` of a sympy Poly over QQ (tests only)."""
+    return Poly(QQ, [QQ.fraction(int(c.p), int(c.q))
+                     for c in reversed(q.monic().all_coeffs())])

@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from conftest import IRREDUCIBLE_QUADRATICS, rng_for
+from conftest import IRREDUCIBLE_QUADRATICS, from_sympy, rng_for, to_sympy
 from jnf.errors import InvalidHintError, NeedsFactorizationError, ParseError
 from jnf.factor import (_ROOT_CANDIDATE_LIMIT, _is_irreducible_mod_p,
                         canonical_factor_order, factor_charpoly,
@@ -105,6 +105,16 @@ def test_too_many_root_candidates_needs_hint():
     assert (exc.value.residual, exc.value.multiplicity) == (p, 2)
 
 
+def test_search_residual_is_the_whole_part():
+    # the search gives up on the part x (x^2 + 30030^3 / (17 19 23)^5) of
+    # multiplicity 1; the residual is all of it, the root 0 included
+    lead = (17 * 19 * 23) ** 5
+    q = Poly(QQ, [QQ.fraction((2 * 3 * 5 * 7 * 11 * 13) ** 3, lead), QQ.zero, QQ.one])
+    with pytest.raises(NeedsFactorizationError, match="candidates") as exc:
+        factor_charpoly(q * P(0, 1) * P(-1, 1).pow(2))
+    assert (exc.value.residual, exc.value.multiplicity) == (q * P(0, 1), 1)
+
+
 @pytest.mark.parametrize("p", [2, 3])
 def test_rabin_matches_brute_force(p):
     f = PrimeField(p)
@@ -181,6 +191,58 @@ def test_random_products_refactor():
         fc = factor_charpoly(p)
         assert {tuple(q.coeffs): m for q, m in fc.factors} == expected
         assert fc.product() == p
+
+
+def random_monic_product(rng):
+    """A monic product of powers (multiplicities up to 4) of linear factors
+    (the root 0, small roots, 200-bit roots 2^a/3^b), quadratics with
+    coefficients of up to 8 bits, reducible or not, and x^3 - 2."""
+    p = Poly.one(QQ)
+    # one 200-bit root at most: the rational-root search counts its
+    # candidates from the exponents of 2 and 3 in the part's end terms
+    for k in range(rng.randint(1, 4)):
+        kind = rng.random()
+        if kind < 0.1:
+            q = P(0, 1)
+        elif kind < 0.3 or kind < 0.5 and k:
+            q = Poly.x_minus(QQ, QQ.fraction(rng.randint(-9, 9), rng.randint(1, 9)))
+        elif kind < 0.5:
+            q = Poly.x_minus(QQ, QQ.fraction(rng.choice([-1, 1]) * 2**rng.randint(90, 110),
+                                             3**rng.randint(55, 70)))
+        elif kind < 0.9:
+            bits = rng.choice([2, 8])
+            q = Poly(QQ, [QQ.fraction(rng.randint(-2**bits, 2**bits),
+                                      rng.randint(1, 2**bits)) for _ in range(2)]
+                     + [QQ.one])
+        else:
+            q = P(-2, 0, 0, 1)
+        p = p * q.pow(rng.randint(1, 4))
+    return p
+
+
+def test_factor_matches_sympy():
+    # every part whose irrational factors have total degree <= 2 comes out
+    # as sympy's factors; otherwise the part of least multiplicity that is
+    # stuck is the residual, the product of its irrational factors
+    rng = rng_for("factor-sympy")
+    for _ in range(30):
+        p = random_monic_product(rng)
+        _, parts = to_sympy(p).factor_list()
+        want = {(tuple(from_sympy(q).coeffs), m) for q, m in parts}
+        stuck = {}
+        for q, m in parts:
+            if q.degree() > 1:
+                stuck[m] = stuck.get(m, P(1)) * from_sympy(q)
+        stuck = {m: q for m, q in stuck.items() if q.degree > 2}
+        if stuck:
+            with pytest.raises(NeedsFactorizationError, match="stuck") as exc:
+                factor_charpoly(p)
+            m = min(stuck)
+            assert (exc.value.residual, exc.value.multiplicity) == (stuck[m], m)
+        else:
+            fc = factor_charpoly(p)
+            assert {(tuple(q.coeffs), m) for q, m in fc.factors} == want
+            assert fc.product() == p
 
 
 def test_hint_parse_roundtrip():

@@ -80,6 +80,18 @@ def test_parse_matrix_plain_and_string_parsed_tokens():
         parse_matrix(f"1 1\n-{2**MAX_ENTRY_BITS}\n", QQ)
 
 
+def test_parse_matrix_row_errors_name_the_column():
+    # a row is read in one pass; a row that fails is read again entry by
+    # entry, so the error still names the first bad column
+    for field in (QQ, PrimeField(7)):
+        with pytest.raises(ParseError, match="row 2, column 3: bad"):
+            parse_matrix("2 3\n1 2 3\n4 5/6 x\n", field)
+    big = 2**MAX_ENTRY_BITS
+    with pytest.raises(ParseError, match=f"row 1, column 2 exceeds {MAX_ENTRY_BITS}"):
+        parse_matrix(f"1 3\n1 {big} x\n", QQ)
+    assert parse_matrix(f"1 3\n1 {big} 3/2\n", PrimeField(7)).data == [[1, 2, 5]]
+
+
 # (token, QQ, GF(7)): the value a 1 x 1 matrix file with that entry reads
 # as, or "bad" (the field cannot parse it) or "exceeds" (refused by the
 # size cap).  Only tokens with an "e" or "E" are checked for an exponent.

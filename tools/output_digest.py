@@ -4,12 +4,17 @@ corpora, for checking that a change leaves every document byte-identical.
 It generates the warm-up and timed matrices of ``perfbench/corpus.py`` for
 seed 1 (the corpus is only read) and solves each with ``--output json
 --verify`` in both orientations: qq_split in split form, qq_rational and
-fp_hessenberg in rational and pseudo forms, 650 documents.  jnf is imported
-from ``src/`` of the checkout the script sits in.  Run from anywhere:
+fp_hessenberg in rational and pseudo forms, 650 documents.  A second line
+digests the qq_rational corpus solved without its hint files, in the same
+forms and orientations (260 documents, stderr included): those solves
+factor the characteristic polynomial themselves, through the squarefree
+decomposition, the rational-root deflation and the leftover quadratics.
+jnf is imported from ``src/`` of the checkout the script sits in.  Run from
+anywhere:
 
     python3 tools/output_digest.py
 
-and compare the printed digest with the one of the parent commit.
+and compare the printed digests with those of the parent commit.
 """
 
 import contextlib
@@ -31,34 +36,45 @@ FORMS = {"qq_split": ["split"], "qq_rational": ["rational", "pseudo"],
          "fp_hessenberg": ["rational", "pseudo"]}
 
 
-def documents(directory):
-    """(exit code, stdout) of every job, in a fixed order."""
-    for name, forms in FORMS.items():
+def documents(directory, forms=FORMS, hints=True):
+    """(exit code, stdout, stderr) of every job, in a fixed order; with
+    ``hints`` false the hint files are left out."""
+    for name, names in forms.items():
         w = corpus.WORKLOADS[name]
         sub = Path(directory) / name
-        sub.mkdir()
+        sub.mkdir(parents=True)
         warm, jobs = corpus.generate(sub, w, SEED, MATRICES)
         for mat, hint, _ in [warm] + jobs:
-            for form in forms:
+            for form in names:
                 for orientation in ("--upper", "--lower"):
                     argv = [str(mat), "--field", w.field_spec, "--form", form,
                             "--output", "json", "--verify", orientation]
-                    if hint:
+                    if hint and hints:
                         argv += ["--factors", str(hint)]
-                    out = io.StringIO()
-                    with contextlib.redirect_stdout(out):
+                    out, err = io.StringIO(), io.StringIO()
+                    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                         code = main(argv)
-                    yield code, out.getvalue()
+                    yield code, out.getvalue(), err.getvalue()
+
+
+def digest_line(label, docs, with_stderr):
+    digest = hashlib.sha256()
+    count = 0
+    for code, out, err in docs:
+        digest.update(f"{code}\n{len(out)}\n{out}".encode())
+        if with_stderr:
+            digest.update(f"{len(err)}\n{err}".encode())
+        count += 1
+    return f"{count} {label}: {digest.hexdigest()}"
 
 
 def main_digest():
-    digest = hashlib.sha256()
-    count = 0
     with tempfile.TemporaryDirectory() as directory:
-        for code, out in documents(directory):
-            digest.update(f"{code}\n{len(out)}\n{out}".encode())
-            count += 1
-    print(f"{count} documents: {digest.hexdigest()}")
+        print(digest_line("documents", documents(Path(directory) / "hinted"), False))
+        print(digest_line("unhinted qq_rational documents",
+                          documents(Path(directory) / "unhinted",
+                                    {"qq_rational": FORMS["qq_rational"]}, False),
+                          True))
 
 
 if __name__ == "__main__":
