@@ -209,7 +209,8 @@ def factor_charpoly(p, hint=None):
                 raise InvalidHintError("hint multiplicities must be positive")
         out = FactoredCharPoly(canonical_factor_order(f, list(hint)), f,
                                irreducibility="asserted")
-        if out.product() != p:
+        # degrees first, so a huge multiplicity never reaches the product
+        if out.total_degree() != p.degree or out.product() != p:
             raise InvalidHintError("hinted factors do not multiply back to the polynomial")
         _check_hinted_factors(hint)
         return out

@@ -23,6 +23,13 @@ MAX_ENTRY_BITS = 4096
 _EXPONENT = re.compile(r"[eE][-+]?(\d[\d_]*)\s*$")
 
 
+def _fits(x):
+    """Whether an entry's numerator and denominator are within
+    MAX_ENTRY_BITS."""
+    return (x.numerator.bit_length() <= MAX_ENTRY_BITS
+            and x.denominator.bit_length() <= MAX_ENTRY_BITS)
+
+
 def _parse_entry(field, token, row, col):
     """One matrix entry, refused when its numerator or denominator exceeds
     MAX_ENTRY_BITS; an exponent above MAX_ENTRY_BITS is refused before 10
@@ -34,8 +41,7 @@ def _parse_entry(field, token, row, col):
             x = field.parse(token)
         except ParseError as exc:
             raise ParseError(f"entry at row {row}, column {col}: {exc}") from exc
-        if (x.numerator.bit_length() <= MAX_ENTRY_BITS
-                and x.denominator.bit_length() <= MAX_ENTRY_BITS):
+        if _fits(x):
             return x
     raise ParseError(f"entry at row {row}, column {col} exceeds {MAX_ENTRY_BITS} "
                      "bits in numerator or denominator")
@@ -55,9 +61,7 @@ def _parse_row(field, tokens, row):
         except ParseError:
             pass
         else:
-            if 0 < p.bit_length() <= MAX_ENTRY_BITS or all(
-                    x.numerator.bit_length() <= MAX_ENTRY_BITS
-                    and x.denominator.bit_length() <= MAX_ENTRY_BITS for x in values):
+            if 0 < p.bit_length() <= MAX_ENTRY_BITS or all(map(_fits, values)):
                 return values
     return [_parse_entry(field, t, row, j) for j, t in enumerate(tokens, 1)]
 

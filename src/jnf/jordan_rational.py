@@ -151,6 +151,7 @@ def rational_jordan(a, factorization, orientation="upper", chardata=None):
 
 
 def _check_factorization(cd, factorization):
-    if factorization.product() != cd.p:
+    if (factorization.total_degree() != cd.p.degree
+            or factorization.product() != cd.p):
         raise InvalidHintError(
             "factorization does not reproduce the characteristic polynomial")

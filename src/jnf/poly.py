@@ -122,22 +122,6 @@ class Poly:
                 out[i + j] = f.add(out[i + j], f.mul(a, b))
         return Poly(f, out)
 
-    def scale(self, c):
-        f = self.field
-        return Poly(f, [f.mul(c, a) for a in self.coeffs])
-
-    def pow(self, k):
-        result = Poly.one(self.field)
-        for _ in range(k):
-            result = result * self
-        return result
-
-    def monic(self):
-        if self.is_zero:
-            return self
-        inv = self.field.inv(self.leading)
-        return self.scale(inv)
-
 
 def poly_euclid_div(a, b):
     """Euclidean division of ``a`` by a monic ``b``; no coefficient division.

@@ -498,14 +498,31 @@ def division_rows_oracle(f, q, count, scales):
     return weights, dens, live
 
 
+def poly_pow(p, k):
+    """p^k by repeated multiplication."""
+    result = Poly.one(p.field)
+    for _ in range(k):
+        result = result * p
+    return result
+
+
+def poly_monic(p):
+    """p over its leading coefficient; the zero polynomial stays zero."""
+    if p.is_zero:
+        return p
+    f = p.field
+    inv = f.inv(p.leading)
+    return Poly(f, [f.mul(inv, c) for c in p.coeffs])
+
+
 def poly_gcd_oracle(a, b):
     """Monic gcd by the Euclidean algorithm on field elements, each step
     dividing by the monic divisor."""
     a.field.check_same(b.field)
     while not b.is_zero:
-        _, r = poly_euclid_div(a, b.monic())
+        _, r = poly_euclid_div(a, poly_monic(b))
         a, b = b, r
-    return a.monic() if not a.is_zero else a
+    return poly_monic(a)
 
 
 def squarefree_oracle(p):
@@ -513,7 +530,7 @@ def squarefree_oracle(p):
     [(monic part, multiplicity), ...]."""
     if p.is_zero:
         raise ValueError("zero polynomial")
-    p = p.monic()
+    p = poly_monic(p)
     if p.degree == 0:
         return []
     dp = poly_derivative(p)

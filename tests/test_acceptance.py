@@ -13,7 +13,7 @@ from conftest import (block_diagonal_part, block_multiset, charpoly_oracle,
                       conjugate_random, expand_cycle, identity, kernel_basis,
                       lambda_i_minus, make_fixture_m6, mat_pow, mat_scale,
                       mat_sub, matpoly_mul, mul_vector, normal_form, poly_eval,
-                      random_normal_form, rng_for, trace)
+                      poly_pow, random_normal_form, rng_for, trace)
 from jnf.charpoly import char_data, faddeev, hessenberg_charpoly
 from jnf.decomposition import cycle_block_matrix, verify
 from jnf.factor import factor_charpoly
@@ -165,7 +165,7 @@ def test_criterion_3_fixture_m6(run_criterion):
         a = make_fixture_m6()
         cd = char_data(a)
         # (a) charpoly = (x-2)^2 (x^2-2)^2 exactly
-        expect_p = Poly.from_ints(QQ, [-2, 1]).pow(2) * X2M2.pow(2)
+        expect_p = poly_pow(Poly.from_ints(QQ, [-2, 1]), 2) * poly_pow(X2M2, 2)
         assert cd.p == expect_p
         fc = factor_charpoly(cd.p)
 

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from conftest import conjugate_random, make_fixture_m6, normal_form, rng_for
+from jnf import factor
 from jnf.cli import (EXIT_NEEDS_FACTORIZATION, EXIT_OK, EXIT_PARSE,
                      EXIT_UNSUPPORTED_FIELD, main)
 from jnf.fields import QQ
@@ -104,6 +105,17 @@ def test_bad_hint_rejected(a_file, tmp_path, capsys):
     hints = tmp_path / "hints.txt"
     hints.write_text("3 : -1 1\n")
     assert main([a_file, "--factors", str(hints)]) == EXIT_PARSE
+
+
+def test_hint_multiplicity_past_the_degree(a_file, tmp_path, capsys, monkeypatch):
+    def refuse(factors):
+        raise AssertionError("product formed for a hint of the wrong degree")
+
+    monkeypatch.setattr(factor, "int_product", refuse)
+    hints = tmp_path / "hints.txt"
+    hints.write_text("1000000 : -1 1\n")
+    assert main([a_file, "--factors", str(hints)]) == EXIT_PARSE
+    assert "do not multiply back" in capsys.readouterr().err
 
 
 def test_prime_field_cli(tmp_path, capsys):

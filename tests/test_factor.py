@@ -4,7 +4,9 @@ import time
 
 import pytest
 
-from conftest import IRREDUCIBLE_QUADRATICS, from_sympy, rng_for, to_sympy
+from conftest import (IRREDUCIBLE_QUADRATICS, from_sympy, poly_pow, rng_for,
+                      to_sympy)
+from jnf import factor
 from jnf.errors import InvalidHintError, NeedsFactorizationError, ParseError
 from jnf.factor import (_ROOT_CANDIDATE_LIMIT, _is_irreducible_mod_p,
                         canonical_factor_order, factor_charpoly,
@@ -23,7 +25,7 @@ def as_ints(factored):
 
 def test_linear_roots_integer():
     # (x-1)(x-2)^2
-    p = P(-1, 1) * P(-2, 1).pow(2)
+    p = P(-1, 1) * poly_pow(P(-2, 1), 2)
     fc = factor_charpoly(p)
     assert fc.irreducibility == "computed"
     assert as_ints(fc) == [((QQ.from_int(-2), QQ.one), 2),
@@ -40,7 +42,7 @@ def test_fractional_root():
 
 
 def test_irreducible_quadratic_kept_whole():
-    p = P(-2, 0, 1).pow(2) * P(-2, 1).pow(2)
+    p = poly_pow(P(-2, 0, 1), 2) * poly_pow(P(-2, 1), 2)
     fc = factor_charpoly(p)
     assert as_ints(fc) == [
         (tuple(QQ.from_int(k) for k in (-2, 0, 1)), 2),
@@ -111,7 +113,7 @@ def test_search_residual_is_the_whole_part():
     lead = (17 * 19 * 23) ** 5
     q = Poly(QQ, [QQ.fraction((2 * 3 * 5 * 7 * 11 * 13) ** 3, lead), QQ.zero, QQ.one])
     with pytest.raises(NeedsFactorizationError, match="candidates") as exc:
-        factor_charpoly(q * P(0, 1) * P(-1, 1).pow(2))
+        factor_charpoly(q * P(0, 1) * poly_pow(P(-1, 1), 2))
     assert (exc.value.residual, exc.value.multiplicity) == (q * P(0, 1), 1)
 
 
@@ -150,6 +152,16 @@ def test_hint_validated_by_multiply_back():
         factor_charpoly(p, hint=[(P(-2, 0, 0, 1), 0), (P(-1, 1), 1)])
 
 
+def test_hint_degree_checked_before_the_product(monkeypatch):
+    # (x - 1)^(10^6) would have about 10^12 bits of Kronecker digits
+    def refuse(factors):
+        raise AssertionError("product formed for a hint of the wrong degree")
+
+    monkeypatch.setattr(factor, "int_product", refuse)
+    with pytest.raises(InvalidHintError, match="do not multiply back"):
+        factor_charpoly(P(-1, 1), hint=[(P(-1, 1), 10 ** 6)])
+
+
 def test_prime_field_is_hint_only():
     f5 = PrimeField(5)
     p = Poly.from_ints(f5, [1, 0, 1])  # x^2 + 1 = (x-2)(x-3) over F_5
@@ -181,13 +193,13 @@ def test_random_products_refactor():
             m = rng.randint(1, 2)
             q = Poly.x_minus(QQ, QQ.from_int(root))
             expected[tuple(q.coeffs)] = m
-            p = p * q.pow(m)
+            p = p * poly_pow(q, m)
         # quadratic multiplicities kept distinct: two coprime quadratics in
         # one squarefree part would need a degree-4 split, which is hint-only
         chosen = rng.sample(quads, rng.randint(0, 2))
         for q, m in zip(chosen, rng.sample([1, 2, 3], len(chosen))):
             expected[tuple(q.coeffs)] = m
-            p = p * q.pow(m)
+            p = p * poly_pow(q, m)
         fc = factor_charpoly(p)
         assert {tuple(q.coeffs): m for q, m in fc.factors} == expected
         assert fc.product() == p
@@ -216,7 +228,7 @@ def random_monic_product(rng):
                      + [QQ.one])
         else:
             q = P(-2, 0, 0, 1)
-        p = p * q.pow(rng.randint(1, 4))
+        p = p * poly_pow(q, rng.randint(1, 4))
     return p
 
 

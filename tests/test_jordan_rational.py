@@ -2,11 +2,12 @@ import pytest
 
 from conftest import (block_diagonal_part, block_multiset, conjugate_random,
                       mat_sub, matpoly_add, matpoly_mul_poly, matpoly_sub,
-                      mul_vector, random_normal_form, rng_for)
+                      mul_vector, poly_pow, random_normal_form, rng_for)
+from jnf import factor
 from jnf.charpoly import char_data
 from jnf.decomposition import verify
 from jnf.errors import InvalidHintError
-from jnf.factor import factor_charpoly
+from jnf.factor import FactoredCharPoly, factor_charpoly
 from jnf.fields import QQ
 from jnf.jordan_rational import (assemble_pseudo_rational,
                                  convert_cycle_to_rational, extract_q_cycles,
@@ -129,9 +130,19 @@ def test_commutation_rational_vs_pseudo(fixture_m6):
 
 def test_wrong_factorization_rejected(fixture_m6):
     cd = char_data(fixture_m6)
-    bad = factor_charpoly(Poly.from_ints(QQ, [-1, 1]).pow(6))
+    bad = factor_charpoly(poly_pow(Poly.from_ints(QQ, [-1, 1]), 6))
     with pytest.raises(InvalidHintError):
         rational_jordan(fixture_m6, bad, chardata=cd)
+
+
+def test_factorization_degree_checked_before_the_product(fixture_m6, monkeypatch):
+    def refuse(factors):
+        raise AssertionError("product formed for a factorization of the wrong degree")
+
+    monkeypatch.setattr(factor, "int_product", refuse)
+    bad = FactoredCharPoly([(Poly.from_ints(QQ, [-1, 1]), 10 ** 6)], QQ)
+    with pytest.raises(InvalidHintError, match="does not reproduce"):
+        rational_jordan(fixture_m6, bad)
 
 
 def hint_from_truth(truth):

@@ -4,8 +4,8 @@ from conftest import (adjugate_oracle, columns, det, det_oracle, horner_eval,
                       identity, kernel_basis, lambda_i_minus, mat_add,
                       mat_inverse, mat_neg, mat_pow, mat_scale, mat_sub,
                       matpoly_reconstruct_q_adic, matpoly_reconstruct_shifts,
-                      mul_vector, poly_at_matrix_oracle, rand_matrix,
-                      rand_poly, rng_for, rref, trace, vstack)
+                      mul_vector, poly_at_matrix_oracle, poly_monic,
+                      rand_matrix, rand_poly, rng_for, rref, trace, vstack)
 from jnf.errors import NonMonicDivisorError, SingularMatrixError
 from jnf.fields import QQ, PrimeField
 from jnf.matrix import (MatPoly, Matrix, horner_shift, matpoly_div_q,
@@ -144,7 +144,7 @@ def test_matpoly_div_q():
     rng = rng_for("matpoly-div")
     for _ in range(10):
         mp = MatPoly(QQ, [rand_matrix(rng, QQ, 2) for _ in range(6)])
-        q = rand_poly(rng, QQ, 2).monic()
+        q = poly_monic(rand_poly(rng, QQ, 2))
         c_blocks, = matpoly_div_q(mp, [(q, 3)])
         assert matpoly_reconstruct_q_adic(c_blocks, q, QQ) == mp
         assert all(len(c) == q.degree for c in c_blocks)

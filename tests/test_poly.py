@@ -1,7 +1,7 @@
 import pytest
 
-from conftest import (from_sympy, poly_gcd_oracle, rand_poly, rng_for,
-                      squarefree_oracle, to_sympy)
+from conftest import (from_sympy, poly_gcd_oracle, poly_monic, poly_pow,
+                      rand_poly, rng_for, squarefree_oracle, to_sympy)
 from jnf.errors import (FieldMismatchError, InternalConsistencyError,
                         NonMonicDivisorError, UnsupportedFieldError)
 from jnf.fields import QQ, PrimeField
@@ -29,7 +29,7 @@ def test_euclid_div_linear():
 
 def test_euclid_div_repeated_factor_exact():
     # (x-2)^2 (x^2-2)^2 is divisible by x^2-2
-    p = P(-2, 1).pow(2) * P(-2, 0, 1).pow(2)
+    p = poly_pow(P(-2, 1), 2) * poly_pow(P(-2, 0, 1), 2)
     q, r = poly_euclid_div(p, P(-2, 0, 1))
     assert r.is_zero
     assert q * P(-2, 0, 1) == p
@@ -40,7 +40,7 @@ def test_euclid_div_reconstructs_random(field):
     rng = rng_for(f"euclid-{field.char}")
     for _ in range(25):
         a = rand_poly(rng, field, 7)
-        b = rand_poly(rng, field, 3).monic()
+        b = poly_monic(rand_poly(rng, field, 3))
         q, r = poly_euclid_div(a, b)
         assert q * b + r == a
         assert r.is_zero or r.degree < b.degree
@@ -77,24 +77,25 @@ def lowered(parts, field=QQ):
 
 
 def test_squarefree_decomposition_examples():
-    p = P(-2, 1).pow(2) * P(-2, 0, 1).pow(2)
+    p = poly_pow(P(-2, 1), 2) * poly_pow(P(-2, 0, 1), 2)
     assert lowered(squarefree_decomposition(p)) == [(P(-2, 1) * P(-2, 0, 1), 2)]
     assert lowered(squarefree_decomposition(P(-2, 0, 1))) == [(P(-2, 0, 1), 1)]
-    assert lowered(squarefree_decomposition(P(-1, 1).pow(3))) == [(P(-1, 1), 3)]
+    assert lowered(squarefree_decomposition(poly_pow(P(-1, 1), 3))) == [(P(-1, 1), 3)]
     # parts come out primitive with a positive leading coefficient
-    assert squarefree_decomposition(P(1, 2).pow(2) * P(3)) == [([1, 2], 2)]
+    assert squarefree_decomposition(poly_pow(P(1, 2), 2) * P(3)) == [([1, 2], 2)]
 
 
 def test_squarefree_reconstructs_random():
     rng = rng_for("squarefree")
     for _ in range(15):
-        p = rand_poly(rng, QQ, 2).monic() * rand_poly(rng, QQ, 1).pow(rng.randint(1, 3))
+        p = (poly_monic(rand_poly(rng, QQ, 2))
+             * poly_pow(rand_poly(rng, QQ, 1), rng.randint(1, 3)))
         parts = lowered(squarefree_decomposition(p))
         assert parts == squarefree_oracle(p)
         prod = Poly.one(QQ)
         for part, m in parts:
-            prod = prod * part.pow(m)
-        assert prod == p.monic()
+            prod = prod * poly_pow(part, m)
+        assert prod == poly_monic(p)
         # parts pairwise coprime and squarefree
         for i, (pi, _) in enumerate(parts):
             assert poly_gcd(pi, poly_derivative(pi)).degree == 0
@@ -112,7 +113,7 @@ def test_squarefree_over_prime_field_matches_oracle():
     f = PrimeField(101)
     rng = rng_for("squarefree-gf101")
     for _ in range(15):
-        p = rand_poly(rng, f, 3) * rand_poly(rng, f, 2).pow(rng.randint(1, 3))
+        p = rand_poly(rng, f, 3) * poly_pow(rand_poly(rng, f, 2), rng.randint(1, 3))
         assert lowered(squarefree_decomposition(p), f) == squarefree_oracle(p)
 
 
@@ -122,12 +123,12 @@ def test_squarefree_edge_cases():
         squarefree_decomposition(Poly.zero(QQ))
     x = P(0, 1)
     for k in (1, 2, 7):
-        assert lowered(squarefree_decomposition(x.pow(k))) == [(x, k)]
+        assert lowered(squarefree_decomposition(poly_pow(x, k))) == [(x, k)]
     third = Poly.x_minus(QQ, QQ.fraction(1, 3))
-    assert lowered(squarefree_decomposition(third.pow(16))) == [(third, 16)]
+    assert lowered(squarefree_decomposition(poly_pow(third, 16))) == [(third, 16)]
     # large denominators: (x - a)^2 (x^2 + b) with 80-bit a and b
     a, b = QQ.fraction(3**50, 2**80 + 1), QQ.fraction(7**30, 5**40)
-    p = Poly.x_minus(QQ, a).pow(2) * Poly(QQ, [b, QQ.zero, QQ.one])
+    p = poly_pow(Poly.x_minus(QQ, a), 2) * Poly(QQ, [b, QQ.zero, QQ.one])
     assert lowered(squarefree_decomposition(p)) == squarefree_oracle(p) == [
         (Poly(QQ, [b, QQ.zero, QQ.one]), 1), (Poly.x_minus(QQ, a), 2)]
 
@@ -145,10 +146,10 @@ def random_product(rng, deg_max, bits, mults):
         d = rng.randint(1, deg_max)
         q = Poly.from_ints(QQ, [rng.randint(-2**bits, 2**bits) for _ in range(d)]
                            + [rng.randint(1, 2**bits)])
-        p = p * q.pow(rng.choice(mults))
+        p = p * poly_pow(q, rng.choice(mults))
     if rng.random() < 0.5:
         r = QQ.fraction(rng.randint(-9, 9), rng.randint(1, 9))
-        p = p * Poly.x_minus(QQ, r).pow(rng.choice(mults))
+        p = p * poly_pow(Poly.x_minus(QQ, r), rng.choice(mults))
     return p
 
 
@@ -169,7 +170,7 @@ def test_squarefree_degree_40_big_coefficients():
     rng = rng_for("squarefree-deg40")
     q = Poly.from_ints(QQ, [rng.randint(-2**24, 2**24) for _ in range(38)]
                        + [rng.randint(1, 2**24)])
-    p = (q * Poly.x_minus(QQ, QQ.fraction(5, 3)).pow(2)).monic()
+    p = poly_monic(q * poly_pow(Poly.x_minus(QQ, QQ.fraction(5, 3)), 2))
     assert p.degree == 40
     parts = lowered(squarefree_decomposition(p))
     assert [m for _, m in parts] == [1, 2]
@@ -200,7 +201,7 @@ def test_int_gcd_matches_oracle(field):
     zero = Poly.zero(field)
     assert poly_gcd(zero, zero).is_zero
     a = rand_poly(rng, field, 3)
-    assert poly_gcd(a, zero) == poly_gcd(zero, a) == a.monic()
+    assert poly_gcd(a, zero) == poly_gcd(zero, a) == poly_monic(a)
 
 
 def test_int_product_matches_convolution():

@@ -22,7 +22,7 @@ import random
 import pytest
 
 from conftest import (IRREDUCIBLE_QUADRATICS, block_multiset,
-                      conjugate_random, mul_vector, normal_form)
+                      conjugate_random, mul_vector, normal_form, poly_pow)
 from jnf import jordan_linear, jordan_rational
 from jnf.charpoly import (char_data, char_poly, comatrix_from_charpoly,
                           faddeev, hessenberg_charpoly, probe_block)
@@ -125,7 +125,7 @@ def expected_attempts(a, cd, factors):
     f, n = a.field, a.rows
     first = 0
     for q, m in factors:
-        proj = poly_at_matrix(poly_euclid_div(cd.p, q.pow(m))[0], a)
+        proj = poly_at_matrix(poly_euclid_div(cd.p, poly_pow(q, m))[0], a)
         for i, s in enumerate(block_sizes(n)):
             krylov = [Matrix(f, zip(*probe_block(f, n, s)))]
             for _ in range(n - 1):
