@@ -3,19 +3,25 @@
 The built-in path handles what the Jordan machinery needs over the
 rationals: squarefree decomposition, rational roots, and quadratics split
 by discriminant.  Anything harder (degree >= 3 irreducible parts, finite
-fields) must come in through factor hints.  Hinted factors are checked to
-be squarefree and pairwise coprime; over F_p each is proved irreducible by
-Rabin's test, over QQ each of degree >= 2 must have no rational root, and
-the rest of its irreducibility is trusted and recorded as "asserted".
+fields) must come in through factor hints.  Hinted factors must be monic
+of degree >= 1 with a positive multiplicity (``check_factors``, which the
+drivers apply to any factorization they are given), must multiply back to
+P, and are checked to be squarefree and pairwise coprime; over F_p each is
+proved irreducible by Rabin's test, over QQ each of degree >= 2 must have
+no rational root, and the rest of its irreducibility is trusted and
+recorded as "asserted".
 
-The work runs on integer coefficient lists (the kernels of ``poly``): P is
-lifted once to a primitive integer polynomial, Yun's algorithm splits it
-into squarefree parts by primitive PRS gcds and exact quotients over Z,
+All of it runs on integer coefficient lists, the kernels of ``poly``.  P
+is lifted once to a primitive integer polynomial, Yun's algorithm splits
+it into squarefree parts by primitive PRS gcds and exact quotients over Z,
 and each rational root u/v found is divided out as the integer factor
 v x - u.  Only the factors are lowered to monic ``Poly``s, and a monic
 polynomial does not depend on the scalar the integer lists carry, so the
 factors are exactly those that arithmetic on Fractions gives.  A hinted
-factorization is multiplied back with one ``int_product``.
+factorization is multiplied back with one ``int_product``; a hinted factor
+over QQ is squarefree when its list is coprime to its derivative's, and
+Rabin's test works on the residue list of q, each product one
+``int_product`` and one ``int_rem``.
 """
 
 import itertools
@@ -23,8 +29,8 @@ import math
 from dataclasses import dataclass, field as dataclass_field
 
 from .errors import InvalidHintError, NeedsFactorizationError, ParseError
-from .poly import (Poly, int_product, int_quo, lift_poly, monic_poly,
-                   poly_derivative, poly_euclid_div, poly_gcd,
+from .poly import (Poly, int_derivative, int_gcd, int_product, int_quo,
+                   int_rem, int_sub, lift_poly, monic_poly, poly_gcd,
                    squarefree_decomposition)
 
 # Trial division gives up past this bound; bigger constants need hints.
@@ -202,11 +208,7 @@ def factor_charpoly(p, hint=None):
         raise ValueError("characteristic polynomial must be monic of degree >= 1")
     f = p.field
     if hint is not None:
-        for q, m in hint:
-            if q.is_zero or not q.is_monic:
-                raise InvalidHintError(f"hinted factor {q!r} is not monic")
-            if m < 1:
-                raise InvalidHintError("hint multiplicities must be positive")
+        check_factors(hint)
         out = FactoredCharPoly(canonical_factor_order(f, list(hint)), f,
                                irreducibility="asserted")
         # degrees first, so a huge multiplicity never reaches the product
@@ -228,6 +230,20 @@ def factor_charpoly(p, hint=None):
     return out
 
 
+def check_factors(factors):
+    """Refuse a factor list no driver can use: each factor must be monic of
+    degree >= 1 and each multiplicity >= 1.  Shared by the hint path of
+    ``factor_charpoly`` and the drivers' own check of a factorization."""
+    for q, m in factors:
+        if q.is_zero or not q.is_monic:
+            raise InvalidHintError(f"hinted factor {q!r} is not monic")
+        if q.degree < 1:
+            raise InvalidHintError(
+                f"hinted factor '{format_factor_hint(q, m)}' has degree 0")
+        if m < 1:
+            raise InvalidHintError("hint multiplicities must be positive")
+
+
 def _check_hinted_factors(hint):
     """Reject reducible hinted factors and factors that are not squarefree or
     not pairwise coprime.  Over F_p, Rabin's test proves each factor
@@ -242,7 +258,8 @@ def _check_hinted_factors(hint):
                     f"{name} is not irreducible over GF({q.field.char}) (Rabin's test)")
             clash = next(((r, k) for r, k in hint[:i] if r == q), None)
         else:
-            if poly_gcd(q, poly_derivative(q)).degree > 0:
+            ints = lift_poly(q)
+            if len(int_gcd(ints, int_derivative(ints))) > 1:
                 raise InvalidHintError(f"{name} is not squarefree")
             clash = next(((r, k) for r, k in hint[:i]
                           if poly_gcd(q, r).degree > 0), None)
@@ -251,7 +268,7 @@ def _check_hinted_factors(hint):
                 f"{name} is not coprime to '{format_factor_hint(*clash)}'")
         if q.field.char == 0 and q.degree > 1:
             try:
-                roots = _rational_roots(q.field, lift_poly(q))
+                roots = _rational_roots(q.field, ints)
             except NeedsFactorizationError:
                 roots = []    # too many candidates to search; trusted
             if roots:
@@ -261,24 +278,29 @@ def _check_hinted_factors(hint):
 
 
 def _is_irreducible_mod_p(q):
-    """Rabin's test for a monic q of degree d over F_p: q is irreducible
-    exactly when x^(p^d) = x mod q and gcd(x^(p^(d/r)) - x, q) = 1 for each
-    prime r dividing d.  The powers x^(p^k) mod q come from k repeated p-th
-    powers, by squaring."""
-    f = q.field
-    p, d = f.char, q.degree
-    x = poly_euclid_div(Poly(f, [f.zero, f.one]), q)[1]
+    """Rabin's test for a monic q of degree d >= 2 over F_p: q is
+    irreducible exactly when x^(p^d) = x mod q and
+    gcd(x^(p^(d/r)) - x, q) = 1 for each prime r dividing d.  It runs on
+    residue lists.  The powers x^(p^k) mod q come from k repeated p-th
+    powers, by squaring; each product is one ``int_product`` and one
+    ``int_rem`` by q."""
+    p, d = q.field.char, q.degree
+    qi = lift_poly(q)
+    if not qi[0]:
+        return False      # x divides q; otherwise x is a unit mod q
+    x = [0, 1]
     frobenius = [x]                  # x^(p^k) mod q for k = 0, 1, ..., d
     for _ in range(d):
-        acc, base, e = Poly.one(f), frobenius[-1], p
+        acc, base, e = [1], frobenius[-1], p
         while e:
             if e & 1:
-                acc = poly_euclid_div(acc * base, q)[1]
-            base = poly_euclid_div(base * base, q)[1]
+                acc = int_rem(int_product([(acc, 1), (base, 1)]), qi, p)
+            base = int_rem(int_product([(base, 2)]), qi, p)
             e >>= 1
         frobenius.append(acc)
     return frobenius[d] == x and all(
-        poly_gcd(frobenius[d // r] - x, q).degree == 0 for r in _factor_int(d))
+        len(int_gcd(int_sub(frobenius[d // r], x, p), qi, p)) == 1
+        for r in _factor_int(d))
 
 
 def parse_factor_hints(text, field):

@@ -20,7 +20,7 @@ returned as its list of groups, group j holding
 
 from itertools import chain
 
-from .errors import InternalConsistencyError, NeedsFactorizationError
+from .errors import InternalConsistencyError
 from .matrix import horner_shift
 
 
@@ -136,14 +136,6 @@ def extract_cycles(a, lam, mult, blocks):
 
 def split_jordan(a, factorization, orientation="lower", chardata=None):
     """Split-field Jordan form driver; every factor must be linear."""
-    from .charpoly import char_poly
     from .jordan_rational import decompose   # which imports this module
 
-    cd = chardata if chardata is not None else char_poly(a)
-    for q, _ in factorization.factors:
-        if q.degree != 1:
-            raise NeedsFactorizationError(
-                "split Jordan form needs a fully split characteristic polynomial; "
-                f"stuck on a degree-{q.degree} factor",
-                residual=q)
-    return decompose(a, cd, factorization, "split", orientation)
+    return decompose(a, factorization, "split", orientation, chardata)

@@ -17,8 +17,9 @@ from math import comb
 
 from .charpoly import char_poly, comatrix_block
 from .decomposition import assemble, cycle_block_matrix
-from .errors import InternalConsistencyError, InvalidHintError
-from .factor import format_factor_hint
+from .errors import (InternalConsistencyError, InvalidHintError,
+                     NeedsFactorizationError)
+from .factor import check_factors, format_factor_hint
 from .jordan_linear import cycle_groups
 from .matrix import matpoly_div_q
 
@@ -93,18 +94,35 @@ def convert_cycle_to_rational(a, q_poly, groups):
     return [vectors[j * d:(j + 1) * d] for j in range(k)]
 
 
-def decompose(a, cd, factorization, form, orientation):
-    """The driver of all three forms: B*V expanded at every factor, each
-    factor's cycles from the one extractor (converted to the rational basis
-    when ``form`` is "rational" and the factor has degree >= 2), then
-    assembled and certified.
+def decompose(a, factorization, form, orientation, chardata=None):
+    """The driver of all three forms: the factorization checked, B*V
+    expanded at every factor, each factor's cycles from the one extractor
+    (converted to the rational basis when ``form`` is "rational" and the
+    factor has degree >= 2), then assembled and certified.
 
-    With Faddeev's B in ``cd`` that is all of B, s = n.  Otherwise V has s
-    columns (``comatrix_block``), from BLOCK_COLUMNS on; a factor whose
-    chains run out while s < n is retried with s doubled.  At s = n a
-    failure of a hinted factor means the hint was wrong (a reducible
-    factor), and it is reported as an invalid hint naming the factor.
+    The check refuses factors that are not monic of degree >= 1 or have a
+    multiplicity below 1 (``check_factors``), a non-linear factor for the
+    split form, and factors whose product is not P, each before any cycle
+    work.  ``chardata`` is ``char_poly(a)`` when not given.  With
+    Faddeev's B in it that is all of B, s = n.  Otherwise V has s columns
+    (``comatrix_block``), from BLOCK_COLUMNS on; a factor whose chains run
+    out while s < n is retried with s doubled.  At s = n a failure of a
+    hinted factor means the hint was wrong (a reducible factor), and it is
+    reported as an invalid hint naming the factor.
     """
+    check_factors(factorization.factors)
+    if form == "split":
+        for q, _ in factorization.factors:
+            if q.degree != 1:
+                raise NeedsFactorizationError(
+                    "split Jordan form needs a fully split characteristic "
+                    f"polynomial; stuck on a degree-{q.degree} factor",
+                    residual=q)
+    cd = chardata if chardata is not None else char_poly(a)
+    if (factorization.total_degree() != cd.p.degree
+            or factorization.product() != cd.p):
+        raise InvalidHintError(
+            "factorization does not reproduce the characteristic polynomial")
     n = a.rows
     # A prepared once for the powers of A that factors of degree >= 2 take
     op = (a.field.operator(a.data)
@@ -138,20 +156,9 @@ def decompose(a, cd, factorization, form, orientation):
 
 def assemble_pseudo_rational(a, factorization, orientation="upper", chardata=None):
     """Pseudo-rational form: companion diagonal, single-1 couplings."""
-    cd = chardata if chardata is not None else char_poly(a)
-    _check_factorization(cd, factorization)
-    return decompose(a, cd, factorization, "pseudo_rational", orientation)
+    return decompose(a, factorization, "pseudo_rational", orientation, chardata)
 
 
 def rational_jordan(a, factorization, orientation="upper", chardata=None):
     """End-to-end rational Jordan normal form driver."""
-    cd = chardata if chardata is not None else char_poly(a)
-    _check_factorization(cd, factorization)
-    return decompose(a, cd, factorization, "rational", orientation)
-
-
-def _check_factorization(cd, factorization):
-    if (factorization.total_degree() != cd.p.degree
-            or factorization.product() != cd.p):
-        raise InvalidHintError(
-            "factorization does not reproduce the characteristic polynomial")
+    return decompose(a, factorization, "rational", orientation, chardata)

@@ -1,15 +1,18 @@
-"""Dense univariate polynomials over an exact field, and the integer kernels
-that factorization runs on.
+"""Dense univariate polynomials over an exact field: ``Poly``, a value, and
+the kernels on integer coefficient lists that all polynomial arithmetic
+runs on.
 
 Coefficients are stored lowest degree first (the same convention the matrix
 polynomials use).  The zero polynomial has an empty coefficient list and its
 degree is the sentinel ``None``; callers never see ``-1`` arithmetic.
 
-``Poly`` makes one ``Field`` call per term, which over QQ is one Fraction
-operation.  Gcds, exact quotients and products therefore run on coefficient
-lists in the field's integer model instead (``Field.lift``): over QQ a
-polynomial is a list of integers, over F_p a list of residues.
+``Poly`` holds field elements and has no arithmetic of its own.  Products,
+remainders, quotients and gcds run on coefficient lists in the field's
+integer model (``Field.lift``): over QQ a polynomial is a list of
+integers, over F_p a list of residues.
 
+- ``int_rem``: a remainder, not normalized.  Over F_p the Euclidean one;
+  over Z a pseudo-remainder, a nonzero multiple of it.
 - ``int_gcd``: over Z a primitive PRS (Collins 1967): pseudo-remainders,
   each made primitive by dividing out its content, so each remainder is
   the primitive part of a subresultant and no larger.  Over F_p, Euclid on
@@ -20,23 +23,28 @@ polynomial is a list of integers, over F_p a list of residues.
   raises instead of truncating.
 - ``int_product``: the product of powers of polynomials by Kronecker
   substitution, one big-int product per factor.
+- ``int_sub`` and ``int_derivative``, reduced modulo p over F_p.
 
 Over QQ an integer list stands for a polynomial up to a nonzero scalar,
 which is all a gcd or a squarefree part depends on.  ``lift_poly`` makes a
 polynomial primitive with a positive leading coefficient (monic over F_p),
 and ``monic_poly`` lowers a list to the monic ``Poly`` it stands for, so
 results are the same monic polynomials as over the field's own arithmetic.
-``squarefree_decomposition`` runs Yun's algorithm on these kernels.
+``squarefree_decomposition`` runs Yun's algorithm on these kernels, and
+``factor`` runs Rabin's test and the hint checks on them.
 """
 
 import math
 from itertools import zip_longest
 
-from .errors import (InternalConsistencyError, NonMonicDivisorError,
-                     UnsupportedFieldError)
+from .errors import InternalConsistencyError, UnsupportedFieldError
 
 
 class Poly:
+    """A polynomial as a value: its field and its coefficients, lowest
+    degree first, with no trailing zeros.  It has no arithmetic; the
+    kernels below work on its ``lift_poly`` list."""
+
     __slots__ = ("field", "coeffs")
 
     def __init__(self, field, coeffs):
@@ -54,10 +62,6 @@ class Poly:
         return cls(field, [])
 
     @classmethod
-    def one(cls, field):
-        return cls(field, [field.one])
-
-    @classmethod
     def x_minus(cls, field, a):
         """The monic linear polynomial x - a."""
         return cls(field, [field.neg(a), field.one])
@@ -71,17 +75,8 @@ class Poly:
         return not self.coeffs
 
     @property
-    def leading(self):
-        if not self.coeffs:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
-    @property
     def is_monic(self):
         return bool(self.coeffs) and self.coeffs[-1] == self.field.one
-
-    def coeff(self, k):
-        return self.coeffs[k] if k < len(self.coeffs) else self.field.zero
 
     def __eq__(self, other):
         return (isinstance(other, Poly) and self.field == other.field
@@ -92,68 +87,6 @@ class Poly:
 
     def __repr__(self):
         return f"Poly({[self.field.fmt(c) for c in self.coeffs]})"
-
-    def __add__(self, other):
-        self.field.check_same(other.field)
-        f = self.field
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly(f, [f.add(self.coeff(k), other.coeff(k)) for k in range(n)])
-
-    def __sub__(self, other):
-        self.field.check_same(other.field)
-        f = self.field
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly(f, [f.sub(self.coeff(k), other.coeff(k)) for k in range(n)])
-
-    def __neg__(self):
-        f = self.field
-        return Poly(f, [f.neg(c) for c in self.coeffs])
-
-    def __mul__(self, other):
-        self.field.check_same(other.field)
-        f = self.field
-        if self.is_zero or other.is_zero:
-            return Poly.zero(f)
-        out = [f.zero] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if f.is_zero(a):
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = f.add(out[i + j], f.mul(a, b))
-        return Poly(f, out)
-
-
-def poly_euclid_div(a, b):
-    """Euclidean division of ``a`` by a monic ``b``; no coefficient division.
-
-    Returns (quotient, remainder) with a = quotient*b + remainder and
-    deg(remainder) < deg(b).
-    """
-    a.field.check_same(b.field)
-    if b.is_zero or not b.is_monic:
-        raise NonMonicDivisorError("divisor must be monic and nonzero")
-    f = a.field
-    d = b.degree
-    rem = list(a.coeffs)
-    if len(rem) <= d:
-        return Poly.zero(f), Poly(f, rem)
-    quot = [f.zero] * (len(rem) - d)
-    for k in range(len(rem) - 1, d - 1, -1):
-        c = rem[k]
-        if f.is_zero(c):
-            continue
-        quot[k - d] = c
-        for j in range(d + 1):
-            rem[k - d + j] = f.sub(rem[k - d + j], f.mul(c, b.coeffs[j]))
-    return Poly(f, quot), Poly(f, rem[:d])
-
-
-def poly_derivative(p):
-    f = p.field
-    out = []
-    for k in range(1, len(p.coeffs)):
-        out.append(f.mul(f.from_int(k), p.coeffs[k]))
-    return Poly(f, out)
 
 
 def poly_gcd(a, b):
@@ -188,7 +121,7 @@ def squarefree_decomposition(p):
     a = lift_poly(p)
     if len(a) < 2:
         return []
-    da = _derivative(a, char)
+    da = int_derivative(a, char)
     g = int_gcd(a, da, char)
     if len(g) == 1:
         return [(a, 1)]
@@ -196,8 +129,7 @@ def squarefree_decomposition(p):
     out = []
     i = 1
     while len(w) > 1:
-        z = _reduced([u - v for u, v in zip_longest(y, _derivative(w, char),
-                                                     fillvalue=0)], char)
+        z = int_sub(y, int_derivative(w, char), char)
         h = int_gcd(w, z, char)
         if len(h) > 1:
             out.append((h, i))
@@ -246,15 +178,19 @@ def _reduced(a, p):
     return a
 
 
-def _derivative(a, p):
+def int_derivative(a, p=0):
     return _reduced([k * x for k, x in enumerate(a)][1:], p)
 
 
-def _remainder(a, b, p):
-    """A remainder of ``a`` by the nonzero ``b``, normalized: over F_p the
-    Euclidean one; over Z a pseudo-remainder, each step scaling the rest
-    by lead(b) over its gcd with the top coefficient.  Over F_p the rows
-    are reduced once, at the end."""
+def int_sub(a, b, p=0):
+    return _reduced([x - y for x, y in zip_longest(a, b, fillvalue=0)], p)
+
+
+def int_rem(a, b, p=0):
+    """A remainder of ``a`` by the nonzero ``b``: over F_p the Euclidean
+    one, in residues; over Z a pseudo-remainder, each step scaling the
+    rest by lead(b) over its gcd with the top coefficient.  ``a`` may hold
+    any integers; over F_p they are reduced once, at the end."""
     r, d, lead = list(a), len(b) - 1, b[-1]
     low = b[:-1]
     inv = pow(lead, -1, p) if p else None
@@ -270,7 +206,7 @@ def _remainder(a, b, p):
         if c:
             k = len(r) - d
             r[k:] = [x - c * y for x, y in zip(r[k:], low)]
-    return _normal(_reduced(r, p), p)
+    return _reduced(r, p)
 
 
 def int_gcd(a, b, p=0):
@@ -280,7 +216,7 @@ def int_gcd(a, b, p=0):
         a, b = b, a
     a, b = _normal(a, p), _normal(b, p)
     while b:
-        a, b = b, _remainder(a, b, p)
+        a, b = b, _normal(int_rem(a, b, p), p)
     return a
 
 

@@ -8,7 +8,7 @@ from jnf.decomposition import companion, cycle_block_matrix
 from jnf.errors import InternalConsistencyError, SingularMatrixError
 from jnf.fields import QQ
 from jnf.matrix import MatPoly, Matrix, mat_mul, rank
-from jnf.poly import Poly, poly_derivative, poly_euclid_div
+from jnf.poly import Poly
 
 
 @pytest.fixture
@@ -48,7 +48,7 @@ def charpoly_oracle(a):
     n = a.rows
     entries = [[Poly(f, [f.neg(a.data[i][j])]) for j in range(n)] for i in range(n)]
     for i in range(n):
-        entries[i][i] = entries[i][i] + Poly(f, [f.zero, f.one])
+        entries[i][i] = poly_add(entries[i][i], Poly(f, [f.zero, f.one]))
 
     def det(rows, cols):
         if len(cols) == 1:
@@ -56,8 +56,8 @@ def charpoly_oracle(a):
         acc = Poly.zero(f)
         r = rows[0]
         for k, c in enumerate(cols):
-            term = entries[r][c] * det(rows[1:], cols[:k] + cols[k + 1:])
-            acc = acc + term if k % 2 == 0 else acc - term
+            term = poly_mul(entries[r][c], det(rows[1:], cols[:k] + cols[k + 1:]))
+            acc = poly_add(acc, term) if k % 2 == 0 else poly_sub(acc, term)
         return acc
 
     return det(tuple(range(n)), tuple(range(n)))
@@ -352,10 +352,10 @@ def matpoly_reconstruct_q_adic(c_blocks, q, field):
     """Rebuild sum_k c_blocks[k] * q^k, each C_k given by its coefficient
     matrices."""
     acc = MatPoly(field, [])
-    power = Poly.one(field)
+    power = poly_one(field)
     for c in c_blocks:
         acc = matpoly_add(acc, matpoly_mul_poly(MatPoly(field, c), power))
-        power = power * q
+        power = poly_mul(power, q)
     return acc
 
 
@@ -498,12 +498,72 @@ def division_rows_oracle(f, q, count, scales):
     return weights, dens, live
 
 
+# -- polynomial arithmetic on field elements, one Field call per term ------
+
+def poly_one(field):
+    return Poly(field, [field.one])
+
+
+def _coeff(p, k):
+    return p.coeffs[k] if k < len(p.coeffs) else p.field.zero
+
+
+def _termwise(op, a, b):
+    a.field.check_same(b.field)
+    n = max(len(a.coeffs), len(b.coeffs))
+    return Poly(a.field, [op(_coeff(a, k), _coeff(b, k)) for k in range(n)])
+
+
+def poly_add(a, b):
+    return _termwise(a.field.add, a, b)
+
+
+def poly_sub(a, b):
+    return _termwise(a.field.sub, a, b)
+
+
+def poly_mul(*factors):
+    """The product of the polynomials, by schoolbook convolution."""
+    f = factors[0].field
+    out = poly_one(f)
+    for p in factors:
+        f.check_same(p.field)
+        if out.is_zero or p.is_zero:
+            return Poly.zero(f)
+        acc = [f.zero] * (len(out.coeffs) + len(p.coeffs) - 1)
+        for i, a in enumerate(out.coeffs):
+            for j, b in enumerate(p.coeffs):
+                acc[i + j] = f.add(acc[i + j], f.mul(a, b))
+        out = Poly(f, acc)
+    return out
+
+
+def poly_divmod(a, b):
+    """Euclidean division by a nonzero b: (quotient, remainder) with
+    a = quotient*b + remainder and deg(remainder) < deg(b)."""
+    a.field.check_same(b.field)
+    if b.is_zero:
+        raise ZeroDivisionError("polynomial division by zero")
+    f = a.field
+    d, inv = b.degree, f.inv(b.coeffs[-1])
+    rem = list(a.coeffs)
+    quot = [f.zero] * max(len(rem) - d, 0)
+    for k in range(len(rem) - 1, d - 1, -1):
+        c = f.mul(rem[k], inv)
+        quot[k - d] = c
+        for j in range(d + 1):
+            rem[k - d + j] = f.sub(rem[k - d + j], f.mul(c, b.coeffs[j]))
+    return Poly(f, quot), Poly(f, rem[:d])
+
+
+def poly_derivative(p):
+    f = p.field
+    return Poly(f, [f.mul(f.from_int(k), c) for k, c in enumerate(p.coeffs)][1:])
+
+
 def poly_pow(p, k):
     """p^k by repeated multiplication."""
-    result = Poly.one(p.field)
-    for _ in range(k):
-        result = result * p
-    return result
+    return poly_mul(p, *[p] * (k - 1)) if k else poly_one(p.field)
 
 
 def poly_monic(p):
@@ -511,17 +571,15 @@ def poly_monic(p):
     if p.is_zero:
         return p
     f = p.field
-    inv = f.inv(p.leading)
+    inv = f.inv(p.coeffs[-1])
     return Poly(f, [f.mul(inv, c) for c in p.coeffs])
 
 
 def poly_gcd_oracle(a, b):
-    """Monic gcd by the Euclidean algorithm on field elements, each step
-    dividing by the monic divisor."""
+    """Monic gcd by the Euclidean algorithm on field elements."""
     a.field.check_same(b.field)
     while not b.is_zero:
-        _, r = poly_euclid_div(a, poly_monic(b))
-        a, b = b, r
+        a, b = b, poly_divmod(a, b)[1]
     return poly_monic(a)
 
 
@@ -537,17 +595,17 @@ def squarefree_oracle(p):
     g = poly_gcd_oracle(p, dp)
     if g.degree == 0:
         return [(p, 1)]
-    w, _ = poly_euclid_div(p, g)
-    y, _ = poly_euclid_div(dp, g)
+    w, _ = poly_divmod(p, g)
+    y, _ = poly_divmod(dp, g)
     out = []
     i = 1
     while w.degree > 0:
-        z = y - poly_derivative(w)
+        z = poly_sub(y, poly_derivative(w))
         h = poly_gcd_oracle(w, z)
         if h.degree > 0:
             out.append((h, i))
-        w, _ = poly_euclid_div(w, h)
-        y, _ = poly_euclid_div(z, h)
+        w, _ = poly_divmod(w, h)
+        y, _ = poly_divmod(z, h)
         i += 1
     return out
 

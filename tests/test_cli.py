@@ -182,6 +182,10 @@ def test_max_n_must_be_a_positive_integer(a_file, capsys, monkeypatch, value):
     ("2 2\n1 0\n0 1\n", "q", "1 : -1 1\n1 : -1 1\n", "not coprime"),
     # over F_p, factors that pass Rabin's test must be distinct
     ("2 2\n1 0\n0 1\n", "fp:5", "1 : 4 1\n1 : 4 1\n", "not coprime"),
+    # the constant 1 passed every check, and the cycle stage exited 2 with
+    # "not enough values to unpack"
+    ("2 2\n1 0\n0 1\n", "q", "2 : -1 1\n1 : 1\n", "'1 : 1' has degree 0"),
+    ("2 2\n1 0\n0 1\n", "fp:7", "2 : 6 1\n1 : 1\n", "'1 : 1' has degree 0"),
 ])
 def test_misleading_hint_rejected(tmp_path, capsys, matrix, field, hint, message):
     path = tmp_path / "m.txt"
@@ -192,6 +196,16 @@ def test_misleading_hint_rejected(tmp_path, capsys, matrix, field, hint, message
     err = capsys.readouterr().err
     assert message in err
     assert "hinted factor '1 : " in err
+
+
+def test_constant_hint_rejected_on_split_form(tmp_path, capsys):
+    # exited 3, printing the residual "1 : 1" as if P needed factoring
+    path = tmp_path / "m.txt"
+    path.write_text("2 2\n1 0\n0 1\n")
+    hints = tmp_path / "hints.txt"
+    hints.write_text("2 : -1 1\n1 : 1\n")
+    assert main([str(path), "--form", "split", "--factors", str(hints)]) == EXIT_PARSE
+    assert "hinted factor '1 : 1' has degree 0" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("form", ["rational", "pseudo"])

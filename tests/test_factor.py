@@ -4,15 +4,15 @@ import time
 
 import pytest
 
-from conftest import (IRREDUCIBLE_QUADRATICS, from_sympy, poly_pow, rng_for,
-                      to_sympy)
+from conftest import (IRREDUCIBLE_QUADRATICS, from_sympy, poly_divmod, poly_mul,
+                      poly_one, poly_pow, rng_for, to_sympy)
 from jnf import factor
 from jnf.errors import InvalidHintError, NeedsFactorizationError, ParseError
 from jnf.factor import (_ROOT_CANDIDATE_LIMIT, _is_irreducible_mod_p,
                         canonical_factor_order, factor_charpoly,
                         format_factor_hint, parse_factor_hints)
 from jnf.fields import QQ, PrimeField
-from jnf.poly import Poly, poly_euclid_div
+from jnf.poly import Poly
 
 
 def P(*ints):
@@ -25,7 +25,7 @@ def as_ints(factored):
 
 def test_linear_roots_integer():
     # (x-1)(x-2)^2
-    p = P(-1, 1) * poly_pow(P(-2, 1), 2)
+    p = poly_mul(P(-1, 1), poly_pow(P(-2, 1), 2))
     fc = factor_charpoly(p)
     assert fc.irreducibility == "computed"
     assert as_ints(fc) == [((QQ.from_int(-2), QQ.one), 2),
@@ -35,14 +35,14 @@ def test_linear_roots_integer():
 
 def test_fractional_root():
     # (x - 1/2)(x + 3)
-    p = Poly(QQ, [QQ.fraction(-1, 2), QQ.one]) * P(3, 1)
+    p = poly_mul(Poly(QQ, [QQ.fraction(-1, 2), QQ.one]), P(3, 1))
     fc = factor_charpoly(p)
     coeff_sets = {tuple(QQ.fmt(c) for c in q.coeffs) for q, _ in fc.factors}
     assert coeff_sets == {("-1/2", "1"), ("3", "1")}
 
 
 def test_irreducible_quadratic_kept_whole():
-    p = poly_pow(P(-2, 0, 1), 2) * poly_pow(P(-2, 1), 2)
+    p = poly_mul(poly_pow(P(-2, 0, 1), 2), poly_pow(P(-2, 1), 2))
     fc = factor_charpoly(p)
     assert as_ints(fc) == [
         (tuple(QQ.from_int(k) for k in (-2, 0, 1)), 2),
@@ -51,7 +51,7 @@ def test_irreducible_quadratic_kept_whole():
 
 
 def test_reducible_quadratic_is_split():
-    fc = factor_charpoly(P(-2, 0, 1) * P(6, -5, 1))  # second = (x-2)(x-3)
+    fc = factor_charpoly(poly_mul(P(-2, 0, 1), P(6, -5, 1)))  # second = (x-2)(x-3)
     degs = sorted((q.degree, m) for q, m in fc.factors)
     assert degs == [(1, 1), (1, 1), (2, 1)]
 
@@ -64,7 +64,7 @@ def test_cubic_irreducible_needs_hint():
 
 
 def test_needs_factorization_residual_excludes_found_roots():
-    p = P(-1, 1) * P(-2, 0, 0, 1)
+    p = poly_mul(P(-1, 1), P(-2, 0, 0, 1))
     with pytest.raises(NeedsFactorizationError) as exc:
         factor_charpoly(p)
     assert exc.value.residual == P(-2, 0, 0, 1)
@@ -74,9 +74,7 @@ def test_roots_with_large_common_denominator():
     # prod (x - k/30): the search over y = lcm*x took 17.5 s; candidates
     # u/v with u | c_0 and v | c_n of the primitive polynomial take ms
     roots = [QQ.fraction(k, 30) for k in range(1, 9)]
-    p = Poly.one(QQ)
-    for r in roots:
-        p = p * Poly.x_minus(QQ, r)
+    p = poly_mul(*(Poly.x_minus(QQ, r) for r in roots))
     start = time.perf_counter()
     fc = factor_charpoly(p)
     assert time.perf_counter() - start < 1.0
@@ -89,7 +87,7 @@ def test_roots_of_highly_composite_constant():
     # leaves the point m = 1 useless as a filter
     n = math.prod(q for q in range(2, 60) if all(q % d for d in range(2, q)))
     start = time.perf_counter()
-    fc = factor_charpoly(P(-n, 1) * P(-1, 1))
+    fc = factor_charpoly(poly_mul(P(-n, 1), P(-1, 1)))
     assert time.perf_counter() - start < 1.0
     assert sorted(QQ.neg(q.coeffs[0]) for q, _ in fc.factors) == [1, n]
 
@@ -103,7 +101,7 @@ def test_too_many_root_candidates_needs_hint():
         factor_charpoly(p)
     # the residual is reported with its multiplicity, as a usable hint line
     with pytest.raises(NeedsFactorizationError) as exc:
-        factor_charpoly(p * p * P(-1, 1))
+        factor_charpoly(poly_mul(p, p, P(-1, 1)))
     assert (exc.value.residual, exc.value.multiplicity) == (p, 2)
 
 
@@ -113,8 +111,8 @@ def test_search_residual_is_the_whole_part():
     lead = (17 * 19 * 23) ** 5
     q = Poly(QQ, [QQ.fraction((2 * 3 * 5 * 7 * 11 * 13) ** 3, lead), QQ.zero, QQ.one])
     with pytest.raises(NeedsFactorizationError, match="candidates") as exc:
-        factor_charpoly(q * P(0, 1) * poly_pow(P(-1, 1), 2))
-    assert (exc.value.residual, exc.value.multiplicity) == (q * P(0, 1), 1)
+        factor_charpoly(poly_mul(q, P(0, 1), poly_pow(P(-1, 1), 2)))
+    assert (exc.value.residual, exc.value.multiplicity) == (poly_mul(q, P(0, 1)), 1)
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -124,9 +122,27 @@ def test_rabin_matches_brute_force(p):
              for d in range(1, 6)}
     for d in range(2, 6):
         for q in monic[d]:
-            reducible = any(not poly_euclid_div(q, r)[1].coeffs
+            reducible = any(poly_divmod(q, r)[1].is_zero
                             for k in range(1, d // 2 + 1) for r in monic[k])
             assert _is_irreducible_mod_p(q) == (not reducible), q
+
+
+@pytest.mark.parametrize("p", [101, 2**31 - 1, 2**61 - 1])
+def test_rabin_matches_sympy(p):
+    # random monic polynomials of degree 2..8; residues this wide size
+    # int_product's Kronecker digits from p^2 times the degree
+    import sympy
+
+    f = PrimeField(p)
+    rng = rng_for(f"rabin-sympy-{p}")
+    x = sympy.Symbol("x")
+    seen = set()
+    for _ in range(20):
+        coeffs = [rng.randrange(p) for _ in range(rng.randint(2, 8))] + [1]
+        want = sympy.Poly(coeffs[::-1], x, modulus=p).is_irreducible
+        assert _is_irreducible_mod_p(Poly.from_ints(f, coeffs)) == want, coeffs
+        seen.add(want)
+    assert seen == {True, False}
 
 
 def test_prime_field_hint_must_be_irreducible():
@@ -139,7 +155,7 @@ def test_prime_field_hint_must_be_irreducible():
 
 
 def test_hint_validated_by_multiply_back():
-    p = P(-2, 0, 0, 1) * P(-1, 1)
+    p = poly_mul(P(-2, 0, 0, 1), P(-1, 1))
     hint = [(P(-2, 0, 0, 1), 1), (P(-1, 1), 1)]
     fc = factor_charpoly(p, hint=hint)
     assert fc.irreducibility == "asserted"
@@ -188,18 +204,18 @@ def test_random_products_refactor():
     quads = [Poly.from_ints(QQ, c) for c in IRREDUCIBLE_QUADRATICS]
     for _ in range(20):
         expected = {}
-        p = Poly.one(QQ)
+        p = poly_one(QQ)
         for root in rng.sample(range(-4, 5), rng.randint(1, 3)):
             m = rng.randint(1, 2)
             q = Poly.x_minus(QQ, QQ.from_int(root))
             expected[tuple(q.coeffs)] = m
-            p = p * poly_pow(q, m)
+            p = poly_mul(p, poly_pow(q, m))
         # quadratic multiplicities kept distinct: two coprime quadratics in
         # one squarefree part would need a degree-4 split, which is hint-only
         chosen = rng.sample(quads, rng.randint(0, 2))
         for q, m in zip(chosen, rng.sample([1, 2, 3], len(chosen))):
             expected[tuple(q.coeffs)] = m
-            p = p * poly_pow(q, m)
+            p = poly_mul(p, poly_pow(q, m))
         fc = factor_charpoly(p)
         assert {tuple(q.coeffs): m for q, m in fc.factors} == expected
         assert fc.product() == p
@@ -209,7 +225,7 @@ def random_monic_product(rng):
     """A monic product of powers (multiplicities up to 4) of linear factors
     (the root 0, small roots, 200-bit roots 2^a/3^b), quadratics with
     coefficients of up to 8 bits, reducible or not, and x^3 - 2."""
-    p = Poly.one(QQ)
+    p = poly_one(QQ)
     # one 200-bit root at most: the rational-root search counts its
     # candidates from the exponents of 2 and 3 in the part's end terms
     for k in range(rng.randint(1, 4)):
@@ -228,7 +244,7 @@ def random_monic_product(rng):
                      + [QQ.one])
         else:
             q = P(-2, 0, 0, 1)
-        p = p * poly_pow(q, rng.randint(1, 4))
+        p = poly_mul(p, poly_pow(q, rng.randint(1, 4)))
     return p
 
 
@@ -244,7 +260,7 @@ def test_factor_matches_sympy():
         stuck = {}
         for q, m in parts:
             if q.degree() > 1:
-                stuck[m] = stuck.get(m, P(1)) * from_sympy(q)
+                stuck[m] = poly_mul(stuck.get(m, P(1)), from_sympy(q))
         stuck = {m: q for m, q in stuck.items() if q.degree > 2}
         if stuck:
             with pytest.raises(NeedsFactorizationError, match="stuck") as exc:

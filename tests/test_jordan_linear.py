@@ -4,11 +4,12 @@ from conftest import (block_multiset, conjugate_random, horner_eval,
                       mat_inverse, matpoly_reconstruct_shifts, mul_vector,
                       rng_for, random_unimodular)
 from jnf.charpoly import char_data
-from jnf.errors import NeedsFactorizationError
-from jnf.factor import factor_charpoly
+from jnf.errors import InvalidHintError, NeedsFactorizationError
+from jnf.factor import FactoredCharPoly, factor_charpoly
 from jnf import jordan_linear
 from jnf.fields import QQ, PrimeField
 from jnf.jordan_linear import (extract_cycles, split_jordan, taylor_blocks)
+from jnf.jordan_rational import assemble_pseudo_rational, rational_jordan
 from jnf.matrix import Matrix, mat_mul, rank
 from jnf.poly import Poly
 
@@ -149,3 +150,24 @@ def test_split_over_prime_field():
     dec = split_jordan(a, factor_charpoly(cd.p, hint=hint), chardata=cd)
     assert sorted(b.cycle_length for b in dec.blocks) == [1, 2]
     assert mat_mul(a, dec.p) == mat_mul(dec.p, dec.j)
+
+
+def test_split_checks_the_factorization():
+    # P = (x - 2)^2 (x - 3); (x - 2)(x - 3)^2 has the right degree, and
+    # reached the certificate as "A*P != P*J" (exit 5)
+    a = Matrix.from_ints(QQ, [[2, 1, 0], [0, 2, 0], [0, 0, 3]])
+    x = [Poly.from_ints(QQ, [-r, 1]) for r in (2, 3)]
+    with pytest.raises(InvalidHintError, match="does not reproduce"):
+        split_jordan(a, FactoredCharPoly([(x[0], 1), (x[1], 2)], QQ))
+    assert split_jordan(a, FactoredCharPoly([(x[0], 2), (x[1], 1)], QQ)).j.rows == 3
+
+
+@pytest.mark.parametrize("driver", [split_jordan, assemble_pseudo_rational,
+                                    rational_jordan])
+def test_drivers_refuse_a_constant_factor(driver):
+    # the constant 1 multiplies back to P, and the cycle stage failed on it
+    a = Matrix.from_ints(QQ, [[2, 1, 0], [0, 2, 0], [0, 0, 3]])
+    factors = [(Poly.from_ints(QQ, [-2, 1]), 2), (Poly.from_ints(QQ, [-3, 1]), 1),
+               (Poly.from_ints(QQ, [1]), 1)]
+    with pytest.raises(InvalidHintError, match="'1 : 1' has degree 0"):
+        driver(a, FactoredCharPoly(factors, QQ))

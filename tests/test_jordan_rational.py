@@ -35,7 +35,7 @@ def test_q_adic_blocks_m6(fixture_m6):
     # B - (C_0 + C_1*Q) is divisible by Q^2
     recon = matpoly_add(MatPoly(QQ, c_blocks[0]),
                         matpoly_mul_poly(MatPoly(QQ, c_blocks[1]), X2M2))
-    (rem,), = matpoly_div_q(matpoly_sub(cd.b, recon), [(X2M2 * X2M2, 1)])
+    (rem,), = matpoly_div_q(matpoly_sub(cd.b, recon), [(poly_pow(X2M2, 2), 1)])
     assert all(m.is_zero() for m in rem)
     # every C_k has lambda-degree below deg Q
     for c_k in c_blocks:

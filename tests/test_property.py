@@ -22,7 +22,8 @@ import random
 import pytest
 
 from conftest import (IRREDUCIBLE_QUADRATICS, block_multiset,
-                      conjugate_random, mul_vector, normal_form, poly_pow)
+                      conjugate_random, mul_vector, normal_form, poly_divmod,
+                      poly_pow)
 from jnf import jordan_linear, jordan_rational
 from jnf.charpoly import (char_data, char_poly, comatrix_from_charpoly,
                           faddeev, hessenberg_charpoly, probe_block)
@@ -33,7 +34,7 @@ from jnf.jordan_rational import (BLOCK_COLUMNS, assemble_pseudo_rational,
                                  convert_cycle_to_rational, extract_q_cycles,
                                  q_adic_blocks, rational_jordan)
 from jnf.matrix import Matrix, mat_mul, poly_at_matrix, rank
-from jnf.poly import Poly, poly_euclid_div
+from jnf.poly import Poly
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -125,7 +126,7 @@ def expected_attempts(a, cd, factors):
     f, n = a.field, a.rows
     first = 0
     for q, m in factors:
-        proj = poly_at_matrix(poly_euclid_div(cd.p, poly_pow(q, m))[0], a)
+        proj = poly_at_matrix(poly_divmod(cd.p, poly_pow(q, m))[0], a)
         for i, s in enumerate(block_sizes(n)):
             krylov = [Matrix(f, zip(*probe_block(f, n, s)))]
             for _ in range(n - 1):

@@ -1,34 +1,72 @@
 """The traced benchmark's recorder (perfbench/tracing.py) still finds what
-it wraps: a rename in jnf would otherwise zero a span silently."""
+it wraps: a rename in jnf would otherwise zero a span silently.  One job
+per route: Faddeev over QQ, and the hinted Hessenberg route over GF(7)
+that the fp_hessenberg workload runs."""
 
 import sys
 from pathlib import Path
 
+import pytest
+
 import jnf.cli
+from conftest import conjugate_random, normal_form, rng_for
 from jnf.cli import EXIT_OK, JobConfig
+from jnf.fields import PrimeField
 from jnf.io import format_matrix
+from jnf.poly import Poly
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def test_traced_rational_job(fixture_m6, tmp_path, monkeypatch):
+@pytest.fixture
+def tracing(monkeypatch):
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import tracing
 
-    mat = tmp_path / "m6.txt"
-    mat.write_text(format_matrix(fixture_m6) + "\n")
+    return tracing
+
+
+def traced_metrics(tracing, config):
     tracer = tracing.Tracer()
     tracer.install()
     try:
-        code, _ = jnf.cli.run(JobConfig(input_path=str(mat), form="rational",
-                                        output="json"))
+        code, _ = jnf.cli.run(config)
     finally:
         tracer.uninstall()
     assert code == EXIT_OK
-    metrics = tracer.layer_metrics(1)
+    return tracer.layer_metrics(1)
+
+
+def test_traced_rational_job(tracing, fixture_m6, tmp_path):
+    mat = tmp_path / "m6.txt"
+    mat.write_text(format_matrix(fixture_m6) + "\n")
+    metrics = traced_metrics(tracing, JobConfig(input_path=str(mat), form="rational",
+                                                output="json"))
     assert metrics["jordan_linear.collect_cycles.calls"][0] > 0
     # (x^2 - 2)^2 (x - 2)^2, as the ground-truth factors
     charpoly_ops, q_adic_ops, b_bits = tracing.op_counts(
         fixture_m6, [(("-2", "0", "1"), 2), (("-2", "1"), 2)])
+    assert charpoly_ops > 0 and q_adic_ops > 0 and b_bits > 0
+
+
+def test_traced_prime_field_job(tracing, tmp_path):
+    # (x^2 + 1)^3 (x - 3)^2 over GF(7), hinted: Rabin's test, Hessenberg and
+    # the comatrix block
+    f = PrimeField(7)
+    a = conjugate_random(rng_for("traced-gf7"), normal_form(
+        f, [(Poly.from_ints(f, [1, 0, 1]), [2, 1]), (Poly.from_ints(f, [4, 1]), [2])]))
+    mat, hints = tmp_path / "m.txt", tmp_path / "m.hint"
+    mat.write_text(format_matrix(a) + "\n")
+    hints.write_text("3 : 1 0 1\n2 : 4 1\n")
+    metrics = traced_metrics(tracing, JobConfig(
+        input_path=str(mat), field_spec="fp:7", form="rational",
+        factors_path=str(hints), output="json"))
+    for name in ("charpoly.hessenberg_charpoly", "factor.factor_charpoly",
+                 "matrix.matpoly_div_q", "jordan_rational.extract_q_cycles",
+                 "jordan_rational.convert_cycle_to_rational",
+                 "jordan_linear.collect_cycles", "decomposition.assemble"):
+        assert metrics[f"{name}.calls"][0] > 0, name
+    charpoly_ops, q_adic_ops, b_bits = tracing.op_counts(
+        a, [(("1", "0", "1"), 3), (("4", "1"), 2)])
     assert charpoly_ops > 0 and q_adic_ops > 0 and b_bits > 0
