@@ -10,8 +10,7 @@ from .charpoly import char_poly, hessenberg_charpoly
 from .errors import (InternalConsistencyError, InvalidHintError, JnfError,
                      NeedsFactorizationError, ParseError, UnsupportedFieldError)
 from .factor import factor_charpoly, format_factor_hint, parse_factor_hints
-from .fields import PrimeField, QQ
-from .io import emit_json, format_matrix, parse_matrix
+from .io import emit_json, field_from_tag, format_matrix, parse_matrix
 from .jordan_linear import split_jordan
 from .jordan_rational import assemble_pseudo_rational, rational_jordan
 
@@ -35,19 +34,6 @@ class JobConfig:
     orientation: str = None      # None picks the per-form default
 
 
-def _make_field(spec):
-    spec = spec.lower()
-    if spec == "q":
-        return QQ
-    if spec.startswith("fp:"):
-        try:
-            p = int(spec[3:])
-        except ValueError as exc:
-            raise ParseError(f"bad field spec {spec!r}") from exc
-        return PrimeField(p)
-    raise ParseError(f"bad field spec {spec!r}; use 'q' or 'fp:<p>'")
-
-
 def _max_n():
     """The largest accepted matrix size: JNF_MAX_N, a positive integer."""
     raw = os.environ.get("JNF_MAX_N", str(DEFAULT_MAX_N))
@@ -67,7 +53,7 @@ def _default_orientation(form):
 
 def run(config):
     """Execute one job; returns (exit_code, report_text)."""
-    field = _make_field(config.field_spec)
+    field = field_from_tag(config.field_spec)
     try:
         with open(config.input_path, encoding="utf-8") as fh:
             a = parse_matrix(fh.read(), field)
@@ -169,9 +155,6 @@ def main(argv=None):
     except (ParseError, InvalidHintError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except InternalConsistencyError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
     except JnfError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

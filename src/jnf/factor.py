@@ -29,6 +29,7 @@ import math
 from dataclasses import dataclass, field as dataclass_field
 
 from .errors import InvalidHintError, NeedsFactorizationError, ParseError
+from .io import any_digits
 from .poly import (Poly, int_derivative, int_gcd, int_product, int_quo,
                    int_rem, int_sub, lift_poly, monic_poly, poly_gcd,
                    squarefree_decomposition)
@@ -88,7 +89,8 @@ def _factor_int(n):
         if d * d > n or is_prime(n):
             out[n] = out.get(n, 0) + 1
         else:
-            raise ValueError(f"cannot factor composite cofactor {n}")
+            raise ValueError(
+                f"cannot factor a composite cofactor of {n.bit_length()} bits")
     return out
 
 
@@ -185,17 +187,13 @@ def _split_squarefree_part(field, part, mult):
         residual=rest, multiplicity=mult)
 
 
-def _coeff_sort_token(field, c):
-    return field.fmt(c)
-
-
 def canonical_factor_order(field, factors):
     """Deterministic block order: degree desc, multiplicity desc, then by
     coefficient text."""
     return sorted(
         factors,
         key=lambda fm: (-fm[0].degree, -fm[1],
-                        tuple(_coeff_sort_token(field, c) for c in fm[0].coeffs)))
+                        tuple(map(field.fmt, fm[0].coeffs))))
 
 
 def factor_charpoly(p, hint=None):
@@ -327,6 +325,7 @@ def parse_factor_hints(text, field):
 
 
 def format_factor_hint(poly, mult):
-    """Render one factor in hint-file syntax."""
+    """Render one factor in hint-file syntax, every digit of it."""
     f = poly.field
-    return f"{mult} : " + " ".join(f.fmt(c) for c in poly.coeffs)
+    with any_digits():
+        return f"{mult} : " + " ".join(f.fmt(c) for c in poly.coeffs)

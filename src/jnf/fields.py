@@ -17,7 +17,8 @@ instead of normalising a Fraction per operation.  ``int_matmul``,
 ``echelon``, ``expand`` and ``exact_div`` take and return the model, so a
 computation stays in it across many steps: Faddeev and matrix Horner, the
 expansions of B(lambda) and the stacked reductions of cycle collection.
-Blocks with different denominators are brought to one by ``to_common``.
+Blocks with different denominators are brought to one by ``common_den``
+and ``int_scale``.
 Over F_p every kernel takes and returns residues in [0, p).
 
 One product kernel serves both fields.  It packs rows: each row of the
@@ -225,16 +226,6 @@ class Field:
         [M*x_j + c*v_j]; cols, vs and the results are lists of columns of
         field elements."""
         return _LiftedOperator(self, m)
-
-    def to_common(self, blocks):
-        """Blocks [(integer rows, den), ...] brought to one denominator:
-        (the rows of each block, den).  Rows already over it are shared."""
-        den, scales = self.common_den([d for _, d in blocks])
-        return [rows if s == 1 else self.int_scale(rows, s)
-                for (rows, _), s in zip(blocks, scales)], den
-
-    def int_is_zero(self, rows):
-        return not any(map(any, rows))
 
     def echelon(self, ncols, width, count=None):
         """An empty echelon (see the module docstring) for integer-model

@@ -93,7 +93,7 @@ def parse_matrix(text, field):
 
 
 @contextmanager
-def _any_digits():
+def any_digits():
     """CPython's limit on the digits of an int converted to a string lifted
     for the block: the entries of an exact answer can have far more digits
     than the input (the transform of an 8 x 8 matrix with 4096-bit entries
@@ -112,7 +112,7 @@ def _any_digits():
 def format_matrix(m):
     """Column-aligned text rendering (including the header line)."""
     f = m.field
-    with _any_digits():
+    with any_digits():
         cells = [[f.fmt(x) for x in row] for row in m.data]
     widths = [max(len(cells[r][c]) for r in range(m.rows)) for c in range(m.cols)]
     lines = [f"{m.rows} {m.cols}"]
@@ -126,11 +126,19 @@ def field_tag(field):
 
 
 def field_from_tag(tag):
-    if tag == "Q":
+    """The field a document's tag or the CLI's ``--field`` names: ``Q`` or
+    ``Fp:<p>``, in any case.  A p that is not prime is refused as an
+    unsupported field."""
+    spec = tag.lower()
+    if spec == "q":
         return QQ
-    if tag.startswith("Fp:"):
-        return PrimeField(int(tag[3:]))
-    raise ParseError(f"unknown field tag {tag!r}")
+    if not spec.startswith("fp:"):
+        raise ParseError(f"unknown field {tag!r}; use 'q' or 'fp:<p>'")
+    try:
+        p = int(spec[3:])
+    except ValueError as exc:
+        raise ParseError(f"bad field {tag!r}; use 'q' or 'fp:<p>'") from exc
+    return PrimeField(p)
 
 
 def _layout(items, indent, brackets="[]"):
@@ -145,7 +153,7 @@ def emit_json(dec):
     """Stable-key JSON document for a decomposition; deterministic bytes,
     those of json.dumps(doc, sort_keys=True, indent=2).  An indent sends
     json to its pure-Python encoder, so the layout is written here."""
-    with _any_digits():
+    with any_digits():
         return _emit_json(dec)
 
 
@@ -180,7 +188,7 @@ def parse_json(text):
         raise ParseError(f"bad JSON: {exc}") from exc
     try:
         field = field_from_tag(doc["field"])
-        with _any_digits():
+        with any_digits():
             p = Matrix(field, [[field.parse(x) for x in row] for row in doc["P"]])
             j = Matrix(field, [[field.parse(x) for x in row] for row in doc["J"]])
             blocks = [
@@ -190,5 +198,5 @@ def parse_json(text):
             ]
         return JordanDecomposition(p=p, j=j, form=doc["form"],
                                    blocks=blocks, field=field)
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, AttributeError) as exc:
         raise ParseError(f"bad decomposition document: {exc}") from exc

@@ -1,27 +1,28 @@
 """The cycle engine every factor runs through, and the split Jordan form.
 
-For a factor Q of degree d, the stack blocks are the Q-adic coefficients
-C_k of B(lambda), their d lambda-coefficients side by side.  Each column
-of the stacked blocks is one chain, held as one integer row; one loop
-keeps these chain rows in one echelon across all levels, reads the
-candidate chains off the rows that pivot in the top block, shifts those
-one block down and cuts the top block from the rest, so each level
-reduces only the shifted rows.  The blocks may come from B(lambda)*V for a
-block V of s columns instead of all of B: then there are s*d chains, and
-too few of them for a factor show as a stack exhausted before its
-multiplicity.  One extractor accepts a chain when the socle of its cycle,
-the span of w_0 and its A^i-images, is independent of the socles of the
-cycles taken so far, tested by inserting them into one echelon.  A linear
-factor lambda - lam is the d = 1 case: its C_k are the Taylor coefficients
-of B at lam, and a chain's images are the chain itself.  A cycle is
-returned as its list of groups, group j holding
-(w_j, A*w_j, ..., A^{d-1}*w_j), which is what ``assemble`` takes.
+For a factor Q of degree d the input is its Q-adic digits C_k of
+B(lambda), each the list of its d lambda-coefficients, as ``matpoly_div_q``
+returns them.  Column j of coefficient i in every digit is one chain, held
+as one integer row; one loop keeps these chain rows in one echelon across
+all levels, reads the candidate chains off the rows that pivot in the top
+digit, shifts those one digit down and cuts the top digit from the rest,
+so each level reduces only the shifted rows.  The digits may come from
+B(lambda)*V for a block V of s columns instead of all of B: then there are
+s*d chains, and too few of them for a factor show as cycles that cover
+less than its multiplicity, which the caller counts.  ``extract_q_cycles``
+accepts a chain when the socle of its cycle, the span of w_0 and its
+A^i-images, is independent of the socles of the cycles taken so far,
+tested by inserting them into one echelon.  A linear factor lambda - lam
+is the d = 1 case: its digits are the Taylor coefficients of B at lam, and
+a chain's images are the chain itself.  A cycle is returned as its list of
+groups, group j holding (w_j, A*w_j, ..., A^{d-1}*w_j), which is what
+``assemble`` takes.
 """
 
 from itertools import chain
 
-from .errors import InternalConsistencyError
 from .matrix import horner_shift
+from .poly import Poly
 
 
 def taylor_blocks(b, lam, mult):
@@ -31,49 +32,48 @@ def taylor_blocks(b, lam, mult):
     return horner_shift(b, [(lam, mult)])[0]
 
 
-def collect_cycles(blocks, total_needed, accept):
+def collect_cycles(digits, total_needed, accept):
     """The stacked reduce/collect/shift loop.
 
-    ``blocks`` are the stack blocks, block 0 on top, with chain relations
-    between consecutive blocks.  Chain j is column j of every block at
-    once, held as one integer row (s_0 | s_1 | ... | s_{L-1}) over one
-    denominator, so each row operation hits all blocks alike and keeps the
-    relations.  The rows live in one echelon, in reduced row echelon form;
-    those with their pivot in the top block are the candidates.
-    ``accept`` sees each candidate's segments [v_0, ..., v_{L-1}] and must
-    return True, keeping the chain, only for chains independent of
-    everything kept so far.  Then each candidate moves one block down (its
-    deepest segment drops off) and the all-zero top block of every other
-    row is cut; those stay in RREF, and only the moved rows are reduced
-    again for the next level.  The accepted chains must cover
-    ``total_needed`` exactly: overshooting it or running out of rows first
-    raises InternalConsistencyError, which is how a reducible hinted factor
-    shows (see ``jordan_rational.decompose``).
+    ``digits`` are a factor's Q-adic digits [C_0, ..., C_{L-1}] as
+    ``matpoly_div_q`` returns them, each the list of its d coefficient
+    matrices (n x s), with chain relations between consecutive digits.
+    Chain (i, j) is column j of coefficient i in every digit at once, held
+    as one integer row (s_0 | s_1 | ... | s_{L-1}) over one denominator, so
+    each row operation hits all digits alike and keeps the relations; the
+    chains come i-major, j-minor.  The rows live in one echelon, in
+    reduced row echelon form; those with their pivot in the top segment
+    are the candidates.  ``accept`` sees each candidate's segments
+    [v_0, ..., v_{L-1}] and must return True, keeping the chain, only for
+    chains independent of everything kept so far.  Then each candidate
+    moves one segment down (its deepest segment drops off) and the
+    all-zero top segment of every other row is cut; those stay in RREF,
+    and only the moved rows are reduced again for the next level.  The
+    loop stops once the accepted chains cover ``total_needed`` or the rows
+    run out; the caller compares what they cover with what it needs.
     """
-    f = blocks[0].field
-    n = blocks[0].rows
-    level = len(blocks)
-    parts, _ = f.to_common([b.lifted() for b in blocks])
-    rows = list(zip(*chain.from_iterable(parts)))
-    stack = f.echelon(level * n, len(rows))
-    for row in rows:
-        stack.insert(row)
+    first = digits[0][0]
+    f, n, d = first.field, first.rows, len(digits[0])
+    level = len(digits)
+    lifted = [m.lifted() for digit in digits for m in digit]
+    _, scales = f.common_den([den for _, den in lifted])
+    # parts[t*d + i] is coefficient i of digit t over the common denominator
+    parts = [rows if k == 1 else f.int_scale(rows, k)
+             for (rows, _), k in zip(lifted, scales)]
+    stack = f.echelon(level * n, d * first.cols)
+    for i in range(d):
+        for row in zip(*chain.from_iterable(parts[i::d])):
+            stack.insert(row)
     total = 0
     while total < total_needed and len(stack):
         for c, row in stack.pivot_rows(n):
             segs = f.lower([row], row[c])[0]
             if accept([segs[t:t + n] for t in range(0, level * n, n)]):
-                if total + level > total_needed:
-                    raise InternalConsistencyError(
-                        "independent cycles exceed the factor multiplicity")
                 total += level
         if total >= total_needed:
             break
         stack.shift(n)
         level -= 1
-    if total != total_needed:
-        raise InternalConsistencyError(
-            "cycle collection exhausted the stack before reaching the multiplicity")
 
 
 def _power_grid(op, vectors, d):
@@ -85,11 +85,15 @@ def _power_grid(op, vectors, d):
     return [list(images) for images in zip(*powers)]
 
 
-def cycle_groups(a, d, mult, blocks, op=None):
-    """The cycles of a degree-d factor Q of multiplicity ``mult`` from its
-    stack blocks, in discovery order, each a list of groups
-    [w_j, A*w_j, ..., A^{d-1}*w_j] with w_0's group first.  ``op`` is A's
-    ``operator``, prepared here when d > 1 and it is not given.
+def extract_q_cycles(a, q_poly, mult, c_blocks, op=None):
+    """The Q(A)-Jordan cycles of the factor Q of multiplicity ``mult`` from
+    its Q-adic digits ``c_blocks`` (as ``matpoly_div_q`` returns them), in
+    discovery order, each a list of groups [w_j, A*w_j, ..., A^{d-1}*w_j]
+    with Q(A)*w_j = w_{j-1}, Q(A)*w_0 = 0 and w_0's group first.  ``op``
+    is A's ``operator``, prepared here when d > 1 and it is not given.
+    Collection stops once the cycles cover ``mult`` or the chains run out;
+    whether they cover exactly ``mult`` is for the caller to judge (see
+    ``jordan_rational.decompose``).
 
     A candidate chain w_0, ..., w_{k-1} (Q(A)*w_j = w_{j-1}, Q(A)*w_0 = 0)
     is taken when the d vectors of w_0's group are independent of the
@@ -107,6 +111,7 @@ def cycle_groups(a, d, mult, blocks, op=None):
     made.
     """
     f = a.field
+    d = q_poly.degree
     if op is None and d > 1:
         op = f.operator(a.data)
     socle = f.echelon(a.rows, a.rows)
@@ -122,16 +127,17 @@ def cycle_groups(a, d, mult, blocks, op=None):
         cycles.append(bottom + _power_grid(op, segs[1:], d))
         return True
 
-    collect_cycles(blocks, mult, accept)
+    collect_cycles(c_blocks, mult, accept)
     return cycles
 
 
 def extract_cycles(a, lam, mult, blocks):
     """Jordan cycles of the eigenvalue ``lam`` from its Taylor blocks
-    [B(lam), ..., B^{mult-1}(lam)]: the degree-1 case of the extractor,
+    [B(lam), ..., B^{mult-1}(lam)]: ``extract_q_cycles`` at lambda - lam,
     each cycle a list of one-vector groups [[v_0], ..., [v_{k-1}]] with v_0
-    the eigenvector.  The blocks already sit at ``lam``."""
-    return cycle_groups(a, 1, mult, blocks)
+    the eigenvector."""
+    return extract_q_cycles(a, Poly.x_minus(a.field, lam), mult,
+                            [[b] for b in blocks])
 
 
 def split_jordan(a, factorization, orientation="lower", chardata=None):

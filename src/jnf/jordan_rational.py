@@ -2,10 +2,13 @@
 
 B(lambda), or over F_p a block B(lambda)*V of it, is expanded at every
 factor in one ``matpoly_div_q`` call, and every factor, linear ones as
-d = 1, goes through the one extractor of ``jordan_linear``; the Q(A)-chain
-between the Q-adic coefficients needs no check (see ``q_adic_blocks``).
-V starts with BLOCK_COLUMNS columns; the factors it falls short on are
-expanded again from a block of twice as many, up to V = I.  The
+d = 1, hands its Q-adic digits as they come to the one extractor,
+``jordan_linear.extract_q_cycles``; the Q(A)-chain between the digits
+needs no check (see ``q_adic_blocks``).  The driver counts the
+multiplicity a factor's cycles cover.  V starts with BLOCK_COLUMNS
+columns; the factors it falls short on are expanded again from a block of
+twice as many, up to V = I, where a shortfall is a reducible hinted
+factor or, for a computed factorization, an internal fault.  The
 pseudo-rational form is assembled from those cycles as they come; the
 rational form first converts each cycle of a factor of degree >= 2: its
 new vectors are worked out in coordinates over the cycle's own basis and
@@ -20,7 +23,7 @@ from .decomposition import assemble, cycle_block_matrix
 from .errors import (InternalConsistencyError, InvalidHintError,
                      NeedsFactorizationError)
 from .factor import check_factors, format_factor_hint
-from .jordan_linear import cycle_groups
+from .jordan_linear import extract_q_cycles
 from .matrix import matpoly_div_q
 
 # Columns of the first probe block V over F_p.  s random columns carry the
@@ -48,15 +51,6 @@ def q_adic_blocks(a, b, q_poly, mult):
     """
     c_blocks, = matpoly_div_q(b, [(q_poly, mult)])
     return c_blocks
-
-
-def extract_q_cycles(a, q_poly, mult, c_blocks, op=None):
-    """Q(A)-Jordan cycles of the factor Q from its Q-adic coefficients,
-    each a list of groups [w_j, A*w_j, ..., A^{d-1}*w_j] with
-    Q(A)*w_j = w_{j-1} and Q(A)*w_0 = 0; ``op`` as in ``cycle_groups``."""
-    stack_blocks = [first.hstack(*rest) if rest else first
-                    for first, *rest in c_blocks]
-    return cycle_groups(a, q_poly.degree, mult, stack_blocks, op)
 
 
 def convert_cycle_to_rational(a, q_poly, groups):
@@ -105,10 +99,10 @@ def decompose(a, factorization, form, orientation, chardata=None):
     split form, and factors whose product is not P, each before any cycle
     work.  ``chardata`` is ``char_poly(a)`` when not given.  With
     Faddeev's B in it that is all of B, s = n.  Otherwise V has s columns
-    (``comatrix_block``), from BLOCK_COLUMNS on; a factor whose chains run
-    out while s < n is retried with s doubled.  At s = n a failure of a
-    hinted factor means the hint was wrong (a reducible factor), and it is
-    reported as an invalid hint naming the factor.
+    (``comatrix_block``), from BLOCK_COLUMNS on.  A factor whose cycles
+    cover other than its multiplicity while s < n is retried with s
+    doubled.  At s = n that means an asserted factor is reducible, an
+    invalid hint naming the factor, and a computed one an internal fault.
     """
     check_factors(factorization.factors)
     if form == "split":
@@ -135,17 +129,20 @@ def decompose(a, factorization, form, orientation, chardata=None):
         expansions = matpoly_div_q(b, [factor for _, factor in pending])
         short = []
         for (i, (q_poly, mult)), c_blocks in zip(pending, expansions):
-            try:
-                cycles = extract_q_cycles(a, q_poly, mult, c_blocks, op)
-            except InternalConsistencyError as exc:
+            cycles = extract_q_cycles(a, q_poly, mult, c_blocks, op)
+            covered = sum(map(len, cycles))
+            if covered != mult:
                 if s < n:
                     short.append((i, (q_poly, mult)))
                     continue
-                if factorization.irreducibility != "asserted":
-                    raise
-                raise InvalidHintError(
-                    f"hinted factor '{format_factor_hint(q_poly, mult)}' is not "
-                    f"irreducible (cycle collection failed: {exc})") from exc
+                hint = format_factor_hint(q_poly, mult)
+                if factorization.irreducibility == "asserted":
+                    raise InvalidHintError(
+                        f"hinted factor '{hint}' is not irreducible (its cycles "
+                        f"cover multiplicity {covered} of {mult})")
+                raise InternalConsistencyError(
+                    f"the cycles of factor '{hint}' cover multiplicity "
+                    f"{covered} of {mult}")
             if form == "rational" and q_poly.degree > 1:
                 cycles = [convert_cycle_to_rational(a, q_poly, groups)
                           for groups in cycles]

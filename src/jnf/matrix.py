@@ -105,9 +105,7 @@ class Matrix:
         return [row[j] for row in self.data]
 
     def is_zero(self):
-        if self._lifted:
-            return self.field.int_is_zero(self._lifted[0])
-        return not any(map(any, self.data))
+        return not any(map(any, self._lifted[0] if self._lifted else self.data))
 
     def _check(self, other):
         if not isinstance(other, Matrix):
@@ -116,18 +114,6 @@ class Matrix:
 
     def __mul__(self, other):
         return mat_mul(self, other)
-
-    def hstack(self, *others):
-        """This matrix with ``others`` to its right, held in the integer
-        model over one denominator."""
-        for other in others:
-            self._check(other)
-            if self.rows != other.rows:
-                raise ValueError("shape mismatch")
-        f = self.field
-        parts, den = f.to_common([m.lifted() for m in (self, *others)])
-        return Matrix.from_lifted(
-            f, [list(chain.from_iterable(row)) for row in zip(*parts)], den)
 
 
 def mat_mul(a, b):

@@ -166,6 +166,14 @@ def vstack(a, b):
     return Matrix(a.field, a.data + b.data)
 
 
+def hstack(*blocks):
+    """The matrices side by side, the first on the left."""
+    if len({b.rows for b in blocks}) != 1:
+        raise ValueError("shape mismatch")
+    return Matrix(blocks[0].field,
+                  [sum(rows, []) for rows in zip(*(b.data for b in blocks))])
+
+
 def trace(m):
     if not m.is_square:
         raise ValueError("trace of non-square matrix")
@@ -324,7 +332,7 @@ def mat_inverse(m):
     if not m.is_square:
         raise ValueError("inverse of non-square matrix")
     n = m.rows
-    reduced, _, pivots = rref(m.hstack(identity(m.field, n)))
+    reduced, _, pivots = rref(hstack(m, identity(m.field, n)))
     # invertible iff every pivot of the augmented reduction stays in the
     # left half (the identity half always completes the rank)
     if [c for _, c in pivots[:n]] != list(range(n)):

@@ -7,7 +7,7 @@ from jnf import factor
 from jnf.cli import (EXIT_NEEDS_FACTORIZATION, EXIT_OK, EXIT_PARSE,
                      EXIT_UNSUPPORTED_FIELD, main)
 from jnf.fields import QQ
-from jnf.io import emit_json, format_matrix, parse_json
+from jnf.io import any_digits, emit_json, format_matrix, parse_json
 from jnf.matrix import Matrix, mat_mul, rank
 from jnf.poly import Poly
 
@@ -230,6 +230,30 @@ def test_reducible_hint_past_the_root_test(tmp_path, capsys, pieces, code, form)
     if code == EXIT_PARSE:
         assert (f"hinted factor '{a.rows // 4} : 6 0 -5 0 1' is not irreducible"
                 in capsys.readouterr().err)
+
+
+def test_big_residual_prints(tmp_path, capsys):
+    # x^2 + c*2^4086 for c = 15, 77, 221, 437: entries within MAX_ENTRY_BITS,
+    # but too many root candidates, and the residual's coefficients have
+    # more digits than CPython converts to a string by default, which made
+    # this exit 1 with a traceback
+    n = 8
+    rows = [[0] * n for _ in range(n)]
+    expect = [1]
+    for k, c in enumerate([15, 77, 221, 437]):
+        rows[2 * k][2 * k + 1], rows[2 * k + 1][2 * k] = -c << 4086, 1
+        expect = [x + y for x, y in
+                  zip([0, 0] + expect, [(c << 4086) * x for x in expect] + [0, 0])]
+    path = tmp_path / "m.txt"
+    path.write_text(f"{n} {n}\n" + "".join(" ".join(map(str, r)) + "\n" for r in rows))
+    assert main([str(path)]) == EXIT_NEEDS_FACTORIZATION
+    err = capsys.readouterr().err
+    assert "rational-root candidates exceed the search limit" in err
+    line = err.split("unfactored part (hint-file syntax):\n")[1].splitlines()[0]
+    mult, coeffs = line.split(" : ")
+    assert mult == "1" and max(map(len, coeffs.split())) > 4300
+    with any_digits():
+        assert list(map(int, coeffs.split())) == expect
 
 
 def test_oversized_entry_rejected_at_parse(tmp_path, capsys):

@@ -6,6 +6,7 @@ import pytest
 
 from conftest import (IRREDUCIBLE_QUADRATICS, from_sympy, poly_divmod, poly_mul,
                       poly_one, poly_pow, rng_for, to_sympy)
+import jnf.fields
 from jnf import factor
 from jnf.errors import InvalidHintError, NeedsFactorizationError, ParseError
 from jnf.factor import (_ROOT_CANDIDATE_LIMIT, _is_irreducible_mod_p,
@@ -103,6 +104,19 @@ def test_too_many_root_candidates_needs_hint():
     with pytest.raises(NeedsFactorizationError) as exc:
         factor_charpoly(poly_mul(p, p, P(-1, 1)))
     assert (exc.value.residual, exc.value.multiplicity) == (p, 2)
+
+
+def test_unfactored_cofactor_named_by_its_bits(monkeypatch):
+    # the cofactor left by trial division went into the message whole, and
+    # past 4300 digits CPython's message about str() replaced it.  Trial
+    # division is cut short and the primality test stubbed: Miller-Rabin on
+    # a 14k-bit number takes seconds
+    monkeypatch.setattr(factor, "_TRIAL_LIMIT", 10)
+    monkeypatch.setattr(jnf.fields, "is_prime", lambda n: False)
+    big = 11 ** 4100
+    with pytest.raises(NeedsFactorizationError,
+                       match=f"composite cofactor of {big.bit_length()} bits"):
+        factor_charpoly(P(big, 0, 1))
 
 
 def test_search_residual_is_the_whole_part():

@@ -5,7 +5,7 @@ import pytest
 from conftest import (conjugate_random, make_fixture_m6, normal_form,
                       rand_matrix, rng_for)
 from jnf.charpoly import char_data
-from jnf.errors import ParseError
+from jnf.errors import ParseError, UnsupportedFieldError
 from jnf.factor import factor_charpoly
 from jnf.fields import QQ, PrimeField
 from jnf.io import (MAX_ENTRY_BITS, emit_json, field_from_tag, field_tag,
@@ -167,10 +167,15 @@ def test_format_parse_roundtrip():
 def test_field_tags():
     assert field_tag(QQ) == "Q"
     assert field_tag(PrimeField(7)) == "Fp:7"
-    assert field_from_tag("Q") == QQ
-    assert field_from_tag("Fp:7") == PrimeField(7)
-    with pytest.raises(ParseError):
-        field_from_tag("R")
+    assert field_from_tag("Q") == field_from_tag("q") == QQ
+    # the documents' spelling and the CLI's, in any case
+    assert field_from_tag("Fp:7") == field_from_tag("fp:7") == PrimeField(7)
+    assert field_from_tag("FP:7") == PrimeField(7)
+    for tag in ("R", "Fp:x", "fp:", "Fp:7.5", "Qp:7"):
+        with pytest.raises(ParseError):
+            field_from_tag(tag)
+    with pytest.raises(UnsupportedFieldError):
+        field_from_tag("Fp:8")
 
 
 def test_json_roundtrip_m6():
@@ -218,3 +223,10 @@ def test_parse_json_errors():
         parse_json("{not json")
     with pytest.raises(ParseError):
         parse_json('{"form": "rational"}')
+    # "Fp:x" let int()'s ValueError out, and a number where an entry's
+    # string belongs an AttributeError
+    a = make_fixture_m6()
+    doc = json.loads(emit_json(rational_jordan(a, factor_charpoly(char_data(a).p))))
+    for key, value in (("field", "Fp:x"), ("P", [[1]])):
+        with pytest.raises(ParseError):
+            parse_json(json.dumps({**doc, key: value}))

@@ -6,7 +6,7 @@ from conftest import (block_diagonal_part, block_multiset, conjugate_random,
 from jnf import factor
 from jnf.charpoly import char_data
 from jnf.decomposition import verify
-from jnf.errors import InvalidHintError
+from jnf.errors import InternalConsistencyError, InvalidHintError
 from jnf.factor import FactoredCharPoly, factor_charpoly
 from jnf.fields import QQ
 from jnf.jordan_rational import (assemble_pseudo_rational,
@@ -143,6 +143,23 @@ def test_factorization_degree_checked_before_the_product(fixture_m6, monkeypatch
     bad = FactoredCharPoly([(Poly.from_ints(QQ, [-1, 1]), 10 ** 6)], QQ)
     with pytest.raises(InvalidHintError, match="does not reproduce"):
         rational_jordan(fixture_m6, bad)
+
+
+@pytest.mark.parametrize("irreducibility, error, message", [
+    ("computed", InternalConsistencyError, "the cycles of factor '1 : -1 0 1'"),
+    ("asserted", InvalidHintError, "hinted factor '1 : -1 0 1' is not irreducible"),
+])
+def test_reducible_factor_falls_short(irreducibility, error, message):
+    # x^2 - 1 taken as one irreducible factor of diag(1, -1): neither
+    # eigenvector spans a group of two, so no cycle covers the multiplicity.
+    # Over QQ V is all of B, so there is no retry: a computed factorization
+    # this wrong is a fault, an asserted one a bad hint
+    a = Matrix.from_ints(QQ, [[1, 0], [0, -1]])
+    bad = FactoredCharPoly([(Poly.from_ints(QQ, [-1, 0, 1]), 1)], QQ,
+                           irreducibility=irreducibility)
+    with pytest.raises(error, match=message) as exc:
+        rational_jordan(a, bad)
+    assert "cover multiplicity 0 of 1" in str(exc.value)
 
 
 def hint_from_truth(truth):

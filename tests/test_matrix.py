@@ -4,7 +4,7 @@ from conftest import (adjugate_oracle, columns, det, det_oracle, horner_eval,
                       identity, kernel_basis, lambda_i_minus, mat_add,
                       mat_inverse, mat_neg, mat_pow, mat_scale, mat_sub,
                       matpoly_reconstruct_q_adic, matpoly_reconstruct_shifts,
-                      mul_vector, poly_at_matrix_oracle, poly_monic,
+                      hstack, mul_vector, poly_at_matrix_oracle, poly_monic,
                       rand_matrix, rand_poly, rng_for, rref, trace, vstack)
 from jnf.errors import NonMonicDivisorError, SingularMatrixError
 from jnf.fields import QQ, PrimeField
@@ -28,7 +28,7 @@ def test_basic_ops():
     assert trace(a) == QQ.from_int(5)
     assert mul_vector(a, [QQ.one, QQ.zero]) == [QQ.one, QQ.from_int(3)]
     assert mat_pow(a, 2) == a * a
-    assert a.hstack(b).cols == 4
+    assert hstack(a, b) == M([[1, 2, 0, 1], [3, 4, 1, 0]])
     assert vstack(a, b).rows == 4
 
 

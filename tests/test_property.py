@@ -22,8 +22,8 @@ import random
 import pytest
 
 from conftest import (IRREDUCIBLE_QUADRATICS, block_multiset,
-                      conjugate_random, mul_vector, normal_form, poly_divmod,
-                      poly_pow)
+                      conjugate_random, hstack, mul_vector, normal_form,
+                      poly_divmod, poly_pow)
 from jnf import jordan_linear, jordan_rational
 from jnf.charpoly import (char_data, char_poly, comatrix_from_charpoly,
                           faddeev, hessenberg_charpoly, probe_block)
@@ -131,7 +131,7 @@ def expected_attempts(a, cd, factors):
             krylov = [Matrix(f, zip(*probe_block(f, n, s)))]
             for _ in range(n - 1):
                 krylov.append(mat_mul(a, krylov[-1]))
-            if rank(mat_mul(proj, krylov[0].hstack(*krylov[1:]))) == m * q.degree:
+            if rank(mat_mul(proj, hstack(*krylov))) == m * q.degree:
                 first = max(first, i)
                 break
     return first + 1

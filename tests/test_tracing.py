@@ -38,12 +38,19 @@ def traced_metrics(tracing, config):
     return tracer.layer_metrics(1)
 
 
+def assert_accepts_counted(metrics):
+    # every chain a solve takes passes the counted accept callback: a chain
+    # routed around it would read as a ratio of 0 in the benchmark
+    assert 0 < metrics["jordan_rational.accept_ratio"][0] <= 1
+
+
 def test_traced_rational_job(tracing, fixture_m6, tmp_path):
     mat = tmp_path / "m6.txt"
     mat.write_text(format_matrix(fixture_m6) + "\n")
     metrics = traced_metrics(tracing, JobConfig(input_path=str(mat), form="rational",
                                                 output="json"))
     assert metrics["jordan_linear.collect_cycles.calls"][0] > 0
+    assert_accepts_counted(metrics)
     # (x^2 - 2)^2 (x - 2)^2, as the ground-truth factors
     charpoly_ops, q_adic_ops, b_bits = tracing.op_counts(
         fixture_m6, [(("-2", "0", "1"), 2), (("-2", "1"), 2)])
@@ -67,6 +74,7 @@ def test_traced_prime_field_job(tracing, tmp_path):
                  "jordan_rational.convert_cycle_to_rational",
                  "jordan_linear.collect_cycles", "decomposition.assemble"):
         assert metrics[f"{name}.calls"][0] > 0, name
+    assert_accepts_counted(metrics)
     charpoly_ops, q_adic_ops, b_bits = tracing.op_counts(
         a, [(("1", "0", "1"), 3), (("4", "1"), 2)])
     assert charpoly_ops > 0 and q_adic_ops > 0 and b_bits > 0
