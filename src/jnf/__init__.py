@@ -1,7 +1,7 @@
 """Exact Jordan and rational Jordan normal forms over Q and prime fields,
 computed from the comatrix polynomial of lambda*I - A."""
 
-from .charpoly import CharData, char_data, char_poly, comatrix_block, \
+from .charpoly import CharData, char_data, comatrix_block, \
     comatrix_from_charpoly, faddeev, hessenberg_charpoly
 from .decomposition import JordanDecomposition, verify
 from .errors import (InternalConsistencyError, InvalidHintError, JnfError,
@@ -20,7 +20,7 @@ __all__ = [
     "InvalidHintError", "JnfError", "JordanDecomposition", "MatPoly", "Matrix",
     "NeedsFactorizationError", "ParseError", "Poly", "PrimeField", "QQ",
     "Rationals", "SingularMatrixError", "UnsupportedFieldError",
-    "assemble_pseudo_rational", "char_data", "char_poly", "comatrix_block",
+    "assemble_pseudo_rational", "char_data", "comatrix_block",
     "comatrix_from_charpoly",
     "extract_cycles", "extract_q_cycles", "faddeev", "factor_charpoly",
     "hessenberg_charpoly", "parse_factor_hints", "q_adic_blocks",

@@ -1,15 +1,14 @@
 """Characteristic polynomial P and comatrix polynomial B of lambda*I - A.
 
-Two routes, one per kind of field.  Over QQ the trace recurrence (Faddeev)
-gives P and all of B together, in the integer model.  Over F_p, Hessenberg
-reduction and the minor recurrence give P alone (``char_poly``), and matrix
-Horner on P builds B(lambda)*V for a block V of s columns
-(``comatrix_block``): (lambda*I - A)*B(lambda)*V = P(lambda)*V, so the
-columns of B*V satisfy the chain relations that cycle collection reads,
-and s generic columns carry every cycle once s reaches the number of
-cycles of a factor.  The solve starts at a few columns and doubles them
-when a factor runs short; at s = n, V = I and the block is all of B.
-``char_data`` gives P with all of B on either route.
+One route for every field.  Hessenberg reduction and the minor recurrence
+give P (``hessenberg_charpoly``), and matrix Horner on P builds B(lambda)*V
+for a block V of s columns (``comatrix_block``): (lambda*I - A)*B*V =
+P*V, so the columns of B*V satisfy the chain relations that cycle
+collection reads, and s generic columns carry every cycle once s reaches
+the number of cycles of a factor.  The solve starts at a few columns and
+doubles them when a factor runs short; at s = n, V = I and the block is all
+of B.  ``faddeev`` and ``char_data`` (P with all of B) are not on the
+solve path: they are the reference that op counts and tests compare with.
 """
 
 from dataclasses import dataclass
@@ -30,7 +29,6 @@ _SEED = 0x6A6E66
 class CharData:
     p: Poly          # monic, degree n, increasing powers
     b: MatPoly       # degree n-1, leading coefficient I; None when not built
-    method: str      # "faddeev" or "hessenberg_horner"
 
 
 def faddeev(a):
@@ -61,8 +59,7 @@ def faddeev(a):
         bs.append(Matrix.from_lifted(f, x, dk))
     if not bs.pop().is_zero():
         raise InternalConsistencyError("Faddeev terminal matrix B_n is nonzero")
-    return CharData(p=Poly(f, p_desc[::-1]), b=MatPoly(f, bs[::-1]),
-                    method="faddeev")
+    return CharData(p=Poly(f, p_desc[::-1]), b=MatPoly(f, bs[::-1]))
 
 
 def hessenberg_reduce(a):
@@ -104,15 +101,17 @@ def hessenberg_charpoly(a):
     """Characteristic polynomial via Hessenberg + the three-term minor
     recurrence; works over any field.  The charpoly P_k of the leading
     k x k block is x*P_{k-1} - sum_m c_m*P_{k-m}, built on coefficient
-    lists (lowest degree first) with the row kernel ``sub_mul``."""
+    lists (lowest degree first) with the row kernel ``sub_mul``, in the
+    integer model: on H' = e*H, e the common denominator of H (1 over F_p),
+    whose charpoly P'(x) = e^n*P(x/e) has integer coefficients."""
     f = a.field
     n = a.rows
-    h = hessenberg_reduce(a).data
-    minors = [[f.one]]
+    h, e = f.lift(hessenberg_reduce(a).data)
+    minors = [[1]]
     for k in range(1, n + 1):
         prev = minors[-1]
-        p_k = f.sub_mul([f.zero] + prev, h[k - 1][k - 1], prev + [f.zero])
-        sub = f.one                 # running product of subdiagonal entries
+        p_k = f.sub_mul([0] + prev, h[k - 1][k - 1], prev + [0])
+        sub = 1                     # running product of subdiagonal entries
         for m in range(2, k + 1):
             sub = f.mul(sub, h[k - m + 1][k - m])
             if not sub:             # so are all the c_m from here on
@@ -120,45 +119,45 @@ def hessenberg_charpoly(a):
             c = f.mul(h[k - m][k - 1], sub)
             if c:
                 p_m = minors[k - m]
-                p_k = f.sub_mul(p_k, c, p_m + [f.zero] * (k + 1 - len(p_m)))
+                p_k = f.sub_mul(p_k, c, p_m + [0] * (k + 1 - len(p_m)))
         minors.append(p_k)
-    return Poly(f, minors[n])
+    return Poly(f, f.lower([[c * e ** j for j, c in enumerate(minors[n])]], e ** n)[0])
 
 
 def probe_block(f, n, s):
     """V as its s columns of length n: the identity at s = n, else the first
-    s columns of a fixed pseudo-random sequence, the same for every s."""
+    s columns of a fixed pseudo-random sequence, the same for every s: its
+    top 31 bits over F_p, its top 3 over QQ (small integers for Horner)."""
     if s >= n:
         return identity_columns(f, n)
     mul, inc, mask = _LCG
+    shift = 33 if f.char else 61
     x = _SEED
     cols = []
     for _ in range(s):
         col = []
         for _ in range(n):
             x = (x * mul + inc) & mask
-            col.append(f.from_int(x >> 33))
+            col.append(f.from_int(x >> shift))
         cols.append(col)
     return cols
 
 
 def comatrix_block(a, p, s):
     """B(lambda)*V for the probe block V of s columns (``probe_block``), as a
-    polynomial with n x s coefficients: matrix Horner from the top of p,
-    X_0 = V and X_k = A*X_{k-1} + p_{n-k}*V, so (lambda*I - A)*B*V = P*V
+    polynomial with n x s coefficients: ``matrix_horner`` from the top of
+    p, X_0 = V and X_k = A*X_{k-1} + p_{n-k}*V, so (lambda*I - A)*B*V = P*V
     holds coefficientwise by construction except for the constant term,
     A*X_{n-1} + p_0*V = P(A)*V.  That one is checked: Q-adic digits of B*V
     form Q(A)-chains because it is zero (see ``q_adic_blocks``)."""
-    f = a.field
     n = a.rows
     if p.degree != n or not p.is_monic:
         raise ValueError("p must be the monic characteristic polynomial")
-    xs = matrix_horner(a, p.coeffs, probe_block(f, n, s))
-    if any(map(any, xs.pop())):
+    xs = matrix_horner(a, p.coeffs, probe_block(a.field, n, s))
+    if not xs.pop().is_zero():
         raise InternalConsistencyError(
             "P(A)*V != 0: the supplied polynomial does not annihilate A")
-    return MatPoly(f, [Matrix.from_lifted(f, *f.lift(list(map(list, zip(*x)))))
-                       for x in reversed(xs)])
+    return MatPoly(a.field, xs[::-1])
 
 
 def comatrix_from_charpoly(a, p):
@@ -166,17 +165,9 @@ def comatrix_from_charpoly(a, p):
     return comatrix_block(a, p, a.rows)
 
 
-def char_poly(a):
-    """P by the field's route, with B where it comes free: Faddeev's over
-    QQ; over F_p only P, from Hessenberg, and ``b`` is None."""
+def char_data(a):
+    """P and all of B: Faddeev's over QQ, Hessenberg's and V = I over F_p."""
     if a.field.char == 0:
         return faddeev(a)
-    return CharData(p=hessenberg_charpoly(a), b=None, method="hessenberg_horner")
-
-
-def char_data(a):
-    """P and all of B on the field's route."""
-    cd = char_poly(a)
-    if cd.b is None:
-        cd.b = comatrix_from_charpoly(a, cd.p)
-    return cd
+    p = hessenberg_charpoly(a)
+    return CharData(p=p, b=comatrix_from_charpoly(a, p))

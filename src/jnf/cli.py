@@ -6,7 +6,7 @@ import os
 import sys
 from dataclasses import dataclass
 
-from .charpoly import char_poly, hessenberg_charpoly
+from .charpoly import hessenberg_charpoly
 from .errors import (InternalConsistencyError, InvalidHintError, JnfError,
                      NeedsFactorizationError, ParseError, UnsupportedFieldError)
 from .factor import factor_charpoly, format_factor_hint, parse_factor_hints
@@ -45,12 +45,6 @@ def _max_n():
     raise ParseError(f"JNF_MAX_N must be a positive integer, got {raw!r}")
 
 
-def _default_orientation(form):
-    # split form follows the classical subdiagonal display; the rational
-    # forms follow the companion-block display with couplings above
-    return "lower" if form == "split" else "upper"
-
-
 def run(config):
     """Execute one job; returns (exit_code, report_text)."""
     field = field_from_tag(config.field_spec)
@@ -65,27 +59,24 @@ def run(config):
     if a.rows > max_n:
         raise ParseError(f"matrix size {a.rows} exceeds JNF_MAX_N={max_n}")
 
-    cd = char_poly(a)
+    p = hessenberg_charpoly(a)
     hint = None
     if config.factors_path:
         try:
             with open(config.factors_path, encoding="utf-8") as fh:
-                hint = parse_factor_hints(fh.read(), field)
+                hint = parse_factor_hints(fh.read(), p)
         except OSError as exc:
             raise ParseError(f"cannot read {config.factors_path}: {exc}") from exc
-    factorization = factor_charpoly(cd.p, hint=hint)
+    factorization = factor_charpoly(p, hint=hint)
 
-    orientation = config.orientation or _default_orientation(config.form)
-    if config.form == "split":
-        dec = split_jordan(a, factorization, orientation=orientation, chardata=cd)
-    elif config.form == "pseudo":
-        dec = assemble_pseudo_rational(a, factorization, orientation=orientation,
-                                       chardata=cd)
-    elif config.form == "rational":
-        dec = rational_jordan(a, factorization, orientation=orientation,
-                              chardata=cd)
-    else:
+    solve = {"split": split_jordan, "pseudo": assemble_pseudo_rational,
+             "rational": rational_jordan}.get(config.form)
+    if solve is None:
         raise ParseError(f"unknown form {config.form!r}")
+    # split form follows the classical subdiagonal display; the rational
+    # forms follow the companion-block display with couplings above
+    default = "lower" if config.form == "split" else "upper"
+    dec = solve(a, factorization, charpoly=p, orientation=config.orientation or default)
 
     lines = []
     if config.output == "json":
@@ -103,7 +94,7 @@ def run(config):
         lines.append(format_matrix(dec.j))
     if config.verify:
         # A*P == P*J was certified by assemble; this adds the charpoly check
-        if hessenberg_charpoly(dec.j) != cd.p:
+        if hessenberg_charpoly(dec.j) != p:
             raise InternalConsistencyError(
                 "verification failed: charpoly(J) != charpoly(A)")
         lines.append("verify: A*P == P*J and charpoly(J) == charpoly(A): exact")

@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass, field as dataclass_field
 
 from .errors import InvalidHintError, NeedsFactorizationError, ParseError
-from .io import any_digits
+from .io import any_digits, parse_bounded
 from .poly import (Poly, int_derivative, int_gcd, int_product, int_quo,
                    int_rem, int_sub, lift_poly, monic_poly, poly_gcd,
                    squarefree_decomposition)
@@ -189,11 +189,10 @@ def _split_squarefree_part(field, part, mult):
 
 def canonical_factor_order(field, factors):
     """Deterministic block order: degree desc, multiplicity desc, then by
-    coefficient text."""
-    return sorted(
-        factors,
-        key=lambda fm: (-fm[0].degree, -fm[1],
-                        tuple(map(field.fmt, fm[0].coeffs))))
+    coefficient text, every digit of it."""
+    with any_digits():
+        return sorted(factors, key=lambda fm: (-fm[0].degree, -fm[1],
+                                               tuple(map(field.fmt, fm[0].coeffs))))
 
 
 def factor_charpoly(p, hint=None):
@@ -301,9 +300,23 @@ def _is_irreducible_mod_p(q):
         for r in _factor_int(d))
 
 
-def parse_factor_hints(text, field):
-    """Parse the hint-file format: one ``mult : c0 c1 ... cd`` line per
-    factor, coefficients lowest degree first, ``#`` starts a comment line."""
+def hint_bits(p):
+    """The most bits a coefficient of a monic factor of p can need in its
+    numerator or denominator: those of p over F_p.  Over QQ a monic factor
+    is g/lc(g) for an integer factor g of P~ = ``lift_poly(p)`` (Gauss's
+    lemma), and |g_i| <= 2^n * sqrt(n + 1) * max|P~_i| (Mignotte)."""
+    if p.field.char:
+        return p.field.char.bit_length()
+    n = p.degree
+    return n + (n + 1).bit_length() + max(map(abs, lift_poly(p))).bit_length()
+
+
+def parse_factor_hints(text, p):
+    """Parse the hint-file format for the characteristic polynomial p: one
+    ``mult : c0 c1 ... cd`` line per factor, coefficients lowest degree
+    first, ``#`` starts a comment line.  A coefficient past ``hint_bits(p)``
+    is refused, before its value is formed (``io.parse_bounded``)."""
+    field, bits = p.field, hint_bits(p)
     factors = []
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
@@ -319,7 +332,9 @@ def parse_factor_hints(text, field):
         tokens = coeff_part.split()
         if not tokens:
             raise ParseError(f"hint line {lineno}: no coefficients")
-        coeffs = [field.parse(t) for t in tokens]
+        with any_digits():
+            coeffs = [parse_bounded(field, t, bits, f"hint line {lineno}, coefficient {j}")
+                      for j, t in enumerate(tokens, 1)]
         factors.append((Poly(field, coeffs), mult))
     return factors
 

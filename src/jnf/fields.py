@@ -47,16 +47,15 @@ of a characteristic polynomial.  Column k of W holds the q-adic digits of
 x^k, and those of x^(k+1) are the digits of x^k shifted by one place with
 one step of the row kernel ``sub_mul``, which is field-generic.
 
-``operator`` prepares a matrix M once for applying it to many column
-vectors, optionally adding c times prepared columns V: the matrix Horner
-steps X_k = A*X_{k-1} + c_k*V on an n x s block, and the powers of A in
-cycle collection.  Over F_p it packs the rows of M^T as the product packs
-its right factor, so M*x + c*v is one C-level sum of x's entries times
-those rows plus c times v packed, read back slot by slot: s*n
-multiplications per step with the packing paid once, where a packed
-product would pack the block's rows again on every step and make n^2
-multiplications whatever s is.  Over QQ it lifts M^T once and runs the
-product on the columns.
+``int_operator`` prepares an integer-model matrix M once for applying it
+to many columns, optionally adding c times prepared columns V: the matrix
+Horner steps X_k = A*X_{k-1} + c_k*V on an n x s block; ``operator`` takes
+field elements, for the powers of A in cycle collection.  Over F_p both
+pack the rows of M^T as the product packs its right factor, so M*x + c*v
+is one C-level sum of x's entries times those rows plus c times v packed,
+read back slot by slot: s*n multiplications per step with the packing paid
+once, where a packed product would make n^2 whatever s is.  Over QQ each
+call is one product by M^T.
 
 One echelon kernel does all row reduction.  An echelon holds its pivot
 rows in reduced row echelon form (RREF) and takes rows one at a time: a row
@@ -222,10 +221,20 @@ class Field:
 
     def operator(self, m):
         """M (rows of field elements) prepared for ``op(cols)``, the columns
-        [M*x for x in cols], and ``op(cols, c, op.pack(vs))``, the columns
-        [M*x_j + c*v_j]; cols, vs and the results are lists of columns of
-        field elements."""
-        return _LiftedOperator(self, m)
+        [M*x for x in cols]: ``int_operator`` on M and the columns lifted."""
+        mi, den = self.lift(m)
+        op = self.int_operator(mi)
+
+        def apply(cols):
+            xi, e = self.lift(cols)
+            return self.lower(op(xi), e * den)
+        return apply
+
+    def int_operator(self, m, vs=()):
+        """M prepared for ``op(cols)``, the columns [M*x for x in cols], and
+        ``op(cols, c)``, the columns [M*x_j + c*v_j] for the columns v_j of
+        ``vs``; all in the integer model, with no denominator applied."""
+        raise NotImplementedError
 
     def echelon(self, ncols, width, count=None):
         """An empty echelon (see the module docstring) for integer-model
@@ -307,42 +316,21 @@ class Field:
                 [s ** max(top - i, 0) for i in range(count * d)])
 
 
-class _LiftedOperator:
-    """``Field.operator`` by the product kernel: M^T lifted once, each call
-    one ``int_matmul`` of the lifted columns by it."""
-
-    def __init__(self, field, m):
-        self.field = field
-        self.m_t, self.den = field.lift([list(col) for col in zip(*m)])
-
-    def pack(self, cols):
-        return cols
-
-    def __call__(self, cols, c=0, vs=()):
-        f = self.field
-        xi, e = f.lift(cols)
-        out = f.lower(f.int_matmul(xi, self.m_t), e * self.den)
-        if c:
-            out = [[f.add(y, f.mul(c, z)) for y, z in zip(col, v)]
-                   for col, v in zip(out, vs)]
-        return out
-
-
 class _PackedOperator:
-    """``Field.operator`` over F_p: the rows of M^T packed once, in slots
-    that hold a dot product of M's row length plus one more term, so that
-    M*x + c*v is one sum of products plus c times v packed, and one read."""
+    """``operator`` and ``int_operator`` over F_p: the rows of M^T packed
+    once, in slots that hold a dot product of M's row length plus one more
+    term, so M*x + c*v is one sum of products plus c times v packed."""
 
-    def __init__(self, p, m):
+    def __init__(self, p, m, vs=()):
         self.p = p
         size = _slot_bytes((len(m[0]) + 1) * (p - 1) ** 2)
-        self.pack, self._unpack = _packer(size, len(m))
-        self.m_t = self.pack(zip(*m))
+        pack, self._unpack = _packer(size, len(m))
+        self.m_t, self.vs = pack(zip(*m)), pack(vs)
 
-    def __call__(self, cols, c=0, vs=()):
+    def __call__(self, cols, c=0):
         p, m_t = self.p, self.m_t
         if c:
-            sums = [sum(map(mul, x, m_t), c * v) for x, v in zip(cols, vs)]
+            sums = [sum(map(mul, x, m_t), c * v) for x, v in zip(cols, self.vs)]
         else:
             sums = [sum(map(mul, x, m_t)) for x in cols]
         return [[y % p for y in col] for col in self._unpack(sums)]
@@ -442,6 +430,14 @@ class Rationals(Field):
         packed = [v - bias for v in pack([x + half for x in row] for row in b)]
         return [[x - half for x in row] for row in
                 unpack([sum(map(mul, row, packed), bias) for row in a])]
+
+    def int_operator(self, m, vs=()):
+        m_t = [list(col) for col in zip(*m)]
+
+        def op(cols, c=0):
+            out = self.int_matmul(cols, m_t)
+            return [self.sub_mul(y, -c, v) for y, v in zip(out, vs)] if c else out
+        return op
 
     def _dot(self, a, cols):
         return [[sum(map(mul, row, col)) for col in cols] for row in a]
@@ -715,7 +711,11 @@ class PrimeField(Field):
         return x * pow(k, -1, self.p) % self.p
 
     def operator(self, m):
+        # residues are their own integer model
         return _PackedOperator(self.p, m)
+
+    def int_operator(self, m, vs=()):
+        return _PackedOperator(self.p, m, vs)
 
     def echelon(self, ncols, width, count=None):
         return _PackedEchelon(self.p, ncols, width, count)
@@ -734,9 +734,9 @@ class CountingField(Field):
     is w mul + w add.  The echelon counts each elimination step that runs,
     whether or not the base field packs its rows.  ``expand`` runs the
     generic algorithm on this field, so it counts the digit recurrence, one
-    ``sub_mul`` on the count*d digits per power of x, and its product; so
-    does ``operator``, which counts a product per application and a mul and
-    an add per entry of c*v.
+    ``sub_mul`` on the count*d digits per power of x, and its product.
+    ``operator`` and ``int_operator`` count a product per application and
+    a mul and an add per entry of c*v.
     """
 
     def __init__(self, base):
@@ -806,6 +806,15 @@ class CountingField(Field):
     def int_matmul(self, a, b):
         self._count(len(a) * len(b) * (len(b[0]) if b else 0))
         return self.base.int_matmul(a, b)
+
+    def int_operator(self, m, vs=()):
+        op = self.base.int_operator(m, vs)
+        terms = len(m) * len(m[0]) if m else 0
+
+        def counted(cols, c=0):
+            self._count(len(cols) * (terms + (len(m) if c else 0)))
+            return op(cols, c)
+        return counted
 
     def exact_div(self, x, k):
         self._count(1, inv=1)

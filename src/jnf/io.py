@@ -23,28 +23,27 @@ MAX_ENTRY_BITS = 4096
 _EXPONENT = re.compile(r"[eE][-+]?(\d[\d_]*)\s*$")
 
 
-def _fits(x):
-    """Whether an entry's numerator and denominator are within
-    MAX_ENTRY_BITS."""
-    return (x.numerator.bit_length() <= MAX_ENTRY_BITS
-            and x.denominator.bit_length() <= MAX_ENTRY_BITS)
+def _fits(x, bits=MAX_ENTRY_BITS):
+    """Whether x's numerator and denominator have at most ``bits`` bits."""
+    return x.numerator.bit_length() <= bits and x.denominator.bit_length() <= bits
 
 
-def _parse_entry(field, token, row, col):
-    """One matrix entry, refused when its numerator or denominator exceeds
-    MAX_ENTRY_BITS; an exponent above MAX_ENTRY_BITS is refused before 10
-    is raised to it.  Errors name the row and the column."""
+def parse_bounded(field, token, bits, where):
+    """The value of ``token``, refused with an error naming ``where`` when
+    its numerator or denominator has more than ``bits`` bits: from the
+    token's digits and exponent before any value is formed, so the work is
+    linear in the bound.  Bounds past about 7000 bits need ``any_digits``."""
+    digits = bits * 30103 // 100000 + 1          # those of a bits-bit integer
     exp = _EXPONENT.search(token) if "e" in token or "E" in token else None
-    if exp is None or (len(exp.group(1)) < 10
-                       and int(exp.group(1).replace("_", "")) <= MAX_ENTRY_BITS):
+    if sum(map(str.isdigit, token)) <= 2 * digits + 10 and (not exp or (
+            len(exp.group(1)) <= 10 and int(exp.group(1).replace("_", "")) <= bits)):
         try:
             x = field.parse(token)
         except ParseError as exc:
-            raise ParseError(f"entry at row {row}, column {col}: {exc}") from exc
-        if _fits(x):
+            raise ParseError(f"{where}: {exc}") from exc
+        if _fits(x, bits):
             return x
-    raise ParseError(f"entry at row {row}, column {col} exceeds {MAX_ENTRY_BITS} "
-                     "bits in numerator or denominator")
+    raise ParseError(f"{where} exceeds {bits} bits in numerator or denominator")
 
 
 def _parse_row(field, tokens, row):
@@ -63,7 +62,8 @@ def _parse_row(field, tokens, row):
         else:
             if 0 < p.bit_length() <= MAX_ENTRY_BITS or all(map(_fits, values)):
                 return values
-    return [_parse_entry(field, t, row, j) for j, t in enumerate(tokens, 1)]
+    return [parse_bounded(field, t, MAX_ENTRY_BITS, f"entry at row {row}, column {j}")
+            for j, t in enumerate(tokens, 1)]
 
 
 def parse_matrix(text, field):

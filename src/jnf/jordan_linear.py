@@ -140,8 +140,8 @@ def extract_cycles(a, lam, mult, blocks):
                             [[b] for b in blocks])
 
 
-def split_jordan(a, factorization, orientation="lower", chardata=None):
+def split_jordan(a, factorization, orientation="lower", charpoly=None):
     """Split-field Jordan form driver; every factor must be linear."""
     from .jordan_rational import decompose   # which imports this module
 
-    return decompose(a, factorization, "split", orientation, chardata)
+    return decompose(a, factorization, "split", orientation, charpoly)

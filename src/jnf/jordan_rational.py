@@ -1,24 +1,23 @@
 """Rational Jordan cycles for irreducible factors Q of any degree d.
 
-B(lambda), or over F_p a block B(lambda)*V of it, is expanded at every
-factor in one ``matpoly_div_q`` call, and every factor, linear ones as
-d = 1, hands its Q-adic digits as they come to the one extractor,
+A block B(lambda)*V of B(lambda) is expanded at every factor in one
+``matpoly_div_q`` call, and every factor, linear ones as d = 1, hands its
+Q-adic digits as they come to the one extractor,
 ``jordan_linear.extract_q_cycles``; the Q(A)-chain between the digits
 needs no check (see ``q_adic_blocks``).  The driver counts the
 multiplicity a factor's cycles cover.  V starts with BLOCK_COLUMNS
 columns; the factors it falls short on are expanded again from a block of
-twice as many, up to V = I, where a shortfall is a reducible hinted
-factor or, for a computed factorization, an internal fault.  The
-pseudo-rational form is assembled from those cycles as they come; the
-rational form first converts each cycle of a factor of degree >= 2: its
-new vectors are worked out in coordinates over the cycle's own basis and
-mapped out with one product.  The certificate A*P = P*J in ``assemble``
-checks the result.
+twice as many, up to V = I, where a shortfall is a reducible hinted factor
+or, for a computed factorization, an internal fault.  The pseudo-rational
+form is assembled from those cycles as they come; the rational form first
+converts each cycle of a factor of degree >= 2: its new vectors are worked
+out in coordinates over the cycle's own basis and mapped out with one
+product.  The certificate A*P = P*J in ``assemble`` checks the result.
 """
 
 from math import comb
 
-from .charpoly import char_poly, comatrix_block
+from .charpoly import comatrix_block, hessenberg_charpoly
 from .decomposition import assemble, cycle_block_matrix
 from .errors import (InternalConsistencyError, InvalidHintError,
                      NeedsFactorizationError)
@@ -26,9 +25,9 @@ from .factor import check_factors, format_factor_hint
 from .jordan_linear import extract_q_cycles
 from .matrix import matpoly_div_q
 
-# Columns of the first probe block V over F_p.  s random columns carry the
-# c cycles of a factor of degree d unless their images in the top of its
-# primary part, c-dimensional over F_{p^d}, fail to span it: for s >= c
+# Columns of the first probe block V.  s random columns carry the c cycles
+# of a factor of degree d unless their images in the top of its primary
+# part, c-dimensional over F_{p^d}, fail to span it: over F_p for s >= c
 # that happens with probability about p^(d*(c-1-s)), and it costs one more
 # block of twice the columns.  4 measured fastest on fp_hessenberg (GF(7),
 # n = 32, three cycles per factor) against 3, 5, 6 and 8; see CHANGES.md.
@@ -46,8 +45,8 @@ def q_adic_blocks(a, b, q_poly, mult):
     Q(A)*B = Q*B - D*P = Q*B mod Q^mult, and comparing Q-adic digits gives
     both relations.  The same holds for a block B*V with
     (lambda*I - A)*B*V = P*V.  Both conditions are checked upstream
-    (Faddeev checks B_n = 0 and matrix Horner P(A)*V = 0, and the
-    factorization multiplies back to P), so the chain is not checked again.
+    (matrix Horner checks P(A)*V = 0, and the factorization multiplies back
+    to P), so the chain is not checked again.
     """
     c_blocks, = matpoly_div_q(b, [(q_poly, mult)])
     return c_blocks
@@ -88,7 +87,7 @@ def convert_cycle_to_rational(a, q_poly, groups):
     return [vectors[j * d:(j + 1) * d] for j in range(k)]
 
 
-def decompose(a, factorization, form, orientation, chardata=None):
+def decompose(a, factorization, form, orientation, charpoly=None):
     """The driver of all three forms: the factorization checked, B*V
     expanded at every factor, each factor's cycles from the one extractor
     (converted to the rational basis when ``form`` is "rational" and the
@@ -97,12 +96,12 @@ def decompose(a, factorization, form, orientation, chardata=None):
     The check refuses factors that are not monic of degree >= 1 or have a
     multiplicity below 1 (``check_factors``), a non-linear factor for the
     split form, and factors whose product is not P, each before any cycle
-    work.  ``chardata`` is ``char_poly(a)`` when not given.  With
-    Faddeev's B in it that is all of B, s = n.  Otherwise V has s columns
-    (``comatrix_block``), from BLOCK_COLUMNS on.  A factor whose cycles
-    cover other than its multiplicity while s < n is retried with s
-    doubled.  At s = n that means an asserted factor is reducible, an
-    invalid hint naming the factor, and a computed one an internal fault.
+    work.  ``charpoly`` is P, ``hessenberg_charpoly(a)`` when not given.
+    B*V comes from ``comatrix_block`` with V of s columns, from
+    BLOCK_COLUMNS on.  A factor whose cycles cover other than its
+    multiplicity while s < n is retried with s doubled.  At s = n that
+    means an asserted factor is reducible, an invalid hint naming the
+    factor, and a computed one an internal fault.
     """
     check_factors(factorization.factors)
     if form == "split":
@@ -112,9 +111,8 @@ def decompose(a, factorization, form, orientation, chardata=None):
                     "split Jordan form needs a fully split characteristic "
                     f"polynomial; stuck on a degree-{q.degree} factor",
                     residual=q)
-    cd = chardata if chardata is not None else char_poly(a)
-    if (factorization.total_degree() != cd.p.degree
-            or factorization.product() != cd.p):
+    p = charpoly if charpoly is not None else hessenberg_charpoly(a)
+    if factorization.total_degree() != p.degree or factorization.product() != p:
         raise InvalidHintError(
             "factorization does not reproduce the characteristic polynomial")
     n = a.rows
@@ -123,10 +121,10 @@ def decompose(a, factorization, form, orientation, chardata=None):
           if any(q.degree > 1 for q, _ in factorization.factors) else None)
     found = [None] * len(factorization.factors)
     pending = list(enumerate(factorization.factors))
-    s = n if cd.b is not None else min(BLOCK_COLUMNS, n)
+    s = min(BLOCK_COLUMNS, n)
     while pending:
-        b = cd.b if cd.b is not None else comatrix_block(a, cd.p, s)
-        expansions = matpoly_div_q(b, [factor for _, factor in pending])
+        expansions = matpoly_div_q(comatrix_block(a, p, s),
+                                   [factor for _, factor in pending])
         short = []
         for (i, (q_poly, mult)), c_blocks in zip(pending, expansions):
             cycles = extract_q_cycles(a, q_poly, mult, c_blocks, op)
@@ -151,11 +149,11 @@ def decompose(a, factorization, form, orientation, chardata=None):
     return assemble(a, found, form=form, orientation=orientation)
 
 
-def assemble_pseudo_rational(a, factorization, orientation="upper", chardata=None):
+def assemble_pseudo_rational(a, factorization, orientation="upper", charpoly=None):
     """Pseudo-rational form: companion diagonal, single-1 couplings."""
-    return decompose(a, factorization, "pseudo_rational", orientation, chardata)
+    return decompose(a, factorization, "pseudo_rational", orientation, charpoly)
 
 
-def rational_jordan(a, factorization, orientation="upper", chardata=None):
+def rational_jordan(a, factorization, orientation="upper", charpoly=None):
     """End-to-end rational Jordan normal form driver."""
-    return decompose(a, factorization, "rational", orientation, chardata)
+    return decompose(a, factorization, "rational", orientation, charpoly)

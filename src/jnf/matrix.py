@@ -6,9 +6,8 @@ are the field's bulk kernels (see ``fields``); this module only shapes the
 data for them.  One ``matpoly_div_q`` call expands a matrix polynomial at
 every divisor at once; Taylor shifts are its linear-divisor case.
 ``matrix_horner`` computes X_k = A*X_{k-1} + c_k*V on a block V of columns
-with the field's ``operator``: it builds the comatrix polynomial B(lambda)*V
-from a given characteristic polynomial, all of B at V = I, and evaluates a
-scalar polynomial at a matrix.
+in the integer model: the comatrix block B(lambda)*V over every field, all
+of B at V = I, and a scalar polynomial at a matrix.
 """
 
 from itertools import chain
@@ -91,15 +90,9 @@ class Matrix:
         return (isinstance(other, Matrix) and self.field == other.field
                 and self.data == other.data)
 
-    def __hash__(self):
-        return hash((self.field, tuple(tuple(r) for r in self.data)))
-
     def __repr__(self):
         body = "; ".join(" ".join(self.field.fmt(x) for x in row) for row in self.data)
         return f"Matrix[{body}]"
-
-    def __getitem__(self, rc):
-        return self.data[rc[0]][rc[1]]
 
     def column(self, j):
         return [row[j] for row in self.data]
@@ -157,11 +150,6 @@ class MatPoly:
     def is_zero(self):
         return not self.coeffs
 
-    def coeff(self, k):
-        if k < len(self.coeffs):
-            return self.coeffs[k]
-        return Matrix.zeros(self.field, self.rows, self.cols)
-
     def __eq__(self, other):
         return (isinstance(other, MatPoly) and self.field == other.field
                 and self.coeffs == other.coeffs)
@@ -213,19 +201,26 @@ def horner_shift(mp, points):
 
 def matrix_horner(a, coeffs, v):
     """[X_0, ..., X_m] for the polynomial with ``coeffs`` c_0..c_m (field
-    elements, lowest degree first, c_m nonzero) on the block V: X_0 = c_m*V
-    and X_k = A*X_{k-1} + c_{m-k}*V, so X_m = p(A)*V.  V and every X_k are
-    lists of columns; A is prepared once by the field's ``operator``, and
-    each step applies it to the s columns with c*V in the same sum.
-    """
+    elements, lowest degree first, c_m nonzero) on the block V (a list of
+    columns): X_0 = c_m*V and X_k = A*X_{k-1} + c_{m-k}*V, so X_m = p(A)*V,
+    each X_k an n x s matrix held in the integer model.  It runs on
+    A' = d*A, d the common denominator of A (1 over F_p), as
+    X'_k = A'*X'_{k-1} + d^k*c_{m-k}*V with X'_k = d^k*X_k: the scaled
+    coefficients are integers over some e (e = 1 for the charpoly of A,
+    since d^k*p_{n-k} is a coefficient of that of A'), and no Fraction is
+    formed.  A' is prepared once by the field's ``int_operator``, and each
+    step applies it to the columns with c*V in the same sum."""
     f = a.field
-    op = f.operator(a.data)
-    vs = op.pack(v)
-    lead = coeffs[-1]
-    xs = [v if lead == f.one else [[f.mul(lead, x) for x in col] for col in v]]
-    for c in reversed(coeffs[:-1]):
-        xs.append(op(xs[-1], c, vs))
-    return xs
+    m = len(coeffs) - 1
+    ai, d = f.lift(a.data)
+    (cs,), e = f.lift([[c * d ** (m - j) for j, c in enumerate(coeffs)]])
+    vi, e_v = f.lift(v)
+    op = f.int_operator(ai, vi)
+    xs = [vi if cs[-1] == 1 else f.int_scale(vi, cs[-1])]
+    for c in reversed(cs[:-1]):
+        xs.append(op(xs[-1], c))
+    return [Matrix.from_lifted(f, [list(row) for row in zip(*x)], e * e_v * d ** k)
+            for k, x in enumerate(xs)]
 
 
 def identity_columns(field, n):
@@ -233,9 +228,9 @@ def identity_columns(field, n):
 
 
 def poly_at_matrix(p, a):
-    """p(A) by matrix Horner from p's leading coefficient."""
+    """p(A) by matrix Horner from p's leading coefficient, held in the
+    integer model."""
     p.field.check_same(a.field)
     if p.is_zero:
         return Matrix.zeros(a.field, a.rows, a.rows)
-    xs = matrix_horner(a, p.coeffs, identity_columns(a.field, a.rows))
-    return Matrix(a.field, zip(*xs[-1]))
+    return matrix_horner(a, p.coeffs, identity_columns(a.field, a.rows))[-1]

@@ -1,12 +1,16 @@
+import sys
+
 import pytest
 
 from conftest import (adjugate_oracle, charpoly_oracle, det_oracle,
                       horner_eval, identity, lambda_i_minus, make_fixture_m6,
                       mat_scale, mat_sub, matpoly_mul, poly_derivative,
                       rand_matrix, rng_for, trace)
-from jnf.charpoly import (char_data, char_poly, comatrix_block,
-                          comatrix_from_charpoly, faddeev, hessenberg_charpoly,
-                          hessenberg_reduce, probe_block)
+from jnf import charpoly, jordan_rational
+from jnf.charpoly import (char_data, comatrix_block, comatrix_from_charpoly,
+                          faddeev, hessenberg_charpoly, hessenberg_reduce,
+                          probe_block)
+from jnf.cli import EXIT_OK, JobConfig, run
 from jnf.errors import InternalConsistencyError, UnsupportedFieldError
 from jnf.fields import QQ, CountingField, PrimeField
 from jnf.jordan_rational import BLOCK_COLUMNS
@@ -25,14 +29,13 @@ def check_comatrix_identity(a, cd):
 
 def test_faddeev_known_3x3(fixture_a):
     cd = faddeev(fixture_a)
-    assert cd.method == "faddeev"
     assert cd.p == Poly.from_ints(QQ, [-4, 8, -5, 1])
     assert cd.b.degree == 2
-    assert cd.b.coeff(2) == identity(QQ, 3)
+    assert cd.b.coeffs[2] == identity(QQ, 3)
     # B(lambda) = lambda^2 I + lambda (A - 5I) + (A^2 - 5A + 8I)
-    assert cd.b.coeff(1) == mat_sub(fixture_a,
+    assert cd.b.coeffs[1] == mat_sub(fixture_a,
                                    mat_scale(identity(QQ, 3), QQ.from_int(5)))
-    assert cd.b.coeff(0) == poly_at_matrix(Poly.from_ints(QQ, [8, -5, 1]), fixture_a)
+    assert cd.b.coeffs[0] == poly_at_matrix(Poly.from_ints(QQ, [8, -5, 1]), fixture_a)
     check_comatrix_identity(fixture_a, cd)
 
 
@@ -129,20 +132,36 @@ def test_comatrix_rejects_wrong_poly():
         comatrix_from_charpoly(a, Poly.from_ints(QQ, [1, 1]))
 
 
-def test_char_data_dispatch():
-    a = Matrix.from_ints(QQ, [[2, 0], [0, 2]])
-    assert char_data(a).method == "faddeev"
-    f3 = PrimeField(3)
-    b = Matrix.from_ints(f3, [[1, 1, 0], [0, 1, 1], [0, 0, 1]])
-    cd = char_data(b)
-    assert cd.method == "hessenberg_horner"
-    assert cd.p == charpoly_oracle(b)
-    check_comatrix_identity(b, cd)
-    # every prime field takes Hessenberg, large characteristic included
-    c = Matrix.from_ints(PrimeField(101), [[1, 2], [3, 4]])
-    cd = char_data(c)
-    assert cd.method == "hessenberg_horner"
-    check_comatrix_identity(c, cd)
+@pytest.mark.parametrize("spec", ["q", "fp:3", "fp:101"])
+def test_every_field_takes_one_route(spec, tmp_path, monkeypatch):
+    # a solve gets P from Hessenberg and B*V from the probe blocks, over QQ
+    # as over F_p, small or large characteristic: the full-B routes are
+    # never called, and the block starts at BLOCK_COLUMNS columns and
+    # doubles up to n for a scalar matrix, whose n cycles need V = I
+    def refuse(*args):
+        raise AssertionError("a full-B route ran in a solve")
+    full_b = (charpoly.faddeev, charpoly.char_data, charpoly.comatrix_from_charpoly)
+    for name, module in list(sys.modules.items()):
+        if name == "jnf" or name.startswith("jnf."):
+            for attr, value in list(vars(module).items()):
+                if any(value is fn for fn in full_b):
+                    monkeypatch.setattr(module, attr, refuse)
+    widths = []
+
+    def block(a, p, s, orig=jordan_rational.comatrix_block):
+        widths.append(s)
+        return orig(a, p, s)
+    monkeypatch.setattr(jordan_rational, "comatrix_block", block)
+    n = 2 * BLOCK_COLUMNS + 1
+    path = tmp_path / "a.txt"
+    path.write_text(f"{n} {n}\n" + "".join(
+        " ".join("2" if i == j else "0" for j in range(n)) + "\n" for i in range(n)))
+    hints = tmp_path / "a.hint"
+    hints.write_text(f"{n} : -2 1\n")
+    code, _ = run(JobConfig(input_path=str(path), field_spec=spec, form="split",
+                            factors_path=str(hints)))
+    assert code == EXIT_OK
+    assert widths == [BLOCK_COLUMNS, 2 * BLOCK_COLUMNS, n]
 
 
 def test_char_data_small_char_random():
@@ -188,16 +207,15 @@ def test_comatrix_block_is_b_times_v(field):
     for _ in range(8):
         n = rng.randint(1, 9)
         a = rand_matrix(rng, field, n, lo=0, hi=field.char - 1)
-        cd = char_poly(a)
-        assert cd.b is None
-        b = comatrix_from_charpoly(a, cd.p)
+        p = hessenberg_charpoly(a)
+        b = comatrix_from_charpoly(a, p)
         for s in sorted({1, min(3, n), n}):
             v = Matrix(field, zip(*probe_block(field, n, s)))
-            bv = comatrix_block(a, cd.p, s)
+            bv = comatrix_block(a, p, s)
             assert (bv.rows, bv.cols) == (n, s)
             assert bv == MatPoly(field, [mat_mul(m, v) for m in b.coeffs])
             assert matpoly_mul(lambda_i_minus(a), bv) == MatPoly(
-                field, [mat_scale(v, c) for c in cd.p.coeffs])
+                field, [mat_scale(v, c) for c in p.coeffs])
         assert probe_block(field, n, n) == [list(row) for row in identity(field, n).data]
     with pytest.raises(InternalConsistencyError):
         comatrix_block(Matrix.from_ints(field, [[1, 1], [0, 1]]),
@@ -206,13 +224,35 @@ def test_comatrix_block_is_b_times_v(field):
 
 def test_probe_block_is_fixed():
     # the same V on every platform and Python version, and the first s
-    # columns of any wider block
+    # columns of any wider block; over QQ the entries are the top 3 bits of
+    # the same sequence
     f = PrimeField(2**61 - 1)
     assert probe_block(f, 2, 1) == [[1261238573, 2070216803]]
-    for p in (2, 7):
-        wide = probe_block(PrimeField(p), 12, 8)
-        assert probe_block(PrimeField(p), 12, 4) == wide[:4]
-        assert all(0 <= x < p for col in wide for x in col)
+    assert probe_block(QQ, 2, 1) == [[1261238573 >> 28, 2070216803 >> 28]]
+    for field, top in ((PrimeField(2), 2), (PrimeField(7), 7), (QQ, 8)):
+        wide = probe_block(field, 12, 8)
+        assert probe_block(field, 12, 4) == wide[:4]
+        assert all(0 <= x < top for col in wide for x in col)
+
+
+@pytest.mark.parametrize("den", [1, 30, 2**20])
+def test_comatrix_block_over_qq_is_faddeev_b_times_v(den):
+    # the block Horner in the integer model on d*A: coefficient by
+    # coefficient Faddeev's B times the probe block, at 1, BLOCK_COLUMNS
+    # and n columns, for entries over denominators that make d large
+    rng = rng_for(f"comatrix-block-qq-{den}")
+    for _ in range(4):
+        n = rng.randint(BLOCK_COLUMNS + 1, 8)
+        a = Matrix(QQ, [[QQ.fraction(rng.randint(-9, 9), den) for _ in range(n)]
+                        for _ in range(n)])
+        cd = faddeev(a)
+        assert hessenberg_charpoly(a) == cd.p
+        for s in (1, BLOCK_COLUMNS, n):
+            v = Matrix(QQ, zip(*probe_block(QQ, n, s)))
+            bv = comatrix_block(a, cd.p, s)
+            assert len(bv.coeffs) == n
+            for got, full in zip(bv.coeffs, cd.b.coeffs):
+                assert got == mat_mul(full, v)
 
 
 def test_block_horner_op_count_is_a_share_of_the_full_horner():

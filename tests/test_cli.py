@@ -1,13 +1,17 @@
 import json
+import time
 
 import pytest
 
 from conftest import conjugate_random, make_fixture_m6, normal_form, rng_for
-from jnf import factor
+from jnf import factor, jordan_rational
+from jnf.charpoly import hessenberg_charpoly
 from jnf.cli import (EXIT_NEEDS_FACTORIZATION, EXIT_OK, EXIT_PARSE,
                      EXIT_UNSUPPORTED_FIELD, main)
 from jnf.fields import QQ
-from jnf.io import any_digits, emit_json, format_matrix, parse_json
+from jnf.factor import factor_charpoly, parse_factor_hints
+from jnf.io import any_digits, emit_json, format_matrix, parse_json, parse_matrix
+from jnf.jordan_rational import BLOCK_COLUMNS
 from jnf.matrix import Matrix, mat_mul, rank
 from jnf.poly import Poly
 
@@ -232,6 +236,28 @@ def test_reducible_hint_past_the_root_test(tmp_path, capsys, pieces, code, form)
                 in capsys.readouterr().err)
 
 
+def test_reducible_hint_blamed_only_at_full_width(tmp_path, capsys, monkeypatch):
+    # over QQ as over F_p, a factor that runs short on a probe block of
+    # s < n columns is retried on a wider one; only at s = n, V = I, does
+    # the shortfall blame the hint
+    a = conjugate_random(rng_for("reducible-hint-2"), normal_form(
+        QQ, [(Poly.from_ints(QQ, [-2, 0, 1]), [3, 1]),
+             (Poly.from_ints(QQ, [-3, 0, 1]), [2, 2])]))
+    widths = []
+
+    def block(a, p, s, orig=jordan_rational.comatrix_block):
+        widths.append(s)
+        return orig(a, p, s)
+    monkeypatch.setattr(jordan_rational, "comatrix_block", block)
+    path = tmp_path / "m.txt"
+    path.write_text(format_matrix(a) + "\n")
+    hints = tmp_path / "hints.txt"
+    hints.write_text("4 : 6 0 -5 0 1\n")
+    assert main([str(path), "--factors", str(hints)]) == EXIT_PARSE
+    assert "hinted factor '4 : 6 0 -5 0 1' is not irreducible" in capsys.readouterr().err
+    assert widths == [BLOCK_COLUMNS, 2 * BLOCK_COLUMNS, a.rows] and a.rows == 16
+
+
 def test_big_residual_prints(tmp_path, capsys):
     # x^2 + c*2^4086 for c = 15, 77, 221, 437: entries within MAX_ENTRY_BITS,
     # but too many root candidates, and the residual's coefficients have
@@ -254,6 +280,27 @@ def test_big_residual_prints(tmp_path, capsys):
     assert mult == "1" and max(map(len, coeffs.split())) > 4300
     with any_digits():
         assert list(map(int, coeffs.split())) == expect
+    # and the line reads back as a hint, to the same polynomial, which the
+    # hint checks take (their factor order compares every digit)
+    p = hessenberg_charpoly(parse_matrix(path.read_text(), QQ))
+    hint = parse_factor_hints(line, p)
+    assert hint == [(Poly.from_ints(QQ, expect), 1)]
+    assert factor_charpoly(p, hint=hint).factors == hint
+
+
+def test_oversized_hint_coefficient_rejected(tmp_path, capsys):
+    # 10^30000000 took 48 s of CPU to form, then exited 2 with CPython's
+    # digit-limit message; the hint bound refuses it from the token
+    path = tmp_path / "m.txt"
+    path.write_text("1 1\n1\n")
+    hints = tmp_path / "hints.txt"
+    hints.write_text("# x - 1\n1 : 1e30000000 1\n")
+    start = time.perf_counter()
+    assert main([str(path), "--factors", str(hints)]) == EXIT_PARSE
+    assert time.perf_counter() - start < 0.5
+    err = capsys.readouterr().err
+    assert "hint line 2, coefficient 1 exceeds" in err
+    assert "Exceeds the limit" not in err
 
 
 def test_oversized_entry_rejected_at_parse(tmp_path, capsys):

@@ -11,7 +11,7 @@ from jnf import factor
 from jnf.errors import InvalidHintError, NeedsFactorizationError, ParseError
 from jnf.factor import (_ROOT_CANDIDATE_LIMIT, _is_irreducible_mod_p,
                         canonical_factor_order, factor_charpoly,
-                        format_factor_hint, parse_factor_hints)
+                        format_factor_hint, hint_bits, parse_factor_hints)
 from jnf.fields import QQ, PrimeField
 from jnf.poly import Poly
 
@@ -289,18 +289,47 @@ def test_factor_matches_sympy():
 
 def test_hint_parse_roundtrip():
     text = "# comment\n2 : -2 0 1\n1 : -1/2 1\n"
-    hints = parse_factor_hints(text, QQ)
-    assert hints == [(P(-2, 0, 1), 2), (Poly(QQ, [QQ.fraction(-1, 2), QQ.one]), 1)]
+    hints = [(P(-2, 0, 1), 2), (Poly(QQ, [QQ.fraction(-1, 2), QQ.one]), 1)]
+    p = poly_mul(poly_pow(hints[0][0], 2), hints[1][0])
+    assert parse_factor_hints(text, p) == hints
     rendered = "\n".join(format_factor_hint(q, m) for q, m in hints)
-    assert parse_factor_hints(rendered, QQ) == hints
+    assert parse_factor_hints(rendered, p) == hints
 
 
 def test_hint_parse_errors():
+    p = P(-2, 0, 1)
     with pytest.raises(ParseError):
-        parse_factor_hints("2 -2 0 1", QQ)
+        parse_factor_hints("2 -2 0 1", p)
     with pytest.raises(ParseError):
-        parse_factor_hints("x : 1 1", QQ)
+        parse_factor_hints("x : 1 1", p)
     with pytest.raises(ParseError):
-        parse_factor_hints("2 :", QQ)
-    with pytest.raises(ParseError):
-        parse_factor_hints("2 : a b", QQ)
+        parse_factor_hints("2 :", p)
+    with pytest.raises(ParseError, match="hint line 1, coefficient 1: bad"):
+        parse_factor_hints("2 : a b", p)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7), PrimeField(2**61 - 1)],
+                         ids=["QQ", "GF7", "GF(2^61-1)"])
+def test_hint_coefficients_bounded_by_the_charpoly(field):
+    # hint_bits(p) covers every coefficient of every monic factor of p, so
+    # the factors' own lines parse; a token past it is refused before its
+    # value is formed, naming the line: 10^30000000 took 48 s of CPU to
+    # form before CPython's digit limit refused it
+    rng = rng_for(f"hint-bits-{field.char}")
+    for _ in range(10):
+        factors = [(Poly(field, [field.from_int(rng.randint(-10**6, 10**6)),
+                                 field.fraction(rng.randint(-99, 99), rng.randint(1, 99))
+                                 if not field.char else field.from_int(rng.randint(0, 9)),
+                                 field.one]), rng.randint(1, 2)) for _ in range(2)]
+        p = poly_mul(*(poly_pow(q, m) for q, m in factors))
+        text = "".join(format_factor_hint(q, m) + "\n" for q, m in factors)
+        assert parse_factor_hints(text, p) == factors
+    bits = hint_bits(p)
+    # over F_p the residue is checked, and 2^(bits + 1) reduces to one
+    for token in ([] if field.char else [str(2 ** (bits + 1))]) + [
+            "1e30000000", "1" * 10**6]:
+        start = time.perf_counter()
+        with pytest.raises(ParseError,
+                           match=f"hint line 2, coefficient 2 exceeds {bits} bits"):
+            parse_factor_hints(f"1 : 1 1\n1 : 2 {token} 1\n", p)
+        assert time.perf_counter() - start < 0.1

@@ -84,10 +84,11 @@ CASES["qq_fraction_quadratics_pseudo"] = (
     ("q", "pseudo") + CASES["qq_fraction_quadratics"][2:])
 
 # name -> (digest of the document, digest of its form, field, blocks and J).
-# Over F_p, P comes from the chains of the probe block B(lambda)*V; its
-# document digest differs from the one of all of B where a factor has more
-# cycle vectors at the bottom than the first block has columns
-# (multiplicity > BLOCK_COLUMNS): the gf2, gf3, gf7 and gfbig deep cases.
+# Over every field P comes from the chains of the probe block B(lambda)*V;
+# its document digest differs from the one of all of B where a factor has
+# more cycle vectors at the bottom than the first block has columns
+# (multiplicity > BLOCK_COLUMNS): the gf2, gf3, gf7, gfbig and qq deep
+# cases.
 DIGESTS = {
     "gf2_deep_rational": (
         "122f4d182eef0627b4748bdd9bdc1ab4d8fdfb7859c361b0f22182c118338a06",
@@ -117,7 +118,7 @@ DIGESTS = {
         "09190aaf7fba34d90c2ece950a9d85ed909b24744a3c9bd5eba3ebf1743b152e",
         "f7856bd54b1139b37d8ca6f8cbe20e8c4b5b361018875864b2eabd87e32d9b21"),
     "qq_deep_split": (
-        "d2b103e40fb0bd7730f50e9ccd7c24d0f93a81a87b7702b41f4bfab0c534ad11",
+        "cdc99b5cc5ac6032aeee97354a450ea74623f141f8eee516dcf1f72e523c70a2",
         "e339fe781067a0ba5b4b1ca763fad5a16b5472b6d2e58e35867841e5109f39d9"),
     "qq_fraction_quadratics": (
         "cd262ff072b7f1cdb2d43b90e1b282db6dd4412e8326dfba31e753e6ca7368f4",

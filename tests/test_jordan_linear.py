@@ -3,7 +3,7 @@ import pytest
 from conftest import (block_multiset, conjugate_random, horner_eval,
                       mat_inverse, matpoly_reconstruct_shifts, mul_vector,
                       rng_for, random_unimodular)
-from jnf.charpoly import char_data
+from jnf.charpoly import char_data, hessenberg_charpoly
 from jnf.errors import InvalidHintError, NeedsFactorizationError
 from jnf.factor import FactoredCharPoly, factor_charpoly
 from jnf import jordan_linear
@@ -109,7 +109,7 @@ def test_nilpotent():
 def test_non_split_factor_rejected(fixture_m6):
     cd = char_data(fixture_m6)
     with pytest.raises(NeedsFactorizationError):
-        split_jordan(fixture_m6, factor_charpoly(cd.p), chardata=cd)
+        split_jordan(fixture_m6, factor_charpoly(cd.p), charpoly=cd.p)
 
 
 def test_block_multiset_recovered_random():
@@ -139,15 +139,13 @@ def test_block_multiset_recovered_random():
 
 def test_split_over_prime_field():
     f3 = PrimeField(3)
-    # char 3 <= n forces the Hessenberg route; charpoly (x-1)^2 (x-2)
+    # char 3 <= n, where Faddeev's division by k fails; charpoly (x-1)^2 (x-2)
     j = Matrix.from_ints(f3, [[1, 0, 0], [1, 1, 0], [0, 0, 2]])
     rng = rng_for("split-f3")
     u = random_unimodular(rng, f3, 3)
     a = mat_mul(mat_mul(u, j), mat_inverse(u))
-    cd = char_data(a)
-    assert cd.method == "hessenberg_horner"
     hint = [(Poly.from_ints(f3, [-1, 1]), 2), (Poly.from_ints(f3, [-2, 1]), 1)]
-    dec = split_jordan(a, factor_charpoly(cd.p, hint=hint), chardata=cd)
+    dec = split_jordan(a, factor_charpoly(hessenberg_charpoly(a), hint=hint))
     assert sorted(b.cycle_length for b in dec.blocks) == [1, 2]
     assert mat_mul(a, dec.p) == mat_mul(dec.p, dec.j)
 

@@ -132,7 +132,7 @@ def test_wrong_factorization_rejected(fixture_m6):
     cd = char_data(fixture_m6)
     bad = factor_charpoly(poly_pow(Poly.from_ints(QQ, [-1, 1]), 6))
     with pytest.raises(InvalidHintError):
-        rational_jordan(fixture_m6, bad, chardata=cd)
+        rational_jordan(fixture_m6, bad, charpoly=cd.p)
 
 
 def test_factorization_degree_checked_before_the_product(fixture_m6, monkeypatch):

@@ -133,8 +133,10 @@ def test_matmul_matches_oracle(f):
 
 @pytest.mark.parametrize("f", FIELDS, ids=IDS)
 def test_operator_matches_oracle(f):
-    # M*x and M*x + c*v on columns, M prepared once and applied repeatedly;
-    # over F_p also at entries p - 1, where the slots fill up
+    # M*x on columns of field elements (``operator``), and M*x and
+    # M*x + c*v on the integer model (``int_operator``), M prepared once and
+    # applied repeatedly; over F_p also at entries p - 1, where the slots
+    # fill up
     rng = rng_for(f"kernel-operator-{f.char}")
     for trial in range(12):
         rows, cols, s = rng.randint(1, 7), rng.randint(1, 7), rng.randint(0, 4)
@@ -151,16 +153,29 @@ def test_operator_matches_oracle(f):
             if s else []
         for _ in range(2):
             assert op(xs) == mx
-            assert op(xs, c, op.pack(vs)) == [
-                [f.add(y, f.mul(c, z)) for y, z in zip(col, v)]
-                for col, v in zip(mx, vs)]
+        # the integer model (over QQ, M, the columns and c each scaled to
+        # integers), compared as field elements over 1
+        (mi, _), (xi, _), (vi, _) = f.lift(m), f.lift(xs), f.lift(vs)
+        ci = f.lift([[c]])[0][0][0]
+        mxi = f.lower(oracle_matmul(f, mi, list(zip(*xi))), 1) if s else []
+        int_op = f.int_operator(mi, vi)
+        want = [list(col) for col in zip(*mxi)]
+        for _ in range(2):
+            assert f.lower(int_op(xi), 1) == want
+            assert f.lower(int_op(xi, ci), 1) == [
+                [f.add(y, f.from_int(ci * z)) for y, z in zip(col, v)]
+                for col, v in zip(want, vi)]
+        # over QQ the slots widen with the entries of the columns: wide
+        # columns after narrow ones, then narrow ones again
+        for k in ([] if f.char else [2**300, 1]):
+            assert f.lower(int_op([[k * x for x in col] for col in xi]), 1) == [
+                [f.mul(f.from_int(k), y) for y in col] for col in want]
         cf = CountingField(f)
-        counted = cf.operator(m)
-        counted(xs)
-        counted(xs, c, counted.pack(vs))
+        cf.operator(m)(xs)
+        cf.int_operator(mi, vi)(xi, ci)
         # a mul and an add per term: rows*cols of them per column, and
         # rows more for c*v
-        assert cf.total == 2 * s * rows * (2 * cols + bool(c))
+        assert cf.total == 2 * s * rows * (2 * cols + bool(ci))
 
 
 @pytest.mark.parametrize("f", FIELDS, ids=IDS)
@@ -750,7 +765,7 @@ def test_counting_field_counts_cycle_collection(f):
         cd = char_data(a_c)
         before = cf.total
         dec = rational_jordan(a_c, FactoredCharPoly(
-            [(Poly(cf, q.coeffs), sum(ls)) for q, ls in pieces], cf), chardata=cd)
+            [(Poly(cf, q.coeffs), sum(ls)) for q, ls in pieces], cf), charpoly=cd.p)
         counts.append(cf.total - before)
         assert dec.p.data == plain.p.data and dec.j.data == plain.j.data
     assert counts[0] == counts[1] > 0

@@ -113,8 +113,8 @@ def test_matpoly_lambda_i_minus():
     a = M([[1, 2], [3, 4]])
     mp = lambda_i_minus(a)
     assert mp.degree == 1
-    assert mp.coeff(0) == mat_neg(a)
-    assert mp.coeff(1) == identity(QQ, 2)
+    assert mp.coeffs[0] == mat_neg(a)
+    assert mp.coeffs[1] == identity(QQ, 2)
 
 
 def test_horner_eval_matches_direct():

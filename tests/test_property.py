@@ -6,11 +6,11 @@ larger than p, so the Hessenberg + Horner route runs, and the quadratic
 factors are drawn from those irreducible mod p.  Each case checks the block
 multiset of every applicable form against the ground truth, that the three
 drivers agree on split inputs, and, at every factor of degree >= 2, the
-Q(A)-chain and the relations of the rational conversion.  A solve makes
-one attempt over QQ (all of B) and over GF(p) one per probe block
-B(lambda)*V, each with one expansion; the number of attempts is checked
-against an oracle of when V's columns generate each primary component.
-A second generator gives a factor more cycles than the first block has
+Q(A)-chain and the relations of the rational conversion.  Over every field
+a solve makes one attempt per probe block B(lambda)*V, each with one
+expansion; the number of attempts is checked against an oracle of when
+V's columns generate each primary component.  A second generator, over
+QQ, GF(2) and GF(7), gives a factor more cycles than the first block has
 columns, so that the block doubles, up to n for scalar matrices.
 Over GF(p) with p > n, the Hessenberg + Horner route must give Faddeev's
 P and B.
@@ -25,8 +25,8 @@ from conftest import (IRREDUCIBLE_QUADRATICS, block_multiset,
                       conjugate_random, hstack, mul_vector, normal_form,
                       poly_divmod, poly_pow)
 from jnf import jordan_linear, jordan_rational
-from jnf.charpoly import (char_data, char_poly, comatrix_from_charpoly,
-                          faddeev, hessenberg_charpoly, probe_block)
+from jnf.charpoly import (char_data, comatrix_from_charpoly, faddeev,
+                          hessenberg_charpoly, probe_block)
 from jnf.factor import factor_charpoly
 from jnf.fields import QQ, Field, PrimeField
 from jnf.jordan_linear import split_jordan
@@ -115,18 +115,16 @@ def block_sizes(n):
     return sizes
 
 
-def expected_attempts(a, cd, factors):
+def expected_attempts(a, p, factors):
     """Attempts of a solve, from when V's columns generate each primary
     component: the projections of V onto the Q-primary part generate it as
     an F[A]-module exactly when (P/Q^m)(A) times the Krylov matrix
     [V, A*V, ..., A^(n-1)*V] has rank m*deg(Q).  That is what cycle
     collection needs; each attempt retries only the factors short so far."""
-    if cd.b is not None:
-        return 1
     f, n = a.field, a.rows
     first = 0
     for q, m in factors:
-        proj = poly_at_matrix(poly_divmod(cd.p, poly_pow(q, m))[0], a)
+        proj = poly_at_matrix(poly_divmod(p, poly_pow(q, m))[0], a)
         for i, s in enumerate(block_sizes(n)):
             krylov = [Matrix(f, zip(*probe_block(f, n, s)))]
             for _ in range(n - 1):
@@ -140,9 +138,8 @@ def expected_attempts(a, cd, factors):
 def solve_counted(a, pieces, orientation):
     """The decompositions of every applicable driver on the solve path, and
     per driver (expansions, attempts), an attempt being one probe block."""
-    cd = char_poly(a)
-    assert cd.method == ("faddeev" if a.field.char == 0 else "hessenberg_horner")
-    fc = factor_charpoly(cd.p, hint=[(q, sum(ls)) for q, ls in pieces])
+    p = hessenberg_charpoly(a)
+    fc = factor_charpoly(p, hint=[(q, sum(ls)) for q, ls in pieces])
     drivers = [assemble_pseudo_rational, rational_jordan]
     if all(q.degree == 1 for q, _ in pieces):
         drivers.insert(0, split_jordan)
@@ -152,17 +149,17 @@ def solve_counted(a, pieces, orientation):
             counts[-1][0] += 1
             return orig(self, *args)
 
-        def block(a, p, s, orig=jordan_rational.comatrix_block):
+        def block(a, charpoly, s, orig=jordan_rational.comatrix_block):
             counts[-1][1] += 1
-            return orig(a, p, s)
+            return orig(a, charpoly, s)
         mp.setattr(Field, "expand", expand)
         mp.setattr(jordan_rational, "comatrix_block", block)
         decs = []
         for solve in drivers:
             counts.append([0, 0])
-            decs.append(solve(a, fc, orientation=orientation, chardata=cd))
-    attempts = expected_attempts(a, cd, fc.factors)
-    assert counts == [[attempts, 0 if cd.b is not None else attempts]] * len(drivers)
+            decs.append(solve(a, fc, orientation=orientation, charpoly=p))
+    attempts = expected_attempts(a, p, fc.factors)
+    assert counts == [[attempts, attempts]] * len(drivers)
     return decs, fc, attempts
 
 
@@ -187,11 +184,12 @@ def test_every_form_recovers_the_blocks(case, orientation):
 
 @st.composite
 def many_cycles(draw):
-    """(matrix, pieces) over GF(2) or GF(7) with a factor of more cycles
+    """(matrix, pieces) over GF(2), GF(7) or QQ with a factor of more cycles
     than BLOCK_COLUMNS: a scalar or zero matrix (n cycles, so the block
     doubles up to V = I), or halving patterns such as [8, 4, 2, 1, 1]."""
-    f = draw(st.sampled_from([PrimeField(2), PrimeField(7)]))
-    lam = Poly.x_minus(f, f.from_int(draw(st.integers(0, f.char - 1))))
+    f = draw(st.sampled_from([PrimeField(2), PrimeField(7), QQ]))
+    roots = range(f.char) if f.char else range(-3, 4)
+    lam = Poly.x_minus(f, f.from_int(draw(st.sampled_from(roots))))
     kind = draw(st.sampled_from(["scalar", "zero", "halving"]))
     if kind == "halving":
         top = draw(st.sampled_from([4, 8]))
@@ -199,7 +197,7 @@ def many_cycles(draw):
             st.integers(0, 2))
         pieces = [(lam, lengths)]
         if draw(st.booleans()):
-            other = Poly.x_minus(f, f.from_int(draw(st.integers(0, f.char - 1))))
+            other = Poly.x_minus(f, f.from_int(draw(st.sampled_from(roots))))
             if other != lam:
                 pieces.append((other, [2, 1]))
     else:
