@@ -1,47 +1,40 @@
 """Factorization of characteristic polynomials.
 
 The built-in path handles what the Jordan machinery needs over the
-rationals: squarefree decomposition, rational roots, and quadratics split
-by discriminant.  Anything harder (degree >= 3 irreducible parts, finite
-fields) must come in through factor hints.  Hinted factors must be monic
-of degree >= 1 with a positive multiplicity (``check_factors``, which the
-drivers apply to any factorization they are given), must multiply back to
-P, and are checked to be squarefree and pairwise coprime; over F_p each is
-proved irreducible by Rabin's test, over QQ each of degree >= 2 must have
-no rational root, and the rest of its irreducibility is trusted and
-recorded as "asserted".
+rationals: squarefree decomposition, rational roots, and the quadratics
+left once the roots are out.  Anything harder (irreducible parts of
+degree >= 3, finite fields) must come in through factor hints.  Hinted
+factors must be monic of degree >= 1 with a positive multiplicity
+(``check_factors``, which the drivers apply to any factorization they are
+given), must multiply back to P, and are checked to be squarefree and
+pairwise coprime; over F_p each is proved irreducible by Rabin's test,
+over QQ each of degree >= 2 must have no rational root, and the rest of
+its irreducibility is trusted and recorded as "asserted".
 
 All of it runs on integer coefficient lists, the kernels of ``poly``.  P
 is lifted once to a primitive integer polynomial, Yun's algorithm splits
 it into squarefree parts by primitive PRS gcds and exact quotients over Z,
-and each rational root u/v found is divided out as the integer factor
-v x - u.  Only the factors are lowered to monic ``Poly``s, and a monic
-polynomial does not depend on the scalar the integer lists carry, so the
-factors are exactly those that arithmetic on Fractions gives.  A hinted
-factorization is multiplied back with one ``int_product``; a hinted factor
-over QQ is squarefree when its list is coprime to its derivative's, and
-Rabin's test works on the residue list of q, each product one
-``int_product`` and one ``int_rem``.
+and the rational roots u/v of each part, from one p-adic search with no
+limit, are divided out as integer factors v x - u.  Only the factors are
+lowered to monic ``Poly``s, and a monic polynomial does not depend on the
+scalar the integer lists carry, so the factors are exactly those that
+arithmetic on Fractions gives.  A hinted factorization is multiplied back
+with one ``int_product``; a hinted factor over QQ is squarefree when its
+list is coprime to its derivative's, and Rabin's test works on the
+residue list of q, each product one ``int_product`` and one ``int_rem``.
 """
 
 import itertools
 import math
 from dataclasses import dataclass, field as dataclass_field
+from fractions import Fraction
 
 from .errors import InvalidHintError, NeedsFactorizationError, ParseError
+from .fields import is_prime
 from .io import any_digits, parse_bounded
 from .poly import (Poly, int_derivative, int_gcd, int_product, int_quo,
                    int_rem, int_sub, lift_poly, monic_poly, poly_gcd,
                    squarefree_decomposition)
-
-# Trial division gives up past this bound; bigger constants need hints.
-_TRIAL_LIMIT = 1_000_000
-
-# The rational-root search gives up, asking for hints, rather than try more
-# candidates u/v than this: at 0.5-0.7 us per candidate (2.0 GHz Xeon,
-# CPython 3.11, degree 2 and 32), about one second.
-_ROOT_CANDIDATE_LIMIT = 1_500_000
-
 
 @dataclass
 class FactoredCharPoly:
@@ -69,93 +62,55 @@ class FactoredCharPoly:
         return sum(q.degree * m for q, m in self.factors)
 
 
-def _factor_int(n):
-    """Trial-division factorization; raises ValueError when stuck."""
-    from .fields import is_prime
+def _rational_roots(ints):
+    """All rational roots of a squarefree polynomial over Q, given by its
+    integer coefficients ``ints`` up to a scalar, as pairs (u, v) in lowest
+    terms with v > 0, by Loos's p-adic search (SIAM J. Comput. 12, 1983).
 
-    n = abs(n)
-    out = {}
-    for p in (2, 3, 5):
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-    d = 7
-    while d * d <= n and d <= _TRIAL_LIMIT:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 2
-    if n > 1:
-        if d * d > n or is_prime(n):
-            out[n] = out.get(n, 0) + 1
-        else:
-            raise ValueError(
-                f"cannot factor a composite cofactor of {n.bit_length()} bits")
-    return out
+    With the root 0 divided out, f = c_0 + ... + c_m x^m is primitive, and
+    a root u/v has u | c_0 and v | c_m, so c_m u/v is an integer of size at
+    most |c_m c_0|.  Modulo the smallest prime p that does not divide c_m
+    and keeps f squarefree, every root of f (found by evaluating f at
+    0, ..., p - 1) is simple, so Newton's iteration lifts each to the one
+    p-adic root above it, modulo M = p^(2^k) > 2 |c_m c_0|.  A rational
+    root u/v lifts u/v mod p, so c_m R as a symmetric residue mod M is
+    c_m u/v: each lift R gives one candidate, kept when f vanishes on it.
 
-
-def _rational_roots(field, ints, mult=1):
-    """All rational roots u/v of a squarefree rational polynomial, given by
-    its integer coefficients ``ints`` up to a scalar, as pairs (u, v) in
-    lowest terms with v > 0; ``mult`` is its multiplicity, reported when the
-    search has to give up.
-
-    A root u/v in lowest terms of the primitive integer polynomial
-    P = c_0 + ... + c_n x^n (after the root 0 is divided out) has u | c_0
-    and v | c_n, so each prime of c_0 c_n goes into u or into v, never both:
-    the candidates come out in lowest terms, counted before they are
-    listed.  P = (v x - u) Q with Q integral, so (m v - u) | P(m) for every
-    integer m; two points m with P(m) != 0 filter the candidates before P is
-    evaluated at them.
+    The work is polynomial in m and the bits b of the coefficients, with no
+    limit to give up at: a bad prime divides c_m disc(f), which is nonzero
+    and has O(m (b + log m)) bits, so at most that many primes are tried,
+    one gcd mod p each; then p evaluations, and O(log b) Newton steps on
+    O(b)-bit residues for each of the at most m roots mod p.
     """
-    content = math.gcd(*ints)
     low = next(k for k, c in enumerate(ints) if c)
     roots = [(0, 1)] if low else []
-    residual = ints
-    ints = [c // content for c in ints[low:]]
-    if len(ints) == 1:
+    content = math.gcd(*ints)
+    f = [c // content for c in ints[low:]]
+    if len(f) == 1:
         return roots
-    try:
-        primes_low, primes_high = _factor_int(ints[0]), _factor_int(ints[-1])
-    except ValueError as exc:
-        raise NeedsFactorizationError(
-            f"coefficient too large to factor: {exc}",
-            residual=monic_poly(field, residual), multiplicity=mult) from exc
-    options = []
-    for prime in primes_low.keys() | primes_high.keys():
-        options.append([(prime ** e, 1) for e in range(primes_low.get(prime, 0) + 1)]
-                       + [(1, prime ** e)
-                          for e in range(1, primes_high.get(prime, 0) + 1)])
-    count = 2 * math.prod(map(len, options))
-    if count > _ROOT_CANDIDATE_LIMIT:
-        raise NeedsFactorizationError(
-            f"{count} rational-root candidates exceed the search limit "
-            f"{_ROOT_CANDIDATE_LIMIT}; supply a hint file",
-            residual=monic_poly(field, residual), multiplicity=mult)
-    # P has at most n roots, so nonzero values turn up among the first points
-    values = ((m, _eval_scaled(ints, m, 1)) for k in itertools.count(1) for m in (k, -k))
-    (m1, at_m1), (m2, at_m2) = itertools.islice(((m, y) for m, y in values if y), 2)
-    # u/v = u1 u2 / (v1 v2) over two halves of the primes, so only the
-    # halves' candidate lists are held
-    half = len(options) // 2
-    for u1, v1 in _divisor_pairs(options[:half]):
-        for u2, v2 in _divisor_pairs(options[half:]):
-            u, v = u1 * u2, v1 * v2
-            for num in (u, -u):
-                d1, d2 = m1 * v - num, m2 * v - num
-                if (d1 and d2 and not at_m1 % d1 and not at_m2 % d2
-                        and not _eval_scaled(ints, num, v)):
-                    roots.append((num, v))
+    lead, df = f[-1], int_derivative(f)
+    p = next(p for p in itertools.count(2) if lead % p and is_prime(p)
+             and len(int_gcd(f, int_derivative(f, p), p)) == 1)
+    lifts = [r for r in range(p) if not _eval_mod(f, r, p)]
+    bound, mod = 2 * abs(lead * f[0]), p
+    while mod <= bound:
+        mod *= mod
+        lifts = [(r - _eval_mod(f, r, mod) * pow(_eval_mod(df, r, mod), -1, mod)) % mod
+                 for r in lifts]
+    for r in lifts:
+        s = lead * r % mod
+        root = Fraction(s - mod if 2 * s > mod else s, lead)
+        if not _eval_scaled(f, root.numerator, root.denominator):
+            roots.append((root.numerator, root.denominator))
     return roots
 
 
-def _divisor_pairs(options):
-    """Every (u, v) that takes one (a, b) from each list of ``options``:
-    u is the product of the a's, v of the b's."""
-    pairs = [(1, 1)]
-    for opts in options:
-        pairs = [(u * a, v * b) for u, v in pairs for a, b in opts]
-    return pairs
+def _eval_mod(ints, x, mod):
+    """P(x) mod ``mod`` for P = ints[0] + ints[1] x + ... + ints[n] x^n."""
+    acc = 0
+    for c in reversed(ints):
+        acc = (acc * x + c) % mod
+    return acc
 
 
 def _eval_scaled(ints, u, v):
@@ -172,7 +127,7 @@ def _split_squarefree_part(field, part, mult):
     scalar, into monic irreducibles: each rational root u/v is divided out
     as the integer factor v x - u."""
     factors = []
-    for u, v in _rational_roots(field, part, mult):
+    for u, v in _rational_roots(part):
         factors.append((Poly(field, [field.fraction(-u, v), field.one]), mult))
         part = int_quo(part, [-u, v])
     if len(part) == 1:
@@ -264,10 +219,7 @@ def _check_hinted_factors(hint):
             raise InvalidHintError(
                 f"{name} is not coprime to '{format_factor_hint(*clash)}'")
         if q.field.char == 0 and q.degree > 1:
-            try:
-                roots = _rational_roots(q.field, ints)
-            except NeedsFactorizationError:
-                roots = []    # too many candidates to search; trusted
+            roots = _rational_roots(ints)
             if roots:
                 raise InvalidHintError(
                     f"{name} is reducible: it has the rational root "
@@ -297,7 +249,7 @@ def _is_irreducible_mod_p(q):
         frobenius.append(acc)
     return frobenius[d] == x and all(
         len(int_gcd(int_sub(frobenius[d // r], x, p), qi, p)) == 1
-        for r in _factor_int(d))
+        for r in range(2, d + 1) if not d % r and is_prime(r))
 
 
 def hint_bits(p):

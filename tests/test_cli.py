@@ -260,9 +260,9 @@ def test_reducible_hint_blamed_only_at_full_width(tmp_path, capsys, monkeypatch)
 
 def test_big_residual_prints(tmp_path, capsys):
     # x^2 + c*2^4086 for c = 15, 77, 221, 437: entries within MAX_ENTRY_BITS,
-    # but too many root candidates, and the residual's coefficients have
-    # more digits than CPython converts to a string by default, which made
-    # this exit 1 with a traceback
+    # no rational root, so the product is stuck whole at degree 8, and the
+    # residual's coefficients have more digits than CPython converts to a
+    # string by default, which made this exit 1 with a traceback
     n = 8
     rows = [[0] * n for _ in range(n)]
     expect = [1]
@@ -274,7 +274,7 @@ def test_big_residual_prints(tmp_path, capsys):
     path.write_text(f"{n} {n}\n" + "".join(" ".join(map(str, r)) + "\n" for r in rows))
     assert main([str(path)]) == EXIT_NEEDS_FACTORIZATION
     err = capsys.readouterr().err
-    assert "rational-root candidates exceed the search limit" in err
+    assert "stuck on degree-8 factor" in err
     line = err.split("unfactored part (hint-file syntax):\n")[1].splitlines()[0]
     mult, coeffs = line.split(" : ")
     assert mult == "1" and max(map(len, coeffs.split())) > 4300
@@ -286,6 +286,41 @@ def test_big_residual_prints(tmp_path, capsys):
     hint = parse_factor_hints(line, p)
     assert hint == [(Poly.from_ints(QQ, expect), 1)]
     assert factor_charpoly(p, hint=hint).factors == hint
+
+
+def test_many_rational_eigenvalues_split(tmp_path, capsys):
+    # upper triangular, diagonal k/7 for k = 1..40, small integers above:
+    # 40 distinct rational eigenvalues, which the divisor enumeration gave
+    # up on (about 1.2e9 candidates)
+    rng = rng_for("forty-sevenths")
+    n = 40
+    rows = [["0"] * i + [f"{i + 1}/7"] + [str(rng.randint(-3, 3)) for _ in range(n - i - 1)]
+            for i in range(n)]
+    path = tmp_path / "m.txt"
+    path.write_text(f"{n} {n}\n" + "".join(" ".join(r) + "\n" for r in rows))
+    assert main([str(path), "--form", "split", "--output", "json"]) == EXIT_OK
+    doc = json.loads(capsys.readouterr().out)
+    assert [b["cycle_length"] for b in doc["blocks"]] == [1] * n
+    assert sorted(QQ.parse(doc["J"][i][i]) for i in range(n)) == [
+        QQ.fraction(k, 7) for k in range(1, n + 1)]
+
+
+def test_hinted_quadratic_with_a_rational_root_refused(tmp_path, capsys):
+    # diag(a, -a), a = 30030^3 / (17 19 23)^5, hinted as the one factor
+    # x^2 - a^2: its 2 * 7^6 * 11^3 divisors u/v were too many to search,
+    # so the hint was trusted until cycle collection ran short at s = n
+    a = QQ.fraction(30030 ** 3, (17 * 19 * 23) ** 5)
+    with any_digits():
+        text = QQ.fmt(a)
+        square = QQ.fmt(QQ.neg(QQ.mul(a, a)))
+    path = tmp_path / "m.txt"
+    path.write_text(f"2 2\n{text} 0\n0 -{text}\n")
+    hints = tmp_path / "hints.txt"
+    hints.write_text(f"1 : {square} 0 1\n")
+    assert main([str(path), "--factors", str(hints)]) == EXIT_PARSE
+    err = capsys.readouterr().err
+    root = err.split("it has the rational root ")[1].split()[0]
+    assert root in (text, f"-{text}")
 
 
 def test_oversized_hint_coefficient_rejected(tmp_path, capsys):

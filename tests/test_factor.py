@@ -6,11 +6,9 @@ import pytest
 
 from conftest import (IRREDUCIBLE_QUADRATICS, from_sympy, poly_divmod, poly_mul,
                       poly_one, poly_pow, rng_for, to_sympy)
-import jnf.fields
 from jnf import factor
 from jnf.errors import InvalidHintError, NeedsFactorizationError, ParseError
-from jnf.factor import (_ROOT_CANDIDATE_LIMIT, _is_irreducible_mod_p,
-                        canonical_factor_order, factor_charpoly,
+from jnf.factor import (_is_irreducible_mod_p, canonical_factor_order, factor_charpoly,
                         format_factor_hint, hint_bits, parse_factor_hints)
 from jnf.fields import QQ, PrimeField
 from jnf.poly import Poly
@@ -84,49 +82,57 @@ def test_roots_with_large_common_denominator():
 
 
 def test_roots_of_highly_composite_constant():
-    # (x - N)(x - 1), N = 2*3*5*...*59: 2 * 2^17 candidates, and P(1) = 0
-    # leaves the point m = 1 useless as a filter
-    n = math.prod(q for q in range(2, 60) if all(q % d for d in range(2, q)))
+    # (x - N)(x - 1), N the product of the primes below 200: 2 * 2^46
+    # divisors u/v, which the divisor enumeration refused
+    n = math.prod(q for q in range(2, 200) if all(q % d for d in range(2, q)))
     start = time.perf_counter()
     fc = factor_charpoly(poly_mul(P(-n, 1), P(-1, 1)))
     assert time.perf_counter() - start < 1.0
     assert sorted(QQ.neg(q.coeffs[0]) for q, _ in fc.factors) == [1, n]
 
 
-def test_too_many_root_candidates_needs_hint():
-    # 17^5 19^5 23^5 x^2 + (2*3*5*7*11*13)^3: 2 * 4^6 * 6^3 candidates
+def test_roots_when_the_small_primes_are_bad():
+    # prod (x - i/30030), i = 1..16: 2, 3, 5, 7, 11 and 13 divide the
+    # leading coefficient, so p = 17 is the first prime the search can use,
+    # and it has all 16 roots
+    roots = [QQ.fraction(i, 30030) for i in range(1, 17)]
+    fc = factor_charpoly(poly_mul(*(Poly.x_minus(QQ, r) for r in roots)))
+    assert sorted(QQ.neg(q.coeffs[0]) for q, _ in fc.factors) == roots
+    assert all(q.degree == 1 and m == 1 for q, m in fc.factors)
+
+
+def test_many_small_rational_roots():
+    # 40 distinct roots u/v with |u| <= 50 and v <= 40, which gave the
+    # divisor enumeration far too many candidates
+    rng = rng_for("forty-roots")
+    roots = set()
+    while len(roots) < 40:
+        roots.add(QQ.fraction(rng.randint(-50, 50), rng.randint(1, 40)))
+    roots = sorted(roots)
+    fc = factor_charpoly(poly_mul(*(Poly.x_minus(QQ, r) for r in roots)))
+    assert sorted(QQ.neg(q.coeffs[0]) for q, _ in fc.factors) == roots
+    assert all(q.degree == 1 and m == 1 for q, m in fc.factors)
+
+
+def test_quadratic_with_many_divisors_kept_whole():
+    # 17^5 19^5 23^5 x^2 + (2*3*5*7*11*13)^3: 2 * 4^6 * 6^3 divisors u/v,
+    # and no rational root, so the quadratic is irreducible
     lead = (17 * 19 * 23) ** 5
     p = Poly(QQ, [QQ.fraction((2 * 3 * 5 * 7 * 11 * 13) ** 3, lead), QQ.zero, QQ.one])
-    assert 2 * 4**6 * 6**3 > _ROOT_CANDIDATE_LIMIT
-    with pytest.raises(NeedsFactorizationError, match="candidates"):
-        factor_charpoly(p)
-    # the residual is reported with its multiplicity, as a usable hint line
-    with pytest.raises(NeedsFactorizationError) as exc:
-        factor_charpoly(poly_mul(p, p, P(-1, 1)))
-    assert (exc.value.residual, exc.value.multiplicity) == (p, 2)
+    assert as_ints(factor_charpoly(p)) == [(tuple(p.coeffs), 1)]
+    fc = factor_charpoly(poly_mul(p, p, P(-1, 1)))
+    assert as_ints(fc) == [(tuple(p.coeffs), 2), ((QQ.from_int(-1), QQ.one), 1)]
 
 
-def test_unfactored_cofactor_named_by_its_bits(monkeypatch):
-    # the cofactor left by trial division went into the message whole, and
-    # past 4300 digits CPython's message about str() replaced it.  Trial
-    # division is cut short and the primality test stubbed: Miller-Rabin on
-    # a 14k-bit number takes seconds
-    monkeypatch.setattr(factor, "_TRIAL_LIMIT", 10)
-    monkeypatch.setattr(jnf.fields, "is_prime", lambda n: False)
-    big = 11 ** 4100
-    with pytest.raises(NeedsFactorizationError,
-                       match=f"composite cofactor of {big.bit_length()} bits"):
-        factor_charpoly(P(big, 0, 1))
-
-
-def test_search_residual_is_the_whole_part():
-    # the search gives up on the part x (x^2 + 30030^3 / (17 19 23)^5) of
-    # multiplicity 1; the residual is all of it, the root 0 included
+def test_root_zero_beside_a_quadratic_with_many_divisors():
+    # x q (x - 1)^2, q = x^2 + 30030^3 / (17 19 23)^5: the part x q of
+    # multiplicity 1 splits into x and q
     lead = (17 * 19 * 23) ** 5
     q = Poly(QQ, [QQ.fraction((2 * 3 * 5 * 7 * 11 * 13) ** 3, lead), QQ.zero, QQ.one])
-    with pytest.raises(NeedsFactorizationError, match="candidates") as exc:
-        factor_charpoly(poly_mul(q, P(0, 1), poly_pow(P(-1, 1), 2)))
-    assert (exc.value.residual, exc.value.multiplicity) == (poly_mul(q, P(0, 1)), 1)
+    fc = factor_charpoly(poly_mul(q, P(0, 1), poly_pow(P(-1, 1), 2)))
+    assert as_ints(fc) == [(tuple(q.coeffs), 1), ((QQ.from_int(-1), QQ.one), 2),
+                           ((QQ.zero, QQ.one), 1)]
+    assert fc.product() == poly_mul(q, P(0, 1), poly_pow(P(-1, 1), 2))
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -237,20 +243,19 @@ def test_random_products_refactor():
 
 def random_monic_product(rng):
     """A monic product of powers (multiplicities up to 4) of linear factors
-    (the root 0, small roots, 200-bit roots 2^a/3^b), quadratics with
-    coefficients of up to 8 bits, reducible or not, and x^3 - 2."""
+    (the root 0, small roots, roots whose numerator and denominator have up
+    to 200 bits), quadratics with coefficients of up to 8 bits, reducible or
+    not, and x^3 - 2."""
     p = poly_one(QQ)
-    # one 200-bit root at most: the rational-root search counts its
-    # candidates from the exponents of 2 and 3 in the part's end terms
-    for k in range(rng.randint(1, 4)):
+    for _ in range(rng.randint(2, 5)):
         kind = rng.random()
         if kind < 0.1:
             q = P(0, 1)
-        elif kind < 0.3 or kind < 0.5 and k:
+        elif kind < 0.25:
             q = Poly.x_minus(QQ, QQ.fraction(rng.randint(-9, 9), rng.randint(1, 9)))
-        elif kind < 0.5:
-            q = Poly.x_minus(QQ, QQ.fraction(rng.choice([-1, 1]) * 2**rng.randint(90, 110),
-                                             3**rng.randint(55, 70)))
+        elif kind < 0.6:
+            q = Poly.x_minus(QQ, QQ.fraction(rng.choice([-1, 1]) * rng.getrandbits(200),
+                                             rng.getrandbits(200) | 1))
         elif kind < 0.9:
             bits = rng.choice([2, 8])
             q = Poly(QQ, [QQ.fraction(rng.randint(-2**bits, 2**bits),
