@@ -35,10 +35,6 @@ class InvalidHintError(JnfError):
     """A supplied factor hint does not reproduce the polynomial."""
 
 
-class SingularMatrixError(JnfError):
-    """Inversion was requested for a singular matrix."""
-
-
 class InternalConsistencyError(JnfError):
     """An invariant that the algorithms guarantee was violated; indicates a
     bad factorization input or a bug."""

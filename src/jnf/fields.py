@@ -49,9 +49,10 @@ one step of the row kernel ``sub_mul``, which is field-generic.
 
 ``int_operator`` prepares an integer-model matrix M once for applying it
 to many columns, optionally adding c times prepared columns V: the matrix
-Horner steps X_k = A*X_{k-1} + c_k*V on an n x s block; ``operator`` takes
-field elements, for the powers of A in cycle collection.  Over F_p both
-pack the rows of M^T as the product packs its right factor, so M*x + c*v
+Horner steps X_k = A*X_{k-1} + c_k*V on an n x s block, and the powers of
+e*A on the chains of cycle collection.  Over F_p one routine,
+``_PackedOperator``, packs rows for both the product and the operator: the
+product packs its right factor, the operator the rows of M^T, so M*x + c*v
 is one C-level sum of x's entries times those rows plus c times v packed,
 read back slot by slot: s*n multiplications per step with the packing paid
 once, where a packed product would make n^2 whatever s is.  Over QQ each
@@ -219,17 +220,6 @@ class Field:
                 return self._packed(a, b, size)
         return self._dot(a, list(zip(*b)))
 
-    def operator(self, m):
-        """M (rows of field elements) prepared for ``op(cols)``, the columns
-        [M*x for x in cols]: ``int_operator`` on M and the columns lifted."""
-        mi, den = self.lift(m)
-        op = self.int_operator(mi)
-
-        def apply(cols):
-            xi, e = self.lift(cols)
-            return self.lower(op(xi), e * den)
-        return apply
-
     def int_operator(self, m, vs=()):
         """M prepared for ``op(cols)``, the columns [M*x for x in cols], and
         ``op(cols, c)``, the columns [M*x_j + c*v_j] for the columns v_j of
@@ -317,22 +307,22 @@ class Field:
 
 
 class _PackedOperator:
-    """``operator`` and ``int_operator`` over F_p: the rows of M^T packed
-    once, in slots that hold a dot product of M's row length plus one more
-    term, so M*x + c*v is one sum of products plus c times v packed."""
+    """The F_p product x*R, R's ``rows`` packed once in slots of ``size``
+    bytes, plus c times a row of ``vs`` packed: the packed product (R its
+    right factor) and ``int_operator`` (R = M^T) over F_p."""
 
-    def __init__(self, p, m, vs=()):
+    def __init__(self, p, rows, size, vs=()):
+        rows = list(rows)
         self.p = p
-        size = _slot_bytes((len(m[0]) + 1) * (p - 1) ** 2)
-        pack, self._unpack = _packer(size, len(m))
-        self.m_t, self.vs = pack(zip(*m)), pack(vs)
+        pack, self._unpack = _packer(size, len(rows[0]))
+        self.rows, self.vs = pack(rows), pack(vs)
 
-    def __call__(self, cols, c=0):
-        p, m_t = self.p, self.m_t
+    def __call__(self, xs, c=0):
+        p, rows = self.p, self.rows
         if c:
-            sums = [sum(map(mul, x, m_t), c * v) for x, v in zip(cols, self.vs)]
+            sums = [sum(map(mul, x, rows), c * v) for x, v in zip(xs, self.vs)]
         else:
-            sums = [sum(map(mul, x, m_t)) for x in cols]
+            sums = [sum(map(mul, x, rows)) for x in xs]
         return [[y % p for y in col] for col in self._unpack(sums)]
 
 
@@ -697,11 +687,7 @@ class PrimeField(Field):
         return _slot_bytes(len(b) * (self.p - 1) ** 2), False
 
     def _packed(self, a, b, size):
-        p = self.p
-        pack, unpack = _packer(size, len(b[0]))
-        packed = pack(b)
-        return [[x % p for x in row] for row in
-                unpack([sum(map(mul, row, packed)) for row in a])]
+        return _PackedOperator(self.p, b, size)(a)
 
     def _dot(self, a, cols):
         p = self.p
@@ -710,12 +696,9 @@ class PrimeField(Field):
     def exact_div(self, x, k):
         return x * pow(k, -1, self.p) % self.p
 
-    def operator(self, m):
-        # residues are their own integer model
-        return _PackedOperator(self.p, m)
-
     def int_operator(self, m, vs=()):
-        return _PackedOperator(self.p, m, vs)
+        size = _slot_bytes((len(m[0]) + 1) * (self.p - 1) ** 2)   # c*v: one more term
+        return _PackedOperator(self.p, zip(*m), size, vs)
 
     def echelon(self, ncols, width, count=None):
         return _PackedEchelon(self.p, ncols, width, count)
@@ -735,8 +718,8 @@ class CountingField(Field):
     whether or not the base field packs its rows.  ``expand`` runs the
     generic algorithm on this field, so it counts the digit recurrence, one
     ``sub_mul`` on the count*d digits per power of x, and its product.
-    ``operator`` and ``int_operator`` count a product per application and
-    a mul and an add per entry of c*v.
+    ``int_operator`` counts a product per application and a mul and an add
+    per entry of c*v.
     """
 
     def __init__(self, base):

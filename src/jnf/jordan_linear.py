@@ -10,13 +10,13 @@ so each level reduces only the shifted rows.  The digits may come from
 B(lambda)*V for a block V of s columns instead of all of B: then there are
 s*d chains, and too few of them for a factor show as cycles that cover
 less than its multiplicity, which the caller counts.  ``extract_q_cycles``
-accepts a chain when the socle of its cycle, the span of w_0 and its
-A^i-images, is independent of the socles of the cycles taken so far,
-tested by inserting them into one echelon.  A linear factor lambda - lam
-is the d = 1 case: its digits are the Taylor coefficients of B at lam, and
-a chain's images are the chain itself.  A cycle is returned as its list of
-groups, group j holding (w_j, A*w_j, ..., A^{d-1}*w_j), which is what
-``assemble`` takes.
+gets a candidate as integer segments over its pivot, and accepts it when
+the socle of its cycle, the span of w_0 and its A^i-images, is independent
+of the socles of the cycles taken so far, tested by inserting them into
+one echelon.  A linear factor lambda - lam is the d = 1 case: its digits
+are the Taylor coefficients of B at lam, and a chain's images are the
+chain itself.  A cycle is returned as its list of groups, group j holding
+(w_j, A*w_j, ..., A^{d-1}*w_j), which is what ``assemble`` takes.
 """
 
 from itertools import chain
@@ -43,8 +43,9 @@ def collect_cycles(digits, total_needed, accept):
     each row operation hits all digits alike and keeps the relations; the
     chains come i-major, j-minor.  The rows live in one echelon, in
     reduced row echelon form; those with their pivot in the top segment
-    are the candidates.  ``accept`` sees each candidate's segments
-    [v_0, ..., v_{L-1}] and must return True, keeping the chain, only for
+    are the candidates.  ``accept`` sees each candidate's integer segments
+    [v_0, ..., v_{L-1}], the chain times its pivot (the first nonzero entry
+    of v_0; 1 over F_p), and must return True, keeping the chain, only for
     chains independent of everything kept so far.  Then each candidate
     moves one segment down (its deepest segment drops off) and the
     all-zero top segment of every other row is cut; those stay in RREF,
@@ -66,9 +67,8 @@ def collect_cycles(digits, total_needed, accept):
             stack.insert(row)
     total = 0
     while total < total_needed and len(stack):
-        for c, row in stack.pivot_rows(n):
-            segs = f.lower([row], row[c])[0]
-            if accept([segs[t:t + n] for t in range(0, level * n, n)]):
+        for _, row in stack.pivot_rows(n):
+            if accept([row[t:t + n] for t in range(0, level * n, n)]):
                 total += level
         if total >= total_needed:
             break
@@ -76,21 +76,11 @@ def collect_cycles(digits, total_needed, accept):
         level -= 1
 
 
-def _power_grid(op, vectors, d):
-    """[[w, A*w, ..., A^{d-1}*w] for w in vectors], given A's ``operator``:
-    each power of A takes one application to all the vectors."""
-    powers = [vectors]
-    for _ in range(d - 1):
-        powers.append(op(powers[-1]))
-    return [list(images) for images in zip(*powers)]
-
-
-def extract_q_cycles(a, q_poly, mult, c_blocks, op=None):
+def extract_q_cycles(a, q_poly, mult, c_blocks):
     """The Q(A)-Jordan cycles of the factor Q of multiplicity ``mult`` from
     its Q-adic digits ``c_blocks`` (as ``matpoly_div_q`` returns them), in
     discovery order, each a list of groups [w_j, A*w_j, ..., A^{d-1}*w_j]
-    with Q(A)*w_j = w_{j-1}, Q(A)*w_0 = 0 and w_0's group first.  ``op``
-    is A's ``operator``, prepared here when d > 1 and it is not given.
+    with Q(A)*w_j = w_{j-1}, Q(A)*w_0 = 0 and w_0's group first.
     Collection stops once the cycles cover ``mult`` or the chains run out;
     whether they cover exactly ``mult`` is for the caller to judge (see
     ``jordan_rational.decompose``).
@@ -108,23 +98,35 @@ def extract_q_cycles(a, q_poly, mult, c_blocks, op=None):
     cycles each meet ker Q(A) in their own group of w_0, it lies in the
     span of those groups.  So Z meets W exactly when the groups are
     dependent.  For d = 1 a group is the vector itself and no product is
-    made.
+    made.  The test runs on the integer model, with A' = e*A for A, e its
+    common denominator: independence does not depend on scale.  Only an
+    accepted grid is lowered, power k over pivot*e^k.
     """
     f = a.field
     d = q_poly.degree
-    if op is None and d > 1:
-        op = f.operator(a.data)
+    e, op = 1, None
+    if d > 1:
+        ai, e = a.lifted()
+        op = f.int_operator(ai)
     socle = f.echelon(a.rows, a.rows)
     cycles = []
 
+    def powers(vectors):       # [vectors, A'*vectors, ..., A'^{d-1}*vectors]
+        out = [vectors]
+        for _ in range(d - 1):
+            out.append(op(out[-1]))
+        return out
+
     def accept(segs):
-        bottom = _power_grid(op, segs[:1], d)
-        rows, _ = f.lift(bottom[0])
+        bottom = powers(segs[:1])
         saved = socle.save()
-        if not all(map(socle.insert, rows)):
+        if not all(socle.insert(ws[0]) for ws in bottom):
             socle.restore(saved)
             return False
-        cycles.append(bottom + _power_grid(op, segs[1:], d))
+        pivot = next(filter(None, segs[0]))
+        grid = [f.lower(w + ws, pivot * e ** k)
+                for k, (w, ws) in enumerate(zip(bottom, powers(segs[1:])))]
+        cycles.append([list(group) for group in zip(*grid)])
         return True
 
     collect_cycles(c_blocks, mult, accept)

@@ -70,8 +70,8 @@ def convert_cycle_to_rational(a, q_poly, groups):
     k = len(groups)
     size = k * d
     q = q_poly.coeffs
-    # A over the basis, prepared once: op([v]) is [A*v]
-    op = f.operator(cycle_block_matrix(q_poly, k, "pseudo_rational", "upper").data)
+    # A over the basis, transposed: matmul([v], block_t) is [A*v]
+    block_t = list(zip(*cycle_block_matrix(q_poly, k, "pseudo_rational", "upper").data))
     # weights[m][i] = C(i+m, m)*q_{i+m}, the weight of v_{j-m,i} in v_{j,0}
     weights = [[f.mul(f.from_int(comb(i + m, m)), q[i + m]) if i + m <= d else f.zero
                 for i in range(d)] for m in range(k)]
@@ -82,7 +82,7 @@ def convert_cycle_to_rational(a, q_poly, groups):
         t.append([f.zero] * d + f.matmul([row], t)[0][:-d])
         for l in range(1, d):
             t.append([f.sub(x, y) for x, y in
-                      zip(op([t[-1]])[0], t[(j - 1) * d + l - 1])])
+                      zip(f.matmul([t[-1]], block_t)[0], t[(j - 1) * d + l - 1])])
     vectors = f.matmul(t, [v for group in groups for v in group])
     return [vectors[j * d:(j + 1) * d] for j in range(k)]
 
@@ -116,9 +116,6 @@ def decompose(a, factorization, form, orientation, charpoly=None):
         raise InvalidHintError(
             "factorization does not reproduce the characteristic polynomial")
     n = a.rows
-    # A prepared once for the powers of A that factors of degree >= 2 take
-    op = (a.field.operator(a.data)
-          if any(q.degree > 1 for q, _ in factorization.factors) else None)
     found = [None] * len(factorization.factors)
     pending = list(enumerate(factorization.factors))
     s = min(BLOCK_COLUMNS, n)
@@ -127,7 +124,7 @@ def decompose(a, factorization, form, orientation, charpoly=None):
                                    [factor for _, factor in pending])
         short = []
         for (i, (q_poly, mult)), c_blocks in zip(pending, expansions):
-            cycles = extract_q_cycles(a, q_poly, mult, c_blocks, op)
+            cycles = extract_q_cycles(a, q_poly, mult, c_blocks)
             covered = sum(map(len, cycles))
             if covered != mult:
                 if s < n:

@@ -5,10 +5,14 @@ import random
 import pytest
 
 from jnf.decomposition import companion, cycle_block_matrix
-from jnf.errors import InternalConsistencyError, SingularMatrixError
+from jnf.errors import InternalConsistencyError, JnfError
 from jnf.fields import QQ
 from jnf.matrix import MatPoly, Matrix, mat_mul, rank
 from jnf.poly import Poly
+
+
+class SingularMatrixError(JnfError):
+    """``mat_inverse`` was asked to invert a singular matrix."""
 
 
 @pytest.fixture

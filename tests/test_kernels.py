@@ -8,11 +8,12 @@ import pytest
 
 from conftest import (conjugate_random, division_rows_oracle, mat_add, mat_scale,
                       mul_vector, normal_form, rng_for, rref)
+from jnf import jordan_linear
 from jnf.charpoly import char_data
 from jnf.decomposition import cycle_block_matrix
 from jnf.factor import FactoredCharPoly, factor_charpoly
 from jnf.fields import QQ, CountingField, PrimeField, Rationals, _slot_bytes, is_prime
-from jnf.jordan_linear import collect_cycles, split_jordan
+from jnf.jordan_linear import collect_cycles, extract_q_cycles, split_jordan
 from jnf.jordan_rational import q_adic_blocks, rational_jordan
 from jnf.matrix import MatPoly, Matrix, horner_shift, poly_at_matrix
 from jnf.poly import Poly
@@ -133,10 +134,9 @@ def test_matmul_matches_oracle(f):
 
 @pytest.mark.parametrize("f", FIELDS, ids=IDS)
 def test_operator_matches_oracle(f):
-    # M*x on columns of field elements (``operator``), and M*x and
-    # M*x + c*v on the integer model (``int_operator``), M prepared once and
-    # applied repeatedly; over F_p also at entries p - 1, where the slots
-    # fill up
+    # M*x and M*x + c*v on the integer model (``int_operator``), M prepared
+    # once and applied repeatedly; over F_p also at entries p - 1, where the
+    # slots fill up
     rng = rng_for(f"kernel-operator-{f.char}")
     for trial in range(12):
         rows, cols, s = rng.randint(1, 7), rng.randint(1, 7), rng.randint(0, 4)
@@ -148,11 +148,6 @@ def test_operator_matches_oracle(f):
             top = f.char - 1
             m = [[top] * cols for _ in range(rows)]
             xs, vs, c = [[top] * cols] * s, [[top] * rows] * s, top
-        op = f.operator(m)
-        mx = [list(col) for col in zip(*oracle_matmul(f, m, list(zip(*xs))))] \
-            if s else []
-        for _ in range(2):
-            assert op(xs) == mx
         # the integer model (over QQ, M, the columns and c each scaled to
         # integers), compared as field elements over 1
         (mi, _), (xi, _), (vi, _) = f.lift(m), f.lift(xs), f.lift(vs)
@@ -171,11 +166,10 @@ def test_operator_matches_oracle(f):
             assert f.lower(int_op([[k * x for x in col] for col in xi]), 1) == [
                 [f.mul(f.from_int(k), y) for y in col] for col in want]
         cf = CountingField(f)
-        cf.operator(m)(xs)
         cf.int_operator(mi, vi)(xi, ci)
         # a mul and an add per term: rows*cols of them per column, and
         # rows more for c*v
-        assert cf.total == 2 * s * rows * (2 * cols + bool(ci))
+        assert cf.total == 2 * s * rows * (cols + bool(ci))
 
 
 @pytest.mark.parametrize("f", FIELDS, ids=IDS)
@@ -698,11 +692,11 @@ def test_counting_field_counts_char_data_and_q_adic(f):
 @pytest.mark.parametrize("f", [QQ, PrimeField(7)], ids=["QQ", "GF7"])
 def test_reduced_stack_matches_rref(f):
     # collect_cycles keeps integer chain rows; with every candidate refused
-    # it runs every level without raising, and each level's candidates must
-    # be the top-block rows of the RREF of a field-element replay of shift,
-    # drop and cut.  Digits of d = 2 coefficients, the left and right
-    # halves of the blocks, hold the same chains and give the same
-    # candidates.
+    # it runs every level without raising, and each level's candidates,
+    # lowered over their pivots, must be the top-block rows of the RREF of a
+    # field-element replay of shift, drop and cut.  Digits of d = 2
+    # coefficients, the left and right halves of the blocks, hold the same
+    # chains and give the same candidates.
     rng = rng_for(f"kernel-stack-{f.char}")
     for _ in range(12):
         n, width, levels = rng.randint(1, 4), rng.randint(1, 5), rng.randint(1, 4)
@@ -716,7 +710,9 @@ def test_reduced_stack_matches_rref(f):
         seen = []
 
         def refuse(segs):
-            seen.append(segs)
+            # integer segments over the pivot, the first nonzero entry
+            pivot = next(filter(None, segs[0]))
+            seen.append(f.lower(segs, pivot))
             return False
 
         assert collect_cycles([[b] for b in blocks], 1, refuse) is None
@@ -799,3 +795,38 @@ def test_b_stays_in_the_integer_model_through_a_solve(monkeypatch):
         lowered.clear()
         solve(a, factors)
         assert sum(lowered) <= 6 * a.rows ** 2, (f, sum(lowered) / a.rows ** 2)
+
+
+@pytest.mark.parametrize("f", [QQ, PrimeField(7)], ids=["QQ", "GF7"])
+def test_extraction_lowers_only_the_accepted_cycles(f, monkeypatch):
+    # candidates, their socle groups and the powers of A stay in the
+    # integer model: inside extract_q_cycles ``lower`` sees the vectors of
+    # the accepted cycles once each, k*d*n entries for a cycle of length k,
+    # however many candidates were refused on the way
+    quad = Poly.from_ints(f, [1, 0, 1] if f.char else [-2, 0, 1])
+    pieces = [(quad, [2, 1]), (Poly.x_minus(f, f.from_int(3)), [2, 1, 1])]
+    a = conjugate_random(rng_for(f"kernel-lower-accepted-{f.char}"),
+                         normal_form(f, pieces))
+    b = char_data(a).b
+    lowered = []
+    for cls in (Rationals, PrimeField):
+        def lower(self, rows, den, orig=cls.lower):
+            lowered.append(sum(map(len, rows)))
+            return orig(self, rows, den)
+        monkeypatch.setattr(cls, "lower", lower)
+    offered = []
+
+    def collect(blocks, total, accept, orig=collect_cycles):
+        def counted(segs):
+            offered.append(accept(segs))
+            return offered[-1]
+        return orig(blocks, total, counted)
+    monkeypatch.setattr(jordan_linear, "collect_cycles", collect)
+    for q, ls in pieces:
+        c_blocks = q_adic_blocks(a, b, q, sum(ls))
+        lowered.clear()
+        offered.clear()
+        cycles = extract_q_cycles(a, q, sum(ls), c_blocks)
+        assert sorted(map(len, cycles)) == sorted(ls)
+        assert not all(offered)                # some candidates were refused
+        assert sum(lowered) == sum(ls) * q.degree * a.rows

@@ -5,8 +5,9 @@ from conftest import (adjugate_oracle, columns, det, det_oracle, horner_eval,
                       mat_inverse, mat_neg, mat_pow, mat_scale, mat_sub,
                       matpoly_reconstruct_q_adic, matpoly_reconstruct_shifts,
                       hstack, mul_vector, poly_at_matrix_oracle, poly_monic,
-                      rand_matrix, rand_poly, rng_for, rref, trace, vstack)
-from jnf.errors import NonMonicDivisorError, SingularMatrixError
+                      rand_matrix, rand_poly, rng_for, rref, trace, vstack,
+                      SingularMatrixError)
+from jnf.errors import NonMonicDivisorError
 from jnf.fields import QQ, PrimeField
 from jnf.matrix import (MatPoly, Matrix, horner_shift, matpoly_div_q,
                         poly_at_matrix, rank)
