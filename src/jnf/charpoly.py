@@ -1,22 +1,26 @@
 """Characteristic polynomial P and comatrix polynomial B of lambda*I - A.
 
 One route for every field.  Hessenberg reduction and the minor recurrence
-give P (``hessenberg_charpoly``), and matrix Horner on P builds B(lambda)*V
-for a block V of s columns (``comatrix_block``): (lambda*I - A)*B*V =
-P*V, so the columns of B*V satisfy the chain relations that cycle
-collection reads, and s generic columns carry every cycle once s reaches
-the number of cycles of a factor.  The solve starts at a few columns and
-doubles them when a factor runs short; at s = n, V = I and the block is all
-of B.  ``faddeev`` and ``char_data`` (P with all of B) are not on the
-solve path: they are the reference that op counts and tests compare with.
+give P, over QQ on images modulo large primes (``hessenberg_charpoly``).
+Matrix Horner on P builds B(lambda)*V for a block V of s columns
+(``comatrix_block``): (lambda*I - A)*B*V = P*V, so the columns of B*V
+satisfy the chain relations that cycle collection reads, and s generic
+columns carry every cycle once s reaches the number of cycles of a factor.
+The solve starts at a few columns and doubles them when a factor runs
+short; at s = n, V = I and the block is all of B.  ``faddeev`` and
+``char_data`` (P with all of B) are not on the solve path: they are the
+reference that op counts and tests compare with.
 """
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 from operator import itemgetter
 
 from .errors import InternalConsistencyError, UnsupportedFieldError
+from .fields import PrimeField, is_prime
 from .matrix import Matrix, MatPoly, identity_columns, matrix_horner
-from .poly import Poly
+from .poly import Poly, int_product
 
 # The probe block's entries come from this 64-bit linear congruential
 # generator (Knuth's MMIX constants), so they are the same on every platform
@@ -98,17 +102,45 @@ def hessenberg_reduce(a):
 
 
 def hessenberg_charpoly(a):
-    """Characteristic polynomial via Hessenberg + the three-term minor
-    recurrence; works over any field.  The charpoly P_k of the leading
-    k x k block is x*P_{k-1} - sum_m c_m*P_{k-m}, built on coefficient
-    lists (lowest degree first) with the row kernel ``sub_mul``, in the
-    integer model: on H' = e*H, e the common denominator of H (1 over F_p),
-    whose charpoly P'(x) = e^n*P(x/e) has integer coefficients."""
+    """Characteristic polynomial P of A: ``_charpoly_image`` over F_p; over
+    QQ from such images.  C(x) = charpoly(d*A) = d^n*P(x/d), d the common
+    denominator of A, has integer coefficients; the one of x^(n-k) sums
+    k x k principal minors of d*A, so by Hadamard's inequality none exceeds
+    B = max_k min(e_k(r), e_k(c)), e_k elementary symmetric, r_i and c_i the
+    ceilings of the row and column 2-norms of d*A.  The images of C modulo
+    the largest primes below 2^80 (``is_prime`` is deterministic there, and
+    every prime is good) are combined by CRT until their product M exceeds
+    2B + 1; their symmetric residues mod M are then C's coefficients."""
     f = a.field
-    n = a.rows
-    h, e = f.lift(hessenberg_reduce(a).data)
+    if f.char:
+        return Poly(f, _charpoly_image(a))
+    ai, d = f.lift(a.data)
+    n = len(ai)
+    es = []
+    for vs in (ai, zip(*ai)):       # e_k(r): the coefficients of prod (1 + r_i*x)
+        squares = [sum(x * x for x in v) for v in vs]
+        es.append(int_product([([1, math.isqrt(s - 1) + 1 if s else 0], 1)
+                               for s in squares]))
+    bound = max(map(min, *es))
+    c, m, i = [0] * (n + 1), 1, 0
+    while m <= 2 * bound + 1:
+        q = _image_field(i)
+        image = _charpoly_image(Matrix(q, [[x % q.p for x in row] for row in ai]))
+        t = pow(m, -1, q.p)             # c = image mod q, and still c mod m
+        c = [r + m * ((x - r) * t % q.p) for r, x in zip(c, image)]
+        m, i = m * q.p, i + 1
+    c = [x - m if 2 * x > m else x for x in c]
+    return Poly(f, f.lower([[x * d ** k for k, x in enumerate(c)]], d ** n)[0])
+
+
+def _charpoly_image(a):
+    """P over F_p as residues, lowest degree first: Hessenberg reduction,
+    then the three-term recurrence for the charpoly P_k of H's leading
+    k x k block, x*P_{k-1} - sum_m c_m*P_{k-m}, with the row kernel."""
+    f = a.field
+    h = hessenberg_reduce(a).data
     minors = [[1]]
-    for k in range(1, n + 1):
+    for k in range(1, a.rows + 1):
         prev = minors[-1]
         p_k = f.sub_mul([0] + prev, h[k - 1][k - 1], prev + [0])
         sub = 1                     # running product of subdiagonal entries
@@ -121,7 +153,14 @@ def hessenberg_charpoly(a):
                 p_m = minors[k - m]
                 p_k = f.sub_mul(p_k, c, p_m + [0] * (k + 1 - len(p_m)))
         minors.append(p_k)
-    return Poly(f, f.lower([[c * e ** j for j, c in enumerate(minors[n])]], e ** n)[0])
+    return minors[-1]
+
+
+@lru_cache(maxsize=None)
+def _image_field(i):
+    """GF(q), q the i-th largest prime below 2^80 (i = 0, 1, ...)."""
+    top = _image_field(i - 1).p - 2 if i else (1 << 80) - 1
+    return PrimeField(next(q for q in range(top, 0, -2) if is_prime(q)))
 
 
 def probe_block(f, n, s):

@@ -1,4 +1,5 @@
 import sys
+import time
 
 import pytest
 
@@ -12,7 +13,7 @@ from jnf.charpoly import (char_data, comatrix_block, comatrix_from_charpoly,
                           probe_block)
 from jnf.cli import EXIT_OK, JobConfig, run
 from jnf.errors import InternalConsistencyError, UnsupportedFieldError
-from jnf.fields import QQ, CountingField, PrimeField
+from jnf.fields import QQ, CountingField, PrimeField, is_prime
 from jnf.jordan_rational import BLOCK_COLUMNS
 from jnf.matrix import MatPoly, Matrix, mat_mul, poly_at_matrix
 from jnf.poly import Poly
@@ -113,6 +114,76 @@ def test_hessenberg_charpoly_matches_oracle(field):
     for _ in range(12):
         a = rand_matrix(rng, field, rng.randint(1, 5))
         assert hessenberg_charpoly(a) == charpoly_oracle(a)
+
+
+@pytest.mark.parametrize("bits", [64, 256])
+@pytest.mark.parametrize("den", [1, 30, 2**20])
+def test_qq_charpoly_from_several_images(bits, den, monkeypatch):
+    # entries of ``bits`` bits over denominators dividing ``den``: the
+    # coefficients of charpoly(d*A) outgrow one 80-bit prime
+    rng = rng_for(f"qq-images-{bits}-{den}")
+    images = []
+
+    def image(a, orig=charpoly._charpoly_image):
+        images.append(a.field)
+        return orig(a)
+    monkeypatch.setattr(charpoly, "_charpoly_image", image)
+    for _ in range(3):
+        n = rng.randint(3, 6)
+        a = Matrix(QQ, [[QQ.fraction(rng.randint(-2**bits, 2**bits), rng.randint(1, den))
+                         for _ in range(n)] for _ in range(n)])
+        images.clear()
+        assert hessenberg_charpoly(a) == faddeev(a).p
+        assert len(images) >= 2 and len(set(images)) == len(images)
+
+
+def sylvester_hadamard(k):
+    h = [[1]]
+    for _ in range(k):
+        h = [row + row for row in h] + [row + [-x for x in row] for row in h]
+    return h
+
+
+@pytest.mark.parametrize("scale", [1, 8])
+def test_qq_charpoly_at_the_hadamard_bound(scale):
+    # scale*H for the 16 x 16 Sylvester Hadamard matrix H, whose rows meet
+    # Hadamard's inequality with equality: charpoly (x^2 - 16*scale^2)^8,
+    # with det = 16^8 at scale 1 and det = 2^80, the bound itself, at 8
+    h = sylvester_hadamard(4)
+    a = Matrix.from_ints(QQ, [[scale * x for x in row] for row in h])
+    p = hessenberg_charpoly(a)
+    assert p == faddeev(a).p
+    assert p.coeffs[0] == (16 * scale**2) ** 8
+
+
+def test_qq_charpoly_crt_stops_past_twice_the_bound(monkeypatch):
+    # 8*H has det 2^80, the bound B.  Images modulo the primes just above
+    # 2^40 reach a product M in (B, 2B + 1] after two: stopping there would
+    # read det as B - M < 0, so a third image is needed
+    primes = []
+    q = (1 << 40) + 1
+    while len(primes) < 3:
+        if is_prime(q):
+            primes.append(q)
+        q += 2
+    assert (1 << 80) < primes[0] * primes[1] <= (1 << 81) + 1
+    used = []
+    monkeypatch.setattr(charpoly, "_image_field",
+                        lambda i: used.append(i) or PrimeField(primes[i]))
+    a = Matrix.from_ints(QQ, [[8 * x for x in row] for row in sylvester_hadamard(4)])
+    assert hessenberg_charpoly(a) == faddeev(a).p
+    assert used == [0, 1, 2]
+
+
+def test_qq_charpoly_dense_random_24():
+    # a dense 24 x 24 matrix with 4-bit entries: on Fractions, Hessenberg's
+    # minor recurrence took 8.4 s here (a 17,069-bit common denominator)
+    rng = rng_for("dense-24")
+    a = rand_matrix(rng, QQ, 24, lo=-8, hi=7)
+    start = time.perf_counter()
+    p = hessenberg_charpoly(a)
+    assert time.perf_counter() - start < 1.0
+    assert p == faddeev(a).p
 
 
 def test_methods_agree():

@@ -288,6 +288,21 @@ def test_big_residual_prints(tmp_path, capsys):
     assert factor_charpoly(p, hint=hint).factors == hint
 
 
+def test_dense_random_matrix_stuck_quickly(tmp_path, capsys):
+    # a dense 24 x 24 matrix with 4-bit entries and no rational eigenvalue:
+    # exit 3 on its irreducible charpoly, which Hessenberg on Fractions
+    # took 11.7 s to reach
+    rng = rng_for("dense-24-cli")
+    n = 24
+    path = tmp_path / "m.txt"
+    path.write_text(f"{n} {n}\n" + "".join(
+        " ".join(str(rng.randint(-8, 7)) for _ in range(n)) + "\n" for _ in range(n)))
+    start = time.perf_counter()
+    assert main([str(path)]) == EXIT_NEEDS_FACTORIZATION
+    assert time.perf_counter() - start < 2.0
+    assert "stuck on degree-" in capsys.readouterr().err
+
+
 def test_many_rational_eigenvalues_split(tmp_path, capsys):
     # upper triangular, diagonal k/7 for k = 1..40, small integers above:
     # 40 distinct rational eigenvalues, which the divisor enumeration gave
