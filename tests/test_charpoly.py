@@ -177,7 +177,8 @@ def test_qq_charpoly_crt_stops_past_twice_the_bound(monkeypatch):
 
 def test_qq_charpoly_dense_random_24():
     # a dense 24 x 24 matrix with 4-bit entries: on Fractions, Hessenberg's
-    # minor recurrence took 8.4 s here (a 17,069-bit common denominator)
+    # minor recurrence took about 8 s on such a matrix, the common
+    # denominator of H growing to thousands of bits
     rng = rng_for("dense-24")
     a = rand_matrix(rng, QQ, 24, lo=-8, hi=7)
     start = time.perf_counter()
