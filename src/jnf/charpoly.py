@@ -1,20 +1,18 @@
 """Characteristic polynomial P and comatrix polynomial B of lambda*I - A.
 
 One route for every field.  Hessenberg reduction and the minor recurrence
-give P, over QQ on images modulo large primes (``hessenberg_charpoly``).
+give P (``hessenberg_charpoly``; over QQ from images mod large primes).
 Matrix Horner on P builds B(lambda)*V for a block V of s columns
 (``comatrix_block``): (lambda*I - A)*B*V = P*V, so the columns of B*V
 satisfy the chain relations that cycle collection reads, and s generic
 columns carry every cycle once s reaches the number of cycles of a factor.
-The solve starts at a few columns and doubles them when a factor runs
-short; at s = n, V = I and the block is all of B.  ``faddeev`` and
-``char_data`` (P with all of B) are not on the solve path: they are the
-reference that op counts and tests compare with.
+The solve starts at a few columns and doubles them when a factor runs short;
+at s = n, V = I and the block is all of B.  ``faddeev`` and ``char_data``
+(P with all of B) are the reference that op counts and tests compare with.
 """
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from operator import itemgetter
 
 from .errors import InternalConsistencyError, UnsupportedFieldError
@@ -27,6 +25,8 @@ from .poly import Poly, int_product
 # and Python version.
 _LCG = (6364136223846793005, 1442695040888963407, (1 << 64) - 1)
 _SEED = 0x6A6E66
+
+_IMAGE_FIELDS = []     # GF(q) for the primes q < 2^80, largest first, as needed
 
 
 @dataclass
@@ -102,35 +102,34 @@ def hessenberg_reduce(a):
 
 
 def hessenberg_charpoly(a):
-    """Characteristic polynomial P of A: ``_charpoly_image`` over F_p; over
-    QQ from such images.  C(x) = charpoly(d*A) = d^n*P(x/d), d the common
-    denominator of A, has integer coefficients; the one of x^(n-k) sums
-    k x k principal minors of d*A, so by Hadamard's inequality none exceeds
-    B = max_k min(e_k(r), e_k(c)), e_k elementary symmetric, r_i and c_i the
-    ceilings of the row and column 2-norms of d*A.  The images of C modulo
-    the largest primes below 2^80 (``is_prime`` is deterministic there, and
-    every prime is good) are combined by CRT until their product M exceeds
-    2B + 1; their symmetric residues mod M are then C's coefficients."""
+    """P of A: ``_charpoly_image`` over F_p.  Over QQ, C(x) = charpoly(d*A) =
+    d^n*P(x/d), d the common denominator of A, is integral, and Hadamard's
+    inequality on its principal minors bounds its coefficients by B = max_k
+    min(e_k(r), e_k(c)): e_k elementary symmetric, r_i and c_i the ceilings
+    of the row and column 2-norms of d*A.  So C is exact, in symmetric
+    residues, once the product of its images' primes exceeds 2B + 1."""
     f = a.field
     if f.char:
         return Poly(f, _charpoly_image(a))
     ai, d = f.lift(a.data)
-    n = len(ai)
-    es = []
-    for vs in (ai, zip(*ai)):       # e_k(r): the coefficients of prod (1 + r_i*x)
-        squares = [sum(x * x for x in v) for v in vs]
-        es.append(int_product([([1, math.isqrt(s - 1) + 1 if s else 0], 1)
-                               for s in squares]))
+    # e_k(r) and e_k(c): the coefficients of prod (1 + r_i*x), prod (1 + c_i*x)
+    es = [int_product([([1, math.isqrt(s - 1) + 1 if s else 0], 1)
+                       for s in (sum(x * x for x in v) for v in vs)])
+          for vs in (ai, zip(*ai))]
     bound = max(map(min, *es))
-    c, m, i = [0] * (n + 1), 1, 0
+    c, m, i = [0] * (a.rows + 1), 1, 0
     while m <= 2 * bound + 1:
-        q = _image_field(i)
+        if i == len(_IMAGE_FIELDS):
+            top = _IMAGE_FIELDS[-1].p - 2 if i else (1 << 80) - 1
+            _IMAGE_FIELDS.append(PrimeField(next(
+                q for q in range(top, 0, -2) if is_prime(q))))
+        q = _IMAGE_FIELDS[i]
         image = _charpoly_image(Matrix(q, [[x % q.p for x in row] for row in ai]))
         t = pow(m, -1, q.p)             # c = image mod q, and still c mod m
         c = [r + m * ((x - r) * t % q.p) for r, x in zip(c, image)]
         m, i = m * q.p, i + 1
     c = [x - m if 2 * x > m else x for x in c]
-    return Poly(f, f.lower([[x * d ** k for k, x in enumerate(c)]], d ** n)[0])
+    return Poly(f, f.lower([[x * d ** k for k, x in enumerate(c)]], d ** a.rows)[0])
 
 
 def _charpoly_image(a):
@@ -154,13 +153,6 @@ def _charpoly_image(a):
                 p_k = f.sub_mul(p_k, c, p_m + [0] * (k + 1 - len(p_m)))
         minors.append(p_k)
     return minors[-1]
-
-
-@lru_cache(maxsize=None)
-def _image_field(i):
-    """GF(q), q the i-th largest prime below 2^80 (i = 0, 1, ...)."""
-    top = _image_field(i - 1).p - 2 if i else (1 << 80) - 1
-    return PrimeField(next(q for q in range(top, 0, -2) if is_prime(q)))
 
 
 def probe_block(f, n, s):

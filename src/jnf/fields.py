@@ -150,17 +150,17 @@ def _barrett(p, ncols, bound):
 
 
 def is_prime(n):
-    """Deterministic Miller-Rabin for n < 3.3e24, probabilistic beyond."""
+    """Miller-Rabin to the 13 prime bases up to 41: deterministic for n < 3.3e24."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41):
         if n % p == 0:
             return n == p
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41):
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue

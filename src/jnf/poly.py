@@ -109,10 +109,6 @@ def squarefree_decomposition(p):
     at every step, so z is right up to that factor; every quotient is
     exact and integral, since each divisor is primitive (Gauss's lemma).
 
-    Over Z, when q = 2^61 - 1 does not divide lc(p) and p mod q is coprime
-    to p' mod q, p is squarefree with no gcd over Z: a square factor g^2 of
-    p keeps its degree mod q, as lc(g) | lc(p), and g divides p and p'.
-
     Valid in characteristic 0 or characteristic > deg(p); anything smaller
     can make derivatives vanish and is rejected.
     """
@@ -126,10 +122,6 @@ def squarefree_decomposition(p):
     if len(a) < 2:
         return []
     da = int_derivative(a, char)
-    q = (1 << 61) - 1
-    if not char and a[-1] % q and len(
-            int_gcd([x % q for x in a], int_derivative(a, q), q)) == 1:
-        return [(a, 1)]
     g = int_gcd(a, da, char)
     if len(g) == 1:
         return [(a, 1)]

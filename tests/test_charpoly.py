@@ -167,12 +167,30 @@ def test_qq_charpoly_crt_stops_past_twice_the_bound(monkeypatch):
             primes.append(q)
         q += 2
     assert (1 << 80) < primes[0] * primes[1] <= (1 << 81) + 1
-    used = []
-    monkeypatch.setattr(charpoly, "_image_field",
-                        lambda i: used.append(i) or PrimeField(primes[i]))
+    images = []
+
+    def image(a, orig=charpoly._charpoly_image):
+        images.append(a.field.p)
+        return orig(a)
+    monkeypatch.setattr(charpoly, "_charpoly_image", image)
+    monkeypatch.setattr(charpoly, "_IMAGE_FIELDS", [PrimeField(q) for q in primes])
     a = Matrix.from_ints(QQ, [[8 * x for x in row] for row in sylvester_hadamard(4)])
     assert hessenberg_charpoly(a) == faddeev(a).p
-    assert used == [0, 1, 2]
+    assert images == primes
+
+
+def test_qq_charpoly_image_primes():
+    # the image primes are the largest primes below 2^80, in order, with
+    # none skipped; is_prime is a proof there, as 2^80 < 3.3e24
+    rng = rng_for("qq-image-primes")
+    a = Matrix.from_ints(QQ, [[rng.randint(-2**256, 2**256) for _ in range(4)]
+                              for _ in range(4)])
+    assert hessenberg_charpoly(a) == faddeev(a).p
+    primes = [f.p for f in charpoly._IMAGE_FIELDS]
+    assert len(primes) >= 5
+    for top, q in zip([1 << 80] + primes, primes):
+        assert is_prime(q) and q < top < 3 * 10**24
+        assert not any(is_prime(x) for x in range(q + 2, top, 2))
 
 
 def test_qq_charpoly_dense_random_24():

@@ -78,3 +78,9 @@ def test_is_prime_small():
         assert is_prime(n) == (n in primes)
     assert is_prime(2**61 - 1)
     assert not is_prime(2**61 + 1)
+
+
+def test_is_prime_base_41():
+    # 399165290221 * 798330580441 is a strong pseudoprime to every prime
+    # base up to 37, the least one; base 41 exposes it
+    assert not is_prime(399165290221 * 798330580441)

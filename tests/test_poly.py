@@ -3,7 +3,6 @@ import pytest
 from conftest import (from_sympy, poly_add, poly_derivative, poly_divmod,
                       poly_gcd_oracle, poly_monic, poly_mul, poly_one, poly_pow,
                       rand_poly, rng_for, squarefree_oracle, to_sympy)
-from jnf import poly
 from jnf.errors import InternalConsistencyError, UnsupportedFieldError
 from jnf.fields import QQ, PrimeField
 from jnf.poly import (Poly, int_product, int_quo, int_rem, monic_poly, poly_gcd,
@@ -173,26 +172,6 @@ def test_squarefree_degree_40_big_coefficients():
     parts = lowered(squarefree_decomposition(p))
     assert [m for _, m in parts] == [1, 2]
     assert sorted((q.coeffs, m) for q, m in parts) == sympy_sqf(p)
-
-
-@pytest.mark.parametrize("lead", [1, 2**61 - 1, 3 * (2**61 - 1)])
-def test_squarefree_test_modulo_a_prime(lead, monkeypatch):
-    # (lead*x - 1)(x - 2) is proved squarefree modulo q = 2^61 - 1 with no
-    # gcd over Z, unless q divides its leading coefficient: then Yun's gcd
-    # over Z decides.  With a square factor the gcd over Z always runs.
-    z_gcds = []
-
-    def spy(a, b, p=0, orig=poly.int_gcd):
-        z_gcds.append(p == 0)
-        return orig(a, b, p)
-    monkeypatch.setattr(poly, "int_gcd", spy)
-    q_divides = lead % (2**61 - 1) == 0
-    for square in (False, True):
-        z_gcds.clear()
-        p = poly_mul(P(-1, lead), poly_pow(P(-2, 1), 1 + square))
-        ours = lowered(squarefree_decomposition(p))
-        assert sorted((q.coeffs, m) for q, m in ours) == sympy_sqf(p)
-        assert any(z_gcds) == (square or q_divides)
 
 
 def test_int_quo_exact_and_inexact():

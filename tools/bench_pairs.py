@@ -2,21 +2,21 @@
 
 Each side is a commit, exported with ``git archive`` into a temporary
 directory of its own, so a run sees only committed files, as a fresh
-checkout has them.  For every workload and every pair, ``perfbench/run.py``
-runs once on each side as a subprocess, with the same seed and seconds;
-which side runs first alternates from pair to pair, and pair i uses seed
-``--seed`` + i.  Run from anywhere in the repository:
+checkout has them.  For every workload of ``BENCHMARK.json`` and each of
+ten pairs, ``perfbench/run.py`` runs once on each side as a subprocess, for
+the benchmark's ``run_seconds`` and with the same seed; which side runs
+first alternates from pair to pair, and pair i uses seed ``--seed`` + i.
+Run from anywhere in the repository:
 
-    python3 tools/bench_pairs.py PARENT CHANGE --pairs 10 --seconds 55 \\
-        --seed 1001 --out BENCH_<n>.json
+    python3 tools/bench_pairs.py PARENT CHANGE --seed 1001 --out BENCH_<n>.json
 
 The file holds both commit ids and the tree ids of their ``src/``, the
 seeds, every run's metrics and its host reference time (the median time of
 ``perfbench/hostspeed.py``'s reference task during the run), and per
 workload and end-to-end metric each side's median and quartiles, the
 pairs the change won (ties count for neither side) and whether the pair
-rule holds: the change wins at least nine tenths of the pairs and the
-medians differ by more than the parent's interquartile range.
+rule holds: the change wins at least nine of the ten pairs and the medians
+differ by more than the parent's interquartile range.
 """
 
 import argparse
@@ -31,6 +31,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+PAIRS = 10
 
 
 def git(*args):
@@ -95,10 +96,7 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent")
     parser.add_argument("change")
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=55)
     parser.add_argument("--seed", type=int, default=1001)
-    parser.add_argument("--workloads", nargs="+")
     parser.add_argument("--out", required=True)
     args = parser.parse_args(argv)
 
@@ -111,16 +109,16 @@ def main(argv=None):
             dirs[side] = Path(tmp) / side
             export(info["commit"], dirs[side])
         bench = json.loads((dirs["change"] / "BENCHMARK.json").read_text())
-        names = args.workloads or [w["name"] for w in bench["workloads"]]
+        seconds = bench["run_seconds"]
         workloads = {}
-        for name in names:
+        for name in (w["name"] for w in bench["workloads"]):
             runs = []
-            for i in range(args.pairs):
+            for i in range(PAIRS):
                 seed = args.seed + i
                 order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
                 run = {"pair": i, "seed": seed, "first": order[0]}
                 for side in order:
-                    run[side] = run_once(dirs[side], name, seed, args.seconds)
+                    run[side] = run_once(dirs[side], name, seed, seconds)
                     print(f"# {name} pair {i} seed {seed} {side}: solve_s_p50="
                           f"{run[side]['metrics']['solve_s_p50']['value']:.5f}",
                           file=sys.stderr, flush=True)
@@ -129,8 +127,8 @@ def main(argv=None):
                                "runs": runs}
     doc = {
         "parent": sides["parent"], "change": sides["change"],
-        "seconds": args.seconds, "pairs": args.pairs,
-        "seeds": [args.seed + i for i in range(args.pairs)],
+        "seconds": seconds, "pairs": PAIRS,
+        "seeds": [args.seed + i for i in range(PAIRS)],
         "host": {"python": platform.python_version(),
                  "machine": platform.machine()},
         "workloads": workloads,
