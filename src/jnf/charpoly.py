@@ -111,7 +111,7 @@ def hessenberg_charpoly(a):
     f = a.field
     if f.char:
         return Poly(f, _charpoly_image(a))
-    ai, d = f.lift(a.data)
+    ai, d = a.lifted()
     # e_k(r) and e_k(c): the coefficients of prod (1 + r_i*x), prod (1 + c_i*x)
     es = [int_product([([1, math.isqrt(s - 1) + 1 if s else 0], 1)
                        for s in (sum(x * x for x in v) for v in vs)])

@@ -50,13 +50,13 @@ one step of the row kernel ``sub_mul``, which is field-generic.
 ``int_operator`` prepares an integer-model matrix M once for applying it
 to many columns, optionally adding c times prepared columns V: the matrix
 Horner steps X_k = A*X_{k-1} + c_k*V on an n x s block, and the powers of
-e*A on the chains of cycle collection.  Over F_p one routine,
-``_PackedOperator``, packs rows for both the product and the operator: the
-product packs its right factor, the operator the rows of M^T, so M*x + c*v
-is one C-level sum of x's entries times those rows plus c times v packed,
-read back slot by slot: s*n multiplications per step with the packing paid
-once, where a packed product would make n^2 whatever s is.  Over QQ each
-call is one product by M^T.
+e*A on the chains of cycle collection.  One routine, ``_PackedOperator``,
+packs rows for the product (its right factor) and the operator (the rows
+of M^T, and V) over both fields, once per slot width: M*x + c*v is one
+C-level sum of x's entries times those rows plus c times v, s*n
+multiplications per step.  Over F_p the width is fixed by p.  Over QQ each
+step sizes it from max|x| and the maxima of M and V, taken once, and past
+the crossover above takes dot products instead.
 
 One echelon kernel does all row reduction.  An echelon holds its pivot
 rows in reduced row echelon form (RREF) and takes rows one at a time: a row
@@ -220,6 +220,9 @@ class Field:
                 return self._packed(a, b, size)
         return self._dot(a, list(zip(*b)))
 
+    def _packed(self, a, b, size):
+        return _PackedOperator(self.char, b).at(size)(a)
+
     def int_operator(self, m, vs=()):
         """M prepared for ``op(cols)``, the columns [M*x for x in cols], and
         ``op(cols, c)``, the columns [M*x_j + c*v_j] for the columns v_j of
@@ -307,23 +310,37 @@ class Field:
 
 
 class _PackedOperator:
-    """The F_p product x*R, R's ``rows`` packed once in slots of ``size``
-    bytes, plus c times a row of ``vs`` packed: the packed product (R its
-    right factor) and ``int_operator`` (R = M^T) over F_p."""
+    """The product x*R plus c times a row of ``vs``, R's ``rows`` and vs
+    packed once per slot width: the packed product (R its right factor) and
+    ``int_operator`` (R = M^T) over both fields, with unsigned slots read
+    modulo p over F_p (``p``) and signed ones over QQ (p = 0)."""
 
-    def __init__(self, p, rows, size, vs=()):
-        rows = list(rows)
-        self.p = p
-        pack, self._unpack = _packer(size, len(rows[0]))
-        self.rows, self.vs = pack(rows), pack(vs)
+    def __init__(self, p, rows, vs=()):
+        self.p, self.rows, self.vs = p, list(rows), vs
+        self._widths = {}
 
-    def __call__(self, xs, c=0):
-        p, rows = self.p, self.rows
-        if c:
-            sums = [sum(map(mul, x, rows), c * v) for x, v in zip(xs, self.vs)]
-        else:
-            sums = [sum(map(mul, x, rows)) for x in xs]
-        return [[y % p for y in col] for col in self._unpack(sums)]
+    def at(self, size):
+        """``apply(xs, c=0)``: [x*R + c*v] for the rows x of xs and v of vs,
+        in slots of ``size`` bytes."""
+        if size in self._widths:
+            return self._widths[size]
+        p, width = self.p, len(self.rows[0])
+        pack, unpack = _packer(size, width)
+        half = 0 if p else 1 << (8 * size - 1)
+        bias, = pack([[half] * width])      # the sums start from it
+        rows, vs = ([v - bias for v in pack([x + half for x in row] for row in m)]
+                    if half else pack(m) for m in (self.rows, self.vs))
+
+        def apply(xs, c=0):
+            if c:
+                sums = [sum(map(mul, x, rows), bias + c * v) for x, v in zip(xs, vs)]
+            else:
+                sums = [sum(map(mul, x, rows), bias) for x in xs]
+            if p:
+                return [[y % p for y in col] for col in unpack(sums)]
+            return [[y - half for y in col] for col in unpack(sums)]
+        self._widths[size] = apply
+        return apply
 
 
 class Rationals(Field):
@@ -412,22 +429,20 @@ class Rationals(Field):
         size = _slot_bytes(len(b) * max(hi_a, 1) * max(hi_b, 1) << 1)
         return size, len(a) > 1 and hi_a.bit_length() > 2 * hi_b.bit_length()
 
-    def _packed(self, a, b, size):
-        width = len(b[0])
-        pack, unpack = _packer(size, width)
-        half = 1 << (8 * size - 1)
-        bias, = pack([[half] * width])
-        packed = [v - bias for v in pack([x + half for x in row] for row in b)]
-        return [[x - half for x in row] for row in
-                unpack([sum(map(mul, row, packed), bias) for row in a])]
-
     def int_operator(self, m, vs=()):
-        m_t = [list(col) for col in zip(*m)]
+        # slots sized per call; they hold M's and V's entries too
+        op = _PackedOperator(0, zip(*m), vs)
+        hi_m, hi_v = (max(map(abs, chain.from_iterable(r)), default=0) for r in (m, vs))
+        n = len(m[0])
 
-        def op(cols, c=0):
-            out = self.int_matmul(cols, m_t)
+        def apply(cols, c=0):
+            hi_x = max(map(abs, chain.from_iterable(cols)), default=0)
+            size = _slot_bytes(max(n * hi_x * hi_m + abs(c) * hi_v, hi_m, hi_v) << 1)
+            if size <= max(8, _SLOT_BYTES_PER_TERM * n):
+                return op.at(size)(cols, c)
+            out = self._dot(cols, m)
             return [self.sub_mul(y, -c, v) for y, v in zip(out, vs)] if c else out
-        return op
+        return apply
 
     def _dot(self, a, cols):
         return [[sum(map(mul, row, col)) for col in cols] for row in a]
@@ -686,9 +701,6 @@ class PrimeField(Field):
         # unsigned slots, sized from p alone
         return _slot_bytes(len(b) * (self.p - 1) ** 2), False
 
-    def _packed(self, a, b, size):
-        return _PackedOperator(self.p, b, size)(a)
-
     def _dot(self, a, cols):
         p = self.p
         return [[sum(map(mul, row, col)) % p for col in cols] for row in a]
@@ -698,7 +710,7 @@ class PrimeField(Field):
 
     def int_operator(self, m, vs=()):
         size = _slot_bytes((len(m[0]) + 1) * (self.p - 1) ** 2)   # c*v: one more term
-        return _PackedOperator(self.p, zip(*m), size, vs)
+        return _PackedOperator(self.p, zip(*m), vs).at(size)
 
     def echelon(self, ncols, width, count=None):
         return _PackedEchelon(self.p, ncols, width, count)

@@ -62,9 +62,11 @@ class Matrix:
         return self.data
 
     def lifted(self):
-        """(integer rows, den) in the field's integer model; shared with
-        the matrix, so callers only read them."""
-        return self._lifted or self.field.lift(self.data)
+        """(integer rows, den) in the field's integer model, lifted once: kept
+        and shared, so callers only read them and write ``data`` before."""
+        if self._lifted is None:
+            self._lifted = self.field.lift(self.data)
+        return self._lifted
 
     @classmethod
     def from_ints(cls, field, rows):
@@ -114,7 +116,8 @@ def mat_mul(a, b):
     a._check(b)
     if a.cols != b.rows:
         raise ValueError("shape mismatch")
-    return Matrix(a.field, a.field.matmul(a.data, b.data))
+    (ai, da), (bi, db) = a.lifted(), b.lifted()
+    return Matrix.from_lifted(a.field, a.field.int_matmul(ai, bi), da * db)
 
 
 def rank(m):
@@ -212,7 +215,7 @@ def matrix_horner(a, coeffs, v):
     step applies it to the columns with c*V in the same sum."""
     f = a.field
     m = len(coeffs) - 1
-    ai, d = f.lift(a.data)
+    ai, d = a.lifted()
     (cs,), e = f.lift([[c * d ** (m - j) for j, c in enumerate(coeffs)]])
     vi, e_v = f.lift(v)
     op = f.int_operator(ai, vi)

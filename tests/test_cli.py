@@ -386,3 +386,25 @@ def test_big_entries_print(tmp_path, capsys, output):
         assert rank(dec.p) == n
         assert sorted(b.cycle_length for b in dec.blocks) == [1, 2, 2]
 
+
+
+def test_run_lifts_a_once(tmp_path, capsys, monkeypatch):
+    # A's integer model is lifted once per solve and kept on the matrix:
+    # the bounded images of P, every matrix Horner, the powers of e*A for
+    # the quadratic factor and the certificate all read it
+    import jnf.cli
+    a = conjugate_random(rng_for("lift-once"), normal_form(
+        QQ, [(Poly.from_ints(QQ, [-2, 0, 1]), [3, 1]),
+             (Poly.x_minus(QQ, QQ.fraction(1, 2)), [2, 1])]))
+    path = tmp_path / "m.txt"
+    path.write_text(format_matrix(a) + "\n")
+    hints = tmp_path / "hints.txt"
+    hints.write_text("4 : -2 0 1\n3 : -1/2 1\n")
+    parsed, lifted = [], []
+    monkeypatch.setattr(jnf.cli, "parse_matrix",
+                        lambda *args: parsed.append(parse_matrix(*args)) or parsed[-1])
+    lift = type(QQ).lift
+    monkeypatch.setattr(type(QQ), "lift", lambda self, rows: lifted.append(rows) or lift(self, rows))
+    assert main([str(path), "--factors", str(hints), "--verify"]) == EXIT_OK
+    assert "verify: A*P == P*J" in capsys.readouterr().out
+    assert sum(rows is parsed[0].data for rows in lifted) == 1

@@ -8,14 +8,14 @@ import pytest
 
 from conftest import (conjugate_random, division_rows_oracle, mat_add, mat_scale,
                       mul_vector, normal_form, rng_for, rref)
-from jnf import jordan_linear
-from jnf.charpoly import char_data
+from jnf import fields, jordan_linear
+from jnf.charpoly import char_data, hessenberg_charpoly, probe_block
 from jnf.decomposition import cycle_block_matrix
 from jnf.factor import FactoredCharPoly, factor_charpoly
 from jnf.fields import QQ, CountingField, PrimeField, Rationals, _slot_bytes, is_prime
 from jnf.jordan_linear import collect_cycles, extract_q_cycles, split_jordan
 from jnf.jordan_rational import q_adic_blocks, rational_jordan
-from jnf.matrix import MatPoly, Matrix, horner_shift, poly_at_matrix
+from jnf.matrix import MatPoly, Matrix, horner_shift, matrix_horner, poly_at_matrix
 from jnf.poly import Poly
 
 # 2^31 - 1 puts the packed product's dot bound on both sides of 64 bits
@@ -170,6 +170,95 @@ def test_operator_matches_oracle(f):
         # a mul and an add per term: rows*cols of them per column, and
         # rows more for c*v
         assert cf.total == 2 * s * rows * (cols + bool(ci))
+
+
+def operator_oracle(m, xs, c=0, vs=()):
+    """[M*x + c*v] for integer M and columns x, v, entry by entry."""
+    vs = vs or [[0] * len(m) for _ in xs]
+    return [[sum(r * y for r, y in zip(row, x)) + c * z for row, z in zip(m, v)]
+            for x, v in zip(xs, vs)]
+
+
+def spy_packs(monkeypatch):
+    """The slot width of every packing of an operator's rows from here on."""
+    packs, packer = [], fields._packer
+
+    def spy(size, width):
+        packs.append(size)
+        return packer(size, width)
+    monkeypatch.setattr(fields, "_packer", spy)
+    return packs
+
+
+def test_qq_operator_slots_hold_m_and_v():
+    # the slots hold the packed entries of M and V themselves, not only
+    # n*max|x|*max|M| + |c|*max|V|: all-zero columns against |M| = 2^40
+    # (that bound alone is 0), and columns where c*V alone sets the width
+    rng = rng_for("kernel-operator-slot-bound")
+    n = 5
+    big_m = [[rng.randint(-2**40, 2**40) for _ in range(n)] for _ in range(n)]
+    big_m[0][0] = -2**40
+    small_m = [[rng.randint(-1, 1) for _ in range(n)] for _ in range(n)]
+    small_v = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(3)]
+    big_v = [[rng.randint(-2**60, 2**60) for _ in range(n)] for _ in range(3)]
+    zeros = [[0] * n for _ in range(3)]
+    ones = [[rng.randint(-1, 1) for _ in range(n)] for _ in range(3)]
+    for m, vs, xs, c in ((big_m, small_v, zeros, 0), (big_m, small_v, zeros, 7),
+                         (small_m, big_v, zeros, 0), (small_m, big_v, ones, -5),
+                         (small_m, small_v, ones, 2**50)):
+        op = QQ.int_operator(m, vs)
+        assert op(xs, c) == operator_oracle(m, xs, c, vs)
+        assert op(xs) == operator_oracle(m, xs)
+
+
+def test_qq_operator_walks_every_slot_width(monkeypatch):
+    # one prepared operator, its columns widening from 1-byte slots through
+    # 2, 4, 8 and 10 bytes into dot products (past max(8, 3*4) = 12 bytes),
+    # then narrow again: M^T is packed once per width, and every result
+    # matches the oracle
+    rng = rng_for("kernel-operator-widths")
+    n = 4
+    m = [[rng.randint(-1, 1) for _ in range(n)] for _ in range(n)]
+    m[0][0] = 1
+    vs = [[rng.randint(-1, 1) for _ in range(n)] for _ in range(2)]
+    packs, sizes = spy_packs(monkeypatch), []
+    at = fields._PackedOperator.at
+    monkeypatch.setattr(fields._PackedOperator, "at",
+                        lambda self, size: sizes.append(size) or at(self, size))
+    op = QQ.int_operator(m, vs)
+    for hi, size in ((31, 1), (1000, 2), (2**20, 4), (2**40, 8), (2**70, 10),
+                     (2**100, None), (5, 1)):
+        xs = [[hi] + [rng.randint(-hi, hi) for _ in range(n - 1)] for _ in range(2)]
+        c = rng.randint(-3, 3)
+        sizes.clear()
+        assert op(xs, c) == operator_oracle(m, xs, c, vs)
+        assert sizes == ([size] if size else []), hi
+    assert packs == [1, 2, 4, 8, 10]
+
+
+def test_matrix_horner_packs_once_per_slot_width(monkeypatch):
+    # a whole n = 16 matrix Horner over QQ: the entries of X_k grow, the
+    # slots widen, and A'^T is packed once per width, never per step
+    rng = rng_for("kernel-horner-packs")
+    pieces = [(Poly.from_ints(QQ, [-2, 0, 1]), [2, 1]),
+              (Poly.x_minus(QQ, QQ.fraction(1, 2)), [3, 2]),
+              (Poly.x_minus(QQ, QQ.from_int(-3)), [3, 2])]
+    a = conjugate_random(rng, normal_form(QQ, pieces))
+    p = hessenberg_charpoly(a)
+    v = probe_block(QQ, a.rows, 4)
+    packs = spy_packs(monkeypatch)
+    xs = matrix_horner(a, p.coeffs, v)
+    monkeypatch.undo()
+    assert a.rows == 16 and 1 < len(packs) == len(set(packs))
+    # X_0 = c_n*V and X_k = A*X_{k-1} + c_{n-k}*V, column by column
+    cs, a_t = p.coeffs, list(zip(*a.data))
+    want = [[QQ.mul(cs[-1], y) for y in col] for col in v]
+    for k, x in enumerate(xs):
+        assert [list(col) for col in zip(*x.data)] == want
+        if k < a.rows:
+            want = [[QQ.add(y, QQ.mul(cs[-2 - k], z)) for y, z in zip(col, v_col)]
+                    for col, v_col in zip(oracle_matmul(QQ, want, a_t), v)]
+    assert not any(map(any, want))
 
 
 @pytest.mark.parametrize("f", FIELDS, ids=IDS)
