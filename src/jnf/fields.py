@@ -52,11 +52,10 @@ to many columns, optionally adding c times prepared columns V: the matrix
 Horner steps X_k = A*X_{k-1} + c_k*V on an n x s block, and the powers of
 e*A on the chains of cycle collection.  One routine, ``_PackedOperator``,
 packs rows for the product (its right factor) and the operator (the rows
-of M^T, and V) over both fields, once per slot width: M*x + c*v is one
-C-level sum of x's entries times those rows plus c times v, s*n
-multiplications per step.  Over F_p the width is fixed by p.  Over QQ each
-step sizes it from max|x| and the maxima of M and V, taken once, and past
-the crossover above takes dot products instead.
+of M^T, and V) in both fields, once per slot width: M*x + c*v is one
+C-level sum, s*n multiplications per step.  Over F_p the width is fixed by
+p; over QQ each step sizes it from max|x| and the maxima of M and V, taken
+once, and past the crossover above takes dot products instead.
 
 One echelon kernel does all row reduction.  An echelon holds its pivot
 rows in reduced row echelon form (RREF) and takes rows one at a time: a row
@@ -310,24 +309,22 @@ class Field:
 
 
 class _PackedOperator:
-    """The product x*R plus c times a row of ``vs``, R's ``rows`` and vs
-    packed once per slot width: the packed product (R its right factor) and
-    ``int_operator`` (R = M^T) over both fields, with unsigned slots read
-    modulo p over F_p (``p``) and signed ones over QQ (p = 0)."""
+    """x*R + c*v, R's ``rows`` and the v of ``vs`` packed once per slot width:
+    the packed product (R its right factor) and ``int_operator`` (R = M^T)
+    of both fields, unsigned slots mod ``p`` over F_p, signed over QQ (p = 0)."""
 
     def __init__(self, p, rows, vs=()):
         self.p, self.rows, self.vs = p, list(rows), vs
         self._widths = {}
 
     def at(self, size):
-        """``apply(xs, c=0)``: [x*R + c*v] for the rows x of xs and v of vs,
-        in slots of ``size`` bytes."""
+        """apply(xs, c=0): [x*R + c*v for x, v in zip(xs, vs)], ``size``-byte slots."""
         if size in self._widths:
             return self._widths[size]
         p, width = self.p, len(self.rows[0])
         pack, unpack = _packer(size, width)
         half = 0 if p else 1 << (8 * size - 1)
-        bias, = pack([[half] * width])      # the sums start from it
+        bias = half and pack([[half] * width])[0]     # the sums start from it
         rows, vs = ([v - bias for v in pack([x + half for x in row] for row in m)]
                     if half else pack(m) for m in (self.rows, self.vs))
 
@@ -430,7 +427,6 @@ class Rationals(Field):
         return size, len(a) > 1 and hi_a.bit_length() > 2 * hi_b.bit_length()
 
     def int_operator(self, m, vs=()):
-        # slots sized per call; they hold M's and V's entries too
         op = _PackedOperator(0, zip(*m), vs)
         hi_m, hi_v = (max(map(abs, chain.from_iterable(r)), default=0) for r in (m, vs))
         n = len(m[0])

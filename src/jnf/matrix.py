@@ -62,8 +62,8 @@ class Matrix:
         return self.data
 
     def lifted(self):
-        """(integer rows, den) in the field's integer model, lifted once: kept
-        and shared, so callers only read them and write ``data`` before."""
+        """(integer rows, den), lifted once and kept: callers only read them,
+        and in-place writes to ``data`` come before the first call."""
         if self._lifted is None:
             self._lifted = self.field.lift(self.data)
         return self._lifted
@@ -89,8 +89,11 @@ class Matrix:
         return self.rows == self.cols
 
     def __eq__(self, other):
-        return (isinstance(other, Matrix) and self.field == other.field
-                and self.data == other.data)
+        if not (isinstance(other, Matrix) and self.field == other.field):
+            return False
+        mine, theirs = self._lifted, other._lifted    # same den: equal iff integers are
+        return (mine[0] == theirs[0] if mine and theirs and mine[1] == theirs[1]
+                else self.data == other.data)
 
     def __repr__(self):
         body = "; ".join(" ".join(self.field.fmt(x) for x in row) for row in self.data)

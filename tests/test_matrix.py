@@ -49,6 +49,23 @@ def test_prime_field_entries_must_be_residues():
     assert (m * m).data[0] == [2, 0, 0, 0]
 
 
+def test_held_matrices_compare_as_values():
+    # matrices held in the integer model compare their integers when they
+    # share a denominator, and their values otherwise; a lift is kept
+    half = Matrix(QQ, [[QQ.fraction(1, 2), QQ.one]])
+    for other, equal in ((Matrix.from_lifted(QQ, [[1, 2]], 2), True),
+                         (Matrix.from_lifted(QQ, [[2, 4]], 4), True),
+                         (Matrix.from_lifted(QQ, [[1, 3]], 2), False),
+                         (Matrix.from_lifted(QQ, [[1, 2]], 1), False)):
+        for _ in range(2):
+            assert (half == other) == (other == half) == equal
+            assert half.lifted() is half.lifted()
+    f = PrimeField(7)
+    a = Matrix(f, [[3, 5], [6, 1]])
+    assert a * a == Matrix(f, [[4, 6], [3, 3]]) != a * Matrix(f, [[1, 0], [0, 2]])
+    assert Matrix.from_lifted(f, [[3]], 2) == Matrix(f, [[5]]) != Matrix.from_lifted(f, [[5]], 2)
+
+
 def row_equivalent(a, r):
     """Same row space: rank(A) = rank(R) = rank([A; R])."""
     return rank(a) == rank(r) == rank(vstack(a, r))
