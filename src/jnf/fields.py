@@ -329,10 +329,8 @@ class _PackedOperator:
                     if half else pack(m) for m in (self.rows, self.vs))
 
         def apply(xs, c=0):
-            if c:
-                sums = [sum(map(mul, x, rows), bias + c * v) for x, v in zip(xs, vs)]
-            else:
-                sums = [sum(map(mul, x, rows), bias) for x in xs]
+            sums = [sum(map(mul, x, rows), bias + c * v)
+                    for x, v in zip(xs, vs if c else repeat(0))]
             if p:
                 return [[y % p for y in col] for col in unpack(sums)]
             return [[y - half for y in col] for col in unpack(sums)]
