@@ -21,24 +21,27 @@ Blocks with different denominators are brought to one by ``common_den``
 and ``int_scale``.
 Over F_p every kernel takes and returns residues in [0, p).
 
-One product kernel serves both fields.  It packs rows: each row of the
-right factor becomes one Python int, its entries in fixed-width slots (the
-row evaluated at 2^w, Kronecker substitution), so a row of the product is
-one C-level sum of small-times-big products, read back slot by slot.  The
-slot is the narrowest that holds the largest possible dot product: 1, 2, 4
-or 8 bytes (packed with ``struct``), or as many bytes as needed beyond
-that.  Over F_p that bound is k*(p - 1)^2 for dot products of length k,
-known from p without a pass over the entries; the slots are unsigned and
-each is reduced modulo p as it is read.  Over QQ the bound comes from the
-largest actual entries, and the entries are signed: every slot is biased by
-half its range, which the sum starts from and the read subtracts, so no
-slot ever borrows from its neighbour.  When the left factor has much larger
-entries than the right one, the product is taken as (B^T A^T)^T, so the
-packed side is always the one with the larger entries.  Slots wider than 8
-bytes and than 3 bytes per term of the dot products (at n = 16, entries of
-about 190 bits on both sides; over F_p at k = 4, p above 2^47) make one
-dot product per entry faster, and the kernel takes that instead;
-it does the same for products with one column (matrix times vector).
+One product kernel, ``_PackedOperator``, serves both fields and both entry
+points: ``int_matmul`` applies B once to the rows of A, and ``int_operator``
+prepares M (R = M^T) for many columns, as the matrix Horner steps X_k =
+A*X_{k-1} + c_k*V and the powers of e*A in cycle collection need.  Each
+row x becomes x*R + c*v with R's rows and V's packed: each one Python int,
+its entries in fixed-width slots (Kronecker substitution), so the k terms
+are one C-level sum of small-times-big products, read back slot by slot.
+The slot is the narrowest that holds the largest possible sum: 1, 2, 4 or
+8 bytes (packed with ``struct``), or as many bytes as needed beyond that.
+Over F_p that bound is (k + 1)*(p - 1)^2 with V given and k*(p - 1)^2
+without, known from p alone; the slots are unsigned and each is reduced
+modulo p as it is read.  Over QQ a slot holds +-(k*max|x|*max|R| +
+|c|*max|V|) and +-max|R|, +-max|V| (both taken once), signed: each slot is
+biased by half its range, which the sum starts from and the read
+subtracts, so no slot ever borrows from its neighbour.  A prepared operator
+packs once per slot width.  Slots wider than 8 bytes and than 3 bytes per
+term (at n = 16, entries of about 190 bits on both sides; over F_p at k =
+4, p above 2^47), and products with one column, take one dot product per
+entry instead, adding c*v and reducing modulo p.  Over QQ, when A has much
+larger entries than B, the product is taken as (B^T A^T)^T, so the packed
+side is always the one with the larger entries.
 
 ``expand`` is linear in the matrix coefficients, so it builds one
 transition matrix W for all divisors and applies it to all the data with a
@@ -46,16 +49,6 @@ single ``int_matmul``: one call expands a matrix polynomial at every factor
 of a characteristic polynomial.  Column k of W holds the q-adic digits of
 x^k, and those of x^(k+1) are the digits of x^k shifted by one place with
 one step of the row kernel ``sub_mul``, which is field-generic.
-
-``int_operator`` prepares an integer-model matrix M once for applying it
-to many columns, optionally adding c times prepared columns V: the matrix
-Horner steps X_k = A*X_{k-1} + c_k*V on an n x s block, and the powers of
-e*A on the chains of cycle collection.  One routine, ``_PackedOperator``,
-packs rows for the product (its right factor) and the operator (the rows
-of M^T, and V) in both fields, once per slot width: M*x + c*v is one
-C-level sum, s*n multiplications per step.  Over F_p the width is fixed by
-p; over QQ each step sizes it from max|x| and the maxima of M and V, taken
-once, and past the crossover above takes dot products instead.
 
 One echelon kernel does all row reduction.  An echelon holds its pivot
 rows in reduced row echelon form (RREF) and takes rows one at a time: a row
@@ -206,27 +199,25 @@ class Field:
         return self.lower(self.int_matmul(ai, bi), da * db)
 
     def int_matmul(self, a, b):
-        """Product of matrices in the integer model, with packed rows while
-        the slots are narrow enough (see the module docstring)."""
-        width = len(b[0]) if b else 0
-        if width > 1 and a:
-            size, flip = self._slots(a, b)
-            if size <= max(8, _SLOT_BYTES_PER_TERM * len(b)):
-                if flip:
-                    # pack the factor with the larger entries: (B^T A^T)^T
-                    return [list(row) for row in zip(
-                        *self._packed(list(zip(*b)), list(zip(*a)), size))]
-                return self._packed(a, b, size)
-        return self._dot(a, list(zip(*b)))
-
-    def _packed(self, a, b, size):
-        return _PackedOperator(self.char, b).at(size)(a)
+        """Product of matrices in the integer model: b's operator applied
+        once to the rows of a (see the module docstring)."""
+        p = self.char
+        if p or not b or len(b[0]) < 2:
+            return _PackedOperator(p, b)(a)
+        hi_a, hi_b = map(_max_abs, (a, b))
+        if len(a) > 1 and hi_a.bit_length() > 2 * hi_b.bit_length():
+            # pack the factor with the larger entries: (B^T A^T)^T
+            return [list(row) for row in zip(*_PackedOperator(
+                0, list(zip(*a)), hi=hi_a)(list(zip(*b)), hi_x=hi_b))]
+        return _PackedOperator(0, b, hi=hi_b)(a, hi_x=hi_a)
 
     def int_operator(self, m, vs=()):
         """M prepared for ``op(cols)``, the columns [M*x for x in cols], and
         ``op(cols, c)``, the columns [M*x_j + c*v_j] for the columns v_j of
         ``vs``; all in the integer model, with no denominator applied."""
-        raise NotImplementedError
+        op = _PackedOperator(self.char, list(zip(*m)), vs)
+        op.at = lru_cache(maxsize=None)(op.at)     # pack each slot width once
+        return op
 
     def echelon(self, ncols, width, count=None):
         """An empty echelon (see the module docstring) for integer-model
@@ -308,34 +299,63 @@ class Field:
                 [s ** max(top - i, 0) for i in range(count * d)])
 
 
-class _PackedOperator:
-    """x*R + c*v, R's ``rows`` and the v of ``vs`` packed once per slot width:
-    the packed product (R its right factor) and ``int_operator`` (R = M^T)
-    of both fields, unsigned slots mod ``p`` over F_p, signed over QQ (p = 0)."""
+def _max_abs(rows):
+    return max(map(abs, chain.from_iterable(rows)), default=0)
 
-    def __init__(self, p, rows, vs=()):
-        self.p, self.rows, self.vs = p, list(rows), vs
-        self._widths = {}
+
+class _PackedOperator:
+    """op(xs, c=0): [x*R + c*v for x, v in zip(xs, vs)], R's ``rows`` over
+    F_p (``p``) or QQ (p = 0), as the module docstring sets out; ``hi`` and
+    ``hi_x``, when given, are max|R| and max|x|."""
+
+    def __init__(self, p, rows, vs=(), hi=None):
+        self.p, self.rows, self.vs = p, rows, vs
+        if not p:
+            self.hi = _max_abs(rows) if hi is None else hi
+            self.hi_v = _max_abs(vs)
+
+    def __call__(self, xs, c=0, hi_x=None):
+        rows, k, p = self.rows, len(self.rows), self.p
+        if rows and len(rows[0]) > 1:
+            if p:
+                bound = (k + bool(self.vs)) * (p - 1) ** 2
+            else:
+                hi, hi_v = self.hi, self.hi_v
+                hi_x = _max_abs(xs) if hi_x is None else hi_x
+                bound = max(k * hi_x * hi + abs(c) * hi_v, hi, hi_v) << 1
+            size = _slot_bytes(bound)
+            if size <= max(8, _SLOT_BYTES_PER_TERM * k):
+                return self._packed(xs, c, size)
+        return self._dot(xs, c)
+
+    def _packed(self, xs, c, size):
+        rows, vs, bias, half, unpack = self.at(size)
+        sums = [sum(map(mul, x, rows), bias + c * v)
+                for x, v in zip(xs, vs if c else repeat(0))]
+        p = self.p
+        return ([[y % p for y in col] for col in unpack(sums)] if p else
+                [[y - half for y in col] for col in unpack(sums)])
+
+    def _dot(self, xs, c):
+        cols, p = list(zip(*self.rows)), self.p
+        if c:
+            xs = [[sum(map(mul, x, col), c * y) for col, y in zip(cols, v)]
+                  for x, v in zip(xs, self.vs)]
+            return [[y % p for y in x] for x in xs] if p else xs
+        if p:
+            return [[sum(map(mul, x, col)) % p for col in cols] for x in xs]
+        return [[sum(map(mul, x, col)) for col in cols] for x in xs]
 
     def at(self, size):
-        """apply(xs, c=0): [x*R + c*v for x, v in zip(xs, vs)], ``size``-byte slots."""
-        if size in self._widths:
-            return self._widths[size]
-        p, width = self.p, len(self.rows[0])
+        """R's rows and the v of ``vs`` in ``size``-byte slots, the bias the
+        sums start from, half a slot's range, and the unpacker."""
+        width = len(self.rows[0])
         pack, unpack = _packer(size, width)
-        half = 0 if p else 1 << (8 * size - 1)
-        bias = half and pack([[half] * width])[0]     # the sums start from it
+        half = 0 if self.p else 1 << (8 * size - 1)
+        bias = half and pack([[half] * width])[0]
         rows, vs = ([v - bias for v in pack([x + half for x in row] for row in m)]
                     if half else pack(m) for m in (self.rows, self.vs))
-
-        def apply(xs, c=0):
-            sums = [sum(map(mul, x, rows), bias + c * v)
-                    for x, v in zip(xs, vs if c else repeat(0))]
-            if p:
-                return [[y % p for y in col] for col in unpack(sums)]
-            return [[y - half for y in col] for col in unpack(sums)]
-        self._widths[size] = apply
-        return apply
+        return rows, vs, bias, half, unpack
 
 
 class Rationals(Field):
@@ -417,29 +437,6 @@ class Rationals(Field):
     def int_scale(self, rows, k):
         """The integer rows times k, as new rows (reduced over F_p)."""
         return [[x * k for x in row] for row in rows]
-
-    def _slots(self, a, b):
-        # a slot holds -bound..bound, biased by half its range
-        hi_a, hi_b = (max(map(abs, chain.from_iterable(m))) for m in (a, b))
-        size = _slot_bytes(len(b) * max(hi_a, 1) * max(hi_b, 1) << 1)
-        return size, len(a) > 1 and hi_a.bit_length() > 2 * hi_b.bit_length()
-
-    def int_operator(self, m, vs=()):
-        op = _PackedOperator(0, zip(*m), vs)
-        hi_m, hi_v = (max(map(abs, chain.from_iterable(r)), default=0) for r in (m, vs))
-        n = len(m[0])
-
-        def apply(cols, c=0):
-            hi_x = max(map(abs, chain.from_iterable(cols)), default=0)
-            size = _slot_bytes(max(n * hi_x * hi_m + abs(c) * hi_v, hi_m, hi_v) << 1)
-            if size <= max(8, _SLOT_BYTES_PER_TERM * n):
-                return op.at(size)(cols, c)
-            out = self._dot(cols, m)
-            return [self.sub_mul(y, -c, v) for y, v in zip(out, vs)] if c else out
-        return apply
-
-    def _dot(self, a, cols):
-        return [[sum(map(mul, row, col)) for col in cols] for row in a]
 
     def exact_div(self, x, k):
         """x/k where k divides x."""
@@ -691,20 +688,8 @@ class PrimeField(Field):
         p = self.p
         return [[x * k % p for x in row] for row in rows]
 
-    def _slots(self, a, b):
-        # unsigned slots, sized from p alone
-        return _slot_bytes(len(b) * (self.p - 1) ** 2), False
-
-    def _dot(self, a, cols):
-        p = self.p
-        return [[sum(map(mul, row, col)) % p for col in cols] for row in a]
-
     def exact_div(self, x, k):
         return x * pow(k, -1, self.p) % self.p
-
-    def int_operator(self, m, vs=()):
-        size = _slot_bytes((len(m[0]) + 1) * (self.p - 1) ** 2)   # c*v: one more term
-        return _PackedOperator(self.p, zip(*m), vs).at(size)
 
     def echelon(self, ncols, width, count=None):
         return _PackedEchelon(self.p, ncols, width, count)

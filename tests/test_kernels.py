@@ -222,9 +222,10 @@ def test_qq_operator_walks_every_slot_width(monkeypatch):
     m[0][0] = 1
     vs = [[rng.randint(-1, 1) for _ in range(n)] for _ in range(2)]
     packs, sizes = spy_packs(monkeypatch), []
-    at = fields._PackedOperator.at
-    monkeypatch.setattr(fields._PackedOperator, "at",
-                        lambda self, size: sizes.append(size) or at(self, size))
+    packed = fields._PackedOperator._packed
+    monkeypatch.setattr(fields._PackedOperator, "_packed",
+                        lambda self, xs, c, size: sizes.append(size)
+                        or packed(self, xs, c, size))
     op = QQ.int_operator(m, vs)
     for hi, size in ((31, 1), (1000, 2), (2**20, 4), (2**40, 8), (2**70, 10),
                      (2**100, None), (5, 1)):
@@ -566,16 +567,16 @@ def test_prime_matmul_at_slot_boundaries(bits, k, hi_a, hi_b):
     assert f.int_matmul(a, b) == oracle_matmul(f, a, b)
 
 
-def spy_paths(monkeypatch, f):
-    """Record which product path (packed or dot) ``f``'s kernel takes."""
+def spy_paths(monkeypatch):
+    """Record which path (packed or dot) the product kernel takes."""
     taken = []
     for path in ("_packed", "_dot"):
-        orig = getattr(type(f), path)
+        orig = getattr(fields._PackedOperator, path)
 
         def spy(self, *args, orig=orig, path=path):
             taken.append(path)
             return orig(self, *args)
-        monkeypatch.setattr(type(f), path, spy)
+        monkeypatch.setattr(fields._PackedOperator, path, spy)
     return taken
 
 
@@ -629,7 +630,7 @@ def test_matmul_at_slot_boundaries(f, size, over, monkeypatch):
         rng = rng_for(f"kernel-slots-0-{size}-{over}")
         a = [[1] * k, [-1] * k, [rng.randint(-1, 1) for _ in range(k)]]
         b = [[hi] + [rng.randint(-hi, hi) for _ in range(3)] for _ in range(k)]
-    taken = spy_paths(monkeypatch, f)
+    taken = spy_paths(monkeypatch)
     got = f.int_matmul(a, b)
     assert taken == ["_packed"]
     assert got == oracle_matmul(f, a, b)
@@ -699,11 +700,35 @@ def test_matmul_both_sides_of_the_dot_crossover(f, monkeypatch):
         a = [[rng.randint(lo, hi) for _ in range(k)] for _ in range(5)]
         b = [[rng.randint(lo, hi) for _ in range(6)] for _ in range(k)]
         a[0][0] = b[0][0] = hi
-        taken = spy_paths(monkeypatch, field)
+        taken = spy_paths(monkeypatch)
         got = field.int_matmul(a, b)
         assert taken == [path], (field, k)
         monkeypatch.undo()
         assert got == oracle_matmul(field, a, b)
+
+
+@pytest.mark.parametrize("k, packed", [(4, False), (5, False), (6, True)])
+def test_prime_operator_takes_the_matmul_crossover(k, packed, monkeypatch):
+    # int_operator crosses over to dot products where int_matmul does:
+    # over GF(2^61 - 1) its slots hold (k + 1)*(p - 1)^2 with V given,
+    # 16 bytes, past max(8, 3*k) at k = 4 and 5; the largest residues
+    # reach that bound.  Packed, the operator packs once and the product
+    # once.
+    f = PrimeField(2**61 - 1)
+    rng = rng_for(f"kernel-operator-crossover-{k}")
+    top = f.p - 1
+    m = [[top] * k] + [[rng.randrange(f.p) for _ in range(k)] for _ in range(k - 1)]
+    xs = [[top] * k] + [[rng.randrange(f.p) for _ in range(k)] for _ in range(2)]
+    vs = [[top] * k] + [[rng.randrange(f.p) for _ in range(k)] for _ in range(2)]
+    packs = spy_packs(monkeypatch)
+    op = f.int_operator(m, vs)
+    for c in (top, 0):
+        want = [[y % f.p for y in col] for col in operator_oracle(m, xs, c, vs)]
+        assert op(xs, c) == want
+    # M times the columns as one product, the same path
+    assert f.int_matmul(m, [list(row) for row in zip(*xs)]) == [
+        list(row) for row in zip(*want)]
+    assert packs == ([16, 16] if packed else [])
 
 
 def test_matmul_packs_the_factor_with_larger_entries(monkeypatch):
@@ -713,12 +738,12 @@ def test_matmul_packs_the_factor_with_larger_entries(monkeypatch):
     a = [[rng.randint(-2**60, 2**60) for _ in range(6)] for _ in range(5)]
     b = [[rng.randint(-3, 3) for _ in range(4)] for _ in range(6)]
     shapes = []
-    orig = type(QQ)._packed
+    orig = fields._PackedOperator._packed
 
-    def packed(self, x, y, size):
-        shapes.append((len(x), len(y), len(y[0])))
-        return orig(self, x, y, size)
-    monkeypatch.setattr(type(QQ), "_packed", packed)
+    def packed(self, xs, c, size):
+        shapes.append((len(xs), len(self.rows), len(self.rows[0])))
+        return orig(self, xs, c, size)
+    monkeypatch.setattr(fields._PackedOperator, "_packed", packed)
     assert QQ.int_matmul(a, b) == oracle_matmul(QQ, a, b)
     assert shapes == [(4, 6, 5)]
 

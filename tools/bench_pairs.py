@@ -14,9 +14,19 @@ The file holds both commit ids and the tree ids of their ``src/``, the
 seeds, every run's metrics and its host reference time (the median time of
 ``perfbench/hostspeed.py``'s reference task during the run), and per
 workload and end-to-end metric each side's median and quartiles, the
-pairs the change won (ties count for neither side) and whether the pair
-rule holds: the change wins at least nine of the ten pairs and the medians
-differ by more than the parent's interquartile range.
+pairs the change won (ties count for neither side), whether the pair
+rule holds (the change wins at least nine of the ten pairs and the medians
+differ by more than the parent's interquartile range) and
+``no_regression``, read against the metric's ``bound`` times the parent's
+median:
+
+- ``true`` when every change run beats every parent run, or when the
+  parent's interquartile range is within the bound and the change's median
+  is no worse than the parent's by more than the bound;
+- ``"unresolved"`` when the parent's interquartile range is wider than the
+  bound (and not every change run beats every parent run): its runs spread
+  too widely to tell;
+- ``false`` otherwise.
 """
 
 import argparse
@@ -72,6 +82,19 @@ def spread(values):
     return {"median": med, "q1": q1, "q3": q3}
 
 
+def no_regression(parent, change, stats, bound, lower):
+    """True, False or "unresolved" for the runs of each side (see the
+    module docstring); ``stats`` are their spreads."""
+    beats = max(change) < min(parent) if lower else min(change) > max(parent)
+    if beats:
+        return True
+    sign = 1 if lower else -1
+    allowed = bound * abs(stats["parent"]["median"])
+    if stats["parent"]["q3"] - stats["parent"]["q1"] > allowed:
+        return "unresolved"
+    return sign * (stats["change"]["median"] - stats["parent"]["median"]) <= allowed
+
+
 def summarize(runs, metrics):
     out = {}
     for m in metrics:
@@ -88,6 +111,8 @@ def summarize(runs, metrics):
             "change_wins": wins, "pairs": len(runs),
             "pair_rule_holds": (wins >= 0.9 * len(runs)
                                 and (gain if lower else -gain) > iqr),
+            "no_regression": no_regression(sides["parent"], sides["change"], stats,
+                                           m["bound"], lower),
         }
     return out
 
