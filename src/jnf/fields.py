@@ -23,25 +23,24 @@ Over F_p every kernel takes and returns residues in [0, p).
 
 One product kernel, ``_PackedOperator``, serves both fields and both entry
 points: ``int_matmul`` applies B once to the rows of A, and ``int_operator``
-prepares M (R = M^T) for many columns, as the matrix Horner steps X_k =
-A*X_{k-1} + c_k*V and the powers of e*A in cycle collection need.  Each
-row x becomes x*R + c*v with R's rows and V's packed: each one Python int,
-its entries in fixed-width slots (Kronecker substitution), so the k terms
-are one C-level sum of small-times-big products, read back slot by slot.
-The slot is the narrowest that holds the largest possible sum: 1, 2, 4 or
-8 bytes (packed with ``struct``), or as many bytes as needed beyond that.
-Over F_p that bound is (k + 1)*(p - 1)^2 with V given and k*(p - 1)^2
-without, known from p alone; the slots are unsigned and each is reduced
-modulo p as it is read.  Over QQ a slot holds +-(k*max|x|*max|R| +
-|c|*max|V|) and +-max|R|, +-max|V| (both taken once), signed: each slot is
-biased by half its range, which the sum starts from and the read
-subtracts, so no slot ever borrows from its neighbour.  A prepared operator
-packs once per slot width.  Slots wider than 8 bytes and than 3 bytes per
-term (at n = 16, entries of about 190 bits on both sides; over F_p at k =
-4, p above 2^47), and products with one column, take one dot product per
-entry instead, adding c*v and reducing modulo p.  Over QQ, when A has much
-larger entries than B, the product is taken as (B^T A^T)^T, so the packed
-side is always the one with the larger entries.
+prepares M (R = M^T) for the matrix Horner steps X_k = A*X_{k-1} + c_k*V
+and the powers of e*A in cycle collection.  Each row x becomes x*R + c*v,
+the rows of R and V packed into one Python int each, entries in fixed-width
+slots (Kronecker substitution): the k terms are one C-level sum of
+small-times-big products, read back slot by slot.  The slot is the
+narrowest that holds the largest possible sum: 1, 2, 4 or 8 bytes (packed
+with ``struct``), or as many bytes as needed beyond that.  Over F_p that
+bound is (k + 1)*(p - 1)^2 with V given and k*(p - 1)^2 without, known
+from p alone; the slots are unsigned and each is reduced modulo p as it is
+read.  Over QQ a slot holds +-(k*max|x|*max|R| + |c|*max|V|) and +-max|R|,
++-max|V| (both taken once): each slot is biased by half its range, which
+the sum starts from and the read subtracts, so no slot borrows from its
+neighbour.  A prepared operator packs once per slot width.  Slots wider
+than 8 bytes and than 3 bytes per term (at n = 16, entries of about 190
+bits on both sides; over F_p at k = 4, p above 2^47), and products with
+one column, take one dot product per entry instead, adding c*v and
+reducing modulo p.  Over QQ, when A has much larger entries than B, the
+product is taken as (B^T A^T)^T, so the packed side holds the larger ones.
 
 ``expand`` is linear in the matrix coefficients, so it builds one
 transition matrix W for all divisors and applies it to all the data with a
@@ -212,9 +211,8 @@ class Field:
         return _PackedOperator(0, b, hi=hi_b)(a, hi_x=hi_a)
 
     def int_operator(self, m, vs=()):
-        """M prepared for ``op(cols)``, the columns [M*x for x in cols], and
-        ``op(cols, c)``, the columns [M*x_j + c*v_j] for the columns v_j of
-        ``vs``; all in the integer model, with no denominator applied."""
+        """M prepared as op(cols, c=0): [M*x_j + c*v_j] for the columns x_j of
+        ``cols`` and v_j of ``vs``, in the integer model, no denominator."""
         op = _PackedOperator(self.char, list(zip(*m)), vs)
         op.at = lru_cache(maxsize=None)(op.at)     # pack each slot width once
         return op
@@ -304,29 +302,31 @@ def _max_abs(rows):
 
 
 class _PackedOperator:
-    """op(xs, c=0): [x*R + c*v for x, v in zip(xs, vs)], R's ``rows`` over
-    F_p (``p``) or QQ (p = 0), as the module docstring sets out; ``hi`` and
-    ``hi_x``, when given, are max|R| and max|x|."""
+    """op(xs, c=0): [x*R + c*v for x, v in zip(xs, vs)] over F_p or QQ (p = 0),
+    as the module docstring sets out; ``hi``, ``hi_x``: max|R|, max|x| if known."""
 
     def __init__(self, p, rows, vs=(), hi=None):
         self.p, self.rows, self.vs = p, rows, vs
-        if not p:
+        if p:
+            self.size = self._fit((len(rows) + bool(vs)) * (p - 1) ** 2)
+        else:
             self.hi = _max_abs(rows) if hi is None else hi
             self.hi_v = _max_abs(vs)
 
     def __call__(self, xs, c=0, hi_x=None):
-        rows, k, p = self.rows, len(self.rows), self.p
-        if rows and len(rows[0]) > 1:
-            if p:
-                bound = (k + bool(self.vs)) * (p - 1) ** 2
-            else:
-                hi, hi_v = self.hi, self.hi_v
-                hi_x = _max_abs(xs) if hi_x is None else hi_x
-                bound = max(k * hi_x * hi + abs(c) * hi_v, hi, hi_v) << 1
-            size = _slot_bytes(bound)
-            if size <= max(8, _SLOT_BYTES_PER_TERM * k):
-                return self._packed(xs, c, size)
-        return self._dot(xs, c)
+        if self.p:
+            size = self.size
+        else:
+            hi, hi_v, k = self.hi, self.hi_v, len(self.rows)
+            hi_x = _max_abs(xs) if hi_x is None else hi_x
+            size = self._fit(max(k * hi_x * hi + abs(c) * hi_v, hi, hi_v) << 1)
+        return self._packed(xs, c, size) if size else self._dot(xs, c)
+
+    def _fit(self, bound):
+        """Slot bytes for sums up to ``bound``; 0 where dot products win."""
+        k, size = len(self.rows), _slot_bytes(bound)
+        fits = k and len(self.rows[0]) > 1 and size <= max(8, _SLOT_BYTES_PER_TERM * k)
+        return size if fits else 0
 
     def _packed(self, xs, c, size):
         rows, vs, bias, half, unpack = self.at(size)
