@@ -25,22 +25,21 @@ One product kernel, ``_PackedOperator``, serves both fields and both entry
 points: ``int_matmul`` applies B once to the rows of A, and ``int_operator``
 prepares M (R = M^T) for the matrix Horner steps X_k = A*X_{k-1} + c_k*V
 and the powers of e*A in cycle collection.  Each row x becomes x*R + c*v,
-the rows of R and V packed into one Python int each, entries in fixed-width
-slots (Kronecker substitution): the k terms are one C-level sum of
-small-times-big products, read back slot by slot.  The slot is the
-narrowest that holds the largest possible sum: 1, 2, 4 or 8 bytes (packed
-with ``struct``), or as many bytes as needed beyond that.  Over F_p that
-bound is (k + 1)*(p - 1)^2 with V given and k*(p - 1)^2 without, known
-from p alone; the slots are unsigned and each is reduced modulo p as it is
-read.  Over QQ a slot holds +-(k*max|x|*max|R| + |c|*max|V|) and +-max|R|,
-+-max|V| (both taken once): each slot is biased by half its range, which
-the sum starts from and the read subtracts, so no slot borrows from its
-neighbour.  A prepared operator packs once per slot width.  Slots wider
-than 8 bytes and than 3 bytes per term (at n = 16, entries of about 190
-bits on both sides; over F_p at k = 4, p above 2^47), and products with
-one column, take one dot product per entry instead, adding c*v and
-reducing modulo p.  Over QQ, when A has much larger entries than B, the
-product is taken as (B^T A^T)^T, so the packed side holds the larger ones.
+each row of R and V packed into one int in fixed-width slots (Kronecker
+substitution): one C-level sum of k small-times-big products, read back
+slot by slot.  The slot is the narrowest that holds the largest possible
+sum: 1, 2, 4 or 8 bytes (packed with ``struct``), or as many as needed
+beyond that.  Over F_p that bound is (k + 1)*(p - 1)^2 with V given and
+k*(p - 1)^2 without, from p alone; the slots are unsigned, each reduced
+modulo p as it is read.  Over QQ a slot holds +-(k*max|x|*max|R| +
+|c|*max|V|) and +-max|R|, +-max|V| (both taken once), biased by half its
+range, which the sum starts from and the read subtracts, so no slot
+borrows from its neighbour.  A prepared operator packs once per slot
+width.  Slots wider than 8 bytes and than 3 bytes per term (at n = 16,
+entries of about 190 bits on both sides; over F_p at k = 4, p above 2^47),
+and products with one column, take one dot product per entry instead,
+adding c*v and reducing modulo p.  Over QQ, when A has much larger entries
+than B, the product is taken as (B^T A^T)^T: the packed side holds them.
 
 ``expand`` is linear in the matrix coefficients, so it builds one
 transition matrix W for all divisors and applies it to all the data with a
@@ -89,10 +88,9 @@ except ImportError:  # pragma: no cover
 _STRUCT_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
 _ROUND_UP = (1, 1, 2, 4, 4, 8, 8, 8, 8)
 
-# A packed product pays per slot byte (in its big multiplications and to
-# pack and read the slots), a dot product per term: past the struct widths
-# and above this many slot bytes per term, dot products measured faster
-# (n = 8 to 32).
+# A packed product pays per slot byte (in its big multiplications and to pack
+# and read the slots), a dot product per term: past the struct widths and above
+# this many slot bytes per term, dot products measured faster (n = 8 to 32).
 _SLOT_BYTES_PER_TERM = 3
 
 
@@ -198,10 +196,11 @@ class Field:
         return self.lower(self.int_matmul(ai, bi), da * db)
 
     def int_matmul(self, a, b):
-        """Product of matrices in the integer model: b's operator applied
-        once to the rows of a (see the module docstring)."""
+        """a*b in the integer model: b's operator applied once to a's rows."""
         p = self.char
-        if p or not b or len(b[0]) < 2:
+        if not b or len(b[0]) < 2:      # one column: dot products, no operator
+            return _dot(p, b, (), a, 0)
+        if p:
             return _PackedOperator(p, b)(a)
         hi_a, hi_b = map(_max_abs, (a, b))
         if len(a) > 1 and hi_a.bit_length() > 2 * hi_b.bit_length():
@@ -301,6 +300,18 @@ def _max_abs(rows):
     return max(map(abs, chain.from_iterable(rows)), default=0)
 
 
+def _dot(p, rows, vs, xs, c):
+    """[x*R + c*v for x, v in zip(xs, vs)], one dot product per entry, mod p if p."""
+    cols = list(zip(*rows))
+    if c:
+        xs = [[sum(map(mul, x, col), c * y) for col, y in zip(cols, v)]
+              for x, v in zip(xs, vs)]
+        return [[y % p for y in x] for x in xs] if p else xs
+    if p:
+        return [[sum(map(mul, x, col)) % p for col in cols] for x in xs]
+    return [[sum(map(mul, x, col)) for col in cols] for x in xs]
+
+
 class _PackedOperator:
     """op(xs, c=0): [x*R + c*v for x, v in zip(xs, vs)] over F_p or QQ (p = 0),
     as the module docstring sets out; ``hi``, ``hi_x``: max|R|, max|x| if known."""
@@ -320,13 +331,13 @@ class _PackedOperator:
             hi, hi_v, k = self.hi, self.hi_v, len(self.rows)
             hi_x = _max_abs(xs) if hi_x is None else hi_x
             size = self._fit(max(k * hi_x * hi + abs(c) * hi_v, hi, hi_v) << 1)
-        return self._packed(xs, c, size) if size else self._dot(xs, c)
+        return (self._packed(xs, c, size) if size
+                else _dot(self.p, self.rows, self.vs, xs, c))
 
     def _fit(self, bound):
-        """Slot bytes for sums up to ``bound``; 0 where dot products win."""
-        k, size = len(self.rows), _slot_bytes(bound)
-        fits = k and len(self.rows[0]) > 1 and size <= max(8, _SLOT_BYTES_PER_TERM * k)
-        return size if fits else 0
+        """Slot bytes for sums up to ``bound``; 0 past the crossover."""
+        size = _slot_bytes(bound)
+        return size if size <= max(8, _SLOT_BYTES_PER_TERM * len(self.rows)) else 0
 
     def _packed(self, xs, c, size):
         rows, vs, bias, half, unpack = self.at(size)
@@ -336,19 +347,8 @@ class _PackedOperator:
         return ([[y % p for y in col] for col in unpack(sums)] if p else
                 [[y - half for y in col] for col in unpack(sums)])
 
-    def _dot(self, xs, c):
-        cols, p = list(zip(*self.rows)), self.p
-        if c:
-            xs = [[sum(map(mul, x, col), c * y) for col, y in zip(cols, v)]
-                  for x, v in zip(xs, self.vs)]
-            return [[y % p for y in x] for x in xs] if p else xs
-        if p:
-            return [[sum(map(mul, x, col)) % p for col in cols] for x in xs]
-        return [[sum(map(mul, x, col)) for col in cols] for x in xs]
-
     def at(self, size):
-        """R's rows and the v of ``vs`` in ``size``-byte slots, the bias the
-        sums start from, half a slot's range, and the unpacker."""
+        """R's and V's rows in ``size``-byte slots, the bias, half, unpacker."""
         width = len(self.rows[0])
         pack, unpack = _packer(size, width)
         half = 0 if self.p else 1 << (8 * size - 1)

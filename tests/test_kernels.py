@@ -570,13 +570,13 @@ def test_prime_matmul_at_slot_boundaries(bits, k, hi_a, hi_b):
 def spy_paths(monkeypatch):
     """Record which path (packed or dot) the product kernel takes."""
     taken = []
-    for path in ("_packed", "_dot"):
-        orig = getattr(fields._PackedOperator, path)
+    for owner, path in ((fields._PackedOperator, "_packed"), (fields, "_dot")):
+        orig = getattr(owner, path)
 
-        def spy(self, *args, orig=orig, path=path):
+        def spy(*args, orig=orig, path=path):
             taken.append(path)
-            return orig(self, *args)
-        monkeypatch.setattr(fields._PackedOperator, path, spy)
+            return orig(*args)
+        monkeypatch.setattr(owner, path, spy)
     return taken
 
 
