@@ -88,9 +88,10 @@ except ImportError:  # pragma: no cover
 _STRUCT_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
 _ROUND_UP = (1, 1, 2, 4, 4, 8, 8, 8, 8)
 
-# A packed product pays per slot byte (in its big multiplications and to pack
-# and read the slots), a dot product per term: past the struct widths and above
-# this many slot bytes per term, dot products measured faster (n = 8 to 32).
+# A packed product pays per slot byte (in its big multiplications and to
+# pack and read the slots), a dot product per term: past the struct widths
+# and above this many slot bytes per term, dot products measured faster
+# (n = 8 to 32).
 _SLOT_BYTES_PER_TERM = 3
 
 
@@ -197,11 +198,10 @@ class Field:
 
     def int_matmul(self, a, b):
         """a*b in the integer model: b's operator applied once to a's rows."""
-        p = self.char
         if not b or len(b[0]) < 2:      # one column: dot products, no operator
-            return _dot(p, b, (), a, 0)
-        if p:
-            return _PackedOperator(p, b)(a)
+            return _dot(self.char, b, (), a, 0)
+        if self.char:
+            return _PackedOperator(self.char, b)(a)
         hi_a, hi_b = map(_max_abs, (a, b))
         if len(a) > 1 and hi_a.bit_length() > 2 * hi_b.bit_length():
             # pack the factor with the larger entries: (B^T A^T)^T
