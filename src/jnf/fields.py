@@ -341,8 +341,8 @@ class _PackedOperator:
 
     def _packed(self, xs, c, size):
         rows, vs, bias, half, unpack = self.at(size)
-        sums = [sum(map(mul, x, rows), bias + c * v)
-                for x, v in zip(xs, vs if c else repeat(0))]
+        sums = ([sum(map(mul, x, rows), bias + c * v) for x, v in zip(xs, vs)] if c
+                else [sum(map(mul, x, rows), bias) for x in xs])
         p = self.p
         return ([[y % p for y in col] for col in unpack(sums)] if p else
                 [[y - half for y in col] for col in unpack(sums)])
