@@ -7,9 +7,8 @@ from .errors import (InternalConsistencyError, InvalidHintError, JnfError,
                      NeedsFactorizationError, ParseError, UnsupportedFieldError)
 from .factor import FactoredCharPoly, factor_charpoly, parse_factor_hints
 from .fields import PrimeField, QQ, Rationals
-from .jordan_linear import split_jordan
 from .jordan_rational import (assemble_pseudo_rational, extract_q_cycles,
-                              rational_jordan)
+                              rational_jordan, split_jordan)
 from .matrix import MatPoly, Matrix
 from .poly import Poly
 

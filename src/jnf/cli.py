@@ -11,8 +11,7 @@ from .errors import (InternalConsistencyError, InvalidHintError, JnfError,
                      NeedsFactorizationError, ParseError, UnsupportedFieldError)
 from .factor import factor_charpoly, format_factor_hint, parse_factor_hints
 from .io import emit_json, field_from_tag, format_matrix, parse_matrix
-from .jordan_linear import split_jordan
-from .jordan_rational import assemble_pseudo_rational, rational_jordan
+from .jordan_rational import assemble_pseudo_rational, rational_jordan, split_jordan
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -31,7 +30,7 @@ class JobConfig:
     factors_path: str = None
     output: str = "pretty"
     verify: bool = False
-    orientation: str = None      # None picks the per-form default
+    orientation: str = None      # None: the form's own (see decompose)
 
 
 def _max_n():
@@ -73,10 +72,7 @@ def run(config):
              "rational": rational_jordan}.get(config.form)
     if solve is None:
         raise ParseError(f"unknown form {config.form!r}")
-    # split form follows the classical subdiagonal display; the rational
-    # forms follow the companion-block display with couplings above
-    default = "lower" if config.form == "split" else "upper"
-    dec = solve(a, factorization, charpoly=p, orientation=config.orientation or default)
+    dec = solve(a, factorization, charpoly=p, orientation=config.orientation)
 
     lines = []
     if config.output == "json":
@@ -104,21 +100,22 @@ def run(config):
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="jnf",
-        description="Exact Jordan and rational Jordan normal forms.")
-    parser.add_argument("input", help="matrix file ('rows cols' header, then rows)")
-    parser.add_argument("--field", default="q", dest="field_spec",
+        description="Exact Jordan and rational Jordan normal forms.",
+        argument_default=argparse.SUPPRESS)     # JobConfig holds the defaults
+    parser.add_argument("input_path", metavar="input",
+                        help="matrix file ('rows cols' header, then rows)")
+    parser.add_argument("--field", dest="field_spec",
                         help="coefficient field: q (default) or fp:<prime>")
-    parser.add_argument("--form", default="rational",
-                        choices=["split", "pseudo", "rational"])
-    parser.add_argument("--factors", dest="factors_path", default=None,
+    parser.add_argument("--form", choices=["split", "pseudo", "rational"])
+    parser.add_argument("--factors", dest="factors_path",
                         help="factor hint file for the characteristic polynomial")
-    parser.add_argument("--output", default="pretty", choices=["pretty", "json"])
+    parser.add_argument("--output", choices=["pretty", "json"])
     parser.add_argument("--verify", action="store_true",
                         help="also check charpoly(J) == charpoly(A); "
                              "A*P == P*J is always checked")
     orient = parser.add_mutually_exclusive_group()
     orient.add_argument("--upper", action="store_const", const="upper",
-                        dest="orientation", default=None,
+                        dest="orientation",
                         help="couplings/1s above the diagonal")
     orient.add_argument("--lower", action="store_const", const="lower",
                         dest="orientation",
@@ -127,11 +124,7 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
-    config = JobConfig(input_path=args.input, field_spec=args.field_spec,
-                       form=args.form, factors_path=args.factors_path,
-                       output=args.output, verify=args.verify,
-                       orientation=args.orientation)
+    config = JobConfig(**vars(build_parser().parse_args(argv)))
     try:
         code, report = run(config)
     except NeedsFactorizationError as exc:

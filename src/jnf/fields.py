@@ -166,8 +166,6 @@ def is_prime(n):
 class Field:
     """Common interface; subclasses define the arithmetic."""
 
-    char = 0
-
     @property
     def key(self):
         raise NotImplementedError
@@ -187,6 +185,9 @@ class Field:
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))
+
+    def fmt(self, a):
+        return str(a)
 
     # -- kernel layer; matrices are lists of rows of field elements --------
 
@@ -221,15 +222,6 @@ class Field:
         rows of ``ncols`` columns that will hold at most ``width`` pivots;
         ``count``, if given, is called as in ``_Echelon``."""
         raise NotImplementedError
-
-    def rank(self, rows):
-        """Rank of rows of field elements: the pivots of an echelon after
-        inserting every row."""
-        ints, _ = self.lift(rows)
-        basis = self.echelon(len(ints[0]) if ints else 0, len(ints))
-        for row in ints:
-            basis.insert(row)
-        return len(basis)
 
     def expand(self, rows, dens, divisors):
         """For each ``(q, count)`` in ``divisors``, the first ``count``
@@ -410,9 +402,6 @@ class Rationals(Field):
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"bad rational {token!r}") from exc
         return _ratio(f.numerator, f.denominator)
-
-    def fmt(self, a):
-        return str(a)
 
     # -- integer model: integers over one common denominator --------------
 
@@ -661,9 +650,6 @@ class PrimeField(Field):
         except ValueError as exc:
             raise ParseError(f"bad F_{self.p} element {token!r}") from exc
 
-    def fmt(self, a):
-        return str(a)
-
     # -- integer model: residues over 1, reduced once per combined entry --
 
     def lift(self, rows):
@@ -710,15 +696,20 @@ class CountingField(Field):
     generic algorithm on this field, so it counts the digit recurrence, one
     ``sub_mul`` on the count*d digits per power of x, and its product.
     ``int_operator`` counts a product per application and a mul and an add
-    per entry of c*v.
+    per entry of c*v.  Everything else, defined neither here nor on
+    ``Field``, is the base field's, uncounted.
     """
 
     def __init__(self, base):
         self.base = base
-        self.char = base.char
-        self.zero = base.zero
-        self.one = base.one
         self.counts = {"add": 0, "sub": 0, "mul": 0, "inv": 0, "neg": 0}
+
+    def __getattr__(self, name):
+        # reached only for what neither this class nor Field defines; ``base``
+        # itself is missing only on a half-built copy, where it must not recurse
+        if name == "base":
+            raise AttributeError(name)
+        return getattr(self.base, name)
 
     @property
     def key(self):
@@ -751,31 +742,10 @@ class CountingField(Field):
         self.counts["inv"] += 1
         return self.base.inv(a)
 
-    def from_int(self, k):
-        return self.base.from_int(k)
-
-    def parse(self, token):
-        return self.base.parse(token)
-
-    def fmt(self, a):
-        return self.base.fmt(a)
-
     def _count(self, mul_add, inv=0):
         self.counts["mul"] += mul_add
         self.counts["add"] += mul_add
         self.counts["inv"] += inv
-
-    def lift(self, rows):
-        return self.base.lift(rows)
-
-    def lower(self, rows, den):
-        return self.base.lower(rows, den)
-
-    def common_den(self, dens):
-        return self.base.common_den(dens)
-
-    def int_scale(self, rows, k):
-        return self.base.int_scale(rows, k)
 
     def int_matmul(self, a, b):
         self._count(len(a) * len(b) * (len(b[0]) if b else 0))

@@ -1,4 +1,5 @@
-"""The cycle engine every factor runs through, and the split Jordan form.
+"""The cycle engine every factor runs through; the drivers of all three
+forms, the split one included, are in ``jordan_rational``.
 
 For a factor Q of degree d the input is its Q-adic digits C_k of
 B(lambda), each the list of its d lambda-coefficients, as ``matpoly_div_q``
@@ -140,10 +141,3 @@ def extract_cycles(a, lam, mult, blocks):
     the eigenvector."""
     return extract_q_cycles(a, Poly.x_minus(a.field, lam), mult,
                             [[b] for b in blocks])
-
-
-def split_jordan(a, factorization, orientation="lower", charpoly=None):
-    """Split-field Jordan form driver; every factor must be linear."""
-    from .jordan_rational import decompose   # which imports this module
-
-    return decompose(a, factorization, "split", orientation, charpoly)

@@ -1,4 +1,5 @@
-"""Rational Jordan cycles for irreducible factors Q of any degree d.
+"""The drivers of the three forms, split, pseudo-rational and rational,
+and the rational Jordan cycles of irreducible factors Q of any degree d.
 
 A block B(lambda)*V of B(lambda) is expanded at every factor in one
 ``matpoly_div_q`` call, and every factor, linear ones as d = 1, hands its
@@ -87,11 +88,14 @@ def convert_cycle_to_rational(a, q_poly, groups):
     return [vectors[j * d:(j + 1) * d] for j in range(k)]
 
 
-def decompose(a, factorization, form, orientation, charpoly=None):
+def decompose(a, factorization, form, orientation=None, charpoly=None):
     """The driver of all three forms: the factorization checked, B*V
     expanded at every factor, each factor's cycles from the one extractor
     (converted to the rational basis when ``form`` is "rational" and the
-    factor has degree >= 2), then assembled and certified.
+    factor has degree >= 2), then assembled and certified.  ``orientation``
+    None is the form's own: "lower" for the split form, after the classical
+    subdiagonal display, and "upper" for the companion-block display of the
+    other two.
 
     The check refuses factors that are not monic of degree >= 1 or have a
     multiplicity below 1 (``check_factors``), a non-linear factor for the
@@ -143,14 +147,20 @@ def decompose(a, factorization, form, orientation, charpoly=None):
                           for groups in cycles]
             found[i] = (q_poly, cycles)
         pending, s = short, min(2 * s, n)
+    orientation = orientation or ("lower" if form == "split" else "upper")
     return assemble(a, found, form=form, orientation=orientation)
 
 
-def assemble_pseudo_rational(a, factorization, orientation="upper", charpoly=None):
+def split_jordan(a, factorization, orientation=None, charpoly=None):
+    """Split-field Jordan form driver; every factor must be linear."""
+    return decompose(a, factorization, "split", orientation, charpoly)
+
+
+def assemble_pseudo_rational(a, factorization, orientation=None, charpoly=None):
     """Pseudo-rational form: companion diagonal, single-1 couplings."""
     return decompose(a, factorization, "pseudo_rational", orientation, charpoly)
 
 
-def rational_jordan(a, factorization, orientation="upper", charpoly=None):
+def rational_jordan(a, factorization, orientation=None, charpoly=None):
     """End-to-end rational Jordan normal form driver."""
     return decompose(a, factorization, "rational", orientation, charpoly)

@@ -81,8 +81,7 @@ class Matrix:
     def from_columns(cls, field, columns, rows=None):
         if not columns:
             return cls.zeros(field, rows or 0, 0)
-        n = len(columns[0])
-        return cls(field, [[col[i] for col in columns] for i in range(n)])
+        return cls(field, zip(*columns, strict=True))
 
     @property
     def is_square(self):
@@ -124,7 +123,12 @@ def mat_mul(a, b):
 
 
 def rank(m):
-    return m.field.rank(m.data)
+    """The pivots of one echelon of ``m``'s integer model, lifted once."""
+    ints, _ = m.lifted()
+    basis = m.field.echelon(m.cols, m.rows)
+    for row in ints:
+        basis.insert(row)
+    return len(basis)
 
 
 class MatPoly:

@@ -19,10 +19,10 @@ from jnf.charpoly import char_data, faddeev, hessenberg_charpoly
 from jnf.decomposition import cycle_block_matrix, verify
 from jnf.factor import factor_charpoly
 from jnf.fields import QQ, CountingField, PrimeField
-from jnf.jordan_linear import extract_cycles, split_jordan, taylor_blocks
+from jnf.jordan_linear import extract_cycles, taylor_blocks
 from jnf.jordan_rational import (assemble_pseudo_rational,
                                  convert_cycle_to_rational, extract_q_cycles,
-                                 q_adic_blocks, rational_jordan)
+                                 q_adic_blocks, rational_jordan, split_jordan)
 from jnf.matrix import MatPoly, Matrix, mat_mul, poly_at_matrix, rank
 from jnf.poly import Poly
 

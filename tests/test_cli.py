@@ -7,7 +7,7 @@ from conftest import conjugate_random, make_fixture_m6, normal_form, rng_for
 from jnf import factor, jordan_rational
 from jnf.charpoly import hessenberg_charpoly
 from jnf.cli import (EXIT_NEEDS_FACTORIZATION, EXIT_OK, EXIT_PARSE,
-                     EXIT_UNSUPPORTED_FIELD, main)
+                     EXIT_UNSUPPORTED_FIELD, JobConfig, main)
 from jnf.fields import QQ
 from jnf.factor import factor_charpoly, parse_factor_hints
 from jnf.io import any_digits, emit_json, format_matrix, parse_json, parse_matrix
@@ -61,6 +61,15 @@ def test_pseudo_form(m6_file, capsys):
     # single-1 coupling sits above the first companion block
     assert doc["J"][0][3] == "1"
     assert doc["J"][1][2] == "0"
+
+
+def test_defaults_are_job_configs(a_file, capsys, monkeypatch):
+    # the parser adds no default of its own: absent flags leave JobConfig's
+    import jnf.cli
+    seen = []
+    monkeypatch.setattr(jnf.cli, "run", lambda config: seen.append(config) or (EXIT_OK, ""))
+    assert main([a_file]) == EXIT_OK
+    assert seen == [JobConfig(input_path=a_file)]
 
 
 def test_orientation_flags(a_file, capsys):

@@ -1,7 +1,11 @@
+import copy
+
 import pytest
 
 from jnf.errors import FieldMismatchError, ParseError, UnsupportedFieldError
+from jnf.factor import factor_charpoly
 from jnf.fields import QQ, CountingField, PrimeField, is_prime
+from jnf.poly import Poly
 
 
 def test_rational_canonical_zero():
@@ -70,6 +74,27 @@ def test_counting_field_counts():
     assert cf.counts["add"] == 1
     assert cf.counts["mul"] == 2
     assert cf.total == 3
+
+
+def test_counting_field_is_its_base_elsewhere():
+    # what the view does not define is the base field's, ``fraction`` and
+    # ``p`` included, so the factorization runs on it as on the base
+    cf = CountingField(QQ)
+    assert (cf.char, cf.zero, cf.one) == (0, QQ.zero, QQ.one)
+    assert CountingField(PrimeField(7)).p == 7
+    coeffs = [-6, 10, 1, -7, 1, 1]      # (x - 1)^2 (x + 3) (x^2 - 2)
+    got = factor_charpoly(Poly.from_ints(cf, coeffs))
+    want = factor_charpoly(Poly.from_ints(QQ, coeffs))
+    assert got.factors == want.factors
+
+
+def test_counting_field_missing_attribute():
+    with pytest.raises(AttributeError):
+        CountingField(QQ).no_such_attribute
+    # a copy starts without ``base``; looking it up must not recurse
+    cf = CountingField(PrimeField(5))
+    twin = copy.copy(cf)
+    assert twin.base is cf.base and twin == cf and twin.char == 5
 
 
 def test_is_prime_small():

@@ -8,8 +8,8 @@ from jnf.errors import InvalidHintError, NeedsFactorizationError
 from jnf.factor import FactoredCharPoly, factor_charpoly
 from jnf import jordan_linear
 from jnf.fields import QQ, PrimeField
-from jnf.jordan_linear import (extract_cycles, split_jordan, taylor_blocks)
-from jnf.jordan_rational import assemble_pseudo_rational, rational_jordan
+from jnf.jordan_linear import extract_cycles, taylor_blocks
+from jnf.jordan_rational import assemble_pseudo_rational, rational_jordan, split_jordan
 from jnf.matrix import Matrix, mat_mul, rank
 from jnf.poly import Poly
 
@@ -169,3 +169,16 @@ def test_drivers_refuse_a_constant_factor(driver):
                (Poly.from_ints(QQ, [1]), 1)]
     with pytest.raises(InvalidHintError, match="'1 : 1' has degree 0"):
         driver(a, FactoredCharPoly(factors, QQ))
+
+
+@pytest.mark.parametrize("driver, default, other", [
+    (split_jordan, "lower", "upper"),
+    (assemble_pseudo_rational, "upper", "lower"),
+    (rational_jordan, "upper", "lower")])
+def test_drivers_default_to_their_form_orientation(driver, default, other):
+    # the Jordan block of 2 is where the two orientations differ
+    a = Matrix.from_ints(QQ, [[2, 1, 0], [0, 2, 0], [0, 0, 3]])
+    fc = factor_charpoly(hessenberg_charpoly(a))
+    got, named = driver(a, fc), driver(a, fc, orientation=default)
+    assert (got.p, got.j, got.blocks) == (named.p, named.j, named.blocks)
+    assert got.j != driver(a, fc, orientation=other).j

@@ -116,6 +116,15 @@ def test_lower_orientation_m6(fixture_m6):
     assert verify(fixture_m6, dec)
 
 
+def test_certificate_lifts_p_once(fixture_m6, monkeypatch):
+    # A*P, P*J and the rank of P all read the integer model P is lifted to
+    lifted = []
+    lift = type(QQ).lift
+    monkeypatch.setattr(type(QQ), "lift", lambda self, rows: lifted.append(rows) or lift(self, rows))
+    dec = rational_jordan(fixture_m6, factor_charpoly(char_data(fixture_m6).p))
+    assert sum(rows is dec.p.data for rows in lifted) == 1
+
+
 def test_commutation_rational_vs_pseudo(fixture_m6):
     fc = factor_charpoly(char_data(fixture_m6).p)
     rat = rational_jordan(fixture_m6, fc)

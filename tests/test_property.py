@@ -29,10 +29,9 @@ from jnf.charpoly import (char_data, comatrix_from_charpoly, faddeev,
                           hessenberg_charpoly, probe_block)
 from jnf.factor import factor_charpoly
 from jnf.fields import QQ, Field, PrimeField
-from jnf.jordan_linear import split_jordan
 from jnf.jordan_rational import (BLOCK_COLUMNS, assemble_pseudo_rational,
                                  convert_cycle_to_rational, extract_q_cycles,
-                                 q_adic_blocks, rational_jordan)
+                                 q_adic_blocks, rational_jordan, split_jordan)
 from jnf.matrix import Matrix, mat_mul, poly_at_matrix, rank
 from jnf.poly import Poly
 

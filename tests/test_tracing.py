@@ -1,7 +1,8 @@
 """The traced benchmark's recorder (perfbench/tracing.py) still finds what
 it wraps: a rename in jnf would otherwise zero a span silently.  One job
 per route: Faddeev over QQ, and the hinted Hessenberg route over GF(7)
-that the fp_hessenberg workload runs."""
+that the fp_hessenberg workload runs.  The op counts of every workload's
+seed-1 warm-up matrix are pinned, as the benchmark computes them."""
 
 import sys
 from pathlib import Path
@@ -12,7 +13,7 @@ import jnf.cli
 from conftest import conjugate_random, normal_form, rng_for
 from jnf.cli import EXIT_OK, JobConfig
 from jnf.fields import PrimeField
-from jnf.io import format_matrix
+from jnf.io import field_from_tag, format_matrix, parse_matrix
 from jnf.poly import Poly
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -78,3 +79,22 @@ def test_traced_prime_field_job(tracing, tmp_path):
     charpoly_ops, q_adic_ops, b_bits = tracing.op_counts(
         a, [(("1", "0", "1"), 3), (("4", "1"), 2)])
     assert charpoly_ops > 0 and q_adic_ops > 0 and b_bits > 0
+
+
+OP_COUNTS = {"qq_split": (123184, 0, 14),
+             "qq_rational": (304460, 256608, 29),
+             "fp_hessenberg": (2172495, 787176, 3)}
+
+
+@pytest.mark.parametrize("name", OP_COUNTS)
+def test_op_counts_of_the_warm_up_matrix(tracing, tmp_path, name):
+    # charpoly.field_ops, jordan_rational.q_adic_blocks.field_ops and
+    # charpoly.b_max_bits, with the factors fed as perfbench/run.py feeds them
+    import corpus
+    w = corpus.WORKLOADS[name]
+    (mat, _, truth), _ = corpus.generate(tmp_path, w, 1, 0)
+    mults = {}
+    for coeffs, k, count in truth:
+        mults[tuple(coeffs)] = mults.get(tuple(coeffs), 0) + k * count
+    a = parse_matrix(mat.read_text(), field_from_tag(w.field_spec))
+    assert tracing.op_counts(a, list(mults.items())) == OP_COUNTS[name]
