@@ -1,5 +1,6 @@
-"""The field kernels (``matmul``, ``echelon``, ``rank``, ``expand``) against
-per-operation oracles written here with the scalar field methods only."""
+"""The field kernels (``matmul``, ``echelon``, ``expand``) and
+``matrix.rank`` against per-operation oracles written here with the scalar
+field methods only."""
 
 import math
 import random
