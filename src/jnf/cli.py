@@ -44,14 +44,26 @@ def _max_n():
     raise ParseError(f"JNF_MAX_N must be a positive integer, got {raw!r}")
 
 
+def _read(path):
+    """The text of the file at ``path``; one that cannot be read, or is not
+    UTF-8, is a parse error naming it."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from exc
+
+
 def run(config):
     """Execute one job; returns (exit_code, report_text)."""
+    solve = {"split": split_jordan, "pseudo": assemble_pseudo_rational,
+             "rational": rational_jordan}.get(config.form)
+    if solve is None:
+        raise ParseError(f"unknown form {config.form!r}")
+    if config.output not in ("pretty", "json"):
+        raise ParseError(f"unknown output {config.output!r}")
     field = field_from_tag(config.field_spec)
-    try:
-        with open(config.input_path, encoding="utf-8") as fh:
-            a = parse_matrix(fh.read(), field)
-    except OSError as exc:
-        raise ParseError(f"cannot read {config.input_path}: {exc}") from exc
+    a = parse_matrix(_read(config.input_path), field)
     if not a.is_square:
         raise ParseError("input matrix must be square")
     max_n = _max_n()
@@ -61,17 +73,8 @@ def run(config):
     p = hessenberg_charpoly(a)
     hint = None
     if config.factors_path:
-        try:
-            with open(config.factors_path, encoding="utf-8") as fh:
-                hint = parse_factor_hints(fh.read(), p)
-        except OSError as exc:
-            raise ParseError(f"cannot read {config.factors_path}: {exc}") from exc
+        hint = parse_factor_hints(_read(config.factors_path), p)
     factorization = factor_charpoly(p, hint=hint)
-
-    solve = {"split": split_jordan, "pseudo": assemble_pseudo_rational,
-             "rational": rational_jordan}.get(config.form)
-    if solve is None:
-        raise ParseError(f"unknown form {config.form!r}")
     dec = solve(a, factorization, charpoly=p, orientation=config.orientation)
 
     lines = []
@@ -136,10 +139,10 @@ def main(argv=None):
     except UnsupportedFieldError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED_FIELD
-    except (ParseError, InvalidHintError, ValueError) as exc:
+    except (ParseError, InvalidHintError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except JnfError as exc:
+    except (JnfError, ValueError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     print(report)

@@ -31,7 +31,7 @@ from fractions import Fraction
 
 from .errors import InvalidHintError, NeedsFactorizationError, ParseError
 from .fields import is_prime
-from .io import any_digits, parse_bounded
+from .io import parse_bounded
 from .poly import (Poly, int_derivative, int_gcd, int_product, int_quo,
                    int_rem, int_sub, lift_poly, monic_poly, poly_gcd,
                    squarefree_decomposition)
@@ -145,9 +145,8 @@ def _split_squarefree_part(field, part, mult):
 def canonical_factor_order(field, factors):
     """Deterministic block order: degree desc, multiplicity desc, then by
     coefficient text, every digit of it."""
-    with any_digits():
-        return sorted(factors, key=lambda fm: (-fm[0].degree, -fm[1],
-                                               tuple(map(field.fmt, fm[0].coeffs))))
+    return sorted(factors, key=lambda fm: (-fm[0].degree, -fm[1],
+                                           tuple(map(field.fmt, fm[0].coeffs))))
 
 
 def factor_charpoly(p, hint=None):
@@ -188,7 +187,8 @@ def check_factors(factors):
     ``factor_charpoly`` and the drivers' own check of a factorization."""
     for q, m in factors:
         if q.is_zero or not q.is_monic:
-            raise InvalidHintError(f"hinted factor {q!r} is not monic")
+            raise InvalidHintError(
+                f"hinted factor '{format_factor_hint(q, m)}' is not monic")
         if q.degree < 1:
             raise InvalidHintError(
                 f"hinted factor '{format_factor_hint(q, m)}' has degree 0")
@@ -223,7 +223,7 @@ def _check_hinted_factors(hint):
             if roots:
                 raise InvalidHintError(
                     f"{name} is reducible: it has the rational root "
-                    f"{q.field.fraction(*roots[0])}")
+                    f"{q.field.fmt(q.field.fraction(*roots[0]))}")
 
 
 def _is_irreducible_mod_p(q):
@@ -284,15 +284,12 @@ def parse_factor_hints(text, p):
         tokens = coeff_part.split()
         if not tokens:
             raise ParseError(f"hint line {lineno}: no coefficients")
-        with any_digits():
-            coeffs = [parse_bounded(field, t, bits, f"hint line {lineno}, coefficient {j}")
-                      for j, t in enumerate(tokens, 1)]
+        coeffs = [parse_bounded(field, t, bits, f"hint line {lineno}, coefficient {j}")
+                  for j, t in enumerate(tokens, 1)]
         factors.append((Poly(field, coeffs), mult))
     return factors
 
 
 def format_factor_hint(poly, mult):
     """Render one factor in hint-file syntax, every digit of it."""
-    f = poly.field
-    with any_digits():
-        return f"{mult} : " + " ".join(f.fmt(c) for c in poly.coeffs)
+    return f"{mult} : " + " ".join(map(poly.field.fmt, poly.coeffs or [poly.field.zero]))

@@ -65,10 +65,17 @@ product reads its slots with ``% p`` instead: the wider slots would cost
 its big multiplications more than that.)  An echelon is kept across edits:
 ``shift`` turns the chain rows of one level of cycle collection into those
 of the next, and ``save``/``restore`` undo a refused insertion.
+
+Text.  This module alone knows CPython's limit on the digits of an int
+converted from or to a string: ``fmt`` and ``parse`` convert with it and,
+only where that raises, once more with it lifted (``_unlimited``), so a
+value of any size prints and reads back in full.  Bounding the work on
+untrusted text is the caller's (``io.parse_bounded``).
 """
 
 import math
 import struct
+import sys
 from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
@@ -81,6 +88,9 @@ try:  # gmpy2 rationals are drop-in compatible and much faster
     from gmpy2 import mpq as _ratio
 except ImportError:  # pragma: no cover
     _ratio = Fraction
+
+# CPython's int/str digit limit, 0 for none (and before 3.10.7)
+_digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
 
 
 # Packed-row slot widths in bytes that struct packs, and their codes
@@ -139,6 +149,16 @@ def _barrett(p, ncols, bound):
     return size, lambda r: r - p * (((r * m) >> s) & mask)
 
 
+def _unlimited(convert, x):
+    """convert(x) with CPython's digit limit lifted for the call."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return convert(x)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def is_prime(n):
     """Miller-Rabin to the 13 prime bases up to 41: deterministic for n < 3.3e24."""
     if n < 2:
@@ -187,7 +207,10 @@ class Field:
         return self.mul(a, self.inv(b))
 
     def fmt(self, a):
-        return str(a)
+        try:
+            return str(a)
+        except ValueError:          # past CPython's digit limit
+            return _unlimited(str, a)
 
     # -- kernel layer; matrices are lists of rows of field elements --------
 
@@ -400,6 +423,8 @@ class Rationals(Field):
                 return _ratio(int(num), int(den)) if slash else _ratio(int(num))
             f = Fraction(token)
         except (ValueError, ZeroDivisionError) as exc:
+            if _digit_limit():      # the value may be past the digit limit
+                return _unlimited(self.parse, token)
             raise ParseError(f"bad rational {token!r}") from exc
         return _ratio(f.numerator, f.denominator)
 
@@ -639,15 +664,14 @@ class PrimeField(Field):
         return k % self.p
 
     def parse(self, token):
-        if "/" in token:
-            num, _, den = token.partition("/")
-            try:
-                return self.div(int(num) % self.p, int(den) % self.p)
-            except (ValueError, ZeroDivisionError) as exc:
-                raise ParseError(f"bad F_{self.p} element {token!r}") from exc
         try:
-            return int(token) % self.p
-        except ValueError as exc:
+            if "/" not in token:
+                return int(token) % self.p
+            num, _, den = token.partition("/")
+            return self.div(int(num) % self.p, int(den) % self.p)
+        except (ValueError, ZeroDivisionError) as exc:
+            if _digit_limit():      # the value may be past the digit limit
+                return _unlimited(self.parse, token)
             raise ParseError(f"bad F_{self.p} element {token!r}") from exc
 
     # -- integer model: residues over 1, reduced once per combined entry --

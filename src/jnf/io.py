@@ -3,8 +3,6 @@ stable-key JSON document for decompositions."""
 
 import json
 import re
-import sys
-from contextlib import contextmanager
 
 from .decomposition import CycleBlock, JordanDecomposition
 from .errors import ParseError
@@ -32,7 +30,7 @@ def parse_bounded(field, token, bits, where):
     """The value of ``token``, refused with an error naming ``where`` when
     its numerator or denominator has more than ``bits`` bits: from the
     token's digits and exponent before any value is formed, so the work is
-    linear in the bound.  Bounds past about 7000 bits need ``any_digits``."""
+    linear in the bound."""
     digits = bits * 30103 // 100000 + 1          # those of a bits-bit integer
     exp = _EXPONENT.search(token) if "e" in token or "E" in token else None
     if sum(map(str.isdigit, token)) <= 2 * digits + 10 and (not exp or (
@@ -46,15 +44,18 @@ def parse_bounded(field, token, bits, where):
     raise ParseError(f"{where} exceeds {bits} bits in numerator or denominator")
 
 
-def _parse_row(field, tokens, row):
-    """The entries of one row.  The row is parsed in one pass over
-    ``field.parse`` when no token can make it raise 10 to a huge exponent:
-    over F_p (which reads no exponents) or without exponents over QQ.  Its
-    values then need the bit bound checked only where they can exceed it:
-    over F_p only when p has more than MAX_ENTRY_BITS bits.  Any other row,
-    and a row that fails, goes entry by entry, which names the column."""
+def _parse_row(field, line, tokens, row):
+    """The entries of one row, the ``tokens`` of ``line``.  The row is
+    parsed in one pass over ``field.parse`` when no token is longer than
+    MAX_ENTRY_BITS characters (entries within the bound are far shorter)
+    and none can make it raise 10 to a huge exponent: over F_p (which reads
+    no exponents) or without exponents over QQ.  Its values then need the
+    bit bound checked only where they can exceed it: over F_p only when p
+    has more than MAX_ENTRY_BITS bits.  Any other row, and a row that
+    fails, goes entry by entry, which names the column and bounds the work."""
     p = field.char
-    if p or not any("e" in t or "E" in t for t in tokens):
+    short = len(line) <= MAX_ENTRY_BITS or max(map(len, tokens)) <= MAX_ENTRY_BITS
+    if short and (p or not any("e" in t or "E" in t for t in tokens)):
         try:
             values = list(map(field.parse, tokens))
         except ParseError:
@@ -88,32 +89,14 @@ def parse_matrix(text, field):
         tokens = ln.split()
         if len(tokens) != cols:
             raise ParseError(f"expected {cols} entries in row: {ln!r}")
-        data.append(_parse_row(field, tokens, i))
+        data.append(_parse_row(field, ln, tokens, i))
     return Matrix(field, data)
-
-
-@contextmanager
-def any_digits():
-    """CPython's limit on the digits of an int converted to a string lifted
-    for the block: the entries of an exact answer can have far more digits
-    than the input (the transform of an 8 x 8 matrix with 4096-bit entries
-    has 49k-bit ones), and every answer is printed in full."""
-    if not hasattr(sys, "set_int_max_str_digits"):   # no limit before 3.10.7
-        yield
-        return
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        yield
-    finally:
-        sys.set_int_max_str_digits(limit)
 
 
 def format_matrix(m):
     """Column-aligned text rendering (including the header line)."""
     f = m.field
-    with any_digits():
-        cells = [[f.fmt(x) for x in row] for row in m.data]
+    cells = [[f.fmt(x) for x in row] for row in m.data]
     widths = [max(len(cells[r][c]) for r in range(m.rows)) for c in range(m.cols)]
     lines = [f"{m.rows} {m.cols}"]
     for row in cells:
@@ -153,11 +136,6 @@ def emit_json(dec):
     """Stable-key JSON document for a decomposition; deterministic bytes,
     those of json.dumps(doc, sort_keys=True, indent=2).  An indent sends
     json to its pure-Python encoder, so the layout is written here."""
-    with any_digits():
-        return _emit_json(dec)
-
-
-def _emit_json(dec):
     f = dec.field
 
     def strings(values, indent):
@@ -188,14 +166,13 @@ def parse_json(text):
         raise ParseError(f"bad JSON: {exc}") from exc
     try:
         field = field_from_tag(doc["field"])
-        with any_digits():
-            p = Matrix(field, [[field.parse(x) for x in row] for row in doc["P"]])
-            j = Matrix(field, [[field.parse(x) for x in row] for row in doc["J"]])
-            blocks = [
-                CycleBlock(factor=Poly(field, [field.parse(c) for c in blk["factor"]]),
-                           cycle_length=blk["cycle_length"], offset=blk["offset"])
-                for blk in doc["blocks"]
-            ]
+        p = Matrix(field, [[field.parse(x) for x in row] for row in doc["P"]])
+        j = Matrix(field, [[field.parse(x) for x in row] for row in doc["J"]])
+        blocks = [
+            CycleBlock(factor=Poly(field, [field.parse(c) for c in blk["factor"]]),
+                       cycle_length=blk["cycle_length"], offset=blk["offset"])
+            for blk in doc["blocks"]
+        ]
         return JordanDecomposition(p=p, j=j, form=doc["form"],
                                    blocks=blocks, field=field)
     except (KeyError, TypeError, AttributeError) as exc:

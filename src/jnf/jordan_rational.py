@@ -95,7 +95,7 @@ def decompose(a, factorization, form, orientation=None, charpoly=None):
     factor has degree >= 2), then assembled and certified.  ``orientation``
     None is the form's own: "lower" for the split form, after the classical
     subdiagonal display, and "upper" for the companion-block display of the
-    other two.
+    other two.  Any other form or orientation is refused with ValueError.
 
     The check refuses factors that are not monic of degree >= 1 or have a
     multiplicity below 1 (``check_factors``), a non-linear factor for the
@@ -107,6 +107,10 @@ def decompose(a, factorization, form, orientation=None, charpoly=None):
     means an asserted factor is reducible, an invalid hint naming the
     factor, and a computed one an internal fault.
     """
+    if form not in ("split", "pseudo_rational", "rational"):
+        raise ValueError(f"unknown form {form!r}")
+    if orientation not in (None, "upper", "lower"):
+        raise ValueError(f"unknown orientation {orientation!r}")
     check_factors(factorization.factors)
     if form == "split":
         for q, _ in factorization.factors:

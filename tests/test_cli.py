@@ -1,16 +1,19 @@
 import json
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
 from conftest import conjugate_random, make_fixture_m6, normal_form, rng_for
 from jnf import factor, jordan_rational
 from jnf.charpoly import hessenberg_charpoly
-from jnf.cli import (EXIT_NEEDS_FACTORIZATION, EXIT_OK, EXIT_PARSE,
-                     EXIT_UNSUPPORTED_FIELD, JobConfig, main)
+from jnf.cli import (EXIT_INTERNAL, EXIT_NEEDS_FACTORIZATION, EXIT_OK, EXIT_PARSE,
+                     EXIT_UNSUPPORTED_FIELD, JobConfig, main, run)
+from jnf.errors import ParseError
 from jnf.fields import QQ
 from jnf.factor import factor_charpoly, parse_factor_hints
-from jnf.io import any_digits, emit_json, format_matrix, parse_json, parse_matrix
+from jnf.io import emit_json, format_matrix, parse_json, parse_matrix
 from jnf.jordan_rational import BLOCK_COLUMNS
 from jnf.matrix import Matrix, mat_mul, rank
 from jnf.poly import Poly
@@ -159,6 +162,42 @@ def test_parse_errors(tmp_path, capsys):
     assert main([str(garbled)]) == EXIT_PARSE
 
 
+@pytest.mark.parametrize("which", ["matrix", "hints"])
+def test_non_utf8_file_names_the_file(a_file, tmp_path, capsys, which):
+    # exited 2 with the bare codec error, naming neither file nor stage
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"1 1\n\xff\n")
+    argv = [str(bad)] if which == "matrix" else [a_file, "--factors", str(bad)]
+    assert main(argv) == EXIT_PARSE
+    assert f"error: cannot read {bad}: 'utf-8' codec" in capsys.readouterr().err
+
+
+def test_value_error_is_internal(a_file, capsys, monkeypatch):
+    # only the library's own checks raise a bare ValueError; the CLI checks
+    # every user input before it, so one reaching main is a fault
+    import jnf.cli
+
+    def fail(a):
+        raise ValueError("matrix must be square")
+    monkeypatch.setattr(jnf.cli, "hessenberg_charpoly", fail)
+    assert main([a_file]) == EXIT_INTERNAL
+    assert "internal error: matrix must be square" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, value", [("form", "bad"), ("output", "xml")])
+def test_run_refuses_unknown_config_values(tmp_path, field, value):
+    # before the matrix is read: an unknown form exited 3 on a matrix that
+    # needed factoring, and an unknown output printed pretty
+    config = JobConfig(input_path=str(tmp_path / "missing.txt"), **{field: value})
+    with pytest.raises(ParseError, match=f"unknown {field} '{value}'"):
+        run(config)
+    path = tmp_path / "c.txt"
+    path.write_text("3 3\n0 0 2\n1 0 0\n0 1 0\n")     # x^3 - 2, stuck
+    config.input_path = str(path)
+    with pytest.raises(ParseError, match=f"unknown {field} '{value}'"):
+        run(config)
+
+
 def test_unsupported_field(tmp_path, capsys):
     path = tmp_path / "m.txt"
     path.write_text("2 2\n1 0\n0 1\n")
@@ -199,6 +238,8 @@ def test_max_n_must_be_a_positive_integer(a_file, capsys, monkeypatch, value):
     # "not enough values to unpack"
     ("2 2\n1 0\n0 1\n", "q", "2 : -1 1\n1 : 1\n", "'1 : 1' has degree 0"),
     ("2 2\n1 0\n0 1\n", "fp:7", "2 : 6 1\n1 : 1\n", "'1 : 1' has degree 0"),
+    # a non-monic factor was named as Poly(['2', '0', '2'])
+    ("2 2\n1 0\n0 1\n", "q", "1 : 2 0 2\n", "'1 : 2 0 2' is not monic"),
 ])
 def test_misleading_hint_rejected(tmp_path, capsys, matrix, field, hint, message):
     path = tmp_path / "m.txt"
@@ -267,11 +308,12 @@ def test_reducible_hint_blamed_only_at_full_width(tmp_path, capsys, monkeypatch)
     assert widths == [BLOCK_COLUMNS, 2 * BLOCK_COLUMNS, a.rows] and a.rows == 16
 
 
-def test_big_residual_prints(tmp_path, capsys):
-    # x^2 + c*2^4086 for c = 15, 77, 221, 437: entries within MAX_ENTRY_BITS,
-    # no rational root, so the product is stuck whole at degree 8, and the
-    # residual's coefficients have more digits than CPython converts to a
-    # string by default, which made this exit 1 with a traceback
+def stuck_octic(path):
+    """Write the companions of x^2 + c*2^4086 for c = 15, 77, 221, 437 to
+    ``path`` and return the integer coefficients of their product: entries
+    within MAX_ENTRY_BITS, no rational root, so the product is stuck whole
+    at degree 8, and its coefficients have more digits than CPython
+    converts to a string by default."""
     n = 8
     rows = [[0] * n for _ in range(n)]
     expect = [1]
@@ -279,16 +321,21 @@ def test_big_residual_prints(tmp_path, capsys):
         rows[2 * k][2 * k + 1], rows[2 * k + 1][2 * k] = -c << 4086, 1
         expect = [x + y for x, y in
                   zip([0, 0] + expect, [(c << 4086) * x for x in expect] + [0, 0])]
-    path = tmp_path / "m.txt"
     path.write_text(f"{n} {n}\n" + "".join(" ".join(map(str, r)) + "\n" for r in rows))
+    return expect
+
+
+def test_big_residual_prints(tmp_path, capsys):
+    # the residual of the stuck octic made this exit 1 with a traceback
+    path = tmp_path / "m.txt"
+    expect = stuck_octic(path)
     assert main([str(path)]) == EXIT_NEEDS_FACTORIZATION
     err = capsys.readouterr().err
     assert "stuck on degree-8 factor" in err
     line = err.split("unfactored part (hint-file syntax):\n")[1].splitlines()[0]
     mult, coeffs = line.split(" : ")
     assert mult == "1" and max(map(len, coeffs.split())) > 4300
-    with any_digits():
-        assert list(map(int, coeffs.split())) == expect
+    assert list(map(QQ.parse, coeffs.split())) == expect
     # and the line reads back as a hint, to the same polynomial, which the
     # hint checks take (their factor order compares every digit)
     p = hessenberg_charpoly(parse_matrix(path.read_text(), QQ))
@@ -334,9 +381,8 @@ def test_hinted_quadratic_with_a_rational_root_refused(tmp_path, capsys):
     # x^2 - a^2: its 2 * 7^6 * 11^3 divisors u/v were too many to search,
     # so the hint was trusted until cycle collection ran short at s = n
     a = QQ.fraction(30030 ** 3, (17 * 19 * 23) ** 5)
-    with any_digits():
-        text = QQ.fmt(a)
-        square = QQ.fmt(QQ.neg(QQ.mul(a, a)))
+    text = QQ.fmt(a)
+    square = QQ.fmt(QQ.neg(QQ.mul(a, a)))
     path = tmp_path / "m.txt"
     path.write_text(f"2 2\n{text} 0\n0 -{text}\n")
     hints = tmp_path / "hints.txt"
@@ -417,3 +463,85 @@ def test_run_lifts_a_once(tmp_path, capsys, monkeypatch):
     assert main([str(path), "--factors", str(hints), "--verify"]) == EXIT_OK
     assert "verify: A*P == P*J" in capsys.readouterr().out
     assert sum(rows is parsed[0].data for rows in lifted) == 1
+
+
+@pytest.fixture
+def default_digit_limit():
+    """CPython's default limit on the digits of an int/str conversion for
+    the test, whatever the interpreter started with; restored after it."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+    yield sys.int_info.default_max_str_digits
+    sys.set_int_max_str_digits(limit)
+
+
+def test_every_value_crosses_the_text_boundary(tmp_path, capsys, default_digit_limit):
+    # at CPython's default digit limit every value prints and reads back in
+    # full, in both output modes and in every message, and the limit is as
+    # it was after each run: only fields lifts it, for one conversion
+    limit = default_digit_limit
+
+    def jnf(*argv):
+        code = main([str(arg) for arg in argv])
+        assert sys.get_int_max_str_digits() == limit
+        return code, capsys.readouterr()
+
+    assert [path.name for path in sorted(Path(factor.__file__).parent.glob("*.py"))
+            if "set_int_max_str_digits" in path.read_text()] == ["fields.py"]
+
+    # 4000-bit numerators over distinct odd 4090-bit denominators: the
+    # factor's coefficients are past the limit, and the pretty output
+    # exited 2 with CPython's message where json exited 0
+    rng = rng_for("digit-limit-2x2")
+    dens = [rng.getrandbits(4088) << 1 | 1 << 4089 | 1 for _ in range(4)]
+    assert len(set(dens)) == 4
+    path = tmp_path / "m.txt"
+    path.write_text("2 2\n" + "".join(
+        f"{rng.getrandbits(4000)}/{dens[2 * i]} {rng.getrandbits(4000)}/{dens[2 * i + 1]}\n"
+        for i in range(2)))
+    code, pretty = jnf(path)
+    assert code == EXIT_OK
+    code, out = jnf(path, "--output", "json")
+    assert code == EXIT_OK
+    doc = json.loads(out.out)
+    coeffs = doc["blocks"][0]["factor"]
+    assert max(map(len, coeffs)) > limit
+    line = next(ln for ln in pretty.out.splitlines() if ln.startswith("  ["))
+    assert line.split("]")[0].lstrip(" [").split() == coeffs
+    dec = parse_json(out.out)
+    assert emit_json(dec) + "\n" == out.out
+    back = parse_json(emit_json(dec))
+    assert (back.p, back.j) == (dec.p, dec.j)
+    assert sys.get_int_max_str_digits() == limit
+
+    # the residual at exit 3 reads back as a hint, to the same polynomial
+    expect = stuck_octic(path)
+    code, stuck = jnf(path)
+    assert code == EXIT_NEEDS_FACTORIZATION
+    residual = stuck.err.split("(hint-file syntax):\n")[1].splitlines()[0]
+    p = hessenberg_charpoly(parse_matrix(path.read_text(), QQ))
+    assert parse_factor_hints(residual, p) == [(Poly.from_ints(QQ, expect), 1)]
+    assert sys.get_int_max_str_digits() == limit
+
+    # error messages: a non-monic hint past the limit exited 2 with
+    # CPython's message instead of naming the factor
+    path.write_text("4 4\n" + "".join(
+        " ".join(str(rng.getrandbits(4090)) for _ in range(4)) + "\n" for _ in range(4)))
+    hints = tmp_path / "hints.txt"
+    hints.write_text(f"1 : {'7' * 4500} 2\n")
+    code, refused = jnf(path, "--factors", hints)
+    assert code == EXIT_PARSE
+    assert f"error: hinted factor '1 : {'7' * 4500} 2' is not monic" in refused.err
+    path.write_text(f"1 1\n1{'0' * 5000}\n")
+    code, refused = jnf(path)
+    assert code == EXIT_PARSE
+    assert "row 1, column 1 exceeds" in refused.err
+
+
+def test_small_values_never_lift_the_digit_limit(a_file, capsys, monkeypatch):
+    # the limit is lifted only on the fallback path, past it
+    lifts = []
+    monkeypatch.setattr(sys, "set_int_max_str_digits", lifts.append)
+    assert main([a_file, "--output", "json"]) == EXIT_OK
+    assert main([a_file, "--form", "split", "--verify"]) == EXIT_OK
+    assert lifts == []

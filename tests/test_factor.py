@@ -338,3 +338,19 @@ def test_hint_coefficients_bounded_by_the_charpoly(field):
                            match=f"hint line 2, coefficient 2 exceeds {bits} bits"):
             parse_factor_hints(f"1 : 1 1\n1 : 2 {token} 1\n", p)
         assert time.perf_counter() - start < 0.1
+
+
+def test_hint_errors_name_the_factor_in_hint_syntax():
+    # a non-monic factor was printed as Poly([...]), unlike every other
+    # hint error; a rational root past CPython's digit limit (4300 by
+    # default) made its message raise instead
+    p = P(-1, 0, 1)
+    for text, name in (("1 : 2 0 2", "1 : 2 0 2"), ("1 : 0", "1 : 0")):
+        with pytest.raises(InvalidHintError, match=f"hinted factor '{name}' is not monic"):
+            factor_charpoly(p, hint=parse_factor_hints(text, p))
+    r = 10 ** 5000 + 1
+    p = P(-r * r, 0, 1)
+    with pytest.raises(InvalidHintError, match="it has the rational root") as exc:
+        factor_charpoly(p, hint=[(p, 1)])
+    root = QQ.fmt(QQ.from_int(r))
+    assert str(exc.value).split()[-1] in (root, f"-{root}")

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -90,6 +91,18 @@ def test_parse_matrix_row_errors_name_the_column():
     with pytest.raises(ParseError, match=f"row 1, column 2 exceeds {MAX_ENTRY_BITS}"):
         parse_matrix(f"1 3\n1 {big} x\n", QQ)
     assert parse_matrix(f"1 3\n1 {big} 3/2\n", PrimeField(7)).data == [[1, 2, 5]]
+
+
+def test_long_tokens_refused_from_their_digits():
+    # the value of a token of a million digits is never formed: no token
+    # longer than MAX_ENTRY_BITS characters takes the one-pass read, so
+    # every one is refused by its digits before its value is formed
+    for field in (QQ, PrimeField(7)):
+        for token in ("1" * 10**6, "0" * 10**6 + "1", f"1/{'1' * 10**6}"):
+            start = time.perf_counter()
+            with pytest.raises(ParseError, match=f"row 1, column 2 exceeds {MAX_ENTRY_BITS}"):
+                parse_matrix(f"1 2\n1 {token}\n", field)
+            assert time.perf_counter() - start < 0.1
 
 
 # (token, QQ, GF(7)): the value a 1 x 1 matrix file with that entry reads

@@ -10,8 +10,8 @@ from jnf.errors import InternalConsistencyError, InvalidHintError
 from jnf.factor import FactoredCharPoly, factor_charpoly
 from jnf.fields import QQ
 from jnf.jordan_rational import (assemble_pseudo_rational,
-                                 convert_cycle_to_rational, extract_q_cycles,
-                                 q_adic_blocks, rational_jordan)
+                                 convert_cycle_to_rational, decompose,
+                                 extract_q_cycles, q_adic_blocks, rational_jordan)
 from jnf.matrix import MatPoly, Matrix, mat_mul, matpoly_div_q, poly_at_matrix
 from jnf.poly import Poly
 
@@ -152,6 +152,15 @@ def test_factorization_degree_checked_before_the_product(fixture_m6, monkeypatch
     bad = FactoredCharPoly([(Poly.from_ints(QQ, [-1, 1]), 10 ** 6)], QQ)
     with pytest.raises(InvalidHintError, match="does not reproduce"):
         rational_jordan(fixture_m6, bad)
+
+
+@pytest.mark.parametrize("form, orientation", [
+    ("pseudo", None), ("split", "sideways"), ("rational", "")])
+def test_decompose_refuses_unknown_form_and_orientation(fixture_m6, form, orientation):
+    # "pseudo" was laid out as a form of that name, and any orientation
+    # but "upper" as "lower"
+    with pytest.raises(ValueError, match="unknown (form|orientation)"):
+        decompose(fixture_m6, factor_charpoly(char_data(fixture_m6).p), form, orientation)
 
 
 @pytest.mark.parametrize("irreducibility, error, message", [
