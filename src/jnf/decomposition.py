@@ -26,9 +26,10 @@ class CycleBlock:
 
 @dataclass
 class JordanDecomposition:
+    FORMS = ("split", "pseudo_rational", "rational")
     p: Matrix
     j: Matrix
-    form: str            # "split" | "pseudo_rational" | "rational"
+    form: str            # one of FORMS
     blocks: list         # [CycleBlock, ...] in layout order
     field: object
 

@@ -31,7 +31,7 @@ from fractions import Fraction
 
 from .errors import InvalidHintError, NeedsFactorizationError, ParseError
 from .fields import is_prime
-from .io import parse_bounded
+from .io import parse_bounded, parse_int
 from .poly import (Poly, int_derivative, int_gcd, int_product, int_quo,
                    int_rem, int_sub, lift_poly, monic_poly, poly_gcd,
                    squarefree_decomposition)
@@ -266,8 +266,8 @@ def hint_bits(p):
 def parse_factor_hints(text, p):
     """Parse the hint-file format for the characteristic polynomial p: one
     ``mult : c0 c1 ... cd`` line per factor, coefficients lowest degree
-    first, ``#`` starts a comment line.  A coefficient past ``hint_bits(p)``
-    is refused, before its value is formed (``io.parse_bounded``)."""
+    first, ``#`` starts a comment line.  A long multiplicity, and a
+    coefficient past ``hint_bits(p)``, is refused before its value is formed."""
     field, bits = p.field, hint_bits(p)
     factors = []
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -277,10 +277,7 @@ def parse_factor_hints(text, p):
         if ":" not in line:
             raise ParseError(f"hint line {lineno}: missing ':'")
         mult_part, _, coeff_part = line.partition(":")
-        try:
-            mult = int(mult_part.strip())
-        except ValueError as exc:
-            raise ParseError(f"hint line {lineno}: bad multiplicity") from exc
+        mult = parse_int(mult_part.strip(), f"hint line {lineno}, multiplicity")
         tokens = coeff_part.split()
         if not tokens:
             raise ParseError(f"hint line {lineno}: no coefficients")

@@ -1,6 +1,6 @@
 """Exact coefficient fields and the bulk arithmetic kernels built on them.
 
-Field elements are plain canonical values (``Fraction``/``mpq`` for the
+Field elements are plain canonical values (``Fraction`` for the
 rationals, ints in ``[0, p)`` for F_p), falsy exactly when zero; a ``Field``
 object supplies the arithmetic.  Keeping elements raw instead of wrapped
 makes loops over them considerably cheaper.
@@ -70,7 +70,7 @@ Text.  This module alone knows CPython's limit on the digits of an int
 converted from or to a string: ``fmt`` and ``parse`` convert with it and,
 only where that raises, once more with it lifted (``_unlimited``), so a
 value of any size prints and reads back in full.  Bounding the work on
-untrusted text is the caller's (``io.parse_bounded``).
+untrusted text is the caller's (``io``'s readers).
 """
 
 import math
@@ -84,13 +84,11 @@ from operator import mul
 
 from .errors import FieldMismatchError, ParseError, UnsupportedFieldError
 
-try:  # gmpy2 rationals are drop-in compatible and much faster
-    from gmpy2 import mpq as _ratio
-except ImportError:  # pragma: no cover
-    _ratio = Fraction
-
 # CPython's int/str digit limit, 0 for none (and before 3.10.7)
 _digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
+
+# psi_13, the least strong pseudoprime to the bases up to 41 (Sorenson, Webster 2017)
+PSI13 = 3317044064679887385961981
 
 
 # Packed-row slot widths in bytes that struct packs, and their codes
@@ -159,8 +157,13 @@ def _unlimited(convert, x):
         sys.set_int_max_str_digits(limit)
 
 
+def quote(text):
+    """repr(text) of at most its first 40 characters, for messages."""
+    return repr(text[:40]) + ("..." if len(text) > 40 else "")
+
+
 def is_prime(n):
-    """Miller-Rabin to the 13 prime bases up to 41: deterministic for n < 3.3e24."""
+    """Miller-Rabin to the 13 prime bases up to 41: a proof for n < PSI13 (3.3e24)."""
     if n < 2:
         return False
     for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41):
@@ -379,8 +382,8 @@ class Rationals(Field):
     char = 0
 
     def __init__(self):
-        self.zero = _ratio(0)
-        self.one = _ratio(1)
+        self.zero = Fraction(0)
+        self.one = Fraction(1)
 
     @property
     def key(self):
@@ -404,13 +407,13 @@ class Rationals(Field):
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
-        return 1 / _ratio(a)
+        return 1 / Fraction(a)
 
     def from_int(self, k):
-        return _ratio(k)
+        return Fraction(k)
 
     def fraction(self, num, den=1):
-        return _ratio(num, den)
+        return Fraction(num, den)
 
     def parse(self, token):
         # ASCII [-+]digits and [-+]digits/digits are read with int(); the
@@ -420,13 +423,12 @@ class Rationals(Field):
         digits = num[1:] if num[:1] in ("+", "-") else num
         try:
             if token.isascii() and digits.isdigit() and (not slash or den.isdigit()):
-                return _ratio(int(num), int(den)) if slash else _ratio(int(num))
-            f = Fraction(token)
+                return Fraction(int(num), int(den)) if slash else Fraction(int(num))
+            return Fraction(token)
         except (ValueError, ZeroDivisionError) as exc:
             if _digit_limit():      # the value may be past the digit limit
                 return _unlimited(self.parse, token)
-            raise ParseError(f"bad rational {token!r}") from exc
-        return _ratio(f.numerator, f.denominator)
+            raise ParseError(f"bad rational {quote(token)}") from exc
 
     # -- integer model: integers over one common denominator --------------
 
@@ -440,7 +442,7 @@ class Rationals(Field):
 
     def lower(self, rows, den):
         zero = self.zero
-        return [[_ratio(x, den) if x else zero for x in row] for row in rows]
+        return [[Fraction(x, den) if x else zero for x in row] for row in rows]
 
     def common_den(self, dens):
         """(D, [D / den for den in dens]): integers over den times D / den
@@ -626,9 +628,11 @@ class _PackedEchelon(_Echelon):
 
 
 class PrimeField(Field):
-    """Integers modulo a prime p; residues kept in [0, p)."""
+    """Integers modulo a prime p < PSI13 (proved by is_prime); residues in [0, p)."""
 
     def __init__(self, p):
+        if p >= PSI13:
+            raise UnsupportedFieldError(f"p must be below {PSI13}, is_prime's proved range")
         if not is_prime(p):
             raise UnsupportedFieldError(f"{p} is not prime")
         self.p = p
@@ -672,7 +676,7 @@ class PrimeField(Field):
         except (ValueError, ZeroDivisionError) as exc:
             if _digit_limit():      # the value may be past the digit limit
                 return _unlimited(self.parse, token)
-            raise ParseError(f"bad F_{self.p} element {token!r}") from exc
+            raise ParseError(f"bad F_{self.p} element {quote(token)}") from exc
 
     # -- integer model: residues over 1, reduced once per combined entry --
 

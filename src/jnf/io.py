@@ -1,12 +1,15 @@
 """Text and JSON serialization: matrix files, pretty printing, and the
-stable-key JSON document for decompositions."""
+stable-key JSON document for decompositions.  Numbers in matrix files,
+hint files and field tags are read here only, bounded before conversion."""
 
 import json
 import re
+from contextlib import suppress
+from operator import index
 
 from .decomposition import CycleBlock, JordanDecomposition
 from .errors import ParseError
-from .fields import PrimeField, QQ
+from .fields import PrimeField, QQ, quote
 from .matrix import Matrix
 from .poly import Poly
 
@@ -21,6 +24,11 @@ MAX_ENTRY_BITS = 4096
 _EXPONENT = re.compile(r"[eE][-+]?(\d[\d_]*)\s*$")
 
 
+def _digits(bits):
+    """The most digits of an entry within ``bits`` bits: numerator, denominator, 10 more."""
+    return 2 * (bits * 30103 // 100000 + 1) + 10
+
+
 def _fits(x, bits=MAX_ENTRY_BITS):
     """Whether x's numerator and denominator have at most ``bits`` bits."""
     return x.numerator.bit_length() <= bits and x.denominator.bit_length() <= bits
@@ -31,9 +39,8 @@ def parse_bounded(field, token, bits, where):
     its numerator or denominator has more than ``bits`` bits: from the
     token's digits and exponent before any value is formed, so the work is
     linear in the bound."""
-    digits = bits * 30103 // 100000 + 1          # those of a bits-bit integer
     exp = _EXPONENT.search(token) if "e" in token or "E" in token else None
-    if sum(map(str.isdigit, token)) <= 2 * digits + 10 and (not exp or (
+    if sum(map(str.isdigit, token)) <= _digits(bits) and (not exp or (
             len(exp.group(1)) <= 10 and int(exp.group(1).replace("_", "")) <= bits)):
         try:
             x = field.parse(token)
@@ -44,24 +51,33 @@ def parse_bounded(field, token, bits, where):
     raise ParseError(f"{where} exceeds {bits} bits in numerator or denominator")
 
 
+def parse_int(token, where, chars=20):
+    """int(token) for a count (20 characters hold any 64-bit integer) or the
+    modulus; a longer token, or not an integer, is refused naming ``where``."""
+    if len(token) <= chars:
+        with suppress(ValueError):
+            return int(token)
+    raise ParseError(f"{where}: not an integer of at most {chars} characters: {quote(token)}")
+
+
 def _parse_row(field, line, tokens, row):
-    """The entries of one row, the ``tokens`` of ``line``.  The row is
-    parsed in one pass over ``field.parse`` when no token is longer than
-    MAX_ENTRY_BITS characters (entries within the bound are far shorter)
-    and none can make it raise 10 to a huge exponent: over F_p (which reads
-    no exponents) or without exponents over QQ.  Its values then need the
-    bit bound checked only where they can exceed it: over F_p only when p
-    has more than MAX_ENTRY_BITS bits.  Any other row, and a row that
-    fails, goes entry by entry, which names the column and bounds the work."""
-    p = field.char
-    short = len(line) <= MAX_ENTRY_BITS or max(map(len, tokens)) <= MAX_ENTRY_BITS
-    if short and (p or not any("e" in t or "E" in t for t in tokens)):
+    """The entries of one row, the ``tokens`` of ``line``, each read or
+    refused on its own as ``parse_bounded`` reads it.  The row is parsed in
+    one pass over ``field.parse`` when no token is longer than the digits
+    ``parse_bounded`` accepts and none can make it raise 10 to a huge
+    exponent: over F_p (which reads no exponents) or without exponents over
+    QQ.  Only over QQ do its values then need the bit bound checked (p has
+    at most 82 bits).  Any other row, and a row that fails, goes entry by
+    entry, which names the column and bounds the work."""
+    most = _digits(MAX_ENTRY_BITS)
+    short = len(line) <= most or max(map(len, tokens)) <= most
+    if short and (field.char or not any("e" in t or "E" in t for t in tokens)):
         try:
             values = list(map(field.parse, tokens))
         except ParseError:
             pass
         else:
-            if 0 < p.bit_length() <= MAX_ENTRY_BITS or all(map(_fits, values)):
+            if field.char or all(map(_fits, values)):
                 return values
     return [parse_bounded(field, t, MAX_ENTRY_BITS, f"entry at row {row}, column {j}")
             for j, t in enumerate(tokens, 1)]
@@ -76,10 +92,7 @@ def parse_matrix(text, field):
     header = lines[0].split()
     if len(header) != 2:
         raise ParseError("first line must be 'rows cols'")
-    try:
-        rows, cols = int(header[0]), int(header[1])
-    except ValueError as exc:
-        raise ParseError("first line must be 'rows cols'") from exc
+    rows, cols = (parse_int(t, "first line 'rows cols'") for t in header)
     if rows < 1 or cols < 1:
         raise ParseError("matrix dimensions must be positive")
     if len(lines) - 1 != rows:
@@ -88,7 +101,7 @@ def parse_matrix(text, field):
     for i, ln in enumerate(lines[1:], 1):
         tokens = ln.split()
         if len(tokens) != cols:
-            raise ParseError(f"expected {cols} entries in row: {ln!r}")
+            raise ParseError(f"expected {cols} entries in row {i}: {quote(ln)}")
         data.append(_parse_row(field, ln, tokens, i))
     return Matrix(field, data)
 
@@ -110,18 +123,14 @@ def field_tag(field):
 
 def field_from_tag(tag):
     """The field a document's tag or the CLI's ``--field`` names: ``Q`` or
-    ``Fp:<p>``, in any case.  A p that is not prime is refused as an
-    unsupported field."""
+    ``Fp:<p>``, in any case, p in at most an entry's digits.  A p that is
+    not a prime below ``fields.PSI13`` is refused as an unsupported field."""
     spec = tag.lower()
     if spec == "q":
         return QQ
     if not spec.startswith("fp:"):
-        raise ParseError(f"unknown field {tag!r}; use 'q' or 'fp:<p>'")
-    try:
-        p = int(spec[3:])
-    except ValueError as exc:
-        raise ParseError(f"bad field {tag!r}; use 'q' or 'fp:<p>'") from exc
-    return PrimeField(p)
+        raise ParseError(f"unknown field {quote(tag)}; use 'q' or 'fp:<p>'")
+    return PrimeField(parse_int(spec[3:], "field modulus", _digits(MAX_ENTRY_BITS)))
 
 
 def _layout(items, indent, brackets="[]"):
@@ -162,18 +171,17 @@ def parse_json(text):
     digits as emit_json writes."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:       # an integer past CPython's digit limit too
         raise ParseError(f"bad JSON: {exc}") from exc
     try:
         field = field_from_tag(doc["field"])
-        p = Matrix(field, [[field.parse(x) for x in row] for row in doc["P"]])
-        j = Matrix(field, [[field.parse(x) for x in row] for row in doc["J"]])
-        blocks = [
-            CycleBlock(factor=Poly(field, [field.parse(c) for c in blk["factor"]]),
-                       cycle_length=blk["cycle_length"], offset=blk["offset"])
-            for blk in doc["blocks"]
-        ]
-        return JordanDecomposition(p=p, j=j, form=doc["form"],
-                                   blocks=blocks, field=field)
-    except (KeyError, TypeError, AttributeError) as exc:
+        p, j = (Matrix(field, [[field.parse(x) for x in row] for row in doc[k]])
+                for k in "PJ")
+        blocks = [CycleBlock(Poly(field, [field.parse(c) for c in blk["factor"]]),
+                             index(blk["cycle_length"]), index(blk["offset"]))
+                  for blk in doc["blocks"]]
+        if doc["form"] not in JordanDecomposition.FORMS:
+            raise ValueError("unknown form")
+        return JordanDecomposition(p=p, j=j, form=doc["form"], blocks=blocks, field=field)
+    except (KeyError, TypeError, AttributeError, ValueError) as exc:
         raise ParseError(f"bad decomposition document: {exc}") from exc

@@ -19,7 +19,7 @@ product.  The certificate A*P = P*J in ``assemble`` checks the result.
 from math import comb
 
 from .charpoly import comatrix_block, hessenberg_charpoly
-from .decomposition import assemble, cycle_block_matrix
+from .decomposition import JordanDecomposition, assemble, cycle_block_matrix
 from .errors import (InternalConsistencyError, InvalidHintError,
                      NeedsFactorizationError)
 from .factor import check_factors, format_factor_hint
@@ -107,7 +107,7 @@ def decompose(a, factorization, form, orientation=None, charpoly=None):
     means an asserted factor is reducible, an invalid hint naming the
     factor, and a computed one an internal fault.
     """
-    if form not in ("split", "pseudo_rational", "rational"):
+    if form not in JordanDecomposition.FORMS:
         raise ValueError(f"unknown form {form!r}")
     if orientation not in (None, "upper", "lower"):
         raise ValueError(f"unknown orientation {orientation!r}")

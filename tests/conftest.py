@@ -1,6 +1,7 @@
 import functools
 import math
 import random
+import sys
 
 import pytest
 
@@ -13,6 +14,29 @@ from jnf.poly import Poly
 
 class SingularMatrixError(JnfError):
     """``mat_inverse`` was asked to invert a singular matrix."""
+
+
+@pytest.fixture
+def default_digit_limit():
+    """CPython's default limit on the digits of an int/str conversion for
+    the test, whatever the interpreter started with; restored after it."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+    yield sys.int_info.default_max_str_digits
+    sys.set_int_max_str_digits(limit)
+
+
+@pytest.fixture(params=["default", "lifted"])
+def digit_limit(request):
+    """The test runs at CPython's default digit limit and with the limit
+    lifted (0), the setting a user controls; restored after it."""
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(
+            sys.int_info.default_max_str_digits if request.param == "default" else 0)
+        yield sys.get_int_max_str_digits()
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 @pytest.fixture

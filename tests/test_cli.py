@@ -465,16 +465,6 @@ def test_run_lifts_a_once(tmp_path, capsys, monkeypatch):
     assert sum(rows is parsed[0].data for rows in lifted) == 1
 
 
-@pytest.fixture
-def default_digit_limit():
-    """CPython's default limit on the digits of an int/str conversion for
-    the test, whatever the interpreter started with; restored after it."""
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
-    yield sys.int_info.default_max_str_digits
-    sys.set_int_max_str_digits(limit)
-
-
 def test_every_value_crosses_the_text_boundary(tmp_path, capsys, default_digit_limit):
     # at CPython's default digit limit every value prints and reads back in
     # full, in both output modes and in every message, and the limit is as
@@ -545,3 +535,66 @@ def test_small_values_never_lift_the_digit_limit(a_file, capsys, monkeypatch):
     assert main([a_file, "--output", "json"]) == EXIT_OK
     assert main([a_file, "--form", "split", "--verify"]) == EXIT_OK
     assert lifts == []
+
+
+def _exit(capsys, *argv):
+    """(exit code, stderr, seconds) of one jnf run."""
+    start = time.perf_counter()
+    code = main([str(arg) for arg in argv])
+    return code, capsys.readouterr().err, time.perf_counter() - start
+
+
+@pytest.mark.parametrize("field, other", [("q", "1e2"), ("fp:7", "x")])
+def test_an_entry_is_read_on_its_own(tmp_path, capsys, digit_limit, field, other):
+    # a 3001-digit entry next to 1 was read, and next to 1e2 (over QQ) or
+    # x (over GF(7)) refused: the same entry, refused either way
+    path = tmp_path / "m.txt"
+    answers = []
+    for neighbour in ("1", other):
+        path.write_text(f"2 2\n{'0' * 3000}1 {neighbour}\n0 1\n")
+        code, err, _ = _exit(capsys, path, "--field", field)
+        answers.append((code, "row 1, column 1 exceeds 4096 bits" in err))
+    assert answers == [(EXIT_PARSE, True)] * 2
+
+
+@pytest.mark.parametrize("b", [1, 1287836182261])
+def test_modulus_past_the_proved_range(tmp_path, capsys, digit_limit, b):
+    # psi_13 = 1287836182261 * 2575672364521 passes is_prime: over it the
+    # first matrix exited 0 and the second, whose b is a factor, exited 5
+    psi13 = 3317044064679887385961981
+    path, hints = tmp_path / "m.txt", tmp_path / "hints.txt"
+    path.write_text(f"2 2\n1 {b}\n0 1\n")
+    hints.write_text(f"2 : {psi13 - 1} 1\n")
+    for p in (psi13, 2**127 - 1):
+        code, err, _ = _exit(capsys, path, "--field", f"fp:{p}", "--factors", hints)
+        assert code == EXIT_UNSUPPORTED_FIELD
+        assert f"p must be below {psi13}" in err
+
+
+def test_long_counts_and_moduli_refused_quickly(a_file, tmp_path, capsys, digit_limit):
+    # each judged by its length before int() runs: with the limit lifted a
+    # 1 MB header took 22 s, and a 2917-digit prime spent 27 s in is_prime
+    for digits in (4000, 5000):
+        code, err, seconds = _exit(capsys, a_file, "--field", "fp:" + "7" * digits)
+        assert (code, seconds < 0.1) == (EXIT_PARSE, True)
+        assert "field modulus: not an integer" in err
+    path, hints = tmp_path / "m.txt", tmp_path / "hints.txt"
+    path.write_text("1" * 10**6 + " 1\n1\n")
+    hints.write_text("1" * 10**6 + " : -1 1\n")
+    for argv in ([path], [a_file, "--factors", hints]):
+        code, err, seconds = _exit(capsys, *argv)
+        assert (code, seconds < 0.5) == (EXIT_PARSE, True)
+        assert "not an integer of at most 20 characters" in err
+
+
+def test_refused_text_is_quoted_short(tmp_path, capsys):
+    # each message echoed the whole megabyte: name the place, quote a prefix
+    path = tmp_path / "m.txt"
+    for text, argv, place in (
+            ("1 1\n" + "x" * 10**6 + "\n", [], "row 1, column 1: bad rational 'xxx"),
+            ("1 2\n" + "1" * 10**6 + "\n", [], "expected 2 entries in row 1: '111"),
+            ("1 1\n1\n", ["--field", "fp:" + "1" * 10**6], "field modulus: not an integer")):
+        path.write_text(text)
+        code, err, _ = _exit(capsys, path, *argv)
+        assert code == EXIT_PARSE
+        assert place in err and len(err) < 200, err[:300]

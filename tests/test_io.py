@@ -95,7 +95,7 @@ def test_parse_matrix_row_errors_name_the_column():
 
 def test_long_tokens_refused_from_their_digits():
     # the value of a token of a million digits is never formed: no token
-    # longer than MAX_ENTRY_BITS characters takes the one-pass read, so
+    # longer than parse_bounded's digit bound takes the one-pass read, so
     # every one is refused by its digits before its value is formed
     for field in (QQ, PrimeField(7)):
         for token in ("1" * 10**6, "0" * 10**6 + "1", f"1/{'1' * 10**6}"):
@@ -154,18 +154,33 @@ EDGE_TOKENS = [
     ('1e4097', 'exceeds', 'exceeds'),
     ('1E5', '100000', 'bad'),
     ('1_0e2', '1000', 'bad'),
+    # at the digit bound for MAX_ENTRY_BITS, 2 * (4096 * 30103 // 100000
+    # + 1) + 10 = 2478 digits, and one past it
+    pytest.param("0" * 2477 + "1", "1", "1", id="zeros-at-digit-bound"),
+    pytest.param("0" * 2478 + "1", "exceeds", "exceeds", id="zeros-past-digit-bound"),
+    pytest.param("1" * 2478, "exceeds", "0", id="ones-at-digit-bound"),
+    pytest.param("1" * 2479, "exceeds", "exceeds", id="ones-past-digit-bound"),
+    pytest.param("1/" + "0" * 2476 + "1", "1", "1", id="fraction-at-digit-bound"),
+    pytest.param("1/" + "0" * 2477 + "1", "exceeds", "exceeds", id="fraction-past-digit-bound"),
 ]
 
 
 @pytest.mark.parametrize("token, qq, gf7", EDGE_TOKENS)
 def test_parse_entry_accepts_and_refuses(token, qq, gf7):
+    # each entry is read or refused on its own: alone, next to 1, next to
+    # 1e2 (a row read entry by entry over QQ) and next to x (a row that
+    # fails, which names the token's column only when the token is refused)
     for field, expect in ((QQ, qq), (PrimeField(7), gf7)):
-        try:
-            got = str(parse_matrix(f"1 1\n{token}\n", field).data[0][0])
-        except ParseError as exc:
-            got = "exceeds" if "exceeds" in str(exc) else "bad"
-            assert "row 1, column 1" in str(exc)
-        assert got == expect, field
+        for row in ([token], [token, "1"], [token, "1e2"], [token, "x"]):
+            try:
+                got = str(parse_matrix(f"1 {len(row)}\n{' '.join(row)}\n", field).data[0][0])
+            except ParseError as exc:
+                if "row 1, column 2" in str(exc):
+                    assert expect not in ("bad", "exceeds"), (field, row[1:])
+                    continue
+                got = "exceeds" if "exceeds" in str(exc) else "bad"
+                assert "row 1, column 1" in str(exc)
+            assert got == expect, (field, row[1:])
 
 
 def test_format_parse_roundtrip():
@@ -243,3 +258,27 @@ def test_parse_json_errors():
     for key, value in (("field", "Fp:x"), ("P", [[1]])):
         with pytest.raises(ParseError):
             parse_json(json.dumps({**doc, key: value}))
+
+
+
+# (case, the emitted document broken that way); each case escaped as an
+# error other than ParseError, or was accepted
+MALFORMED = {
+    "ragged P": lambda doc: {**doc, "P": [doc["P"][0][:-1]] + doc["P"][1:]},
+    "ragged J": lambda doc: {**doc, "J": doc["J"][:-1] + [doc["J"][-1] + ["0"]]},
+    "cycle_length x": lambda doc: {**doc, "blocks": [{**doc["blocks"][0], "cycle_length": "x"}]},
+    "unknown form": lambda doc: {**doc, "form": "jordan"},
+}
+
+
+@pytest.mark.parametrize("case", [*MALFORMED, "5000-digit integer"])
+def test_parse_json_refuses_malformed_documents(case, default_digit_limit):
+    a = make_fixture_m6()
+    text = emit_json(rational_jordan(a, factor_charpoly(char_data(a).p)))
+    if case in MALFORMED:
+        bad = json.dumps(MALFORMED[case](json.loads(text)))
+    else:                       # an integer past CPython's default limit
+        bad = text.replace('"offset": 0', '"offset": 1' + "0" * 4999, 1)
+        assert bad != text
+    with pytest.raises(ParseError, match="bad "):
+        parse_json(bad)
