@@ -5,7 +5,8 @@ give P (``hessenberg_charpoly``; over QQ from images mod large primes).
 Matrix Horner on P builds B(lambda)*V for a block V of s columns
 (``comatrix_block``): (lambda*I - A)*B*V = P*V, so the columns of B*V
 satisfy the chain relations that cycle collection reads, and s generic
-columns carry every cycle once s reaches the number of cycles of a factor.
+columns carry every cycle once s reaches the number of cycles of a factor;
+the block travels as those columns, (B*V)^T, from Horner to echelon.
 The solve starts at a few columns and doubles them when a factor runs short;
 at s = n, V = I and the block is all of B.  ``faddeev`` and ``char_data``
 (P with all of B) are the reference that op counts and tests compare with.
@@ -175,9 +176,9 @@ def probe_block(f, n, s):
 
 
 def comatrix_block(a, p, s):
-    """B(lambda)*V for the probe block V of s columns (``probe_block``), as a
-    polynomial with n x s coefficients: ``matrix_horner`` from the top of
-    p, X_0 = V and X_k = A*X_{k-1} + p_{n-k}*V, so (lambda*I - A)*B*V = P*V
+    """B(lambda)*V for the probe block V of s columns (``probe_block``) as
+    ``matrix_horner`` makes it, (B*V)^T with s x n coefficients: from the top
+    of p, X_0 = V and X_k = A*X_{k-1} + p_{n-k}*V, so (lambda*I - A)*B*V = P*V
     holds coefficientwise by construction except for the constant term,
     A*X_{n-1} + p_0*V = P(A)*V.  That one is checked: Q-adic digits of B*V
     form Q(A)-chains because it is zero (see ``q_adic_blocks``)."""
@@ -192,8 +193,8 @@ def comatrix_block(a, p, s):
 
 
 def comatrix_from_charpoly(a, p):
-    """All of B(lambda): the comatrix block at V = I."""
-    return comatrix_block(a, p, a.rows)
+    """All of B(lambda): the comatrix block at V = I, transposed back."""
+    return MatPoly(a.field, [m.transposed() for m in comatrix_block(a, p, a.rows).coeffs])
 
 
 def char_data(a):

@@ -44,9 +44,9 @@ than B, the product is taken as (B^T A^T)^T: the packed side holds them.
 ``expand`` is linear in the matrix coefficients, so it builds one
 transition matrix W for all divisors and applies it to all the data with a
 single ``int_matmul``: one call expands a matrix polynomial at every factor
-of a characteristic polynomial.  Column k of W holds the q-adic digits of
-x^k, and those of x^(k+1) are the digits of x^k shifted by one place with
-one step of the row kernel ``sub_mul``, which is field-generic.
+of a characteristic polynomial.  Column k of W holds the digits of x^k at
+every q in one list; those of x^(k+1) are them shifted by one place within
+each q, with one step of the field-generic row kernel ``sub_mul`` for all.
 
 One echelon kernel does all row reduction.  An echelon holds its pivot
 rows in reduced row echelon form (RREF) and takes rows one at a time: a row
@@ -270,48 +270,49 @@ class Field:
 
         Every digit is linear in the M_k, so the expansion is one transition
         matrix W applied to all the data: column k of W holds the digits of
-        y^k (``_digit_rows``).  The rows of all divisors stack into one W,
-        each row with its own denominator, so divisors with different s
-        share it, and one product W * rows gives every remainder.
+        y^k at every divisor, the divisors in turn, each row with its own
+        denominator, so divisors with different s share it, and one product
+        W * rows gives every remainder.
+
+        The digits of y^k are one flat list, lowest first.  Those of y^(k+1)
+        are y times each digit, whose top coefficient c gives
+        c*y^d = c*q^ - c*(q^ - y^d): the list shifted by one place within
+        each divisor carries c into the next digit, and one step of the row
+        kernel, for all divisors together, subtracts c*q^_j from the digit's
+        coefficient j.  Column k is scaled by s^(N - k) for the transform,
+        and by the data's ``common_den`` factor, where that is not 1; rows
+        past the polynomial's degree are zero, over 1.
         """
         den, scales = self.common_den(dens)
-        weights, w_dens = [], []
+        top = len(scales) - 1
+        digits, src, qh, w_dens, segs = [], [], [], [], []
         for q, count in divisors:
-            q_rows, q_dens = self._digit_rows(q, count, scales)
-            weights += q_rows
-            w_dens += q_dens
+            d, start, size = len(q) - 1, len(digits), count * (len(q) - 1)
+            (qi,), s = self.lift([q])
+            segs.append((start, start + size, s))
+            digits += [1] + [0] * (size - 1) if size else []
+            # position i takes c*q^_j, c the top coefficient of its digit
+            src += [start + i - i % d + d - 1 for i in range(size)]
+            qh += [qi[j] * s ** (d - j - 1) for j in range(d)] * count
+            w_dens += [s ** max(top - i, 0) for i in range(size)]
+        starts = [a for a, b, _ in segs if 0 < a < b]
+        cols = [digits]
+        for _ in range(top):
+            lead = list(map(mul, map(digits.__getitem__, src), qh))
+            digits = ([0] + digits)[:len(lead)]
+            for a in starts:
+                digits[a] = 0
+            digits = self.sub_mul(digits, 1, lead)
+            cols.append(digits)
+        for k, scale in enumerate(scales):
+            xs = [scale * s ** (top - k) for _, _, s in segs]
+            if any(x != 1 for x in xs):
+                cols[k] = [y for (a, b, _), x in zip(segs, xs)
+                           for y in self.int_scale([cols[k][a:b]], x)[0]]
+        weights = list(zip(*cols))
         remainders = zip(self.int_matmul(weights, rows), [den * s for s in w_dens])
         return [[[next(remainders) for _ in range(len(q) - 1)] for _ in range(count)]
                 for q, count in divisors]
-
-    def _digit_rows(self, q, count, scales):
-        """The rows of W for ``count`` digits at q, on len(scales) = N + 1
-        coefficients, column k scaled by ``scales[k]``: (count*d integer
-        rows, digit t's coefficient j at t*d + j, their denominators).
-
-        The count*d digits of y^k are one flat list, lowest first.  Those
-        of y^(k+1) are y times each digit, whose top coefficient c gives
-        c*y^d = c*q^ - c*(q^ - y^d): the list shifted by one place carries
-        c into the next digit, and one step of the row kernel subtracts
-        c*q^_j from the digit's coefficient j.  Column k is scaled by
-        s^(N - k) for the transform; rows past the polynomial's degree are
-        zero, over 1."""
-        d = len(q) - 1
-        if not d:
-            return [], []
-        top = len(scales) - 1
-        (qi,), s = self.lift([q])
-        qhat = [qi[j] * s ** (d - j - 1) for j in range(d)]
-        digits = [1] + [0] * (count * d - 1)
-        cols = [digits]
-        for _ in range(top):
-            digits = self.sub_mul([0] + digits[:-1], 1,
-                                  [c * h for c in digits[d - 1::d] for h in qhat])
-            cols.append(digits)
-        cols = [self.int_scale([col], scale * s ** (top - k))[0]
-                for k, (col, scale) in enumerate(zip(cols, scales))]
-        return ([list(row) for row in zip(*cols)],
-                [s ** max(top - i, 0) for i in range(count * d)])
 
 
 def _max_abs(rows):
@@ -722,7 +723,7 @@ class CountingField(Field):
     is w mul + w add.  The echelon counts each elimination step that runs,
     whether or not the base field packs its rows.  ``expand`` runs the
     generic algorithm on this field, so it counts the digit recurrence, one
-    ``sub_mul`` on the count*d digits per power of x, and its product.
+    ``sub_mul`` on the digits of every divisor per power of x, and its product.
     ``int_operator`` counts a product per application and a mul and an add
     per entry of c*v.  Everything else, defined neither here nor on
     ``Field``, is the base field's, uncounted.

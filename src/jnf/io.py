@@ -182,6 +182,9 @@ def parse_json(text):
                   for blk in doc["blocks"]]
         if doc["form"] not in JordanDecomposition.FORMS:
             raise ValueError("unknown form")
+        if not all(0 <= b.offset < b.offset + b.cycle_length * b.factor.degree <= j.rows
+                   for b in blocks):
+            raise ValueError(f"a block is empty or runs outside n = {j.rows}")
         return JordanDecomposition(p=p, j=j, form=doc["form"], blocks=blocks, field=field)
     except (KeyError, TypeError, AttributeError, ValueError) as exc:
         raise ParseError(f"bad decomposition document: {exc}") from exc

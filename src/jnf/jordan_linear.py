@@ -2,20 +2,21 @@
 forms, the split one included, are in ``jordan_rational``.
 
 For a factor Q of degree d the input is its Q-adic digits C_k of
-B(lambda), each the list of its d lambda-coefficients, as ``matpoly_div_q``
-returns them.  Column j of coefficient i in every digit is one chain, held
+(B(lambda)*V)^T, each the list of its d lambda-coefficients, as
+``matpoly_div_q`` returns them.  Row j of coefficient i in every digit
+(column j of B*V) is one chain, held
 as one integer row; one loop keeps these chain rows in one echelon across
 all levels, reads the candidate chains off the rows that pivot in the top
 digit, shifts those one digit down and cuts the top digit from the rest,
-so each level reduces only the shifted rows.  The digits may come from
-B(lambda)*V for a block V of s columns instead of all of B: then there are
-s*d chains, and too few of them for a factor show as cycles that cover
-less than its multiplicity, which the caller counts.  ``extract_q_cycles``
+so each level reduces only the shifted rows.  V has s columns (V = I
+gives all of B), so there are s*d chains, and too few of them for a
+factor show as cycles that cover less than its multiplicity, which the
+caller counts.  ``extract_q_cycles``
 gets a candidate as integer segments over its pivot, and accepts it when
 the socle of its cycle, the span of w_0 and its A^i-images, is independent
 of the socles of the cycles taken so far, tested by inserting them into
 one echelon.  A linear factor lambda - lam is the d = 1 case: its digits
-are the Taylor coefficients of B at lam, and a chain's images are the
+are the Taylor coefficients of (B*V)^T at lam, and a chain's images are the
 chain itself.  A cycle is returned as its list of groups, group j holding
 (w_j, A*w_j, ..., A^{d-1}*w_j), which is what ``assemble`` takes.
 """
@@ -36,11 +37,11 @@ def taylor_blocks(b, lam, mult):
 def collect_cycles(digits, total_needed, accept):
     """The stacked reduce/collect/shift loop.
 
-    ``digits`` are a factor's Q-adic digits [C_0, ..., C_{L-1}] as
-    ``matpoly_div_q`` returns them, each the list of its d coefficient
-    matrices (n x s), with chain relations between consecutive digits.
-    Chain (i, j) is column j of coefficient i in every digit at once, held
-    as one integer row (s_0 | s_1 | ... | s_{L-1}) over one denominator, so
+    ``digits`` are a factor's Q-adic digits [C_0, ..., C_{L-1}] of (B*V)^T
+    as ``matpoly_div_q`` returns them, each the list of its d coefficient
+    matrices (s x n), with chain relations between consecutive digits.
+    Chain (i, j) is row j of coefficient i in every digit, concatenated
+    into one integer row (s_0 | s_1 | ... | s_{L-1}) over one denominator, so
     each row operation hits all digits alike and keeps the relations; the
     chains come i-major, j-minor.  The rows live in one echelon, in
     reduced row echelon form; those with their pivot in the top segment
@@ -55,17 +56,17 @@ def collect_cycles(digits, total_needed, accept):
     run out; the caller compares what they cover with what it needs.
     """
     first = digits[0][0]
-    f, n, d = first.field, first.rows, len(digits[0])
+    f, n, d = first.field, first.cols, len(digits[0])
     level = len(digits)
     lifted = [m.lifted() for digit in digits for m in digit]
     _, scales = f.common_den([den for _, den in lifted])
     # parts[t*d + i] is coefficient i of digit t over the common denominator
     parts = [rows if k == 1 else f.int_scale(rows, k)
              for (rows, _), k in zip(lifted, scales)]
-    stack = f.echelon(level * n, d * first.cols)
+    stack = f.echelon(level * n, d * first.rows)
     for i in range(d):
-        for row in zip(*chain.from_iterable(parts[i::d])):
-            stack.insert(row)
+        for row in zip(*parts[i::d]):
+            stack.insert(list(chain.from_iterable(row)))
     total = 0
     while total < total_needed and len(stack):
         for _, row in stack.pivot_rows(n):
@@ -79,7 +80,7 @@ def collect_cycles(digits, total_needed, accept):
 
 def extract_q_cycles(a, q_poly, mult, c_blocks):
     """The Q(A)-Jordan cycles of the factor Q of multiplicity ``mult`` from
-    its Q-adic digits ``c_blocks`` (as ``matpoly_div_q`` returns them), in
+    its Q-adic digits ``c_blocks`` of (B*V)^T (``matpoly_div_q``), in
     discovery order, each a list of groups [w_j, A*w_j, ..., A^{d-1}*w_j]
     with Q(A)*w_j = w_{j-1}, Q(A)*w_0 = 0 and w_0's group first.
     Collection stops once the cycles cover ``mult`` or the chains run out;
@@ -136,8 +137,8 @@ def extract_q_cycles(a, q_poly, mult, c_blocks):
 
 def extract_cycles(a, lam, mult, blocks):
     """Jordan cycles of the eigenvalue ``lam`` from its Taylor blocks
-    [B(lam), ..., B^{mult-1}(lam)]: ``extract_q_cycles`` at lambda - lam,
-    each cycle a list of one-vector groups [[v_0], ..., [v_{k-1}]] with v_0
-    the eigenvector."""
+    [B(lam), ..., B^{mult-1}(lam)] of (B*V)^T: ``extract_q_cycles`` at
+    lambda - lam, each cycle a list of one-vector groups [[v_0], ...,
+    [v_{k-1}]] with v_0 the eigenvector."""
     return extract_q_cycles(a, Poly.x_minus(a.field, lam), mult,
                             [[b] for b in blocks])

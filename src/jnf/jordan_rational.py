@@ -1,10 +1,10 @@
 """The drivers of the three forms, split, pseudo-rational and rational,
 and the rational Jordan cycles of irreducible factors Q of any degree d.
 
-A block B(lambda)*V of B(lambda) is expanded at every factor in one
-``matpoly_div_q`` call, and every factor, linear ones as d = 1, hands its
-Q-adic digits as they come to the one extractor,
-``jordan_linear.extract_q_cycles``; the Q(A)-chain between the digits
+A block B(lambda)*V of B(lambda), held as its columns (B*V)^T, is
+expanded at every factor in one ``matpoly_div_q`` call, and every factor,
+linear ones as d = 1, hands its Q-adic digits as they come to the one
+extractor, ``jordan_linear.extract_q_cycles``; their Q(A)-chain
 needs no check (see ``q_adic_blocks``).  The driver counts the
 multiplicity a factor's cycles cover.  V starts with BLOCK_COLUMNS
 columns; the factors it falls short on are expanded again from a block of
@@ -36,18 +36,18 @@ BLOCK_COLUMNS = 4
 
 
 def q_adic_blocks(a, b, q_poly, mult):
-    """[C_0, ..., C_{mult-1}]: B(lambda) expanded in increasing powers of Q,
-    its Q-adic digits, each C_k the list of its deg(Q) coefficient
-    matrices.
+    """[C_0, ..., C_{mult-1}]: b expanded in increasing powers of Q, its
+    Q-adic digits, each C_k the list of its deg(Q) coefficient matrices.
+    ``extract_q_cycles`` reads chains off their rows, so b is B(lambda)^T.
 
     They form the Q(A)-chain Q(A)*C_0 = 0 and Q(A)*C_{k+1} = C_k whenever
     (lambda*I - A)*B = P*I and Q^mult divides P, Q irreducible or not:
     with Q(lambda) - Q(A) = (lambda*I - A)*D(lambda),
     Q(A)*B = Q*B - D*P = Q*B mod Q^mult, and comparing Q-adic digits gives
-    both relations.  The same holds for a block B*V with
-    (lambda*I - A)*B*V = P*V.  Both conditions are checked upstream
-    (matrix Horner checks P(A)*V = 0, and the factorization multiplies back
-    to P), so the chain is not checked again.
+    both relations, which hold for the rows of the transposes too, and
+    for a block B*V with (lambda*I - A)*B*V = P*V.  Both conditions are
+    checked upstream (matrix Horner checks P(A)*V = 0, and the
+    factorization multiplies back to P), so the chain is not checked again.
     """
     c_blocks, = matpoly_div_q(b, [(q_poly, mult)])
     return c_blocks

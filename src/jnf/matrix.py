@@ -6,8 +6,8 @@ are the field's bulk kernels (see ``fields``); this module only shapes the
 data for them.  One ``matpoly_div_q`` call expands a matrix polynomial at
 every divisor at once; Taylor shifts are its linear-divisor case.
 ``matrix_horner`` computes X_k = A*X_{k-1} + c_k*V on a block V of columns
-in the integer model: the comatrix block B(lambda)*V over every field, all
-of B at V = I, and a scalar polynomial at a matrix.
+in the integer model, as columns: the comatrix block (B(lambda)*V)^T over
+every field, all of B at V = I, and a scalar polynomial at a matrix.
 """
 
 from itertools import chain
@@ -83,6 +83,10 @@ class Matrix:
             return cls.zeros(field, rows or 0, 0)
         return cls(field, zip(*columns, strict=True))
 
+    def transposed(self):
+        rows, den = self.lifted()
+        return Matrix.from_lifted(self.field, [list(col) for col in zip(*rows)], den)
+
     @property
     def is_square(self):
         return self.rows == self.cols
@@ -133,7 +137,7 @@ def rank(m):
 
 class MatPoly:
     """Polynomial with matrix coefficients of one shape, lowest degree
-    first: all of B(lambda) (square), or a block B(lambda)*V of it."""
+    first: all of B(lambda) (square), or a block of it as (B(lambda)*V)^T."""
 
     __slots__ = ("field", "coeffs", "rows", "cols")
 
@@ -177,7 +181,8 @@ def matpoly_div_q(mp, divisors):
     They are the q-adic digits of mp, all taken by the field's ``expand``
     kernel in one product with the digits of the powers of lambda; no
     coefficient division happens since every q is monic.  The matrices are
-    held in the integer model, in mp's coefficient shape.
+    held in the integer model, in mp's coefficient shape (s x n for the
+    comatrix block (B*V)^T, a chain in each row).
     """
     f = mp.field
     for q, count in divisors:
@@ -186,12 +191,12 @@ def matpoly_div_q(mp, divisors):
         f.check_same(q.field)
         if count < 1:
             raise ValueError("multiplicity must be >= 1")
-    n, s = mp.rows, mp.cols
-    lifted = [m.lifted() for m in mp.coeffs] or [([[0] * s] * n, 1)]
+    h, w = mp.rows, mp.cols
+    lifted = [m.lifted() for m in mp.coeffs] or [([[0] * w] * h, 1)]
     rems = f.expand([list(chain.from_iterable(rows)) for rows, _ in lifted],
                     [den for _, den in lifted],
                     [(q.coeffs, count) for q, count in divisors])
-    return [[[Matrix.from_lifted(f, [r[i * s:(i + 1) * s] for i in range(n)], den)
+    return [[[Matrix.from_lifted(f, [r[i * w:(i + 1) * w] for i in range(h)], den)
               for r, den in rem] for rem in per_divisor] for per_divisor in rems]
 
 
@@ -210,10 +215,10 @@ def horner_shift(mp, points):
 
 
 def matrix_horner(a, coeffs, v):
-    """[X_0, ..., X_m] for the polynomial with ``coeffs`` c_0..c_m (field
+    """[X_0^T, ..., X_m^T] for the polynomial with ``coeffs`` c_0..c_m (field
     elements, lowest degree first, c_m nonzero) on the block V (a list of
     columns): X_0 = c_m*V and X_k = A*X_{k-1} + c_{m-k}*V, so X_m = p(A)*V,
-    each X_k an n x s matrix held in the integer model.  It runs on
+    each X_k as its s columns, an s x n matrix in the integer model.  It runs on
     A' = d*A, d the common denominator of A (1 over F_p), as
     X'_k = A'*X'_{k-1} + d^k*c_{m-k}*V with X'_k = d^k*X_k: the scaled
     coefficients are integers over some e (e = 1 for the charpoly of A,
@@ -229,8 +234,7 @@ def matrix_horner(a, coeffs, v):
     xs = [vi if cs[-1] == 1 else f.int_scale(vi, cs[-1])]
     for c in reversed(cs[:-1]):
         xs.append(op(xs[-1], c))
-    return [Matrix.from_lifted(f, [list(row) for row in zip(*x)], e * e_v * d ** k)
-            for k, x in enumerate(xs)]
+    return [Matrix.from_lifted(f, x, e * e_v * d ** k) for k, x in enumerate(xs)]
 
 
 def identity_columns(field, n):
@@ -243,4 +247,4 @@ def poly_at_matrix(p, a):
     p.field.check_same(a.field)
     if p.is_zero:
         return Matrix.zeros(a.field, a.rows, a.rows)
-    return matrix_horner(a, p.coeffs, identity_columns(a.field, a.rows))[-1]
+    return matrix_horner(a, p.coeffs, identity_columns(a.field, a.rows))[-1].transposed()

@@ -282,6 +282,13 @@ def lambda_i_minus(a):
     return MatPoly(a.field, [mat_neg(a), identity(a.field, a.rows)])
 
 
+def transposed(mp):
+    """mp with every coefficient transposed: all of B(lambda) as the cycle
+    engine reads it, B^T with a chain in each row, the shape of the comatrix
+    block (B*V)^T at V = I."""
+    return MatPoly(mp.field, [m.transposed() for m in mp.coeffs])
+
+
 def matpoly_add(x, y):
     x.field.check_same(y.field)
     zero = Matrix.zeros(x.field, max(x.rows, y.rows), max(x.cols, y.cols))

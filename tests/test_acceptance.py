@@ -14,7 +14,8 @@ from conftest import (block_diagonal_part, block_multiset, charpoly_oracle,
                       kernel_basis, lambda_i_minus, make_fixture_m6, mat_pow,
                       mat_scale, mat_sub, matpoly_mul, mul_vector, normal_form,
                       poly_derivative, poly_divmod, poly_eval, poly_mul,
-                      poly_pow, random_normal_form, rng_for, trace)
+                      poly_pow, random_normal_form, rng_for, trace,
+                      transposed)
 from jnf.charpoly import char_data, faddeev, hessenberg_charpoly
 from jnf.decomposition import cycle_block_matrix, verify
 from jnf.factor import factor_charpoly
@@ -186,7 +187,7 @@ def test_criterion_3_fixture_m6(run_criterion):
         # the reference pair satisfy the chain relations and span the same
         # 4-dimensional expanded space
         qa = poly_at_matrix(X2M2, a)
-        cycles = extract_q_cycles(a, X2M2, 2, q_adic_blocks(a, cd.b, X2M2, 2))
+        cycles = extract_q_cycles(a, X2M2, 2, q_adic_blocks(a, transposed(cd.b), X2M2, 2))
         assert len(cycles) == 1 and len(cycles[0]) == 2
         (w0, _), (w1, _) = cycles[0]
         assert mul_vector(qa, w1) == w0
@@ -332,7 +333,7 @@ def test_cycle_collection_op_count_scaling(f):
     for n in (16, 32):
         a = conjugate_random(rng_for(f"op-scaling-{f.char}-{n}"),
                              normal_form(f, [(Poly.x_minus(f, lam), halving_cycles(n))]))
-        blocks = taylor_blocks(char_data(a).b, lam, n)
+        blocks = taylor_blocks(transposed(char_data(a).b), lam, n)
         cf = CountingField(f)
         cycles = extract_cycles(Matrix(cf, a.data), lam, n,
                                 [Matrix(cf, b.data) for b in blocks])

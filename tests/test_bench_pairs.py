@@ -1,6 +1,7 @@
 """The no-regression rule of tools/bench_pairs.py on synthetic runs."""
 
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
@@ -47,3 +48,34 @@ WIDE = [0.5, 0.6, 0.6, 0.7, 1.0, 1.0, 1.3, 1.4, 1.4, 1.5]
 ])
 def test_no_regression_outcomes(bench_pairs, better, parent, change, want):
     assert verdict(bench_pairs, parent, change, better) is want
+
+
+def test_in_process_summary(bench_pairs):
+    # ten paired solves: the change 10% faster on eight, slower on one and
+    # tied on one, which counts for neither side; one pair printed another
+    # document
+    pairs = ([(0.010, 0.009, True)] * 8
+             + [(0.010, 0.012, True), (0.020, 0.020, False)])
+    summary = bench_pairs.summarize_in_process(pairs)
+    assert summary["pairs"] == 10 and summary["change_wins"] == 8
+    assert summary["ratio"]["median"] == pytest.approx(0.9)
+    assert summary["ratio"]["q1"] == pytest.approx(0.9)
+    assert summary["ratio"]["q3"] == pytest.approx(0.9)
+    assert summary["parent_median_s"] == pytest.approx(0.010)
+    assert summary["change_median_s"] == pytest.approx(0.009)
+    assert summary["same_document"] == 9
+
+
+def test_in_process_pairs_load_both_trees(bench_pairs, monkeypatch):
+    # the same tree on both sides, under two package names: every matrix
+    # of a two-matrix corpus is solved by each, to the same document
+    root = TOOL.parent.parent
+    monkeypatch.setattr(bench_pairs, "CORPUS_SIZE", 2)
+    try:
+        pairs = bench_pairs.in_process({"parent": root, "change": root}, ["qq_split"], [1])
+        assert sys.modules["jnf_parent.cli"] is not sys.modules["jnf_change.cli"]
+    finally:
+        for name in [m for m in sys.modules if m.split(".")[0] in (
+                "jnf_parent", "jnf_change", "bench_pairs_corpus")]:
+            del sys.modules[name]
+    assert [(p > 0, c > 0, same) for p, c, same in pairs["qq_split"]] == [(True, True, True)] * 2

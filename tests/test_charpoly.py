@@ -291,8 +291,9 @@ def test_methods_agree_over_prime_fields(field):
 
 @pytest.mark.parametrize("field", [PrimeField(2), PrimeField(7), PrimeField(2**61 - 1)])
 def test_comatrix_block_is_b_times_v(field):
+    # the block comes as its columns, (B*V)^T with s x n coefficients:
     # (lambda*I - A)*B*V = P*V for the probe block V, and B*V is all of B
-    # times V; at s = n, V = I
+    # times V; at s = n, V = I and the block is B^T
     rng = rng_for(f"comatrix-block-{field.char}")
     for _ in range(8):
         n = rng.randint(1, 9)
@@ -301,9 +302,11 @@ def test_comatrix_block_is_b_times_v(field):
         b = comatrix_from_charpoly(a, p)
         for s in sorted({1, min(3, n), n}):
             v = Matrix(field, zip(*probe_block(field, n, s)))
-            bv = comatrix_block(a, p, s)
-            assert (bv.rows, bv.cols) == (n, s)
-            assert bv == MatPoly(field, [mat_mul(m, v) for m in b.coeffs])
+            bv_t = comatrix_block(a, p, s)
+            assert (bv_t.rows, bv_t.cols) == (s, n)
+            assert bv_t == MatPoly(field, [Matrix(field, zip(*mat_mul(m, v).data))
+                                           for m in b.coeffs])
+            bv = MatPoly(field, [Matrix(field, zip(*m.data)) for m in bv_t.coeffs])
             assert matpoly_mul(lambda_i_minus(a), bv) == MatPoly(
                 field, [mat_scale(v, c) for c in p.coeffs])
         assert probe_block(field, n, n) == [list(row) for row in identity(field, n).data]
@@ -328,8 +331,9 @@ def test_probe_block_is_fixed():
 @pytest.mark.parametrize("den", [1, 30, 2**20])
 def test_comatrix_block_over_qq_is_faddeev_b_times_v(den):
     # the block Horner in the integer model on d*A: coefficient by
-    # coefficient Faddeev's B times the probe block, at 1, BLOCK_COLUMNS
-    # and n columns, for entries over denominators that make d large
+    # coefficient Faddeev's B times the probe block, transposed, at 1,
+    # BLOCK_COLUMNS and n columns, for entries over denominators that make
+    # d large
     rng = rng_for(f"comatrix-block-qq-{den}")
     for _ in range(4):
         n = rng.randint(BLOCK_COLUMNS + 1, 8)
@@ -339,10 +343,10 @@ def test_comatrix_block_over_qq_is_faddeev_b_times_v(den):
         assert hessenberg_charpoly(a) == cd.p
         for s in (1, BLOCK_COLUMNS, n):
             v = Matrix(QQ, zip(*probe_block(QQ, n, s)))
-            bv = comatrix_block(a, cd.p, s)
-            assert len(bv.coeffs) == n
-            for got, full in zip(bv.coeffs, cd.b.coeffs):
-                assert got == mat_mul(full, v)
+            bv_t = comatrix_block(a, cd.p, s)
+            assert len(bv_t.coeffs) == n and (bv_t.rows, bv_t.cols) == (s, n)
+            for got, full in zip(bv_t.coeffs, cd.b.coeffs):
+                assert got == Matrix(QQ, zip(*mat_mul(full, v).data))
 
 
 def test_block_horner_op_count_is_a_share_of_the_full_horner():

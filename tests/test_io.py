@@ -271,6 +271,20 @@ MALFORMED = {
 }
 
 
+# (case, the edit to the first block of the m6 document, a quadratic
+# factor's cycle of length 2 at offset 0 in n = 6); each read back before
+# the blocks were checked against n
+OUTSIDE = {
+    "cycle_length 99": {"cycle_length": 99},
+    "cycle_length 0": {"cycle_length": 0},
+    "offset -1": {"offset": -1},
+    "offset n": {"offset": 6},
+    "runs past n": {"offset": 4},
+}
+MALFORMED.update({case: lambda doc, edit=edit: {**doc, "blocks": [
+    {**doc["blocks"][0], **edit}, *doc["blocks"][1:]]} for case, edit in OUTSIDE.items()})
+
+
 @pytest.mark.parametrize("case", [*MALFORMED, "5000-digit integer"])
 def test_parse_json_refuses_malformed_documents(case, default_digit_limit):
     a = make_fixture_m6()
@@ -282,3 +296,16 @@ def test_parse_json_refuses_malformed_documents(case, default_digit_limit):
         assert bad != text
     with pytest.raises(ParseError, match="bad "):
         parse_json(bad)
+
+
+def test_parse_json_refuses_a_5000_digit_offset(digit_limit):
+    # at CPython's default limit json refuses the integer; with the limit
+    # lifted it reads it, and the block check refuses the offset without
+    # quoting its digits
+    a = make_fixture_m6()
+    text = emit_json(rational_jordan(a, factor_charpoly(char_data(a).p)))
+    bad = text.replace('"offset": 0', '"offset": 1' + "0" * 4999, 1)
+    assert bad != text
+    with pytest.raises(ParseError, match="bad ") as err:
+        parse_json(bad)
+    assert len(str(err.value)) < 200

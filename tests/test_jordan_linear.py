@@ -2,7 +2,7 @@ import pytest
 
 from conftest import (block_multiset, conjugate_random, horner_eval,
                       mat_inverse, matpoly_reconstruct_shifts, mul_vector,
-                      rng_for, random_unimodular)
+                      rng_for, random_unimodular, transposed)
 from jnf.charpoly import char_data, hessenberg_charpoly
 from jnf.errors import InvalidHintError, NeedsFactorizationError
 from jnf.factor import FactoredCharPoly, factor_charpoly
@@ -25,7 +25,7 @@ def test_taylor_blocks_reconstruct(fixture_a):
 def test_fixture_a_cycle_structure(fixture_a):
     cd = char_data(fixture_a)
     cycles = extract_cycles(fixture_a, QQ.from_int(2), 2,
-                            taylor_blocks(cd.b, QQ.from_int(2), 2))
+                            taylor_blocks(transposed(cd.b), QQ.from_int(2), 2))
     assert sorted(len(cy) for cy in cycles) == [2]
     # v_0 is an eigenvector, A*v_1 = 2*v_1 + v_0
     two = QQ.from_int(2)
@@ -82,7 +82,7 @@ def test_accept_refuses_a_chain_overlapping_an_earlier_cycle(monkeypatch):
             return offered[-1][1]
         return orig(blocks, total, recorded)
     monkeypatch.setattr(jordan_linear, "collect_cycles", collect)
-    cycles = extract_cycles(a, two, 3, taylor_blocks(char_data(a).b, two, 3))
+    cycles = extract_cycles(a, two, 3, taylor_blocks(transposed(char_data(a).b), two, 3))
     assert sorted(map(len, cycles)) == [1, 2]
     (v0,), _ = next(cy for cy in cycles if len(cy) == 2)
     refused = [segs for segs, ok in offered if not ok]

@@ -2,7 +2,8 @@ import pytest
 
 from conftest import (block_diagonal_part, block_multiset, conjugate_random,
                       mat_sub, matpoly_add, matpoly_mul_poly, matpoly_sub,
-                      mul_vector, poly_pow, random_normal_form, rng_for)
+                      mul_vector, poly_pow, random_normal_form, rng_for,
+                      transposed)
 from jnf import factor
 from jnf.charpoly import char_data
 from jnf.decomposition import verify
@@ -45,7 +46,7 @@ def test_q_adic_blocks_m6(fixture_m6):
 def test_extract_q_cycles_m6(fixture_m6):
     cd = char_data(fixture_m6)
     cycles = extract_q_cycles(fixture_m6, X2M2, 2,
-                              q_adic_blocks(fixture_m6, cd.b, X2M2, 2))
+                              q_adic_blocks(fixture_m6, transposed(cd.b), X2M2, 2))
     assert [len(cy) for cy in cycles] == [2]
     (w0, aw0), (w1, aw1) = cycles[0]
     qa = poly_at_matrix(X2M2, fixture_m6)
@@ -88,7 +89,7 @@ def test_rational_m6_entrywise(fixture_m6):
 def test_rational_conversion_known_vectors(fixture_m6):
     cd = char_data(fixture_m6)
     cycle = extract_q_cycles(fixture_m6, X2M2, 2,
-                             q_adic_blocks(fixture_m6, cd.b, X2M2, 2))[0]
+                             q_adic_blocks(fixture_m6, transposed(cd.b), X2M2, 2))[0]
     groups = convert_cycle_to_rational(fixture_m6, X2M2, cycle)
     v00, v01 = groups[0]
     v10, v11 = groups[1]

@@ -8,7 +8,7 @@ import random
 import pytest
 
 from conftest import (conjugate_random, division_rows_oracle, mat_add, mat_scale,
-                      mul_vector, normal_form, rng_for, rref)
+                      mul_vector, normal_form, rng_for, rref, transposed)
 from jnf import fields, jordan_linear
 from jnf.charpoly import char_data, hessenberg_charpoly, probe_block
 from jnf.decomposition import cycle_block_matrix
@@ -252,11 +252,12 @@ def test_matrix_horner_packs_once_per_slot_width(monkeypatch):
     xs = matrix_horner(a, p.coeffs, v)
     monkeypatch.undo()
     assert a.rows == 16 and 1 < len(packs) == len(set(packs))
-    # X_0 = c_n*V and X_k = A*X_{k-1} + c_{n-k}*V, column by column
+    # X_0 = c_n*V and X_k = A*X_{k-1} + c_{n-k}*V, column by column, each
+    # X_k as its columns
     cs, a_t = p.coeffs, list(zip(*a.data))
     want = [[QQ.mul(cs[-1], y) for y in col] for col in v]
     for k, x in enumerate(xs):
-        assert [list(col) for col in zip(*x.data)] == want
+        assert (x.rows, x.cols) == (len(v), a.rows) and x.data == want
         if k < a.rows:
             want = [[QQ.add(y, QQ.mul(cs[-2 - k], z)) for y, z in zip(col, v_col)]
                     for col, v_col in zip(oracle_matmul(QQ, want, a_t), v)]
@@ -406,20 +407,38 @@ def test_expand_many_divisors_matches_oracle(f):
     assert expand_lowered(f, [[f.one]], []) == []
 
 
-def check_digit_rows(f, q, count, scales):
-    """``_digit_rows`` against the identity division of
-    ``division_rows_oracle``: the oracle's integers and denominators
-    wherever it has rows, zero rows over 1 past the polynomial's degree.
-    Returns (rows, denominators, whether the quotient ran short)."""
+def digit_rows(f, divisors, scales, dens=None):
+    """The rows of ``expand``'s W at ``divisors``, each divisor's in turn,
+    with their denominators: the remainders of the identity data, row k
+    scaled by scales[k] (and over ``dens[k]`` if given, all over 1 else)."""
+    top = len(scales)
+    data = [[x if j == k else 0 for j in range(top)] for k, x in enumerate(scales)]
+    pairs = [pair for per in f.expand(data, dens or [1] * top, divisors)
+             for rem in per for pair in rem]
+    return [row for row, _ in pairs], [den for _, den in pairs]
+
+
+def oracle_digit_rows(f, q, count, scales):
+    """The identity division of ``division_rows_oracle`` as [(row,
+    denominator)]: its integers and denominators wherever it has rows,
+    zero rows over 1 past the polynomial's degree; and whether the
+    quotient ran short."""
     d = len(q) - 1
-    rows, dens = f._digit_rows(q, count, scales)
     want, want_dens, live = division_rows_oracle(f, q, count, scales)
     assert all(x.denominator == 1 for row in want for x in row)
     found = iter(zip([[x.numerator for x in row] for row in want], want_dens))
     zero = ([0] * len(scales), 1)
-    assert list(zip(rows, dens)) == [next(found) if j < k else zero
-                                     for k in live for j in range(d)]
-    return rows, dens, live[-1] < d
+    return [next(found) if j < k else zero for k in live for j in range(d)], live[-1] < d
+
+
+def check_digit_rows(f, q, count, scales):
+    """``expand``'s digit rows at one divisor against
+    ``oracle_digit_rows``.  Returns (rows, denominators, whether the
+    quotient ran short)."""
+    rows, dens = digit_rows(f, [(q, count)], scales)
+    want, short = oracle_digit_rows(f, q, count, scales)
+    assert list(zip(rows, dens)) == want
+    return rows, dens, short
 
 
 def division_cases(rng, f, coeff, scale):
@@ -466,6 +485,38 @@ def test_rational_digit_rows_match_the_list_algorithm():
         assert math.lcm(*(c.denominator for c in q)) > 1
         short += check_digit_rows(QQ, q, count, scales)[2]
     assert short >= 5
+
+
+@pytest.mark.parametrize("f", [QQ, PrimeField(5)], ids=["QQ", "GF5"])
+def test_one_expand_takes_every_divisor_as_the_list_algorithm_takes_each(f):
+    # W for divisors of degrees 1, 2 and 3 comes from one digit recurrence
+    # over their concatenated lists: each divisor's rows and denominators
+    # are those of the identity division at that divisor alone, the data's
+    # common denominator times the oracle's.  Over QQ a divisor has a common
+    # denominator s > 1 and the data rows differ in denominator; over GF(5)
+    # there are more coefficients than p
+    rng = rng_for(f"kernel-one-pass-w-{f.char}")
+    for _ in range(8):
+        top = rng.randint(6, 12)
+        if f.char:
+            coeff, dens = lambda: rng.randrange(5), [rng.randrange(1, 5) for _ in range(top)]
+        else:
+            coeff = lambda: QQ.fraction(rng.randint(-9, 9), rng.choice([1, 1, 2, 5]))
+            dens = [rng.choice([1, 2, 3, 4, 6, 9]) for _ in range(top)]
+        xs = [rng.randint(1, 4) for _ in range(top)]
+        divisors = [([coeff() for _ in range(d)] + [f.one], rng.randint(1, 4))
+                    for d in (1, 2, 3, rng.randint(1, 3))]
+        if not f.char:
+            divisors[1][0][0] = QQ.fraction(rng.choice([-1, 1]), 6)
+            assert len(set(dens)) > 1
+        rng.shuffle(divisors)
+        den, scales = f.common_den(dens)
+        want = []
+        for q, count in divisors:
+            rows, _ = oracle_digit_rows(f, q, count, [x * k for x, k in zip(xs, scales)])
+            want += [(row, den * w) for row, w in rows]
+        rows, got_dens = digit_rows(f, divisors, xs, dens)
+        assert list(zip(rows, got_dens)) == want
 
 
 @pytest.mark.parametrize("p", [2, 7, 2**31 - 1, 2**61 - 1])
@@ -809,9 +860,10 @@ def test_reduced_stack_matches_rref(f):
     # collect_cycles keeps integer chain rows; with every candidate refused
     # it runs every level without raising, and each level's candidates,
     # lowered over their pivots, must be the top-block rows of the RREF of a
-    # field-element replay of shift, drop and cut.  Digits of d = 2
-    # coefficients, the left and right halves of the blocks, hold the same
-    # chains and give the same candidates.
+    # field-element replay of shift, drop and cut.  A digit holds the chains
+    # as its rows, the columns of the block; digits of d = 2 coefficients,
+    # the upper and lower halves of those rows, hold the same chains and
+    # give the same candidates.
     rng = rng_for(f"kernel-stack-{f.char}")
     for _ in range(12):
         n, width, levels = rng.randint(1, 4), rng.randint(1, 5), rng.randint(1, 4)
@@ -822,6 +874,7 @@ def test_reduced_stack_matches_rref(f):
         for b in blocks:                       # a zero chain, often not last
             for row in b.data:
                 row[0] = f.zero
+        digits = [[b.column(j) for j in range(width)] for b in blocks]
         seen = []
 
         def refuse(segs):
@@ -830,13 +883,12 @@ def test_reduced_stack_matches_rref(f):
             seen.append(f.lower(segs, pivot))
             return False
 
-        assert collect_cycles([[b] for b in blocks], 1, refuse) is None
+        assert collect_cycles([[Matrix(f, t)] for t in digits], 1, refuse) is None
         if width % 2 == 0:
             whole, seen = seen, []
             half = width // 2
-            collect_cycles([[Matrix(f, [row[:half] for row in b.data]),
-                             Matrix(f, [row[half:] for row in b.data])]
-                            for b in blocks], 1, refuse)
+            collect_cycles([[Matrix(f, t[:half]), Matrix(f, t[half:])]
+                            for t in digits], 1, refuse)
             assert seen == whole
         expect = []
         chains = (sum((b.column(j) for b in blocks), []) for j in range(width))
@@ -922,7 +974,7 @@ def test_extraction_lowers_only_the_accepted_cycles(f, monkeypatch):
     pieces = [(quad, [2, 1]), (Poly.x_minus(f, f.from_int(3)), [2, 1, 1])]
     a = conjugate_random(rng_for(f"kernel-lower-accepted-{f.char}"),
                          normal_form(f, pieces))
-    b = char_data(a).b
+    b = transposed(char_data(a).b)
     lowered = []
     for cls in (Rationals, PrimeField):
         def lower(self, rows, den, orig=cls.lower):

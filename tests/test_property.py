@@ -23,7 +23,7 @@ import pytest
 
 from conftest import (IRREDUCIBLE_QUADRATICS, block_multiset,
                       conjugate_random, hstack, mul_vector, normal_form,
-                      poly_divmod, poly_pow)
+                      poly_divmod, poly_pow, transposed)
 from jnf import jordan_linear, jordan_rational
 from jnf.charpoly import (char_data, comatrix_from_charpoly, faddeev,
                           hessenberg_charpoly, probe_block)
@@ -85,14 +85,15 @@ def truth(pieces):
 
 def check_chain_and_conversion(a, b, q, mult):
     """The invariants no solve checks, as its certificate covers them: the
-    Q(A)-chain Q(A)*C_0 = 0, Q(A)*C_{k+1} = C_k of the Q-adic coefficients,
-    and A*v_{j,l-1} = v_{j,l} + v_{j-1,l-1} in every converted cycle, for
-    l = 1..d."""
+    Q(A)-chain Q(A)*C_0 = 0, Q(A)*C_{k+1} = C_k of the Q-adic coefficients
+    of B, from those of b = B^T, and A*v_{j,l-1} = v_{j,l} + v_{j-1,l-1} in
+    every converted cycle, for l = 1..d."""
     f = a.field
     c_blocks = q_adic_blocks(a, b, q, mult)
+    cols = [[c.transposed() for c in c_k] for c_k in c_blocks]
     qa = poly_at_matrix(q, a)
-    assert all(mat_mul(qa, c).is_zero() for c in c_blocks[0])
-    for c_k, c_next in zip(c_blocks, c_blocks[1:]):
+    assert all(mat_mul(qa, c).is_zero() for c in cols[0])
+    for c_k, c_next in zip(cols, cols[1:]):
         assert [mat_mul(qa, c) for c in c_next] == c_k
     zero = [[f.zero] * a.rows] * q.degree
     for cycle in extract_q_cycles(a, q, mult, c_blocks):
@@ -173,7 +174,7 @@ def test_every_form_recovers_the_blocks(case, orientation):
         assert block_multiset(dec) == truth(pieces)
     for q, mult in fc.factors:
         if q.degree > 1:
-            check_chain_and_conversion(a, char_data(a).b, q, mult)
+            check_chain_and_conversion(a, transposed(char_data(a).b), q, mult)
     if split:
         # d = 1 everywhere: the pseudo and rational couplings are the
         # split form's identity, so all three give the same answer
@@ -262,7 +263,7 @@ def test_accept_refuses_exactly_the_overlapping_chains(case):
     # the whole grid of the candidate's cycle against every vector taken
     a, pieces = case
     f = a.field
-    b = char_data(a).b
+    b = transposed(char_data(a).b)
     for q, ls in pieces:
         mult = sum(ls)
         taken = []

@@ -9,6 +9,7 @@ first alternates from pair to pair, and pair i uses seed ``--seed`` + i.
 Run from anywhere in the repository:
 
     python3 tools/bench_pairs.py PARENT CHANGE --seed 1001 --out BENCH_<n>.json
+    python3 tools/bench_pairs.py PARENT CHANGE --seed 1001 --in-process --out BENCH_<n>.json
 
 The file holds both commit ids and the tree ids of their ``src/``, the
 seeds, every run's metrics and its host reference time (the median time of
@@ -27,9 +28,23 @@ median:
   bound (and not every change run beats every parent run): its runs spread
   too widely to tell;
 - ``false`` otherwise.
+
+With ``--in-process`` the file also holds, per workload, paired solves of
+both trees in this one interpreter, which cancels what differs between two
+processes (their start, their memory layout, the host's speed at the
+time).  Each tree's ``src/jnf`` is imported under a name of its own
+(``jnf_parent``, ``jnf_change``), and each pair's seed gives a corpus as
+``perfbench/corpus.py`` builds it.  Every matrix is solved once by each
+tree through its ``cli.run``, the tree that goes first alternating from
+matrix to matrix, after one warm-up solve per corpus and tree.  Per
+workload the file records the median and quartiles of the paired ratios
+(change time over parent time), the pairs the change won, each side's
+median wall time, and how many pairs printed the same document.
 """
 
 import argparse
+import importlib
+import importlib.util
 import io
 import json
 import platform
@@ -38,10 +53,14 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PAIRS = 10
+SIDES = ("parent", "change")
+# matrices per corpus, as perfbench/run.py draws them
+CORPUS_SIZE = 64
 
 
 def git(*args):
@@ -117,13 +136,91 @@ def summarize(runs, metrics):
     return out
 
 
+def load_module(path, name, package_dir=None):
+    """The module or package (``package_dir``) at ``path`` imported as
+    ``name``, whatever else of that name this interpreter holds."""
+    spec = importlib.util.spec_from_file_location(
+        name, path, submodule_search_locations=package_dir and [str(package_dir)])
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def load_cli(checkout, side):
+    """``jnf.cli`` of ``checkout``'s ``src/``, imported as ``jnf_<side>.cli``."""
+    pkg = Path(checkout) / "src" / "jnf"
+    load_module(pkg / "__init__.py", f"jnf_{side}", pkg)
+    return importlib.import_module(f"jnf_{side}.cli")
+
+
+def solve(cli, workload, job):
+    """(wall seconds, document) of one ``cli.run`` on a corpus job, as
+    ``perfbench/run.py`` configures it."""
+    mat, hint, _ = job
+    config = cli.JobConfig(input_path=str(mat), field_spec=workload.field_spec,
+                           form=workload.form, output="json",
+                           factors_path=str(hint) if hint else None)
+    start = time.perf_counter()
+    code, report = cli.run(config)
+    elapsed = time.perf_counter() - start
+    if code:
+        raise RuntimeError(f"{mat.name} exited {code} in {cli.__name__}")
+    return elapsed, report
+
+
+def in_process(dirs, names, seeds):
+    """Per workload name, [(parent seconds, change seconds, same document)]
+    for every matrix of every seed's corpus (see the module docstring)."""
+    clis = {side: load_cli(dirs[side], side) for side in SIDES}
+    corpus = load_module(dirs["change"] / "perfbench" / "corpus.py", "bench_pairs_corpus")
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in names:
+            workload, pairs = corpus.WORKLOADS[name], []
+            for seed in seeds:
+                work = Path(tmp) / f"{name}-{seed}"
+                work.mkdir()
+                warm, jobs = corpus.generate(work, workload, seed, CORPUS_SIZE)
+                for cli in clis.values():
+                    solve(cli, workload, warm)
+                for job in jobs:
+                    order = SIDES if len(pairs) % 2 == 0 else SIDES[::-1]
+                    runs = {side: solve(clis[side], workload, job) for side in order}
+                    pairs.append((runs["parent"][0], runs["change"][0],
+                                  runs["parent"][1] == runs["change"][1]))
+            print(f"# {name} in process: median ratio "
+                  f"{summarize_in_process(pairs)['ratio']['median']:.4f}",
+                  file=sys.stderr, flush=True)
+            out[name] = pairs
+    return out
+
+
+def summarize_in_process(pairs):
+    """The paired ratios' median and quartiles, the pairs the change won
+    (ties count for neither side), each side's median wall time and the
+    pairs that printed the same document, for [(parent s, change s,
+    same document)]."""
+    return {
+        "pairs": len(pairs),
+        "ratio": spread([c / p for p, c, _ in pairs]),
+        "change_wins": sum(c < p for p, c, _ in pairs),
+        "parent_median_s": statistics.median(p for p, _, _ in pairs),
+        "change_median_s": statistics.median(c for _, c, _ in pairs),
+        "same_document": sum(same for _, _, same in pairs),
+    }
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent")
     parser.add_argument("change")
     parser.add_argument("--seed", type=int, default=1001)
     parser.add_argument("--out", required=True)
+    parser.add_argument("--in-process", action="store_true",
+                        help="also alternate both trees in this interpreter")
     args = parser.parse_args(argv)
+    seeds = [args.seed + i for i in range(PAIRS)]
 
     sides = {side: {"commit": git("rev-parse", f"{rev}^{{commit}}"),
                     "src_tree": git("rev-parse", f"{rev}:src")}
@@ -135,12 +232,12 @@ def main(argv=None):
             export(info["commit"], dirs[side])
         bench = json.loads((dirs["change"] / "BENCHMARK.json").read_text())
         seconds = bench["run_seconds"]
-        workloads = {}
-        for name in (w["name"] for w in bench["workloads"]):
+        names = [w["name"] for w in bench["workloads"]]
+        workloads = {name: {} for name in names}
+        for name in names:
             runs = []
-            for i in range(PAIRS):
-                seed = args.seed + i
-                order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+            for i, seed in enumerate(seeds):
+                order = SIDES if i % 2 == 0 else SIDES[::-1]
                 run = {"pair": i, "seed": seed, "first": order[0]}
                 for side in order:
                     run[side] = run_once(dirs[side], name, seed, seconds)
@@ -150,10 +247,15 @@ def main(argv=None):
                 runs.append(run)
             workloads[name] = {"summary": summarize(runs, bench["end_to_end"]),
                                "runs": runs}
+        if args.in_process:
+            for name, pairs in in_process(dirs, names, seeds).items():
+                workloads[name]["in_process"] = {
+                    "summary": summarize_in_process(pairs),
+                    "pairs": [{"parent_s": p, "change_s": c, "same_document": same}
+                              for p, c, same in pairs]}
     doc = {
         "parent": sides["parent"], "change": sides["change"],
-        "seconds": seconds, "pairs": PAIRS,
-        "seeds": [args.seed + i for i in range(PAIRS)],
+        "seconds": seconds, "pairs": PAIRS, "seeds": seeds,
         "host": {"python": platform.python_version(),
                  "machine": platform.machine()},
         "workloads": workloads,
