@@ -66,16 +66,29 @@ def test_in_process_summary(bench_pairs):
     assert summary["same_document"] == 9
 
 
-def test_in_process_pairs_load_both_trees(bench_pairs, monkeypatch):
+def test_in_process_pairs_load_both_trees(bench_pairs):
     # the same tree on both sides, under two package names: every matrix
     # of a two-matrix corpus is solved by each, to the same document
     root = TOOL.parent.parent
-    monkeypatch.setattr(bench_pairs, "CORPUS_SIZE", 2)
     try:
-        pairs = bench_pairs.in_process({"parent": root, "change": root}, ["qq_split"], [1])
+        pairs = bench_pairs.in_process({"parent": root, "change": root}, ["qq_split"], [1], 2)
         assert sys.modules["jnf_parent.cli"] is not sys.modules["jnf_change.cli"]
     finally:
         for name in [m for m in sys.modules if m.split(".")[0] in (
                 "jnf_parent", "jnf_change", "bench_pairs_corpus")]:
             del sys.modules[name]
     assert [(p > 0, c > 0, same) for p, c, same in pairs["qq_split"]] == [(True, True, True)] * 2
+
+
+def test_corpus_size_is_what_perfbench_draws(bench_pairs, monkeypatch):
+    # read from the script's source, it follows perfbench/run.py when that
+    # changes its corpus size
+    perfbench = TOOL.parent.parent / "perfbench"
+    monkeypatch.syspath_prepend(str(perfbench))
+    loaded = set(sys.modules)
+    try:
+        run = bench_pairs.load_module(perfbench / "run.py", "bench_pairs_run")
+    finally:
+        for name in set(sys.modules) - loaded:
+            del sys.modules[name]
+    assert bench_pairs.corpus_size(perfbench.parent) == run.CORPUS_SIZE

@@ -9,7 +9,6 @@ first alternates from pair to pair, and pair i uses seed ``--seed`` + i.
 Run from anywhere in the repository:
 
     python3 tools/bench_pairs.py PARENT CHANGE --seed 1001 --out BENCH_<n>.json
-    python3 tools/bench_pairs.py PARENT CHANGE --seed 1001 --in-process --out BENCH_<n>.json
 
 The file holds both commit ids and the tree ids of their ``src/``, the
 seeds, every run's metrics and its host reference time (the median time of
@@ -29,20 +28,22 @@ median:
   too widely to tell;
 - ``false`` otherwise.
 
-With ``--in-process`` the file also holds, per workload, paired solves of
-both trees in this one interpreter, which cancels what differs between two
-processes (their start, their memory layout, the host's speed at the
-time).  Each tree's ``src/jnf`` is imported under a name of its own
-(``jnf_parent``, ``jnf_change``), and each pair's seed gives a corpus as
-``perfbench/corpus.py`` builds it.  Every matrix is solved once by each
-tree through its ``cli.run``, the tree that goes first alternating from
-matrix to matrix, after one warm-up solve per corpus and tree.  Per
-workload the file records the median and quartiles of the paired ratios
-(change time over parent time), the pairs the change won, each side's
-median wall time, and how many pairs printed the same document.
+The file also holds, per workload, paired solves of both trees in this one
+interpreter, which cancels what differs between two processes (their
+start, their memory layout, the host's speed at the time).  Each tree's
+``src/jnf`` is imported under a name of its own (``jnf_parent``,
+``jnf_change``), and each pair's seed gives a corpus of
+``perfbench/run.py``'s ``CORPUS_SIZE`` matrices as ``perfbench/corpus.py``
+builds it.  Every matrix is solved once by each tree through its
+``cli.run``, the tree that goes first alternating from matrix to matrix,
+after one warm-up solve per corpus and tree.  Per workload the file
+records the median and quartiles of the paired ratios (change time over
+parent time), the pairs the change won, each side's median wall time, and
+how many pairs printed the same document.
 """
 
 import argparse
+import ast
 import importlib
 import importlib.util
 import io
@@ -59,8 +60,6 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PAIRS = 10
 SIDES = ("parent", "change")
-# matrices per corpus, as perfbench/run.py draws them
-CORPUS_SIZE = 64
 
 
 def git(*args):
@@ -169,9 +168,19 @@ def solve(cli, workload, job):
     return elapsed, report
 
 
-def in_process(dirs, names, seeds):
+def corpus_size(checkout):
+    """``CORPUS_SIZE`` of ``checkout``'s ``perfbench/run.py``, read without
+    running the script."""
+    tree = ast.parse((Path(checkout) / "perfbench" / "run.py").read_text())
+    return next(ast.literal_eval(node.value) for node in tree.body
+                if isinstance(node, ast.Assign)
+                and [getattr(t, "id", None) for t in node.targets] == ["CORPUS_SIZE"])
+
+
+def in_process(dirs, names, seeds, size):
     """Per workload name, [(parent seconds, change seconds, same document)]
-    for every matrix of every seed's corpus (see the module docstring)."""
+    for every matrix of every seed's corpus of ``size`` matrices (see the
+    module docstring)."""
     clis = {side: load_cli(dirs[side], side) for side in SIDES}
     corpus = load_module(dirs["change"] / "perfbench" / "corpus.py", "bench_pairs_corpus")
     out = {}
@@ -181,7 +190,7 @@ def in_process(dirs, names, seeds):
             for seed in seeds:
                 work = Path(tmp) / f"{name}-{seed}"
                 work.mkdir()
-                warm, jobs = corpus.generate(work, workload, seed, CORPUS_SIZE)
+                warm, jobs = corpus.generate(work, workload, seed, size)
                 for cli in clis.values():
                     solve(cli, workload, warm)
                 for job in jobs:
@@ -217,10 +226,7 @@ def main(argv=None):
     parser.add_argument("change")
     parser.add_argument("--seed", type=int, default=1001)
     parser.add_argument("--out", required=True)
-    parser.add_argument("--in-process", action="store_true",
-                        help="also alternate both trees in this interpreter")
     args = parser.parse_args(argv)
-    seeds = [args.seed + i for i in range(PAIRS)]
 
     sides = {side: {"commit": git("rev-parse", f"{rev}^{{commit}}"),
                     "src_tree": git("rev-parse", f"{rev}:src")}
@@ -232,12 +238,12 @@ def main(argv=None):
             export(info["commit"], dirs[side])
         bench = json.loads((dirs["change"] / "BENCHMARK.json").read_text())
         seconds = bench["run_seconds"]
-        names = [w["name"] for w in bench["workloads"]]
-        workloads = {name: {} for name in names}
-        for name in names:
+        workloads = {}
+        for name in (w["name"] for w in bench["workloads"]):
             runs = []
-            for i, seed in enumerate(seeds):
-                order = SIDES if i % 2 == 0 else SIDES[::-1]
+            for i in range(PAIRS):
+                seed = args.seed + i
+                order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
                 run = {"pair": i, "seed": seed, "first": order[0]}
                 for side in order:
                     run[side] = run_once(dirs[side], name, seed, seconds)
@@ -247,15 +253,17 @@ def main(argv=None):
                 runs.append(run)
             workloads[name] = {"summary": summarize(runs, bench["end_to_end"]),
                                "runs": runs}
-        if args.in_process:
-            for name, pairs in in_process(dirs, names, seeds).items():
-                workloads[name]["in_process"] = {
-                    "summary": summarize_in_process(pairs),
-                    "pairs": [{"parent_s": p, "change_s": c, "same_document": same}
-                              for p, c, same in pairs]}
+        seeds = [args.seed + i for i in range(PAIRS)]
+        size = corpus_size(dirs["change"])
+        for name, pairs in in_process(dirs, list(workloads), seeds, size).items():
+            workloads[name]["in_process"] = {
+                "summary": summarize_in_process(pairs),
+                "pairs": [{"parent_s": p, "change_s": c, "same_document": same}
+                          for p, c, same in pairs]}
     doc = {
         "parent": sides["parent"], "change": sides["change"],
-        "seconds": seconds, "pairs": PAIRS, "seeds": seeds,
+        "seconds": seconds, "pairs": PAIRS,
+        "seeds": [args.seed + i for i in range(PAIRS)],
         "host": {"python": platform.python_version(),
                  "machine": platform.machine()},
         "workloads": workloads,
