@@ -7,8 +7,7 @@ from .errors import (InternalConsistencyError, InvalidHintError, JnfError,
                      NeedsFactorizationError, ParseError, UnsupportedFieldError)
 from .factor import FactoredCharPoly, factor_charpoly, parse_factor_hints
 from .fields import PrimeField, QQ, Rationals
-from .jordan_rational import (assemble_pseudo_rational, extract_q_cycles,
-                              rational_jordan, split_jordan)
+from .jordan_rational import decompose, extract_q_cycles
 from .matrix import MatPoly, Matrix
 from .poly import Poly
 
@@ -16,8 +15,7 @@ __all__ = [
     "FactoredCharPoly", "InternalConsistencyError", "InvalidHintError",
     "JnfError", "JordanDecomposition", "MatPoly", "Matrix",
     "NeedsFactorizationError", "ParseError", "Poly", "PrimeField", "QQ",
-    "Rationals", "UnsupportedFieldError", "assemble_pseudo_rational",
-    "comatrix_block", "extract_q_cycles", "factor_charpoly",
-    "hessenberg_charpoly", "parse_factor_hints", "rational_jordan",
-    "split_jordan", "verify",
+    "Rationals", "UnsupportedFieldError", "comatrix_block", "decompose",
+    "extract_q_cycles", "factor_charpoly", "hessenberg_charpoly",
+    "parse_factor_hints", "verify",
 ]

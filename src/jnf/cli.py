@@ -11,7 +11,7 @@ from .errors import (InternalConsistencyError, InvalidHintError, JnfError,
                      NeedsFactorizationError, ParseError, UnsupportedFieldError)
 from .factor import factor_charpoly, format_factor_hint, parse_factor_hints
 from .io import emit_json, field_from_tag, format_matrix, parse_matrix
-from .jordan_rational import assemble_pseudo_rational, rational_jordan, split_jordan
+from .jordan_rational import decompose
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -20,6 +20,9 @@ EXIT_UNSUPPORTED_FIELD = 4
 EXIT_INTERNAL = 5
 
 DEFAULT_MAX_N = 512
+
+# --form's names -> JordanDecomposition.FORMS
+FORMS = {"split": "split", "pseudo": "pseudo_rational", "rational": "rational"}
 
 
 @dataclass
@@ -56,9 +59,8 @@ def _read(path):
 
 def run(config):
     """Execute one job; returns (exit_code, report_text)."""
-    solve = {"split": split_jordan, "pseudo": assemble_pseudo_rational,
-             "rational": rational_jordan}.get(config.form)
-    if solve is None:
+    form = FORMS.get(config.form)
+    if form is None:
         raise ParseError(f"unknown form {config.form!r}")
     if config.output not in ("pretty", "json"):
         raise ParseError(f"unknown output {config.output!r}")
@@ -75,7 +77,7 @@ def run(config):
     if config.factors_path:
         hint = parse_factor_hints(_read(config.factors_path), p)
     factorization = factor_charpoly(p, hint=hint)
-    dec = solve(a, factorization, charpoly=p, orientation=config.orientation)
+    dec = decompose(a, factorization, form, config.orientation, charpoly=p)
 
     lines = []
     if config.output == "json":
@@ -109,7 +111,7 @@ def build_parser():
                         help="matrix file ('rows cols' header, then rows)")
     parser.add_argument("--field", dest="field_spec",
                         help="coefficient field: q (default) or fp:<prime>")
-    parser.add_argument("--form", choices=["split", "pseudo", "rational"])
+    parser.add_argument("--form", choices=list(FORMS))
     parser.add_argument("--factors", dest="factors_path",
                         help="factor hint file for the characteristic polynomial")
     parser.add_argument("--output", choices=["pretty", "json"])

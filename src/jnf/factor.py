@@ -193,7 +193,8 @@ def check_factors(factors):
             raise InvalidHintError(
                 f"hinted factor '{format_factor_hint(q, m)}' has degree 0")
         if m < 1:
-            raise InvalidHintError("hint multiplicities must be positive")
+            raise InvalidHintError(f"hinted factor '{format_factor_hint(q, m)}' "
+                                   f"has multiplicity {m}, below 1")
 
 
 def _check_hinted_factors(hint):

@@ -177,14 +177,18 @@ def parse_json(text):
         field = field_from_tag(doc["field"])
         p, j = (Matrix(field, [[field.parse(x) for x in row] for row in doc[k]])
                 for k in "PJ")
+        n = index(doc["n"])
+        if not p.rows == p.cols == j.rows == j.cols == n:
+            raise ValueError(f"P is {p.rows} x {p.cols} and J {j.rows} x {j.cols}, "
+                             "not both n x n")
         blocks = [CycleBlock(Poly(field, [field.parse(c) for c in blk["factor"]]),
                              index(blk["cycle_length"]), index(blk["offset"]))
                   for blk in doc["blocks"]]
         if doc["form"] not in JordanDecomposition.FORMS:
             raise ValueError("unknown form")
-        if not all(0 <= b.offset < b.offset + b.cycle_length * b.factor.degree <= j.rows
+        if not all(0 <= b.offset < b.offset + b.cycle_length * b.factor.degree <= n
                    for b in blocks):
-            raise ValueError(f"a block is empty or runs outside n = {j.rows}")
+            raise ValueError(f"a block is empty or runs outside n = {n}")
         return JordanDecomposition(p=p, j=j, form=doc["form"], blocks=blocks, field=field)
     except (KeyError, TypeError, AttributeError, ValueError) as exc:
         raise ParseError(f"bad decomposition document: {exc}") from exc

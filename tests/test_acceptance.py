@@ -21,9 +21,8 @@ from jnf.decomposition import cycle_block_matrix, verify
 from jnf.factor import factor_charpoly
 from jnf.fields import QQ, CountingField, PrimeField
 from jnf.jordan_linear import extract_cycles, taylor_blocks
-from jnf.jordan_rational import (assemble_pseudo_rational,
-                                 convert_cycle_to_rational, extract_q_cycles,
-                                 q_adic_blocks, rational_jordan, split_jordan)
+from jnf.jordan_rational import (convert_cycle_to_rational, decompose,
+                                 extract_q_cycles, q_adic_blocks)
 from jnf.matrix import MatPoly, Matrix, mat_mul, poly_at_matrix, rank
 from jnf.poly import Poly
 
@@ -131,8 +130,8 @@ def suite5():
             mults[coeffs] = mults.get(coeffs, 0) + k * count
         hint = [(Poly(QQ, list(coeffs)), m) for coeffs, m in mults.items()]
         fc = factor_charpoly(cd.p, hint=hint)
-        rat = rational_jordan(a, fc, charpoly=cd.p)
-        pseudo = assemble_pseudo_rational(a, fc, charpoly=cd.p)
+        rat = decompose(a, fc, "rational", charpoly=cd.p)
+        pseudo = decompose(a, fc, "pseudo_rational", charpoly=cd.p)
         cases.append((a, cd, truth, rat, pseudo))
     return cases
 
@@ -142,7 +141,7 @@ def test_criterion_1_fixture_a(fixture_a, run_criterion):
         start = time.perf_counter()
         cd = char_data(fixture_a)
         assert cd.p == Poly.from_ints(QQ, [-4, 8, -5, 1])  # roots {1, 2, 2}
-        dec = split_jordan(fixture_a, factor_charpoly(cd.p), charpoly=cd.p)
+        dec = decompose(fixture_a, factor_charpoly(cd.p), "split", charpoly=cd.p)
         assert dec.j == Matrix.from_ints(QQ, [[2, 0, 0], [1, 2, 0], [0, 0, 1]])
         assert mat_mul(fixture_a, dec.p) == mat_mul(dec.p, dec.j)
         assert rank(dec.p) == 3
@@ -154,7 +153,7 @@ def test_criterion_2_fixture_b(fixture_b, run_criterion):
     def check():
         cd = char_data(fixture_b)
         assert cd.p == Poly.from_ints(QQ, [-1, 3, -3, 1])  # (x-1)^3
-        dec = split_jordan(fixture_b, factor_charpoly(cd.p), charpoly=cd.p)
+        dec = decompose(fixture_b, factor_charpoly(cd.p), "split", charpoly=cd.p)
         one = (QQ.from_int(-1), QQ.one)
         assert sorted((tuple(b.factor.coeffs), b.cycle_length)
                       for b in dec.blocks) == [(one, 1), (one, 2)]
@@ -172,7 +171,7 @@ def test_criterion_3_fixture_m6(run_criterion):
         fc = factor_charpoly(cd.p)
 
         # (b) pseudo-rational J entrywise
-        pseudo = assemble_pseudo_rational(a, fc, charpoly=cd.p)
+        pseudo = decompose(a, fc, "pseudo_rational", charpoly=cd.p)
         assert pseudo.j == Matrix.from_ints(QQ, [
             [0, 2, 0, 1, 0, 0],
             [1, 0, 0, 0, 0, 0],

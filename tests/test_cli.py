@@ -9,7 +9,8 @@ from conftest import conjugate_random, make_fixture_m6, normal_form, rng_for
 from jnf import factor, jordan_rational
 from jnf.charpoly import hessenberg_charpoly
 from jnf.cli import (EXIT_INTERNAL, EXIT_NEEDS_FACTORIZATION, EXIT_OK, EXIT_PARSE,
-                     EXIT_UNSUPPORTED_FIELD, JobConfig, main, run)
+                     EXIT_UNSUPPORTED_FIELD, FORMS, JobConfig, main, run)
+from jnf.decomposition import JordanDecomposition
 from jnf.errors import ParseError
 from jnf.fields import QQ
 from jnf.factor import factor_charpoly, parse_factor_hints
@@ -73,6 +74,48 @@ def test_defaults_are_job_configs(a_file, capsys, monkeypatch):
     monkeypatch.setattr(jnf.cli, "run", lambda config: seen.append(config) or (EXIT_OK, ""))
     assert main([a_file]) == EXIT_OK
     assert seen == [JobConfig(input_path=a_file)]
+
+
+# jnf --help at COLUMNS=80, the form choices read from FORMS
+USAGE = """\
+usage: jnf [-h] [--field FIELD_SPEC] [--form {split,pseudo,rational}]
+           [--factors FACTORS_PATH] [--output {pretty,json}] [--verify]
+           [--upper | --lower]
+           input
+"""
+HELP = USAGE + """\
+
+Exact Jordan and rational Jordan normal forms.
+
+positional arguments:
+  input                 matrix file ('rows cols' header, then rows)
+
+options:
+  -h, --help            show this help message and exit
+  --field FIELD_SPEC    coefficient field: q (default) or fp:<prime>
+  --form {split,pseudo,rational}
+  --factors FACTORS_PATH
+                        factor hint file for the characteristic polynomial
+  --output {pretty,json}
+  --verify              also check charpoly(J) == charpoly(A); A*P == P*J is
+                        always checked
+  --upper               couplings/1s above the diagonal
+  --lower               couplings/1s below the diagonal
+"""
+
+
+def test_help_and_usage_errors_are_pinned(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert tuple(FORMS.values()) == JordanDecomposition.FORMS
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert (exc.value.code, capsys.readouterr().out) == (0, HELP)
+    for flag, choices in (("--form", "'split', 'pseudo', 'rational'"),
+                          ("--output", "'pretty', 'json'")):
+        with pytest.raises(SystemExit) as exc:
+            main(["a.txt", flag, "bad"])
+        assert (exc.value.code, capsys.readouterr().err) == (2, USAGE + (
+            f"jnf: error: argument {flag}: invalid choice: 'bad' (choose from {choices})\n"))
 
 
 def test_orientation_flags(a_file, capsys):
@@ -250,6 +293,18 @@ def test_misleading_hint_rejected(tmp_path, capsys, matrix, field, hint, message
     err = capsys.readouterr().err
     assert message in err
     assert "hinted factor '1 : " in err
+
+
+@pytest.mark.parametrize("mult", [0, -1])
+def test_hint_multiplicity_below_1_names_the_factor(tmp_path, capsys, mult):
+    # exited 2 with "hint multiplicities must be positive", naming no factor
+    path = tmp_path / "m.txt"
+    path.write_text("2 2\n1 0\n0 1\n")
+    hints = tmp_path / "hints.txt"
+    hints.write_text(f"2 : -1 1\n{mult} : 5 1\n")
+    assert main([str(path), "--factors", str(hints)]) == EXIT_PARSE
+    assert capsys.readouterr().err == (
+        f"error: hinted factor '{mult} : 5 1' has multiplicity {mult}, below 1\n")
 
 
 def test_constant_hint_rejected_on_split_form(tmp_path, capsys):

@@ -11,7 +11,7 @@ from jnf.factor import factor_charpoly
 from jnf.fields import QQ, PrimeField
 from jnf.io import (MAX_ENTRY_BITS, emit_json, field_from_tag, field_tag,
                     format_matrix, parse_json, parse_matrix)
-from jnf.jordan_rational import rational_jordan
+from jnf.jordan_rational import decompose
 from jnf.matrix import Matrix
 from jnf.poly import Poly
 
@@ -208,7 +208,7 @@ def test_field_tags():
 
 def test_json_roundtrip_m6():
     a = make_fixture_m6()
-    dec = rational_jordan(a, factor_charpoly(char_data(a).p))
+    dec = decompose(a, factor_charpoly(char_data(a).p), "rational")
     text = emit_json(dec)
     back = parse_json(text)
     assert back.p == dec.p
@@ -233,7 +233,7 @@ def test_emit_json_matches_json_dumps(field):
         a = conjugate_random(rng_for("emit-json"), normal_form(field, pieces))
         fc = factor_charpoly(char_data(a).p,
                              hint=[(q, sum(ls)) for q, ls in pieces])
-    dec = rational_jordan(a, fc)
+    dec = decompose(a, fc, "rational")
     f = dec.field
     doc = {
         "form": dec.form, "field": field_tag(f), "n": dec.j.rows,
@@ -254,7 +254,7 @@ def test_parse_json_errors():
     # "Fp:x" let int()'s ValueError out, and a number where an entry's
     # string belongs an AttributeError
     a = make_fixture_m6()
-    doc = json.loads(emit_json(rational_jordan(a, factor_charpoly(char_data(a).p))))
+    doc = json.loads(emit_json(decompose(a, factor_charpoly(char_data(a).p), "rational")))
     for key, value in (("field", "Fp:x"), ("P", [[1]])):
         with pytest.raises(ParseError):
             parse_json(json.dumps({**doc, key: value}))
@@ -268,6 +268,11 @@ MALFORMED = {
     "ragged J": lambda doc: {**doc, "J": doc["J"][:-1] + [doc["J"][-1] + ["0"]]},
     "cycle_length x": lambda doc: {**doc, "blocks": [{**doc["blocks"][0], "cycle_length": "x"}]},
     "unknown form": lambda doc: {**doc, "form": "jordan"},
+    # each read back before the shapes were checked against n
+    "n 99": lambda doc: {**doc, "n": 99},
+    "P with 2 rows": lambda doc: {**doc, "P": doc["P"][:2]},
+    "P with 2 columns": lambda doc: {**doc, "P": [row[:2] for row in doc["P"]]},
+    "J with 2 columns": lambda doc: {**doc, "J": [row[:2] for row in doc["J"]]},
 }
 
 
@@ -288,7 +293,7 @@ MALFORMED.update({case: lambda doc, edit=edit: {**doc, "blocks": [
 @pytest.mark.parametrize("case", [*MALFORMED, "5000-digit integer"])
 def test_parse_json_refuses_malformed_documents(case, default_digit_limit):
     a = make_fixture_m6()
-    text = emit_json(rational_jordan(a, factor_charpoly(char_data(a).p)))
+    text = emit_json(decompose(a, factor_charpoly(char_data(a).p), "rational"))
     if case in MALFORMED:
         bad = json.dumps(MALFORMED[case](json.loads(text)))
     else:                       # an integer past CPython's default limit
@@ -303,7 +308,7 @@ def test_parse_json_refuses_a_5000_digit_offset(digit_limit):
     # lifted it reads it, and the block check refuses the offset without
     # quoting its digits
     a = make_fixture_m6()
-    text = emit_json(rational_jordan(a, factor_charpoly(char_data(a).p)))
+    text = emit_json(decompose(a, factor_charpoly(char_data(a).p), "rational"))
     bad = text.replace('"offset": 0', '"offset": 1' + "0" * 4999, 1)
     assert bad != text
     with pytest.raises(ParseError, match="bad ") as err:

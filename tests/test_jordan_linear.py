@@ -9,7 +9,8 @@ from jnf.factor import FactoredCharPoly, factor_charpoly
 from jnf import jordan_linear
 from jnf.fields import QQ, PrimeField
 from jnf.jordan_linear import extract_cycles, taylor_blocks
-from jnf.jordan_rational import assemble_pseudo_rational, rational_jordan, split_jordan
+from jnf.decomposition import JordanDecomposition
+from jnf.jordan_rational import decompose
 from jnf.matrix import Matrix, mat_mul, rank
 from jnf.poly import Poly
 
@@ -36,7 +37,7 @@ def test_fixture_a_cycle_structure(fixture_a):
 
 
 def test_fixture_a_split_form(fixture_a):
-    dec = split_jordan(fixture_a, factor_charpoly(char_data(fixture_a).p))
+    dec = decompose(fixture_a, factor_charpoly(char_data(fixture_a).p), "split")
     assert dec.form == "split"
     # J = diag(J_2(2), J_1(1)) with subdiagonal 1s in the default orientation
     assert dec.j == Matrix.from_ints(QQ, [[2, 0, 0], [1, 2, 0], [0, 0, 1]])
@@ -45,14 +46,14 @@ def test_fixture_a_split_form(fixture_a):
 
 
 def test_fixture_a_upper_orientation(fixture_a):
-    dec = split_jordan(fixture_a, factor_charpoly(char_data(fixture_a).p),
-                       orientation="upper")
+    dec = decompose(fixture_a, factor_charpoly(char_data(fixture_a).p), "split",
+                    orientation="upper")
     assert dec.j == Matrix.from_ints(QQ, [[2, 1, 0], [0, 2, 0], [0, 0, 1]])
     assert mat_mul(fixture_a, dec.p) == mat_mul(dec.p, dec.j)
 
 
 def test_fixture_b_cycle_lengths(fixture_b):
-    dec = split_jordan(fixture_b, factor_charpoly(char_data(fixture_b).p))
+    dec = decompose(fixture_b, factor_charpoly(char_data(fixture_b).p), "split")
     assert sorted(b.cycle_length for b in dec.blocks) == [1, 2]
     assert all(tuple(b.factor.coeffs) == (QQ.from_int(-1), QQ.one)
                for b in dec.blocks)
@@ -62,7 +63,7 @@ def test_fixture_b_cycle_lengths(fixture_b):
 def test_derogatory_matrix():
     # diag(2, 2) has two length-1 cycles for the same eigenvalue
     a = Matrix.from_ints(QQ, [[2, 0], [0, 2]])
-    dec = split_jordan(a, factor_charpoly(char_data(a).p))
+    dec = decompose(a, factor_charpoly(char_data(a).p), "split")
     assert sorted(b.cycle_length for b in dec.blocks) == [1, 1]
     assert dec.j == a
 
@@ -95,13 +96,13 @@ def test_single_full_cycle():
     rng = rng_for("full-cycle")
     j = Matrix.from_ints(QQ, [[5, 1, 0], [0, 5, 1], [0, 0, 5]])
     a = conjugate_random(rng, j)
-    dec = split_jordan(a, factor_charpoly(char_data(a).p))
+    dec = decompose(a, factor_charpoly(char_data(a).p), "split")
     assert [b.cycle_length for b in dec.blocks] == [3]
 
 
 def test_nilpotent():
     a = Matrix.from_ints(QQ, [[0, 0, 0], [1, 0, 0], [0, 1, 0]])
-    dec = split_jordan(a, factor_charpoly(char_data(a).p))
+    dec = decompose(a, factor_charpoly(char_data(a).p), "split")
     assert [b.cycle_length for b in dec.blocks] == [3]
     assert dec.j == a
 
@@ -109,7 +110,7 @@ def test_nilpotent():
 def test_non_split_factor_rejected(fixture_m6):
     cd = char_data(fixture_m6)
     with pytest.raises(NeedsFactorizationError):
-        split_jordan(fixture_m6, factor_charpoly(cd.p), charpoly=cd.p)
+        decompose(fixture_m6, factor_charpoly(cd.p), "split", charpoly=cd.p)
 
 
 def test_block_multiset_recovered_random():
@@ -132,7 +133,7 @@ def test_block_multiset_recovered_random():
                     j.data[pos + t][pos + t - 1] = QQ.one
             pos += k
         a = conjugate_random(rng, j)
-        dec = split_jordan(a, factor_charpoly(char_data(a).p))
+        dec = decompose(a, factor_charpoly(char_data(a).p), "split")
         assert block_multiset(dec) == truth
         assert mat_mul(a, dec.p) == mat_mul(dec.p, dec.j)
 
@@ -145,7 +146,7 @@ def test_split_over_prime_field():
     u = random_unimodular(rng, f3, 3)
     a = mat_mul(mat_mul(u, j), mat_inverse(u))
     hint = [(Poly.from_ints(f3, [-1, 1]), 2), (Poly.from_ints(f3, [-2, 1]), 1)]
-    dec = split_jordan(a, factor_charpoly(hessenberg_charpoly(a), hint=hint))
+    dec = decompose(a, factor_charpoly(hessenberg_charpoly(a), hint=hint), "split")
     assert sorted(b.cycle_length for b in dec.blocks) == [1, 2]
     assert mat_mul(a, dec.p) == mat_mul(dec.p, dec.j)
 
@@ -156,29 +157,32 @@ def test_split_checks_the_factorization():
     a = Matrix.from_ints(QQ, [[2, 1, 0], [0, 2, 0], [0, 0, 3]])
     x = [Poly.from_ints(QQ, [-r, 1]) for r in (2, 3)]
     with pytest.raises(InvalidHintError, match="does not reproduce"):
-        split_jordan(a, FactoredCharPoly([(x[0], 1), (x[1], 2)], QQ))
-    assert split_jordan(a, FactoredCharPoly([(x[0], 2), (x[1], 1)], QQ)).j.rows == 3
+        decompose(a, FactoredCharPoly([(x[0], 1), (x[1], 2)], QQ), "split")
+    assert decompose(a, FactoredCharPoly([(x[0], 2), (x[1], 1)], QQ), "split").j.rows == 3
 
 
-@pytest.mark.parametrize("driver", [split_jordan, assemble_pseudo_rational,
-                                    rational_jordan])
-def test_drivers_refuse_a_constant_factor(driver):
+@pytest.mark.parametrize("form", JordanDecomposition.FORMS)
+@pytest.mark.parametrize("bad, message", [
     # the constant 1 multiplies back to P, and the cycle stage failed on it
+    ((Poly.from_ints(QQ, [1]), 1), "'1 : 1' has degree 0"),
+    # so does any factor to the power 0
+    ((Poly.from_ints(QQ, [-5, 1]), 0), "'0 : -5 1' has multiplicity 0, below 1")],
+    ids=["degree 0", "multiplicity 0"])
+def test_drivers_refuse_a_constant_factor(form, bad, message):
     a = Matrix.from_ints(QQ, [[2, 1, 0], [0, 2, 0], [0, 0, 3]])
-    factors = [(Poly.from_ints(QQ, [-2, 1]), 2), (Poly.from_ints(QQ, [-3, 1]), 1),
-               (Poly.from_ints(QQ, [1]), 1)]
-    with pytest.raises(InvalidHintError, match="'1 : 1' has degree 0"):
-        driver(a, FactoredCharPoly(factors, QQ))
+    factors = [(Poly.from_ints(QQ, [-2, 1]), 2), (Poly.from_ints(QQ, [-3, 1]), 1), bad]
+    with pytest.raises(InvalidHintError, match=message):
+        decompose(a, FactoredCharPoly(factors, QQ), form)
 
 
-@pytest.mark.parametrize("driver, default, other", [
-    (split_jordan, "lower", "upper"),
-    (assemble_pseudo_rational, "upper", "lower"),
-    (rational_jordan, "upper", "lower")])
-def test_drivers_default_to_their_form_orientation(driver, default, other):
+@pytest.mark.parametrize("form, default, other", [
+    ("split", "lower", "upper"),
+    ("pseudo_rational", "upper", "lower"),
+    ("rational", "upper", "lower")])
+def test_drivers_default_to_their_form_orientation(form, default, other):
     # the Jordan block of 2 is where the two orientations differ
     a = Matrix.from_ints(QQ, [[2, 1, 0], [0, 2, 0], [0, 0, 3]])
     fc = factor_charpoly(hessenberg_charpoly(a))
-    got, named = driver(a, fc), driver(a, fc, orientation=default)
+    got, named = decompose(a, fc, form), decompose(a, fc, form, orientation=default)
     assert (got.p, got.j, got.blocks) == (named.p, named.j, named.blocks)
-    assert got.j != driver(a, fc, orientation=other).j
+    assert got.j != decompose(a, fc, form, orientation=other).j

@@ -10,9 +10,8 @@ from jnf.decomposition import verify
 from jnf.errors import InternalConsistencyError, InvalidHintError
 from jnf.factor import FactoredCharPoly, factor_charpoly
 from jnf.fields import QQ
-from jnf.jordan_rational import (assemble_pseudo_rational,
-                                 convert_cycle_to_rational, decompose,
-                                 extract_q_cycles, q_adic_blocks, rational_jordan)
+from jnf.jordan_rational import (convert_cycle_to_rational, decompose,
+                                 extract_q_cycles, q_adic_blocks)
 from jnf.matrix import MatPoly, Matrix, mat_mul, matpoly_div_q, poly_at_matrix
 from jnf.poly import Poly
 
@@ -58,7 +57,7 @@ def test_extract_q_cycles_m6(fixture_m6):
 
 
 def test_pseudo_rational_m6_entrywise(fixture_m6):
-    dec = assemble_pseudo_rational(fixture_m6, factor_charpoly(char_data(fixture_m6).p))
+    dec = decompose(fixture_m6, factor_charpoly(char_data(fixture_m6).p), "pseudo_rational")
     assert dec.form == "pseudo_rational"
     assert dec.j == Matrix.from_ints(QQ, [
         [0, 2, 0, 1, 0, 0],
@@ -72,7 +71,7 @@ def test_pseudo_rational_m6_entrywise(fixture_m6):
 
 
 def test_rational_m6_entrywise(fixture_m6):
-    dec = rational_jordan(fixture_m6, factor_charpoly(char_data(fixture_m6).p))
+    dec = decompose(fixture_m6, factor_charpoly(char_data(fixture_m6).p), "rational")
     assert dec.form == "rational"
     # identity coupling replaces the single-1 coupling
     assert dec.j == Matrix.from_ints(QQ, [
@@ -104,8 +103,8 @@ def test_rational_conversion_known_vectors(fixture_m6):
 
 
 def test_lower_orientation_m6(fixture_m6):
-    dec = rational_jordan(fixture_m6, factor_charpoly(char_data(fixture_m6).p),
-                          orientation="lower")
+    dec = decompose(fixture_m6, factor_charpoly(char_data(fixture_m6).p), "rational",
+                    orientation="lower")
     assert dec.j == Matrix.from_ints(QQ, [
         [0, 2, 0, 0, 0, 0],
         [1, 0, 0, 0, 0, 0],
@@ -122,17 +121,17 @@ def test_certificate_lifts_p_once(fixture_m6, monkeypatch):
     lifted = []
     lift = type(QQ).lift
     monkeypatch.setattr(type(QQ), "lift", lambda self, rows: lifted.append(rows) or lift(self, rows))
-    dec = rational_jordan(fixture_m6, factor_charpoly(char_data(fixture_m6).p))
+    dec = decompose(fixture_m6, factor_charpoly(char_data(fixture_m6).p), "rational")
     assert sum(rows is dec.p.data for rows in lifted) == 1
 
 
 def test_commutation_rational_vs_pseudo(fixture_m6):
     fc = factor_charpoly(char_data(fixture_m6).p)
-    rat = rational_jordan(fixture_m6, fc)
+    rat = decompose(fixture_m6, fc, "rational")
     d = block_diagonal_part(rat)
     n = mat_sub(rat.j, d)
     assert mat_mul(d, n) == mat_mul(n, d)
-    pseudo = assemble_pseudo_rational(fixture_m6, fc)
+    pseudo = decompose(fixture_m6, fc, "pseudo_rational")
     dp = block_diagonal_part(pseudo)
     np_ = mat_sub(pseudo.j, dp)
     assert mat_mul(dp, np_) != mat_mul(np_, dp)
@@ -142,7 +141,7 @@ def test_wrong_factorization_rejected(fixture_m6):
     cd = char_data(fixture_m6)
     bad = factor_charpoly(poly_pow(Poly.from_ints(QQ, [-1, 1]), 6))
     with pytest.raises(InvalidHintError):
-        rational_jordan(fixture_m6, bad, charpoly=cd.p)
+        decompose(fixture_m6, bad, "rational", charpoly=cd.p)
 
 
 def test_factorization_degree_checked_before_the_product(fixture_m6, monkeypatch):
@@ -152,7 +151,7 @@ def test_factorization_degree_checked_before_the_product(fixture_m6, monkeypatch
     monkeypatch.setattr(factor, "int_product", refuse)
     bad = FactoredCharPoly([(Poly.from_ints(QQ, [-1, 1]), 10 ** 6)], QQ)
     with pytest.raises(InvalidHintError, match="does not reproduce"):
-        rational_jordan(fixture_m6, bad)
+        decompose(fixture_m6, bad, "rational")
 
 
 @pytest.mark.parametrize("form, orientation", [
@@ -177,7 +176,7 @@ def test_reducible_factor_falls_short(irreducibility, error, message):
     bad = FactoredCharPoly([(Poly.from_ints(QQ, [-1, 0, 1]), 1)], QQ,
                            irreducibility=irreducibility)
     with pytest.raises(error, match=message) as exc:
-        rational_jordan(a, bad)
+        decompose(a, bad, "rational")
     assert "cover multiplicity 0 of 1" in str(exc.value)
 
 
@@ -197,7 +196,7 @@ def test_mixed_factors_random_recovery():
         j, truth = random_normal_form(rng, QQ, n_max=7)
         a = conjugate_random(rng, j)
         fc = factor_charpoly(char_data(a).p, hint=hint_from_truth(truth))
-        dec = rational_jordan(a, fc)
+        dec = decompose(a, fc, "rational")
         assert block_multiset(dec) == truth
         assert verify(a, dec)
 
@@ -208,6 +207,6 @@ def test_pseudo_random_verifies():
         j, truth = random_normal_form(rng, QQ, n_max=6)
         a = conjugate_random(rng, j)
         fc = factor_charpoly(char_data(a).p, hint=hint_from_truth(truth))
-        dec = assemble_pseudo_rational(a, fc)
+        dec = decompose(a, fc, "pseudo_rational")
         assert block_multiset(dec) == truth
         assert verify(a, dec)

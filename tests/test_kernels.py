@@ -15,7 +15,7 @@ from jnf.decomposition import cycle_block_matrix
 from jnf.factor import FactoredCharPoly, factor_charpoly
 from jnf.fields import QQ, CountingField, PrimeField, Rationals, _slot_bytes, is_prime
 from jnf.jordan_linear import collect_cycles, extract_q_cycles
-from jnf.jordan_rational import q_adic_blocks, rational_jordan, split_jordan
+from jnf.jordan_rational import decompose, q_adic_blocks
 from jnf.matrix import MatPoly, Matrix, horner_shift, matrix_horner, poly_at_matrix, rank
 from jnf.poly import Poly
 
@@ -919,16 +919,17 @@ def test_counting_field_counts_cycle_collection(f):
               (Poly.x_minus(f, f.from_int(-1)), [1])]
     a = conjugate_random(rng_for(f"kernel-count-cycles-{f.char}"),
                          normal_form(f, pieces))
-    plain = rational_jordan(a, FactoredCharPoly(
-        [(q, sum(ls)) for q, ls in pieces], f))
+    plain = decompose(a, FactoredCharPoly(
+        [(q, sum(ls)) for q, ls in pieces], f), "rational")
     counts = []
     for _ in range(2):
         cf = CountingField(f)
         a_c = Matrix(cf, a.data)
         cd = char_data(a_c)
         before = cf.total
-        dec = rational_jordan(a_c, FactoredCharPoly(
-            [(Poly(cf, q.coeffs), sum(ls)) for q, ls in pieces], cf), charpoly=cd.p)
+        dec = decompose(a_c, FactoredCharPoly(
+            [(Poly(cf, q.coeffs), sum(ls)) for q, ls in pieces], cf), "rational",
+            charpoly=cd.p)
         counts.append(cf.total - before)
         assert dec.p.data == plain.p.data and dec.j.data == plain.j.data
     assert counts[0] == counts[1] > 0
@@ -952,15 +953,15 @@ def test_b_stays_in_the_integer_model_through_a_solve(monkeypatch):
     rational_pieces = [(Poly.from_ints(gf7, [1, 0, 1]), [2, 1]),
                        (Poly.x_minus(gf7, gf7.from_int(3)), [3, 1]),
                        (Poly.x_minus(gf7, gf7.from_int(5)), [2])]
-    for f, pieces, solve in ((QQ, split_pieces, split_jordan),
-                             (gf7, rational_pieces, rational_jordan)):
+    for f, pieces, form in ((QQ, split_pieces, "split"),
+                            (gf7, rational_pieces, "rational")):
         a = conjugate_random(rng_for(f"kernel-no-round-trip-{f.char}"),
                              normal_form(f, pieces))
         hint = [(q, sum(ls)) for q, ls in pieces]
         factors = (factor_charpoly(char_data(a).p) if f.char == 0
                    else FactoredCharPoly(hint, f))
         lowered.clear()
-        solve(a, factors)
+        decompose(a, factors, form)
         assert sum(lowered) <= 6 * a.rows ** 2, (f, sum(lowered) / a.rows ** 2)
 
 

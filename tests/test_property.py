@@ -5,7 +5,7 @@ conjugated by random unimodular matrices.  Over GF(p) the matrices are
 larger than p, so the Hessenberg + Horner route runs, and the quadratic
 factors are drawn from those irreducible mod p.  Each case checks the block
 multiset of every applicable form against the ground truth, that the three
-drivers agree on split inputs, and, at every factor of degree >= 2, the
+forms agree on split inputs, and, at every factor of degree >= 2, the
 Q(A)-chain and the relations of the rational conversion.  Over every field
 a solve makes one attempt per probe block B(lambda)*V, each with one
 expansion; the number of attempts is checked against an oracle of when
@@ -29,9 +29,8 @@ from jnf.charpoly import (char_data, comatrix_from_charpoly, faddeev,
                           hessenberg_charpoly, probe_block)
 from jnf.factor import factor_charpoly
 from jnf.fields import QQ, Field, PrimeField
-from jnf.jordan_rational import (BLOCK_COLUMNS, assemble_pseudo_rational,
-                                 convert_cycle_to_rational, extract_q_cycles,
-                                 q_adic_blocks, rational_jordan, split_jordan)
+from jnf.jordan_rational import (BLOCK_COLUMNS, convert_cycle_to_rational,
+                                 decompose, extract_q_cycles, q_adic_blocks)
 from jnf.matrix import Matrix, mat_mul, poly_at_matrix, rank
 from jnf.poly import Poly
 
@@ -136,13 +135,13 @@ def expected_attempts(a, p, factors):
 
 
 def solve_counted(a, pieces, orientation):
-    """The decompositions of every applicable driver on the solve path, and
-    per driver (expansions, attempts), an attempt being one probe block."""
+    """The decompositions of every applicable form on the solve path, and
+    per form (expansions, attempts), an attempt being one probe block."""
     p = hessenberg_charpoly(a)
     fc = factor_charpoly(p, hint=[(q, sum(ls)) for q, ls in pieces])
-    drivers = [assemble_pseudo_rational, rational_jordan]
+    forms = ["pseudo_rational", "rational"]
     if all(q.degree == 1 for q, _ in pieces):
-        drivers.insert(0, split_jordan)
+        forms.insert(0, "split")
     counts = []
     with pytest.MonkeyPatch.context() as mp:
         def expand(self, *args, orig=Field.expand):
@@ -155,11 +154,11 @@ def solve_counted(a, pieces, orientation):
         mp.setattr(Field, "expand", expand)
         mp.setattr(jordan_rational, "comatrix_block", block)
         decs = []
-        for solve in drivers:
+        for form in forms:
             counts.append([0, 0])
-            decs.append(solve(a, fc, orientation=orientation, charpoly=p))
+            decs.append(decompose(a, fc, form, orientation=orientation, charpoly=p))
     attempts = expected_attempts(a, p, fc.factors)
-    assert counts == [[attempts, attempts]] * len(drivers)
+    assert counts == [[attempts, attempts]] * len(forms)
     return decs, fc, attempts
 
 
