@@ -254,7 +254,8 @@ def test_parse_json_errors():
     # "Fp:x" let int()'s ValueError out, and a number where an entry's
     # string belongs an AttributeError
     a = make_fixture_m6()
-    doc = json.loads(emit_json(decompose(a, factor_charpoly(char_data(a).p), "rational")))
+    dec = decompose(a, factor_charpoly(char_data(a).p), "rational")
+    doc = json.loads(emit_json(dec))
     for key, value in (("field", "Fp:x"), ("P", [[1]])):
         with pytest.raises(ParseError):
             parse_json(json.dumps({**doc, key: value}))

@@ -57,7 +57,8 @@ def test_extract_q_cycles_m6(fixture_m6):
 
 
 def test_pseudo_rational_m6_entrywise(fixture_m6):
-    dec = decompose(fixture_m6, factor_charpoly(char_data(fixture_m6).p), "pseudo_rational")
+    dec = decompose(fixture_m6, factor_charpoly(char_data(fixture_m6).p),
+                    "pseudo_rational")
     assert dec.form == "pseudo_rational"
     assert dec.j == Matrix.from_ints(QQ, [
         [0, 2, 0, 1, 0, 0],
