@@ -50,7 +50,7 @@ def faddeev(a):
     if 0 < f.char <= n:
         raise UnsupportedFieldError(
             f"Faddeev needs characteristic 0 or > {n}; use the Hessenberg route")
-    ai, d = f.lift(a.data)
+    ai, d = a.lifted()
     bs = [Matrix.from_lifted(f, [[int(i == j) for j in range(n)] for i in range(n)], 1)]
     p_desc = [f.one]
     dk = 1
@@ -157,21 +157,22 @@ def _charpoly_image(a):
 
 
 def probe_block(f, n, s):
-    """V as its s columns of length n: the identity at s = n, else the first
-    s columns of a fixed pseudo-random sequence, the same for every s: its
-    top 31 bits over F_p, its top 3 over QQ (small integers for Horner)."""
+    """V as its s integer columns of length n: the identity at s = n, else
+    the first s columns of a fixed pseudo-random sequence, the same for every
+    s: its top 31 bits over F_p, its top 3 over QQ (small for Horner)."""
     if s >= n:
-        return identity_columns(f, n)
+        return identity_columns(n)
     mul, inc, mask = _LCG
-    shift = 33 if f.char else 61
+    p = f.char
+    shift = 33 if p else 61
     x = _SEED
     cols = []
     for _ in range(s):
         col = []
         for _ in range(n):
             x = (x * mul + inc) & mask
-            col.append(f.from_int(x >> shift))
-        cols.append(col)
+            col.append(x >> shift)
+        cols.append([y % p for y in col] if p else col)
     return cols
 
 

@@ -23,6 +23,8 @@ DEFAULT_MAX_N = 512
 
 # --form's names -> JordanDecomposition.FORMS
 FORMS = {"split": "split", "pseudo": "pseudo_rational", "rational": "rational"}
+# --output's names
+OUTPUTS = ("pretty", "json")
 
 
 @dataclass
@@ -62,7 +64,7 @@ def run(config):
     form = FORMS.get(config.form)
     if form is None:
         raise ParseError(f"unknown form {config.form!r}")
-    if config.output not in ("pretty", "json"):
+    if config.output not in OUTPUTS:
         raise ParseError(f"unknown output {config.output!r}")
     field = field_from_tag(config.field_spec)
     a = parse_matrix(_read(config.input_path), field)
@@ -114,7 +116,7 @@ def build_parser():
     parser.add_argument("--form", choices=list(FORMS))
     parser.add_argument("--factors", dest="factors_path",
                         help="factor hint file for the characteristic polynomial")
-    parser.add_argument("--output", choices=["pretty", "json"])
+    parser.add_argument("--output", choices=OUTPUTS)
     parser.add_argument("--verify", action="store_true",
                         help="also check charpoly(J) == charpoly(A); "
                              "A*P == P*J is always checked")

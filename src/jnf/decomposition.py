@@ -8,7 +8,8 @@ chain, and a linear factor is the case d = 1, one vector per group.  The
 per-cycle block is companion matrices of the factor on the diagonal plus a
 coupling block between consecutive links: a single top-right 1 for the
 pseudo-rational form, the identity for the rational (and split) forms.
-``assemble`` ends with ``verify``: A*P = P*J exactly and P nonsingular.
+``assemble`` builds P and J in the field's integer model, as the vectors
+come, and ends with ``verify``: A*P = P*J exactly and P nonsingular.
 """
 
 from dataclasses import dataclass
@@ -34,37 +35,28 @@ class JordanDecomposition:
     field: object
 
 
-def companion(q):
-    """Companion matrix of a monic polynomial: subdiagonal 1s, last column
-    the negated low-order coefficients."""
-    f = q.field
-    d = q.degree
-    m = Matrix.zeros(f, d, d)
-    for i in range(1, d):
-        m.data[i][i - 1] = f.one
-    for i in range(d):
-        m.data[i][d - 1] = f.neg(q.coeffs[i])
-    return m
-
-
 def cycle_block_matrix(q, k, form, orientation):
-    """The k*d x k*d block of J for one cycle of length k, by rows: the
-    companion rows on the diagonal, and between consecutive links the
-    coupling, above the diagonal for "upper" and below it for "lower"."""
+    """The k*d x k*d block of J for one cycle of length k, over q's common
+    denominator s: companion matrices of q on the diagonal (subdiagonal 1s,
+    last column -q_0..-q_{d-1}), and between consecutive links the coupling,
+    above the diagonal for "upper" and below it for "lower"."""
     f = q.field
     d = q.degree
-    comp = companion(q).data
-    j = Matrix.zeros(f, k * d, k * d)
-    for i, row in enumerate(j.data):
-        g = i - i % d
-        row[g:g + d] = comp[i % d]
+    (qi,), s = f.lift([q.coeffs])
+    neg = f.int_scale([qi], -1)[0]
+    j = [[0] * (k * d) for _ in range(k * d)]
+    for i, row in enumerate(j):
+        g, r = i - i % d, i % d
+        if r:
+            row[g + r - 1] = s
+        row[g + d - 1] = neg[r]
     # the coupling: a top-right 1 (pseudo-rational) or the identity
     ones = [(0, d - 1)] if form == "pseudo_rational" else [(r, r) for r in range(d)]
     dr, dc = (0, d) if orientation == "upper" else (d, 0)
     for g in range(0, (k - 1) * d, d):
         for r, c in ones:
-            j.data[g + dr + r][g + dc + c] = f.one
-    return j
+            j[g + dr + r][g + dc + c] = s
+    return Matrix.from_lifted(f, j, s)
 
 
 def assemble(a, factor_cycles, form, orientation):
@@ -72,16 +64,14 @@ def assemble(a, factor_cycles, form, orientation):
     ``verify``.
 
     ``factor_cycles``: ordered [(factor, cycles)], each cycle a list of
-    groups, each group a list of column vectors.  Cycles are laid out per
-    factor by decreasing length (ties keep discovery order); ``orientation``
-    "upper" keeps group order (coupling above the diagonal), "lower"
-    reverses it.
+    groups, each group a list of column vectors as the extractor gives
+    them.  Cycles are laid out per factor by decreasing length (ties keep
+    discovery order); ``orientation`` "upper" keeps group order (coupling
+    above the diagonal), "lower" reverses it.
     """
     f = a.field
     n = a.rows
-    columns = []
-    blocks = []
-    j = Matrix.zeros(f, n, n)
+    columns, j_rows, blocks = [], [], []
     for factor, cycles in factor_cycles:
         d = factor.degree
         for cycle in sorted(cycles, key=lambda cy: -len(cy)):
@@ -93,13 +83,14 @@ def assemble(a, factor_cycles, form, orientation):
                 if len(group) != d:
                     raise InternalConsistencyError("group size does not match factor degree")
                 columns.extend(group)
-            jb = cycle_block_matrix(factor, k, form, orientation)
-            for r, row in enumerate(jb.data):
-                j.data[offset + r][offset:offset + k * d] = row
+            jb, s = cycle_block_matrix(factor, k, form, orientation).lifted()
+            j_rows += [([0] * offset + row + [0] * (n - offset - k * d), s) for row in jb]
     if len(columns) != n:
         raise InternalConsistencyError(
             f"collected {len(columns)} basis vectors for dimension {n}")
-    dec = JordanDecomposition(p=Matrix.from_columns(f, columns, rows=n), j=j,
+    p_cols, dp = f.one_den(columns)
+    dec = JordanDecomposition(p=Matrix.from_lifted(f, [list(r) for r in zip(*p_cols)], dp),
+                              j=Matrix.from_lifted(f, *f.one_den(j_rows)),
                               form=form, blocks=blocks, field=f)
     verify(a, dec)
     return dec

@@ -18,8 +18,10 @@ instead of normalising a Fraction per operation.  ``int_matmul``,
 computation stays in it across many steps: Faddeev and matrix Horner, the
 expansions of B(lambda) and the stacked reductions of cycle collection.
 Blocks with different denominators are brought to one by ``common_den``
-and ``int_scale``.
-Over F_p every kernel takes and returns residues in [0, p).
+and ``int_scale``, vectors by ``one_den``.  Over QQ the model runs from
+parse (``ratio``) to emit (``fmt_rows``): no entry of A, P or J is ever a
+Fraction, only scalars such as the charpoly's coefficients.  Over F_p
+every kernel takes and returns residues in [0, p).
 
 One product kernel, ``_PackedOperator``, serves both fields and both entry
 points: ``int_matmul`` applies B once to the rows of A, and ``int_operator``
@@ -67,10 +69,10 @@ its big multiplications more than that.)  An echelon is kept across edits:
 of the next, and ``save``/``restore`` undo a refused insertion.
 
 Text.  This module alone knows CPython's limit on the digits of an int
-converted from or to a string: ``fmt`` and ``parse`` convert with it and,
-only where that raises, once more with it lifted (``_unlimited``), so a
-value of any size prints and reads back in full.  Bounding the work on
-untrusted text is the caller's (``io``'s readers).
+converted from or to a string: ``fmt``, ``fmt_rows`` and ``ratio`` convert
+with it and, only where that raises, once more with it lifted
+(``_unlimited``), so a value of any size prints and reads back in full.
+Bounding the work on untrusted text is the caller's (``io``'s readers).
 """
 
 import math
@@ -222,6 +224,12 @@ class Field:
         ai, da = self.lift(a)
         bi, db = self.lift(b)
         return self.lower(self.int_matmul(ai, bi), da * db)
+
+    def one_den(self, vectors):
+        """(rows, D): (integer row, den) pairs as rows over one denominator D."""
+        den, scales = self.common_den([d for _, d in vectors])
+        return [v if k == 1 else self.int_scale([v], k)[0]
+                for (v, _), k in zip(vectors, scales)], den
 
     def int_matmul(self, a, b):
         """a*b in the integer model: b's operator applied once to a's rows."""
@@ -417,18 +425,29 @@ class Rationals(Field):
         return Fraction(num, den)
 
     def parse(self, token):
-        # ASCII [-+]digits and [-+]digits/digits are read with int(); the
-        # rest (signed denominators, underscores, decimals, exponents,
-        # non-ASCII digits) goes to Fraction, which decides what is valid
+        return Fraction(*self.ratio(token))
+
+    def ratio(self, token):
+        """(a, b) with token == a/b in lowest terms and b > 0.  ASCII
+        [-+]digits[/digits] with b nonzero is read with int() and one gcd,
+        no Fraction made; the rest (zero and signed denominators,
+        underscores, decimals, exponents, non-ASCII digits) goes to
+        Fraction, which decides what is valid."""
         num, slash, den = token.partition("/")
         digits = num[1:] if num[:1] in ("+", "-") else num
         try:
             if token.isascii() and digits.isdigit() and (not slash or den.isdigit()):
-                return Fraction(int(num), int(den)) if slash else Fraction(int(num))
-            return Fraction(token)
+                if not slash:
+                    return int(num), 1
+                a, b = int(num), int(den)
+                if b:
+                    g = math.gcd(a, b)
+                    return a // g, b // g
+            x = Fraction(token)
+            return x.numerator, x.denominator
         except (ValueError, ZeroDivisionError) as exc:
             if _digit_limit():      # the value may be past the digit limit
-                return _unlimited(self.parse, token)
+                return _unlimited(self.ratio, token)
             raise ParseError(f"bad rational {quote(token)}") from exc
 
     # -- integer model: integers over one common denominator --------------
@@ -444,6 +463,15 @@ class Rationals(Field):
     def lower(self, rows, den):
         zero = self.zero
         return [[Fraction(x, den) if x else zero for x in row] for row in rows]
+
+    def fmt_rows(self, rows, den):
+        """Integer rows over den as str(Fraction) prints each entry."""
+        try:
+            if den == 1:
+                return [list(map(str, row)) for row in rows]
+            return [[_ratio_str(x, den) for x in row] for row in rows]
+        except ValueError:          # past CPython's digit limit
+            return _unlimited(lambda r: self.fmt_rows(r, den), rows)
 
     def common_den(self, dens):
         """(D, [D / den for den in dens]): integers over den times D / den
@@ -466,6 +494,12 @@ class Rationals(Field):
         """row - c*lead, entrywise (reduced over F_p): the row kernel, on
         field elements or on the integer model."""
         return [x - c * y for x, y in zip(row, lead)]
+
+
+def _ratio_str(x, den):
+    """str(Fraction(x, den)), reduced by one gcd."""
+    g = math.gcd(x, den) if den > 0 else -math.gcd(x, den)
+    return str(x // g) if g == den else f"{x // g}/{den // g}"
 
 
 def _primitive(row):
@@ -690,6 +724,10 @@ class PrimeField(Field):
         p = self.p
         inv = pow(den, -1, p)
         return [[x * inv % p for x in row] for row in rows]
+
+    def fmt_rows(self, rows, den):
+        # residues, below PSI13, print within any digit limit
+        return [list(map(str, row)) for row in (rows if den == 1 else self.lower(rows, den))]
 
     def matmul(self, a, b):
         # residues are their own integer model, and the product is reduced

@@ -1,8 +1,10 @@
 """Text and JSON serialization: matrix files, pretty printing, and the
 stable-key JSON document for decompositions.  Numbers in matrix files,
-hint files and field tags are read here only, bounded before conversion."""
+hint files and field tags are read here only, bounded before conversion.
+Over QQ matrices are read into and printed from the field's integer model."""
 
 import json
+import math
 import re
 from contextlib import suppress
 from operator import index
@@ -29,11 +31,6 @@ def _digits(bits):
     return 2 * (bits * 30103 // 100000 + 1) + 10
 
 
-def _fits(x, bits=MAX_ENTRY_BITS):
-    """Whether x's numerator and denominator have at most ``bits`` bits."""
-    return x.numerator.bit_length() <= bits and x.denominator.bit_length() <= bits
-
-
 def parse_bounded(field, token, bits, where):
     """The value of ``token``, refused with an error naming ``where`` when
     its numerator or denominator has more than ``bits`` bits: from the
@@ -46,7 +43,7 @@ def parse_bounded(field, token, bits, where):
             x = field.parse(token)
         except ParseError as exc:
             raise ParseError(f"{where}: {exc}") from exc
-        if _fits(x, bits):
+        if max(x.numerator.bit_length(), x.denominator.bit_length()) <= bits:
             return x
     raise ParseError(f"{where} exceeds {bits} bits in numerator or denominator")
 
@@ -62,30 +59,35 @@ def parse_int(token, where, chars=20):
 
 def _parse_row(field, line, tokens, row):
     """The entries of one row, the ``tokens`` of ``line``, each read or
-    refused on its own as ``parse_bounded`` reads it.  The row is parsed in
-    one pass over ``field.parse`` when no token is longer than the digits
-    ``parse_bounded`` accepts and none can make it raise 10 to a huge
-    exponent: over F_p (which reads no exponents) or without exponents over
-    QQ.  Only over QQ do its values then need the bit bound checked (p has
-    at most 82 bits).  Any other row, and a row that fails, goes entry by
-    entry, which names the column and bounds the work."""
+    refused on its own as ``parse_bounded`` reads it: residues over F_p,
+    reduced (numerator, denominator) pairs over QQ.  The row is parsed in
+    one pass over ``field.parse`` (``ratio`` over QQ) when no token is
+    longer than the digits ``parse_bounded`` accepts and none can make it
+    raise 10 to a huge exponent: over F_p (which reads no exponents) or
+    without exponents over QQ.  Only over QQ do its values then need the
+    bit bound checked (p has at most 82 bits).  Any other row, and a row
+    that fails, goes entry by entry, which names the column and bounds
+    the work."""
     most = _digits(MAX_ENTRY_BITS)
     short = len(line) <= most or max(map(len, tokens)) <= most
     if short and (field.char or not any("e" in t or "E" in t for t in tokens)):
         try:
-            values = list(map(field.parse, tokens))
+            values = list(map(field.parse if field.char else field.ratio, tokens))
         except ParseError:
             pass
         else:
-            if field.char or all(map(_fits, values)):
+            if field.char or all(max(a.bit_length(), b.bit_length()) <= MAX_ENTRY_BITS
+                                 for a, b in values):
                 return values
-    return [parse_bounded(field, t, MAX_ENTRY_BITS, f"entry at row {row}, column {j}")
-            for j, t in enumerate(tokens, 1)]
+    values = [parse_bounded(field, t, MAX_ENTRY_BITS, f"entry at row {row}, column {j}")
+              for j, t in enumerate(tokens, 1)]
+    return values if field.char else [(x.numerator, x.denominator) for x in values]
 
 
 def parse_matrix(text, field):
     """Matrix text format: first line ``rows cols``, then one row per line,
-    entries whitespace separated, rationals as ``a/b`` or integers."""
+    entries whitespace separated, rationals as ``a/b`` or integers; over
+    QQ held in the integer model, over the lcm of the denominators."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ParseError("empty matrix file")
@@ -103,13 +105,15 @@ def parse_matrix(text, field):
         if len(tokens) != cols:
             raise ParseError(f"expected {cols} entries in row {i}: {quote(ln)}")
         data.append(_parse_row(field, ln, tokens, i))
-    return Matrix(field, data)
+    if field.char:
+        return Matrix(field, data)
+    den = math.lcm(*(b for row in data for _, b in row))
+    return Matrix.from_lifted(field, [[a * (den // b) for a, b in row] for row in data], den)
 
 
 def format_matrix(m):
     """Column-aligned text rendering (including the header line)."""
-    f = m.field
-    cells = [[f.fmt(x) for x in row] for row in m.data]
+    cells = m.field.fmt_rows(*m.lifted())
     widths = [max(len(cells[r][c]) for r in range(m.rows)) for c in range(m.cols)]
     lines = [f"{m.rows} {m.cols}"]
     for row in cells:
@@ -147,16 +151,16 @@ def emit_json(dec):
     json to its pure-Python encoder, so the layout is written here."""
     f = dec.field
 
-    def strings(values, indent):
+    def strings(cells, indent):
         # field strings hold only digits, '-' and '/': nothing to escape
         sep = '",\n' + " " * indent + '"'
-        return _layout(['"' + sep.join(map(f.fmt, values)) + '"'], indent)
+        return _layout(['"' + sep.join(cells) + '"'], indent)
 
     def matrix(m):
-        return _layout([strings(row, 6) for row in m.data], 4)
+        return _layout([strings(row, 6) for row in f.fmt_rows(*m.lifted())], 4)
 
     blocks = _layout([_layout([f'"cycle_length": {blk.cycle_length}',
-                               f'"factor": {strings(blk.factor.coeffs, 8)}',
+                               f'"factor": {strings(map(f.fmt, blk.factor.coeffs), 8)}',
                                f'"offset": {blk.offset}'], 6, "{}")
                       for blk in dec.blocks], 4)
     # the other members through json's C encoder (no indent), one a line
@@ -164,6 +168,13 @@ def emit_json(dec):
                       sort_keys=True, separators=(",\n  ", ": "))[1:-1]
     return _layout([f'"J": {matrix(dec.j)}', f'"P": {matrix(dec.p)}',
                     f'"blocks": {blocks}', rest], 2, "{}")
+
+
+def _integer(x):
+    """A document's integer: not JSON's true or false, though bool is an int."""
+    if isinstance(x, bool):
+        raise TypeError(f"{json.dumps(x)} is not an integer")
+    return index(x)
 
 
 def parse_json(text):
@@ -177,12 +188,13 @@ def parse_json(text):
         field = field_from_tag(doc["field"])
         p, j = (Matrix(field, [[field.parse(x) for x in row] for row in doc[k]])
                 for k in "PJ")
-        n = index(doc["n"])
+        n = _integer(doc["n"])
         if not p.rows == p.cols == j.rows == j.cols == n:
             raise ValueError(f"P is {p.rows} x {p.cols} and J {j.rows} x {j.cols}, "
                              "not both n x n")
         blocks = [CycleBlock(Poly(field, [field.parse(c) for c in blk["factor"]]),
-                             index(blk["cycle_length"]), index(blk["offset"]))
+                             _integer(blk["cycle_length"]),
+                             _integer(blk["offset"]))
                   for blk in doc["blocks"]]
         if doc["form"] not in JordanDecomposition.FORMS:
             raise ValueError("unknown form")

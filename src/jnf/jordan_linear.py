@@ -18,7 +18,8 @@ of the socles of the cycles taken so far, tested by inserting them into
 one echelon.  A linear factor lambda - lam is the d = 1 case: its digits
 are the Taylor coefficients of (B*V)^T at lam, and a chain's images are the
 chain itself.  A cycle is returned as its list of groups, group j holding
-(w_j, A*w_j, ..., A^{d-1}*w_j), which is what ``assemble`` takes.
+(w_j, A*w_j, ..., A^{d-1}*w_j), which is what ``assemble`` takes, each
+vector in the integer model: an (integer list, denominator) pair.
 """
 
 from itertools import chain
@@ -101,8 +102,9 @@ def extract_q_cycles(a, q_poly, mult, c_blocks):
     span of those groups.  So Z meets W exactly when the groups are
     dependent.  For d = 1 a group is the vector itself and no product is
     made.  The test runs on the integer model, with A' = e*A for A, e its
-    common denominator: independence does not depend on scale.  Only an
-    accepted grid is lowered, power k over pivot*e^k.
+    common denominator: independence does not depend on scale.  An
+    accepted grid stays in it, each vector an (integer list, denominator)
+    pair, power k over pivot*e^k.
     """
     f = a.field
     d = q_poly.degree
@@ -126,7 +128,7 @@ def extract_q_cycles(a, q_poly, mult, c_blocks):
             socle.restore(saved)
             return False
         pivot = next(filter(None, segs[0]))
-        grid = [f.lower(w + ws, pivot * e ** k)
+        grid = [[(v, pivot * e ** k) for v in w + ws]
                 for k, (w, ws) in enumerate(zip(bottom, powers(segs[1:])))]
         cycles.append([list(group) for group in zip(*grid)])
         return True

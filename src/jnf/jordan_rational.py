@@ -64,7 +64,7 @@ def convert_cycle_to_rational(a, q_poly, groups):
     v_{j,l} = A*v_{j,l-1} - v_{j-1,l-1}, and v_{j,0} the shift-by-d
     preimage of the sum over m >= 1 and i of C(i+m, m)*q_{i+m}*v_{j-m,i}.
     T is block upper triangular, so the preimage always exists.  The
-    vectors themselves are then U*T, one product.
+    vectors themselves are then U*T, one product in the integer model.
     """
     f = a.field
     d = q_poly.degree
@@ -84,7 +84,9 @@ def convert_cycle_to_rational(a, q_poly, groups):
         for l in range(1, d):
             t.append([f.sub(x, y) for x, y in
                       zip(f.matmul([t[-1]], block_t)[0], t[(j - 1) * d + l - 1])])
-    vectors = f.matmul(t, [v for group in groups for v in group])
+    u, den = f.one_den([v for group in groups for v in group])
+    ti, dt = f.lift(t)
+    vectors = [(v, dt * den) for v in f.int_matmul(ti, u)]
     return [vectors[j * d:(j + 1) * d] for j in range(k)]
 
 

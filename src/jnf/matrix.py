@@ -22,8 +22,8 @@ class Matrix:
     other integers are refused (``from_ints`` reduces plain integers).
 
     A matrix built by ``from_lifted`` is held in the field's integer model
-    instead, and lowered to field elements when ``data`` is first read;
-    kernels read either form through ``lifted``.
+    instead (a QQ solve's A, P and J are), lowered to field elements when
+    ``data`` is first read; kernels read either form through ``lifted``.
     """
 
     __slots__ = ("field", "rows", "cols", "data", "_lifted")
@@ -77,12 +77,6 @@ class Matrix:
         z = field.zero
         return cls(field, [[z] * cols for _ in range(rows)])
 
-    @classmethod
-    def from_columns(cls, field, columns, rows=None):
-        if not columns:
-            return cls.zeros(field, rows or 0, 0)
-        return cls(field, zip(*columns, strict=True))
-
     def transposed(self):
         rows, den = self.lifted()
         return Matrix.from_lifted(self.field, [list(col) for col in zip(*rows)], den)
@@ -94,16 +88,15 @@ class Matrix:
     def __eq__(self, other):
         if not (isinstance(other, Matrix) and self.field == other.field):
             return False
-        mine, theirs = self._lifted, other._lifted    # same den: equal iff integers are
-        return (mine[0] == theirs[0] if mine and theirs and mine[1] == theirs[1]
-                else self.data == other.data)
+        mine, theirs = self._lifted, other._lifted
+        if not (mine and theirs):
+            return self.data == other.data
+        (ra, da), (rb, db), f = mine, theirs, self.field  # equal iff ra*db == rb*da
+        return ra == rb if da == db else f.int_scale(ra, db) == f.int_scale(rb, da)
 
     def __repr__(self):
         body = "; ".join(" ".join(self.field.fmt(x) for x in row) for row in self.data)
         return f"Matrix[{body}]"
-
-    def column(self, j):
-        return [row[j] for row in self.data]
 
     def is_zero(self):
         return not any(map(any, self._lifted[0] if self._lifted else self.data))
@@ -217,7 +210,7 @@ def horner_shift(mp, points):
 def matrix_horner(a, coeffs, v):
     """[X_0^T, ..., X_m^T] for the polynomial with ``coeffs`` c_0..c_m (field
     elements, lowest degree first, c_m nonzero) on the block V (a list of
-    columns): X_0 = c_m*V and X_k = A*X_{k-1} + c_{m-k}*V, so X_m = p(A)*V,
+    integer columns): X_0 = c_m*V and X_k = A*X_{k-1} + c_{m-k}*V, so X_m = p(A)*V,
     each X_k as its s columns, an s x n matrix in the integer model.  It runs on
     A' = d*A, d the common denominator of A (1 over F_p), as
     X'_k = A'*X'_{k-1} + d^k*c_{m-k}*V with X'_k = d^k*X_k: the scaled
@@ -229,16 +222,15 @@ def matrix_horner(a, coeffs, v):
     m = len(coeffs) - 1
     ai, d = a.lifted()
     (cs,), e = f.lift([[c * d ** (m - j) for j, c in enumerate(coeffs)]])
-    vi, e_v = f.lift(v)
-    op = f.int_operator(ai, vi)
-    xs = [vi if cs[-1] == 1 else f.int_scale(vi, cs[-1])]
+    op = f.int_operator(ai, v)
+    xs = [v if cs[-1] == 1 else f.int_scale(v, cs[-1])]
     for c in reversed(cs[:-1]):
         xs.append(op(xs[-1], c))
-    return [Matrix.from_lifted(f, x, e * e_v * d ** k) for k, x in enumerate(xs)]
+    return [Matrix.from_lifted(f, x, e * d ** k) for k, x in enumerate(xs)]
 
 
-def identity_columns(field, n):
-    return [[field.one if i == j else field.zero for i in range(n)] for j in range(n)]
+def identity_columns(n):
+    return [[int(i == j) for i in range(n)] for j in range(n)]
 
 
 def poly_at_matrix(p, a):
@@ -247,4 +239,4 @@ def poly_at_matrix(p, a):
     p.field.check_same(a.field)
     if p.is_zero:
         return Matrix.zeros(a.field, a.rows, a.rows)
-    return matrix_horner(a, p.coeffs, identity_columns(a.field, a.rows))[-1].transposed()
+    return matrix_horner(a, p.coeffs, identity_columns(a.rows))[-1].transposed()

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from jnf.decomposition import companion, cycle_block_matrix
+from jnf.decomposition import cycle_block_matrix
 from jnf.errors import InternalConsistencyError, JnfError
 from jnf.fields import QQ
 from jnf.matrix import MatPoly, Matrix, mat_mul, rank
@@ -67,6 +67,44 @@ def make_fixture_m6():
 def fixture_m6():
     """6x6 matrix with characteristic polynomial (x-2)^2 (x^2-2)^2."""
     return make_fixture_m6()
+
+
+def companion(q):
+    """Companion matrix of a monic polynomial: subdiagonal 1s, last column
+    the negated low-order coefficients."""
+    return cycle_block_matrix(q, 1, "rational", "upper")
+
+
+def from_columns(field, columns, rows=None):
+    """The matrix whose columns are the lists ``columns`` of field
+    elements; ``rows`` is its height when there are none."""
+    if not columns:
+        return Matrix.zeros(field, rows or 0, 0)
+    return Matrix(field, zip(*columns, strict=True))
+
+
+def cycle_vectors(f, cycle):
+    """A cycle as the extractor and ``convert_cycle_to_rational`` return it,
+    each vector an (integer list, denominator) pair, with every vector
+    lowered to field elements."""
+    return [[f.lower([v], den)[0] for v, den in group] for group in cycle]
+
+
+def model_cycle(f, groups):
+    """The inverse of ``cycle_vectors``: groups of field-element vectors as
+    the integer-model pairs ``convert_cycle_to_rational`` takes."""
+    return [[(row, den) for (row,), den in (f.lift([v]) for v in group)]
+            for group in groups]
+
+
+def never_lowered(m):
+    """Whether the matrix ``m``, held in the integer model, has never had
+    its ``data`` lowered to field elements (the slot is read directly)."""
+    try:
+        Matrix.data.__get__(m)
+    except AttributeError:
+        return True
+    return False
 
 
 def charpoly_oracle(a):
@@ -185,7 +223,11 @@ def kernel_basis(m):
 
 
 def columns(m):
-    return [m.column(j) for j in range(m.cols)]
+    return [column(m, j) for j in range(m.cols)]
+
+
+def column(m, j):
+    return [row[j] for row in m.data]
 
 
 def vstack(a, b):

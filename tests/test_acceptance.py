@@ -10,11 +10,12 @@ import time
 import pytest
 
 from conftest import (block_diagonal_part, block_multiset, charpoly_oracle,
-                      conjugate_random, expand_cycle, hstack, identity,
-                      kernel_basis, lambda_i_minus, make_fixture_m6, mat_pow,
-                      mat_scale, mat_sub, matpoly_mul, mul_vector, normal_form,
-                      poly_derivative, poly_divmod, poly_eval, poly_mul,
-                      poly_pow, random_normal_form, rng_for, trace,
+                      conjugate_random, cycle_vectors, expand_cycle,
+                      from_columns, hstack, identity, kernel_basis,
+                      lambda_i_minus, make_fixture_m6, mat_pow, mat_scale,
+                      mat_sub, matpoly_mul, model_cycle, mul_vector,
+                      normal_form, poly_derivative, poly_divmod, poly_eval,
+                      poly_mul, poly_pow, random_normal_form, rng_for, trace,
                       transposed)
 from jnf.charpoly import char_data, faddeev, hessenberg_charpoly
 from jnf.decomposition import cycle_block_matrix, verify
@@ -188,7 +189,7 @@ def test_criterion_3_fixture_m6(run_criterion):
         qa = poly_at_matrix(X2M2, a)
         cycles = extract_q_cycles(a, X2M2, 2, q_adic_blocks(a, transposed(cd.b), X2M2, 2))
         assert len(cycles) == 1 and len(cycles[0]) == 2
-        (w0, _), (w1, _) = cycles[0]
+        (w0, _), (w1, _) = cycle_vectors(QQ, cycles[0])
         assert mul_vector(qa, w1) == w0
         assert all(QQ.is_zero(x) for x in mul_vector(qa, w0))
         # reference pair: Q(A) maps (0,0,0,-1,-1,-1) to (1,0,0,-1,-1,-1),
@@ -199,15 +200,15 @@ def test_criterion_3_fixture_m6(run_criterion):
         assert all(QQ.is_zero(x) for x in mul_vector(qa, ref0))
         ours = [w0, mul_vector(a, w0), w1, mul_vector(a, w1)]
         refs = [ref0, mul_vector(a, ref0), ref1, mul_vector(a, ref1)]
-        assert rank(Matrix.from_columns(QQ, ours, rows=6)) == 4
-        assert rank(Matrix.from_columns(QQ, ours + refs, rows=6)) == 4
+        assert rank(from_columns(QQ, ours, rows=6)) == 4
+        assert rank(from_columns(QQ, ours + refs, rows=6)) == 4
 
         # (d) rational conversion from the reference generator pair
         v00 = [QQ.from_int(k) for k in (4, 24, 12, 32, 8, -4)]
         w10 = [QQ.from_int(k) for k in (0, 4, -4, 8, 4, -4)]
         assert mul_vector(qa, w10) == v00
-        groups = convert_cycle_to_rational(a, X2M2,
-                                           expand_cycle([v00, w10], a, X2M2))
+        groups = cycle_vectors(QQ, convert_cycle_to_rational(
+            a, X2M2, model_cycle(QQ, expand_cycle([v00, w10], a, X2M2))))
         v01 = groups[0][1]
         v10, v11 = groups[1]
         assert groups[0][0] == v00
@@ -254,7 +255,7 @@ def test_criterion_6_theorem2_ranks(suite4, suite5, run_criterion):
             bn = taylor_blocks(cd.b, lam, mult)[mult - 1]
             shifted = mat_sub(a, mat_scale(identity(f, a.rows), lam))
             kernel_cols = kernel_basis(mat_pow(shifted, mult))
-            k_mat = Matrix.from_columns(f, kernel_cols, rows=a.rows)
+            k_mat = from_columns(f, kernel_cols, rows=a.rows)
             r_b = rank(bn)
             r_k = len(kernel_cols)
             assert r_b == r_k == mult

@@ -5,8 +5,9 @@ from pathlib import Path
 
 import pytest
 
-from conftest import conjugate_random, make_fixture_m6, normal_form, rng_for
-from jnf import factor, jordan_rational
+from conftest import (conjugate_random, make_fixture_m6, never_lowered,
+                      normal_form, rng_for)
+from jnf import cli, factor, fields, jordan_rational
 from jnf.charpoly import hessenberg_charpoly
 from jnf.cli import (EXIT_INTERNAL, EXIT_NEEDS_FACTORIZATION, EXIT_OK, EXIT_PARSE,
                      EXIT_UNSUPPORTED_FIELD, FORMS, JobConfig, main, run)
@@ -499,9 +500,10 @@ def test_big_entries_print(tmp_path, capsys, output):
 
 
 def test_run_lifts_a_once(tmp_path, capsys, monkeypatch):
-    # A's integer model is lifted once per solve and kept on the matrix:
-    # the bounded images of P, every matrix Horner, the powers of e*A for
-    # the quadratic factor and the certificate all read it
+    # A is read into the integer model and never lifted: the bounded images
+    # of P, every matrix Horner, the powers of e*A for the quadratic factor
+    # and the certificate all read the model parse_matrix built, and A is
+    # never lowered to Fractions
     import jnf.cli
     a = conjugate_random(rng_for("lift-once"), normal_form(
         QQ, [(Poly.from_ints(QQ, [-2, 0, 1]), [3, 1]),
@@ -517,7 +519,49 @@ def test_run_lifts_a_once(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(type(QQ), "lift", lambda self, rows: lifted.append(rows) or lift(self, rows))
     assert main([str(path), "--factors", str(hints), "--verify"]) == EXIT_OK
     assert "verify: A*P == P*J" in capsys.readouterr().out
-    assert sum(rows is parsed[0].data for rows in lifted) == 1
+    assert never_lowered(parsed[0])
+    values = QQ.lower(*parsed[0].lifted())
+    assert values == a.data and lifted and values not in lifted
+
+
+@pytest.mark.parametrize("form", ["split", "rational"])
+@pytest.mark.parametrize("entries", ["integer", "a/b"])
+def test_qq_solve_keeps_a_and_p_in_the_integer_model(tmp_path, monkeypatch, entries, form):
+    # from the matrix file to the emitted text, A and P stay integer rows
+    # over one denominator: parsing makes no Fraction, neither is ever
+    # lowered to Fractions, and Rationals.lift sees neither
+    lam = QQ.fraction(1, 2) if entries == "a/b" else QQ.from_int(2)
+    a = conjugate_random(rng_for(f"model-{entries}"), normal_form(
+        QQ, [(Poly.x_minus(QQ, lam), [2, 1]), (Poly.x_minus(QQ, QQ.from_int(-3)), [2])]))
+    assert any(x.denominator > 1 for row in a.data for x in row) == (entries == "a/b")
+    path = tmp_path / "m.txt"
+    path.write_text(format_matrix(a) + "\n")
+    made, lifted, seen = [], [], {}
+    fraction = fields.Fraction
+    rationals = type(QQ)
+
+    def parse(*args):
+        monkeypatch.setattr(fields, "Fraction", lambda *xs: made.append(xs) or fraction(*xs))
+        seen["a"] = parse_matrix(*args)
+        monkeypatch.setattr(fields, "Fraction", fraction)
+        return seen["a"]
+
+    def emit(dec):
+        seen["p"] = dec.p
+        return emit_json(dec)
+    monkeypatch.setattr(cli, "parse_matrix", parse)
+    monkeypatch.setattr(cli, "emit_json", emit)
+    lift = rationals.lift
+    monkeypatch.setattr(rationals, "lift",
+                        lambda self, rows: lifted.append(rows) or lift(self, rows))
+    code, out = run(JobConfig(input_path=str(path), form=form, output="json"))
+    assert code == EXIT_OK and not made
+    assert never_lowered(seen["a"]) and never_lowered(seen["p"])
+    monkeypatch.undo()
+    values = [QQ.lower(*seen[k].lifted()) for k in "ap"]
+    assert values[0] == a.data
+    assert not any(rows == v for rows in lifted for v in values)
+    assert parse_json(out).p == seen["p"]
 
 
 def test_every_value_crosses_the_text_boundary(tmp_path, capsys, default_digit_limit):

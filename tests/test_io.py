@@ -1,10 +1,13 @@
 import json
+import sys
 import time
 
 import pytest
 
-from conftest import (conjugate_random, make_fixture_m6, normal_form,
-                      rand_matrix, rng_for)
+from conftest import (conjugate_random, make_fixture_m6, never_lowered,
+                      normal_form, rand_matrix, rng_for)
+from dataclasses import replace
+
 from jnf.charpoly import char_data
 from jnf.errors import ParseError, UnsupportedFieldError
 from jnf.factor import factor_charpoly
@@ -183,6 +186,57 @@ def test_parse_entry_accepts_and_refuses(token, qq, gf7):
             assert got == expect, (field, row[1:])
 
 
+# (token, its value, or the ParseError it gets, in a 1 x 2 row)
+QQ_TOKENS = [
+    ("2/4", "1/2"), ("-0", "0"), ("+7/21", "1/3"), ("007", "7"), ("0/5", "0"),
+    ("5/0", "entry at row 1, column 1: bad rational '5/0'"),
+    ("1e2", "100"), ("1_000", "1000"),
+    ("\u0661\u0662/\u0664", "3"),                  # Arabic-Indic 12/4
+    pytest.param("0" * 2477 + "7", "7", id="2478-digit"),
+    pytest.param("0" * 2478 + "7", f"entry at row 1, column 1 exceeds {MAX_ENTRY_BITS} bits "
+                 "in numerator or denominator", id="2479-digit"),
+    pytest.param("7" * 2478, f"entry at row 1, column 1 exceeds {MAX_ENTRY_BITS} bits "
+                 "in numerator or denominator", id="2478-digit-past-the-bits"),
+]
+
+
+@pytest.mark.parametrize("token, want", QQ_TOKENS)
+def test_qq_tokens_read_alike_on_both_routes(token, want):
+    # next to 1 a plain token is read in the row's one pass, with int() and
+    # one gcd and no Fraction; next to 1e0 the row goes entry by entry
+    # through Fraction: both routes give the same value, or the same error
+    got = []
+    for other in ("1", "1e0"):
+        try:
+            m = parse_matrix(f"1 2\n{token} {other}\n", QQ)
+        except ParseError as exc:
+            got.append(str(exc))
+        else:
+            assert never_lowered(m)
+            got.append(str(m.data[0][0]))
+    assert got == [want, want]
+
+
+def test_format_and_emit_read_the_integer_model(default_digit_limit):
+    # a P held in the integer model prints as the same P lowered to
+    # Fractions, entry by entry as str(Fraction) prints it, past CPython's
+    # digit limit too, and with a negative denominator
+    a = make_fixture_m6()
+    dec = decompose(a, factor_charpoly(char_data(a).p), "rational")
+    rng = rng_for("format-model")
+    big = 10**4400 + 7
+    for den in (1, 6, -6, 3 * big):
+        rows = [[rng.choice([0, 1, -1]) * rng.randrange(1, 10**4400) * rng.choice([1, 2, 3])
+                 for _ in range(6)] for _ in range(6)]
+        held = Matrix.from_lifted(QQ, rows, den)
+        lowered = Matrix(QQ, QQ.lower(rows, den))
+        assert QQ.fmt_rows(rows, den) == [[QQ.fmt(x) for x in row] for row in lowered.data]
+        assert format_matrix(held) == format_matrix(lowered)
+        assert emit_json(replace(dec, p=held)) == emit_json(replace(dec, p=lowered))
+        assert never_lowered(held)
+        assert sys.get_int_max_str_digits() == default_digit_limit
+
+
 def test_format_parse_roundtrip():
     rng = rng_for("io-roundtrip")
     for _ in range(10):
@@ -274,6 +328,10 @@ MALFORMED = {
     "P with 2 rows": lambda doc: {**doc, "P": doc["P"][:2]},
     "P with 2 columns": lambda doc: {**doc, "P": [row[:2] for row in doc["P"]]},
     "J with 2 columns": lambda doc: {**doc, "J": [row[:2] for row in doc["J"]]},
+    # the document of [[5]] read back with n true, as bool is an int
+    "n true": lambda doc: {"field": "Q", "form": "split", "n": True, "P": [["1"]],
+                           "J": [["5"]], "blocks": [{"factor": ["-5", "1"],
+                                                     "cycle_length": 1, "offset": 0}]},
 }
 
 
@@ -286,6 +344,9 @@ OUTSIDE = {
     "offset -1": {"offset": -1},
     "offset n": {"offset": 6},
     "runs past n": {"offset": 4},
+    # each read back as the integer 1, as bool is an int
+    "cycle_length true": {"cycle_length": True},
+    "offset true": {"offset": True},
 }
 MALFORMED.update({case: lambda doc, edit=edit: {**doc, "blocks": [
     {**doc["blocks"][0], **edit}, *doc["blocks"][1:]]} for case, edit in OUTSIDE.items()})

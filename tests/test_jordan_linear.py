@@ -1,8 +1,8 @@
 import pytest
 
-from conftest import (block_multiset, conjugate_random, horner_eval,
-                      mat_inverse, matpoly_reconstruct_shifts, mul_vector,
-                      rng_for, random_unimodular, transposed)
+from conftest import (block_multiset, conjugate_random, cycle_vectors,
+                      horner_eval, mat_inverse, matpoly_reconstruct_shifts,
+                      mul_vector, rng_for, random_unimodular, transposed)
 from jnf.charpoly import char_data, hessenberg_charpoly
 from jnf.errors import InvalidHintError, NeedsFactorizationError
 from jnf.factor import FactoredCharPoly, factor_charpoly
@@ -30,7 +30,7 @@ def test_fixture_a_cycle_structure(fixture_a):
     assert sorted(len(cy) for cy in cycles) == [2]
     # v_0 is an eigenvector, A*v_1 = 2*v_1 + v_0
     two = QQ.from_int(2)
-    (v0,), (v1,) = cycles[0]
+    (v0,), (v1,) = cycle_vectors(QQ, cycles[0])
     assert mul_vector(fixture_a, v0) == [QQ.mul(two, x) for x in v0]
     assert mul_vector(fixture_a, v1) == [QQ.add(QQ.mul(two, x), y)
                                       for x, y in zip(v1, v0)]
@@ -85,7 +85,7 @@ def test_accept_refuses_a_chain_overlapping_an_earlier_cycle(monkeypatch):
     monkeypatch.setattr(jordan_linear, "collect_cycles", collect)
     cycles = extract_cycles(a, two, 3, taylor_blocks(transposed(char_data(a).b), two, 3))
     assert sorted(map(len, cycles)) == [1, 2]
-    (v0,), _ = next(cy for cy in cycles if len(cy) == 2)
+    (v0,), _ = cycle_vectors(QQ, next(cy for cy in cycles if len(cy) == 2))
     refused = [segs for segs, ok in offered if not ok]
     assert refused
     assert all(rank(Matrix(QQ, [v0, segs[0]])) == 1 for segs in refused)

@@ -1,12 +1,12 @@
 import pytest
 
 from conftest import (block_diagonal_part, block_multiset, conjugate_random,
-                      mat_sub, matpoly_add, matpoly_mul_poly, matpoly_sub,
-                      mul_vector, poly_pow, random_normal_form, rng_for,
-                      transposed)
+                      cycle_vectors, mat_sub, matpoly_add, matpoly_mul_poly,
+                      matpoly_sub, mul_vector, never_lowered, poly_pow,
+                      random_normal_form, rng_for, transposed)
 from jnf import factor
 from jnf.charpoly import char_data
-from jnf.decomposition import verify
+from jnf.decomposition import JordanDecomposition, verify
 from jnf.errors import InternalConsistencyError, InvalidHintError
 from jnf.factor import FactoredCharPoly, factor_charpoly
 from jnf.fields import QQ
@@ -47,7 +47,7 @@ def test_extract_q_cycles_m6(fixture_m6):
     cycles = extract_q_cycles(fixture_m6, X2M2, 2,
                               q_adic_blocks(fixture_m6, transposed(cd.b), X2M2, 2))
     assert [len(cy) for cy in cycles] == [2]
-    (w0, aw0), (w1, aw1) = cycles[0]
+    (w0, aw0), (w1, aw1) = cycle_vectors(QQ, cycles[0])
     qa = poly_at_matrix(X2M2, fixture_m6)
     assert mul_vector(qa, w1) == w0
     assert all(QQ.is_zero(x) for x in mul_vector(qa, w0))
@@ -90,10 +90,10 @@ def test_rational_conversion_known_vectors(fixture_m6):
     cd = char_data(fixture_m6)
     cycle = extract_q_cycles(fixture_m6, X2M2, 2,
                              q_adic_blocks(fixture_m6, transposed(cd.b), X2M2, 2))[0]
-    groups = convert_cycle_to_rational(fixture_m6, X2M2, cycle)
+    groups = cycle_vectors(QQ, convert_cycle_to_rational(fixture_m6, X2M2, cycle))
     v00, v01 = groups[0]
     v10, v11 = groups[1]
-    assert v00 == cycle[0][0]
+    assert v00 == cycle_vectors(QQ, cycle)[0][0]
     assert mul_vector(fixture_m6, v00) == v01
     # defining relations of the rational block (upper coupling):
     # A v_{1,0} = v_{1,1} + v_{0,0} and A v_{1,1} = 2 v_{1,0} + v_{0,1}
@@ -118,12 +118,35 @@ def test_lower_orientation_m6(fixture_m6):
 
 
 def test_certificate_lifts_p_once(fixture_m6, monkeypatch):
-    # A*P, P*J and the rank of P all read the integer model P is lifted to
+    # A*P, P*J and the rank of P all read the integer model assemble builds
+    # P and J in: neither is ever lifted, nor lowered to Fractions
     lifted = []
     lift = type(QQ).lift
     monkeypatch.setattr(type(QQ), "lift", lambda self, rows: lifted.append(rows) or lift(self, rows))
     dec = decompose(fixture_m6, factor_charpoly(char_data(fixture_m6).p), "rational")
-    assert sum(rows is dec.p.data for rows in lifted) == 1
+    assert never_lowered(dec.p) and never_lowered(dec.j)
+    monkeypatch.undo()
+    assert lifted and QQ.lower(*dec.p.lifted()) not in lifted
+
+
+def test_verify_cross_multiplies_unequal_denominators(monkeypatch):
+    # A over 2, J over 1 (eigenvalues +-1): A*P and P*J are integer rows
+    # over different denominators, compared as rows_a*den_b == rows_b*den_a
+    # with nothing lowered; a wrong J is still refused
+    a = Matrix(QQ, [[QQ.zero, QQ.fraction(1, 2)], [QQ.from_int(2), QQ.zero]])
+    dec = decompose(a, factor_charpoly(char_data(a).p), "split")
+    assert a.lifted()[1] == 2 and dec.j.lifted()[1] == 1
+    lowered = []
+    lower = type(QQ).lower
+    monkeypatch.setattr(type(QQ), "lower",
+                        lambda self, rows, den: lowered.append(rows) or lower(self, rows, den))
+    assert verify(a, dec)
+    assert not lowered
+    assert dec.j == Matrix.from_ints(QQ, [[1, 0], [0, -1]])
+    bad = JordanDecomposition(p=dec.p, j=Matrix.from_lifted(QQ, [[-1, 0], [0, 1]], 1),
+                              form=dec.form, blocks=dec.blocks, field=QQ)
+    with pytest.raises(InternalConsistencyError, match="A\\*P != P\\*J"):
+        verify(a, bad)
 
 
 def test_commutation_rational_vs_pseudo(fixture_m6):

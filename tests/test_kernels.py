@@ -7,8 +7,8 @@ import random
 
 import pytest
 
-from conftest import (conjugate_random, division_rows_oracle, mat_add, mat_scale,
-                      mul_vector, normal_form, rng_for, rref, transposed)
+from conftest import (column, conjugate_random, division_rows_oracle, mat_add,
+                      mat_scale, mul_vector, normal_form, rng_for, rref, transposed)
 from jnf import fields, jordan_linear
 from jnf.charpoly import char_data, hessenberg_charpoly, probe_block
 from jnf.decomposition import cycle_block_matrix
@@ -874,7 +874,7 @@ def test_reduced_stack_matches_rref(f):
         for b in blocks:                       # a zero chain, often not last
             for row in b.data:
                 row[0] = f.zero
-        digits = [[b.column(j) for j in range(width)] for b in blocks]
+        digits = [[column(b, j) for j in range(width)] for b in blocks]
         seen = []
 
         def refuse(segs):
@@ -891,7 +891,7 @@ def test_reduced_stack_matches_rref(f):
                             for t in digits], 1, refuse)
             assert seen == whole
         expect = []
-        chains = (sum((b.column(j) for b in blocks), []) for j in range(width))
+        chains = (sum((column(b, j) for b in blocks), []) for j in range(width))
         held = [c for c in chains if any(c)]
         while held:
             reduced, _, pivots = rref(Matrix(f, held))
@@ -967,10 +967,10 @@ def test_b_stays_in_the_integer_model_through_a_solve(monkeypatch):
 
 @pytest.mark.parametrize("f", [QQ, PrimeField(7)], ids=["QQ", "GF7"])
 def test_extraction_lowers_only_the_accepted_cycles(f, monkeypatch):
-    # candidates, their socle groups and the powers of A stay in the
-    # integer model: inside extract_q_cycles ``lower`` sees the vectors of
-    # the accepted cycles once each, k*d*n entries for a cycle of length k,
-    # however many candidates were refused on the way
+    # candidates, their socle groups, the powers of A and the accepted
+    # cycles all stay in the integer model: inside extract_q_cycles
+    # ``lower`` sees nothing, however many candidates were refused on the
+    # way, and the cycles hold k*d vectors of n integers for a length k
     quad = Poly.from_ints(f, [1, 0, 1] if f.char else [-2, 0, 1])
     pieces = [(quad, [2, 1]), (Poly.x_minus(f, f.from_int(3)), [2, 1, 1])]
     a = conjugate_random(rng_for(f"kernel-lower-accepted-{f.char}"),
@@ -997,4 +997,6 @@ def test_extraction_lowers_only_the_accepted_cycles(f, monkeypatch):
         cycles = extract_q_cycles(a, q, sum(ls), c_blocks)
         assert sorted(map(len, cycles)) == sorted(ls)
         assert not all(offered)                # some candidates were refused
-        assert sum(lowered) == sum(ls) * q.degree * a.rows
+        assert sum(lowered) == 0
+        assert sum(len(v) for cy in cycles for group in cy for v, _ in group) \
+            == sum(ls) * q.degree * a.rows

@@ -1,9 +1,9 @@
 import pytest
 
-from conftest import (adjugate_oracle, columns, det, det_oracle, horner_eval,
-                      identity, kernel_basis, lambda_i_minus, mat_add,
+from conftest import (adjugate_oracle, column, columns, det, det_oracle, from_columns,
+                      horner_eval, identity, kernel_basis, lambda_i_minus, mat_add,
                       mat_inverse, mat_neg, mat_pow, mat_scale, mat_sub,
-                      matpoly_reconstruct_q_adic, matpoly_reconstruct_shifts,
+                      matpoly_reconstruct_q_adic, never_lowered, matpoly_reconstruct_shifts,
                       hstack, mul_vector, poly_at_matrix_oracle, poly_monic,
                       rand_matrix, rand_poly, rng_for, rref, trace, vstack,
                       SingularMatrixError)
@@ -35,7 +35,7 @@ def test_basic_ops():
 
 def test_from_columns_roundtrip():
     a = M([[1, 2, 3], [4, 5, 6]])
-    assert Matrix.from_columns(QQ, columns(a), rows=2) == a
+    assert from_columns(QQ, columns(a), rows=2) == a
 
 
 def test_prime_field_entries_must_be_residues():
@@ -90,7 +90,7 @@ def test_rref_properties_random(field):
         assert len(pivots) == rk
         for r, c in pivots:
             assert reduced.data[r][c] == field.one
-            col = reduced.column(c)
+            col = column(reduced, c)
             assert all(field.is_zero(x) for i, x in enumerate(col) if i != r)
 
 
@@ -219,3 +219,16 @@ def test_poly_at_matrix_gf7_unreduced_residues():
     assert rows == [[0, 0], [0, 0]]
     assert got.is_zero()
     assert got.data == [[0, 0], [0, 0]]
+
+
+def test_equality_across_denominators():
+    # integer models over different denominators are equal iff
+    # rows_a*den_b == rows_b*den_a (reduced over F_p), with nothing lowered
+    gf7 = PrimeField(7)
+    for f, a, same, other in (
+            (QQ, ([[1, -2]], 2), ([[3, -6]], 6), ([[3, -5]], 6)),
+            (QQ, ([[1, -2]], 2), ([[-1, 2]], -2), ([[1, -2]], -2)),
+            (gf7, ([[1, 3]], 2), ([[4, 5]], 1), ([[4, 6]], 1))):   # 1/2 = 4 mod 7
+        held = [Matrix.from_lifted(f, *m) for m in (a, same, other)]
+        assert held[0] == held[1] and held[0] != held[2]
+        assert all(never_lowered(m) for m in held)

@@ -22,8 +22,8 @@ import random
 import pytest
 
 from conftest import (IRREDUCIBLE_QUADRATICS, block_multiset,
-                      conjugate_random, hstack, mul_vector, normal_form,
-                      poly_divmod, poly_pow, transposed)
+                      conjugate_random, cycle_vectors, hstack, mul_vector,
+                      normal_form, poly_divmod, poly_pow, transposed)
 from jnf import jordan_linear, jordan_rational
 from jnf.charpoly import (char_data, comatrix_from_charpoly, faddeev,
                           hessenberg_charpoly, probe_block)
@@ -96,7 +96,7 @@ def check_chain_and_conversion(a, b, q, mult):
         assert [mat_mul(qa, c) for c in c_next] == c_k
     zero = [[f.zero] * a.rows] * q.degree
     for cycle in extract_q_cycles(a, q, mult, c_blocks):
-        groups = convert_cycle_to_rational(a, q, cycle)
+        groups = cycle_vectors(f, convert_cycle_to_rational(a, q, cycle))
         for prev, group in zip([zero] + groups, groups):
             # v_{j,d} stands for -sum_i q_i*v_{j,i}: the companion column
             last = [f.neg(functools.reduce(f.add, map(f.mul, q.coeffs, xs)))
